@@ -37,7 +37,7 @@ const char* ExecModeName(ExecMode mode);
 Result<ExecMode> ParseExecMode(const std::string& token);
 
 /// Resolves FAIRCLEAN_EXEC_MODE (default: fused). Unknown tokens are a
-/// hard error, same contract as FAIRCLEAN_STORE.
+/// hard error naming the known modes.
 Result<ExecMode> ExecModeFromEnv();
 
 }  // namespace fairclean

@@ -16,12 +16,12 @@ namespace fairclean {
 ///
 /// Production code declares named injection *sites* — the driver's storage
 /// and compute boundaries ("cache_write", "cache_read", "csv_parse",
-/// "numeric", "interrupt"), the paged storage engine's page IO
-/// ("page_read", "page_write"), and the serving layer's request lifecycle
-/// ("socket_read", "socket_write", "request_parse", "worker_stall"); each
-/// site is a no-op unless a fault was armed for it, so the instrumentation
-/// is free on the happy path. Faults are armed from a spec string (usually
-/// the FAIRCLEAN_FAULTS environment variable):
+/// "numeric", "interrupt"), the wave planner ("plan_build"), and the serving
+/// layer's request lifecycle ("socket_read", "socket_write",
+/// "request_parse", "worker_stall"); each site is a no-op unless a fault
+/// was armed for it, so the instrumentation is free on the happy path.
+/// Faults are armed from a spec string (usually the FAIRCLEAN_FAULTS
+/// environment variable):
 ///
 ///   site:probability[:max_fires][,site:probability[:max_fires]...]
 ///

@@ -66,14 +66,6 @@ struct StudyDriverOptions {
   /// lease here, so a lease outlives any cell whose repeats keep making
   /// progress; tests also use it as a deterministic mid-cell crash point.
   std::function<void()> checkpoint_hook;
-  /// Byte store backing the result cache and repeat journals. When null
-  /// and cache_dir is non-empty, the driver opens the backend selected by
-  /// FAIRCLEAN_STORE / FAIRCLEAN_STORE_CACHE_PAGES /
-  /// FAIRCLEAN_STORE_COMPRESS on first use. Callers running several
-  /// drivers against one cache_dir (the suite scheduler, the advisor
-  /// service) must share one instance: the paged backend's single pages
-  /// file has exactly one writer per process.
-  std::shared_ptr<store::BlobStore> blob_store;
 };
 
 /// Structured counters describing how a driver run degraded (or didn't):
@@ -214,10 +206,6 @@ class StudyDriver {
                    const std::string& journal_key, bool persist,
                    CleaningExperimentResult* result, Status* last_failure);
 
-  /// Resolves the blob store (options_.blob_store, else the env-selected
-  /// backend over cache_dir) on first persistent RunOrLoad.
-  Status EnsureStore();
-
   /// Effective worker count (resolves options_.threads == 0 via
   /// FAIRCLEAN_THREADS / hardware_concurrency).
   size_t EffectiveThreads() const;
@@ -228,8 +216,8 @@ class StudyDriver {
   obs::Histogram* StageCpu(const char* stage);
 
   StudyDriverOptions options_;
-  /// Backend serving cache/journal bytes (see StudyDriverOptions::blob_store).
-  std::shared_ptr<store::BlobStore> store_;
+  /// Cache records and repeat journals under options_.cache_dir.
+  store::FlatFileStore store_;
   /// Scoped registry: every value recorded here forwards to the same-named
   /// instrument in MetricsRegistry::Global(), so one driver's diagnostics
   /// stay separable while the process-wide export aggregates all of them.

@@ -29,8 +29,7 @@ enum class FlightEventType : uint8_t {
   kSpanBegin = 1,    ///< site = span category; arg = span depth
   kSpanEnd = 2,      ///< site = span category; arg = duration in us
   kFault = 3,        ///< site = "fault:<site>"; injected fault fired
-  kTxnCommit = 4,    ///< site = "store.txn"; arg = committed txn id
-  kTxnRollback = 5,  ///< site = "store.txn"; arg = rolled-back txn id
+  // 4 and 5 are retired; values are part of the dump format, never reused.
   kShed = 6,         ///< site = "serve.shed"; admission or connection shed
   kCheckpoint = 7,   ///< site = "exec.checkpoint"; journal snapshot written
   kDeadline = 8,     ///< site names the layer that tripped the deadline

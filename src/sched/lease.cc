@@ -1,4 +1,4 @@
-#include "store/lease.h"
+#include "sched/lease.h"
 
 #include <errno.h>
 #include <fcntl.h>
@@ -15,7 +15,7 @@
 #include <utility>
 
 namespace fairclean {
-namespace store {
+namespace sched {
 namespace {
 
 /// RAII wrapper for an open, exclusively flocked claim file. All claim
@@ -262,5 +262,5 @@ Result<LeaseRecord> LeaseStore::Read(const std::string& key) const {
   return Decode(text);
 }
 
-}  // namespace store
+}  // namespace sched
 }  // namespace fairclean

@@ -59,7 +59,7 @@ bool SuiteScheduler::IsStolenCell(const CellKey& cell) const {
 
 void SuiteScheduler::RefreshCellLease(const CellKey& cell) {
   if (lease_store_ == nullptr) return;
-  store::LeaseToken token;
+  LeaseToken token;
   {
     std::lock_guard<std::mutex> lock(shard_mutex_);
     auto it = claim_tokens_.find(cell.Id());
@@ -124,7 +124,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
                                     size_t wave_index,
                                     const std::vector<size_t>& cell_ids,
                                     std::vector<size_t>* produced_ids) {
-  FC_ASSIGN_OR_RETURN(std::shared_ptr<store::BlobStore> blob, SharedStore());
+  const store::FlatFileStore& blob = Store();
   const std::string owner = options_.shard.Label();
   std::vector<size_t> pending = cell_ids;
   while (!pending.empty()) {
@@ -148,14 +148,14 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
       // Done marker = the cell's cache record exists. A sibling (or a
       // previous incarnation of this shard) finished it; the merge pass
       // will cache-hit it, so it belongs in nobody's new partial.
-      FC_ASSIGN_OR_RETURN(bool cached, blob->Contains(CellCacheKey(cell)));
+      FC_ASSIGN_OR_RETURN(bool cached, blob.Contains(CellCacheKey(cell)));
       if (cached) {
         std::lock_guard<std::mutex> lock(shard_mutex_);
         ++shard_counters_.cache_skips;
         metrics_.GetCounter("sched.shard.cache_skips")->Increment();
         continue;
       }
-      Result<store::LeaseToken> token = lease_store_->Acquire(
+      Result<LeaseToken> token = lease_store_->Acquire(
           ClaimKeyFor(cell), owner, options_.shard_lease_s);
       if (!token.ok()) {
         if (token.status().code() == StatusCode::kUnavailable) {
@@ -176,8 +176,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
       // between the Contains probe above and this Acquire. Producers
       // write the cache record strictly before releasing, so under the
       // claim this check is authoritative and closes the race.
-      FC_ASSIGN_OR_RETURN(bool now_cached,
-                          blob->Contains(CellCacheKey(cell)));
+      FC_ASSIGN_OR_RETURN(bool now_cached, blob.Contains(CellCacheKey(cell)));
       if (now_cached) {
         Status released = lease_store_->Release(*token);
         if (!released.ok()) {
@@ -209,7 +208,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
       Status produced = ProduceWaveCells(spec, graph, wave_index, batch);
       for (size_t id : batch) {
         const CellKey& cell = graph.nodes()[id].cell;
-        store::LeaseToken token;
+        LeaseToken token;
         bool have_token = false;
         {
           std::lock_guard<std::mutex> lock(shard_mutex_);
@@ -328,11 +327,6 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
         "sharded runs need a cache dir: the shared cache is the "
         "coordination plane");
   }
-  if (options_.store_backend != "flat") {
-    return Status::InvalidArgument(
-        "sharded runs require the flat store backend: the paged backend "
-        "has a single writer per process");
-  }
   if (options_.report_path.empty()) {
     return Status::InvalidArgument(
         "sharded runs need a report path for the per-shard partial report");
@@ -342,8 +336,7 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
     return "suite-shard " + spec.name + " " + shard.Label();
   });
   if (shard.mode == ShardMode::kClaim && lease_store_ == nullptr) {
-    lease_store_ =
-        std::make_unique<store::LeaseStore>(options_.cache_dir + "/claims");
+    lease_store_ = std::make_unique<LeaseStore>(options_.cache_dir + "/claims");
   }
 
   ExperimentGraph graph = ExperimentGraph::Build(spec, filter);
@@ -388,7 +381,7 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
     // otherwise), so any finisher could merge — the __merge__ lease picks
     // one. Re-merging after a release would be harmless (the merged
     // report is byte-identical by construction), just wasted work.
-    Result<store::LeaseToken> merge = lease_store_->Acquire(
+    Result<LeaseToken> merge = lease_store_->Acquire(
         kMergeClaimKey, shard.Label(), options_.shard_lease_s);
     if (merge.ok()) {
       Status merged = RunSuiteMerge(spec, filter);
@@ -416,8 +409,7 @@ Status SuiteScheduler::RunSuiteMerge(const SuiteSpec& spec,
     // trusting it: a cell whose recorded sha256 no longer matches the
     // cache bytes means two shards ran inconsistent configurations (or
     // the cache was tampered with) — merging would silently bless it.
-    FC_ASSIGN_OR_RETURN(std::shared_ptr<store::BlobStore> blob,
-                        SharedStore());
+    const store::FlatFileStore& blob = Store();
     namespace fs = std::filesystem;
     fs::path report(options_.report_path);
     fs::path dir = report.parent_path();
@@ -428,7 +420,11 @@ Status SuiteScheduler::RunSuiteMerge(const SuiteSpec& spec,
     for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
       if (!entry.is_regular_file()) continue;
       const std::string name = entry.path().filename().string();
-      if (name.rfind(prefix, 0) == 0) partials.push_back(entry.path());
+      // A sibling's partial still being written atomically sits at
+      // "<partial>.tmp" and may be renamed away mid-read: not a partial.
+      if (name.rfind(prefix, 0) == 0 && entry.path().extension() != ".tmp") {
+        partials.push_back(entry.path());
+      }
     }
     std::sort(partials.begin(), partials.end());
     size_t validated = 0;
@@ -453,7 +449,7 @@ Status SuiteScheduler::RunSuiteMerge(const SuiteSpec& spec,
                                          " lists a cell without "
                                          "cache_file/sha256");
         }
-        FC_ASSIGN_OR_RETURN(std::string bytes, blob->Read(cache_file));
+        FC_ASSIGN_OR_RETURN(std::string bytes, blob.Read(cache_file));
         const std::string actual = Sha256Hex(bytes);
         if (actual != claimed) {
           return Status::Internal(

@@ -46,24 +46,6 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   FC_ASSIGN_OR_RETURN(int64_t threads, GetEnvCount("FAIRCLEAN_THREADS", 0));
   options.threads = static_cast<size_t>(threads);
   options.report_path = GetEnvString("FAIRCLEAN_SUITE_REPORT", "");
-  options.store_backend = GetEnvString("FAIRCLEAN_STORE", "flat");
-  if (options.store_backend != "flat" && options.store_backend != "paged") {
-    return Status::InvalidArgument(
-        "FAIRCLEAN_STORE must be \"flat\" or \"paged\", got \"" +
-        options.store_backend + "\"");
-  }
-  FC_ASSIGN_OR_RETURN(
-      int64_t store_cache_pages,
-      GetEnvCount("FAIRCLEAN_STORE_CACHE_PAGES",
-                  static_cast<int64_t>(options.store_cache_pages)));
-  options.store_cache_pages = static_cast<size_t>(store_cache_pages);
-  std::string compress = GetEnvString("FAIRCLEAN_STORE_COMPRESS", "0");
-  if (compress != "0" && compress != "1") {
-    return Status::InvalidArgument(
-        "FAIRCLEAN_STORE_COMPRESS must be \"0\" or \"1\", got \"" +
-        compress + "\"");
-  }
-  options.store_compress = compress == "1";
   FC_ASSIGN_OR_RETURN(options.shard_lease_s,
                       GetEnvBudgetSeconds("FAIRCLEAN_SHARD_LEASE_S",
                                           options.shard_lease_s));
@@ -178,7 +160,8 @@ SuiteScheduler::SuiteScheduler(SuiteOptions options)
       artifacts_(&metrics_),
       planner_(options_.study.exec_mode, options_.study.seed,
                [this](const std::string& name) { return Dataset(name); }),
-      start_(std::chrono::steady_clock::now()) {
+      start_(std::chrono::steady_clock::now()),
+      store_(options_.cache_dir) {
   if (width_ > 1) pool_ = std::make_unique<ThreadPool>(width_);
   total_.threads = width_;
 }
@@ -189,19 +172,10 @@ double SuiteScheduler::ElapsedSeconds() const {
       .count();
 }
 
-Result<std::shared_ptr<store::BlobStore>> SuiteScheduler::SharedStore()
-    const {
-  std::lock_guard<std::mutex> lock(store_mutex_);
-  if (blob_store_ == nullptr) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.cache_dir, ec);
-    FC_ASSIGN_OR_RETURN(
-        blob_store_,
-        store::OpenBlobStore(options_.cache_dir, options_.store_backend,
-                             options_.store_cache_pages,
-                             options_.store_compress));
-  }
-  return blob_store_;
+const store::FlatFileStore& SuiteScheduler::Store() const {
+  std::error_code ec;
+  std::filesystem::create_directories(options_.cache_dir, ec);
+  return store_;
 }
 
 Result<exec::StudyDriverOptions> SuiteScheduler::CellDriverOptions() const {
@@ -209,9 +183,7 @@ Result<exec::StudyDriverOptions> SuiteScheduler::CellDriverOptions() const {
   driver_options.study = options_.study;
   driver_options.cache_dir = options_.cache_dir;
   driver_options.max_retries = options_.max_retries;
-  if (!options_.cache_dir.empty()) {
-    FC_ASSIGN_OR_RETURN(driver_options.blob_store, SharedStore());
-  }
+  if (!options_.cache_dir.empty()) Store();  // creates the cache dir
   // Parallelism lives at the suite level; each cell driver runs the
   // strictly-sequential path (also keeps pool-in-pool nesting impossible).
   driver_options.threads = 1;
@@ -343,15 +315,13 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   Accumulate(driver.diagnostics());
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded &&
-        !options_.cache_dir.empty() &&
-        driver_options.blob_store != nullptr) {
+        !options_.cache_dir.empty()) {
       // Sticky attempt marker: the cell hit the budget with resumable
       // state. A later attempt that completes the cell overwrites it, so
       // final-success reports stay byte-identical to fresh runs.
-      driver_options.blob_store
-          ->Write(ClassKeyFor(CellCacheKey(cell)),
-                  std::string(CellClassName(CellClass::kBudgetExceeded)) +
-                      "\n")
+      store_
+          .Write(ClassKeyFor(CellCacheKey(cell)),
+                 std::string(CellClassName(CellClass::kBudgetExceeded)) + "\n")
           .ok();
     }
     return result.status();
@@ -363,10 +333,10 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   if (!options_.cache_dir.empty()) {
     std::string key = exec::StudyDriver::CacheKey(
         driver_options, cell.dataset, cell.error_type, cell.model);
-    FC_ASSIGN_OR_RETURN(bytes, driver_options.blob_store->Read(key));
+    FC_ASSIGN_OR_RETURN(bytes, store_.Read(key));
     artifact.cache_file = key;
-    artifact.cell_class = ClassifyProducedCell(
-        cell, driver.diagnostics(), driver_options.blob_store.get(), key);
+    artifact.cell_class =
+        ClassifyProducedCell(cell, driver.diagnostics(), &store_, key);
   } else {
     // In-memory runs: digest the exact bytes SaveToFile would persist, so
     // the identity is comparable either way.
@@ -380,7 +350,7 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
 
 CellClass SuiteScheduler::ClassifyProducedCell(
     const CellKey& cell, const exec::RunDiagnostics& diag,
-    store::BlobStore* blob, const std::string& cache_key) {
+    const store::FlatFileStore* blob, const std::string& cache_key) {
   // Each cell runs its own driver, so the diagnostics describe exactly
   // this production. A pure cache hit preserves the class recorded by
   // whichever run computed the cell (absent record: a pre-classifier

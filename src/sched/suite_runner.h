@@ -21,8 +21,9 @@
 #include "sched/experiment_graph.h"
 #include "sched/shard.h"
 #include "sched/suite_spec.h"
+#include "sched/lease.h"
 #include "sched/wave_plan.h"
-#include "store/lease.h"
+#include "store/blob_store.h"
 
 namespace fairclean {
 namespace sched {
@@ -51,18 +52,9 @@ struct SuiteOptions {
   /// Where RunSuite writes the merged JSON report ("" keeps it in memory
   /// only; see SuiteScheduler::report_json()).
   std::string report_path;
-  /// Artifact-store backend under cache_dir: "flat" (one file per record,
-  /// the historical layout) or "paged" (single crash-safe pages file, see
-  /// DESIGN.md Section 11). Reports and cache-record fingerprints are
-  /// byte-identical across backends.
-  std::string store_backend = "flat";
-  /// Page-cache capacity of the paged backend (FAIRCLEAN_STORE_CACHE_PAGES).
-  size_t store_cache_pages = 256;
-  /// Per-record compression in the paged backend (FAIRCLEAN_STORE_COMPRESS).
-  bool store_compress = false;
   /// This process's slice of a multi-process run (--shard / --shard-claim;
-  /// inactive by default). Sharding requires a non-empty cache_dir on a
-  /// flat backend: the shared cache IS the coordination plane.
+  /// inactive by default). Sharding requires a non-empty cache_dir: the
+  /// shared cache IS the coordination plane.
   ShardSpec shard;
   /// Claim-lease duration in seconds (FAIRCLEAN_SHARD_LEASE_S). A claim
   /// whose owner neither finishes nor refreshes (each journal checkpoint
@@ -74,12 +66,11 @@ struct SuiteOptions {
 /// 0.3, seed 42) overridable via FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
 /// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_EXEC_MODE /
 /// FAIRCLEAN_CACHE_DIR / FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S /
-/// FAIRCLEAN_THREADS / FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_STORE /
-/// FAIRCLEAN_STORE_CACHE_PAGES /
-/// FAIRCLEAN_STORE_COMPRESS. Reads the environment exactly once, at the
-/// call. Count and budget knobs parse strictly (GetEnvCount /
-/// GetEnvBudgetSeconds): trailing garbage, NaN/inf, or a negative value is
-/// an InvalidArgument instead of a silent fallback to the default.
+/// FAIRCLEAN_THREADS / FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_SHARD_LEASE_S.
+/// Reads the environment exactly once, at the call. Count and budget knobs
+/// parse strictly (GetEnvCount / GetEnvBudgetSeconds): trailing garbage,
+/// NaN/inf, or a negative value is an InvalidArgument instead of a silent
+/// fallback to the default.
 Result<SuiteOptions> TrySuiteOptionsFromEnv();
 
 /// TrySuiteOptionsFromEnv for contexts without an error channel (benches,
@@ -251,15 +242,15 @@ class SuiteScheduler {
   };
 
   /// Driver options for one cell: the suite options with threads pinned to
-  /// 1, the time budget reduced to what remains of the suite budget, and
-  /// the shared blob store attached. DeadlineExceeded when the suite
-  /// budget is already exhausted.
+  /// 1 and the time budget reduced to what remains of the suite budget.
+  /// Creates the cache dir when caching is on. DeadlineExceeded when the
+  /// suite budget is already exhausted.
   Result<exec::StudyDriverOptions> CellDriverOptions() const;
 
-  /// The one blob store every cell driver of this suite shares (opened on
-  /// first use; the paged backend's pages file has a single writer per
-  /// process). Thread-safe: cells fan out across the pool.
-  Result<std::shared_ptr<store::BlobStore>> SharedStore() const;
+  /// The artifact store under cache_dir, creating the directory first.
+  /// Never called at construction, so `run_suite --list` leaves no cache
+  /// dir behind.
+  const store::FlatFileStore& Store() const;
 
   Result<CellArtifact> ProduceCell(const CellKey& cell);
   void Accumulate(const exec::RunDiagnostics& diagnostics);
@@ -268,7 +259,7 @@ class SuiteScheduler {
   /// (non-cache-hit) cell; reads the sticky record back on cache hits.
   CellClass ClassifyProducedCell(const CellKey& cell,
                                  const exec::RunDiagnostics& diag,
-                                 store::BlobStore* blob,
+                                 const store::FlatFileStore* blob,
                                  const std::string& cache_key);
 
   /// Shard helpers (shard_runner.cc).
@@ -347,15 +338,14 @@ class SuiteScheduler {
   mutable std::mutex diag_mutex_;
   exec::RunDiagnostics total_;
 
-  mutable std::mutex store_mutex_;
-  mutable std::shared_ptr<store::BlobStore> blob_store_;
+  store::FlatFileStore store_;
 
   /// Claim coordination state of a sharded run (null/empty otherwise).
   /// shard_mutex_ guards the token map, stolen set, and counters — the
   /// checkpoint hook touches them from pool workers.
-  std::unique_ptr<store::LeaseStore> lease_store_;
+  std::unique_ptr<LeaseStore> lease_store_;
   mutable std::mutex shard_mutex_;
-  std::map<std::string, store::LeaseToken> claim_tokens_;  ///< by cell id
+  std::map<std::string, LeaseToken> claim_tokens_;  ///< by cell id
   std::set<std::string> stolen_cells_;                     ///< cell ids
   ShardCounters shard_counters_;
   std::function<void(const CellKey&)> cell_checkpoint_hook_;

@@ -2,15 +2,14 @@
 #define FAIRCLEAN_SERVE_ADVISOR_SERVICE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "obs/metrics.h"
-#include "store/blob_store.h"
 #include "sched/artifact_store.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
 #include "serve/protocol.h"
+#include "store/blob_store.h"
 
 namespace fairclean {
 namespace serve {
@@ -53,16 +52,10 @@ class AdvisorService {
       const sched::CellKey& cell,
       const sched::ArtifactStore::Deadline& deadline, bool* cache_hit);
 
-  /// The one blob store all request drivers share (opened on first use;
-  /// the paged backend's pages file has a single writer per process).
-  Result<std::shared_ptr<store::BlobStore>> SharedStore();
-
   sched::SuiteOptions options_;
   obs::MetricsRegistry metrics_;
   sched::ArtifactStore artifacts_;
-
-  std::mutex store_mutex_;
-  std::shared_ptr<store::BlobStore> blob_store_;
+  store::FlatFileStore store_;
 };
 
 }  // namespace serve

@@ -4,16 +4,10 @@
 #include <system_error>
 #include <utility>
 
-#include "common/env.h"
-#include "common/fault_injection.h"
 #include "common/safe_io.h"
-#include "common/strings.h"
 
 namespace fairclean {
 namespace store {
-
-// ---------------------------------------------------------------------------
-// FlatFileStore
 
 FlatFileStore::FlatFileStore(std::string dir) : dir_(std::move(dir)) {}
 
@@ -22,12 +16,12 @@ std::string FlatFileStore::Describe(const std::string& key) const {
 }
 
 Status FlatFileStore::Write(const std::string& key,
-                            const std::string& bytes) {
+                            const std::string& bytes) const {
   // WriteFileAtomic probes the "cache_write" site itself.
   return WriteFileAtomic(Describe(key), bytes);
 }
 
-Result<std::string> FlatFileStore::Read(const std::string& key) {
+Result<std::string> FlatFileStore::Read(const std::string& key) const {
   const std::string path = Describe(key);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) {
@@ -36,7 +30,7 @@ Result<std::string> FlatFileStore::Read(const std::string& key) {
   return ReadFileToString(path);
 }
 
-Status FlatFileStore::Remove(const std::string& key) {
+Status FlatFileStore::Remove(const std::string& key) const {
   std::error_code ec;
   std::filesystem::remove(Describe(key), ec);
   if (ec) {
@@ -46,128 +40,13 @@ Status FlatFileStore::Remove(const std::string& key) {
   return Status::OK();
 }
 
-Result<bool> FlatFileStore::Contains(const std::string& key) {
+Result<bool> FlatFileStore::Contains(const std::string& key) const {
   std::error_code ec;
   return std::filesystem::exists(Describe(key), ec);
 }
 
-Result<std::string> FlatFileStore::Quarantine(const std::string& key) {
+Result<std::string> FlatFileStore::Quarantine(const std::string& key) const {
   return QuarantineFile(Describe(key));
-}
-
-// ---------------------------------------------------------------------------
-// PagedBlobStore
-
-constexpr char PagedBlobStore::kPagesFileName[];
-
-PagedBlobStore::PagedBlobStore(std::string dir,
-                               std::unique_ptr<PagedStore> store)
-    : dir_(std::move(dir)),
-      store_(std::move(store)),
-      migrated_keys_(
-          obs::MetricsRegistry::Global().GetCounter("store.migrated_keys")) {}
-
-Result<std::shared_ptr<PagedBlobStore>> PagedBlobStore::Open(
-    const std::string& dir, const PagedStoreOptions& options) {
-  FC_ASSIGN_OR_RETURN(
-      std::unique_ptr<PagedStore> store,
-      PagedStore::Open(dir + "/" + kPagesFileName, options));
-  return std::shared_ptr<PagedBlobStore>(
-      new PagedBlobStore(dir, std::move(store)));
-}
-
-std::string PagedBlobStore::FlatPath(const std::string& key) const {
-  return dir_ + "/" + key;
-}
-
-std::string PagedBlobStore::Describe(const std::string& key) const {
-  return store_->path() + "::" + key;
-}
-
-Status PagedBlobStore::Write(const std::string& key,
-                             const std::string& bytes) {
-  // Probe parity with WriteFileAtomic's "cache_write" site.
-  FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("cache_write"));
-  return store_->Put(key, bytes);
-}
-
-Result<std::string> PagedBlobStore::Read(const std::string& key) {
-  Result<std::string> value = store_->Get(key);
-  if (value.ok() || value.status().code() != StatusCode::kNotFound) {
-    return value;
-  }
-  // Lazy flat-to-paged migration: absorb a pre-existing flat cache file.
-  const std::string flat_path = FlatPath(key);
-  std::error_code ec;
-  if (!std::filesystem::exists(flat_path, ec)) {
-    return value.status();
-  }
-  FC_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(flat_path));
-  FC_RETURN_IF_ERROR(store_->Put(key, bytes));
-  migrated_keys_->Increment();
-  return bytes;
-}
-
-Status PagedBlobStore::Remove(const std::string& key) {
-  Status status = store_->Delete(key);
-  if (status.code() == StatusCode::kNotFound) return Status::OK();
-  return status;
-}
-
-Result<bool> PagedBlobStore::Contains(const std::string& key) {
-  FC_ASSIGN_OR_RETURN(bool in_store, store_->Contains(key));
-  if (in_store) return true;
-  std::error_code ec;
-  return std::filesystem::exists(FlatPath(key), ec);
-}
-
-Result<std::string> PagedBlobStore::Quarantine(const std::string& key) {
-  std::string target = key + ".corrupt";
-  for (int n = 1;; ++n) {
-    FC_ASSIGN_OR_RETURN(bool taken, store_->Contains(target));
-    if (!taken) break;
-    target = StrFormat("%s.corrupt.%d", key.c_str(), n);
-  }
-  FC_RETURN_IF_ERROR(store_->Rename(key, target));
-  return target;
-}
-
-// ---------------------------------------------------------------------------
-// Factories
-
-Result<std::shared_ptr<BlobStore>> OpenBlobStore(const std::string& dir,
-                                                 const std::string& backend,
-                                                 size_t cache_pages,
-                                                 bool compress) {
-  if (backend == "flat") {
-    return std::shared_ptr<BlobStore>(new FlatFileStore(dir));
-  }
-  if (backend == "paged") {
-    PagedStoreOptions options;
-    options.cache_pages = cache_pages;
-    options.compress = compress;
-    FC_ASSIGN_OR_RETURN(std::shared_ptr<PagedBlobStore> paged,
-                        PagedBlobStore::Open(dir, options));
-    return std::shared_ptr<BlobStore>(std::move(paged));
-  }
-  return Status::InvalidArgument("FAIRCLEAN_STORE must be \"flat\" or "
-                                 "\"paged\", got \"" +
-                                 backend + "\"");
-}
-
-Result<std::shared_ptr<BlobStore>> OpenBlobStoreFromEnv(
-    const std::string& dir) {
-  std::string backend = GetEnvString("FAIRCLEAN_STORE", "flat");
-  FC_ASSIGN_OR_RETURN(int64_t cache_pages,
-                      GetEnvCount("FAIRCLEAN_STORE_CACHE_PAGES", 256));
-  std::string compress_raw = GetEnvString("FAIRCLEAN_STORE_COMPRESS", "0");
-  if (compress_raw != "0" && compress_raw != "1") {
-    return Status::InvalidArgument(
-        "FAIRCLEAN_STORE_COMPRESS must be \"0\" or \"1\", got \"" +
-        compress_raw + "\"");
-  }
-  return OpenBlobStore(dir, backend, static_cast<size_t>(cache_pages),
-                       compress_raw == "1");
 }
 
 }  // namespace store

@@ -1,126 +1,48 @@
 #ifndef FAIRCLEAN_STORE_BLOB_STORE_H_
 #define FAIRCLEAN_STORE_BLOB_STORE_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "store/paged_store.h"
 
 namespace fairclean {
 namespace store {
 
-/// Backend-neutral artifact byte store. Keys are cache-file basenames
-/// (e.g. "adult_outliers_LR_s7_n3_r2_f0.json" or its ".journal" sibling);
-/// values are the exact bytes the flat-file cache would hold, checksum
-/// footer included. The store never interprets the bytes — footers stay
-/// the caller's concern — so sha256 fingerprints of record bytes are
-/// identical across backends.
+/// The artifact byte store: one file per key under a cache directory
+/// (DESIGN.md Section 11). Keys are cache-file basenames (e.g.
+/// "adult_outliers_LR_s7_n3_r2_f0.json" or its ".journal" sibling); values
+/// are the exact file bytes, checksum footer included. The store never
+/// interprets the bytes — footers stay the caller's concern.
 ///
-/// Fault-probe parity with the flat path: Write probes the "cache_write"
-/// site on every backend (the flat backend inherits it from
-/// WriteFileAtomic; the paged backend probes it explicitly). Read is
-/// unprobed — callers that need a "cache_read" probe (the driver's journal
-/// load) arm it themselves, matching the historical split where cache
-/// loads were never probed but journal reads were.
-class BlobStore {
- public:
-  virtual ~BlobStore() = default;
-
-  /// Stores `bytes` under `key`, replacing any previous value. Subject to
-  /// the "cache_write" fault-injection site.
-  virtual Status Write(const std::string& key, const std::string& bytes) = 0;
-
-  /// The exact bytes last written under `key`. NotFound when absent.
-  virtual Result<std::string> Read(const std::string& key) = 0;
-
-  /// Removes `key`. Idempotent: OK when already absent.
-  virtual Status Remove(const std::string& key) = 0;
-
-  virtual Result<bool> Contains(const std::string& key) = 0;
-
-  /// Moves a damaged record aside under a unique quarantine key
-  /// ("<key>.corrupt", then "<key>.corrupt.1", ...) so recomputation never
-  /// destroys the evidence. Returns the quarantine key (flat backend: the
-  /// quarantine path). NotFound when `key` is absent.
-  virtual Result<std::string> Quarantine(const std::string& key) = 0;
-
-  /// Human-readable location of `key` for error messages (flat: the file
-  /// path; paged: "<pages file>::<key>").
-  virtual std::string Describe(const std::string& key) const = 0;
-
-  /// "flat" or "paged".
-  virtual const char* backend() const = 0;
-};
-
-/// One file per key under a cache directory — the original cache layout.
-class FlatFileStore : public BlobStore {
+/// Write probes the "cache_write" fault site (through WriteFileAtomic).
+/// Read is unprobed — callers that need a "cache_read" probe (the driver's
+/// journal load) arm it themselves.
+class FlatFileStore {
  public:
   explicit FlatFileStore(std::string dir);
 
-  Status Write(const std::string& key, const std::string& bytes) override;
-  Result<std::string> Read(const std::string& key) override;
-  Status Remove(const std::string& key) override;
-  Result<bool> Contains(const std::string& key) override;
-  Result<std::string> Quarantine(const std::string& key) override;
-  std::string Describe(const std::string& key) const override;
-  const char* backend() const override { return "flat"; }
+  /// Stores `bytes` under `key` atomically, replacing any previous value.
+  Status Write(const std::string& key, const std::string& bytes) const;
+
+  /// The exact bytes last written under `key`. NotFound when absent.
+  Result<std::string> Read(const std::string& key) const;
+
+  /// Removes `key`. Idempotent: OK when already absent.
+  Status Remove(const std::string& key) const;
+
+  Result<bool> Contains(const std::string& key) const;
+
+  /// Moves a damaged record aside to a unique quarantine path
+  /// ("<dir>/<key>.corrupt", then "<key>.corrupt.1", ...) so recomputation
+  /// never destroys the evidence, and returns that path.
+  Result<std::string> Quarantine(const std::string& key) const;
+
+  /// Path of `key`'s file, for error messages.
+  std::string Describe(const std::string& key) const;
 
  private:
   std::string dir_;
 };
-
-/// All keys in one PagedStore file (`<dir>/fairclean.pages`), with lazy
-/// migration: a key missing from the pages file but present as a flat file
-/// in the same directory is absorbed into the store on first Read (the
-/// flat original is left untouched as a fallback copy). Migrations are
-/// counted on "store.migrated_keys".
-class PagedBlobStore : public BlobStore {
- public:
-  /// Opens (creating if needed) the pages file under `dir`, which must
-  /// already exist as a directory.
-  static Result<std::shared_ptr<PagedBlobStore>> Open(
-      const std::string& dir, const PagedStoreOptions& options);
-
-  Status Write(const std::string& key, const std::string& bytes) override;
-  Result<std::string> Read(const std::string& key) override;
-  Status Remove(const std::string& key) override;
-  Result<bool> Contains(const std::string& key) override;
-  Result<std::string> Quarantine(const std::string& key) override;
-  std::string Describe(const std::string& key) const override;
-  const char* backend() const override { return "paged"; }
-
-  PagedStore& paged_store() { return *store_; }
-
-  /// Basename of the single backing file inside the cache directory.
-  static constexpr char kPagesFileName[] = "fairclean.pages";
-
- private:
-  PagedBlobStore(std::string dir, std::unique_ptr<PagedStore> store);
-
-  std::string FlatPath(const std::string& key) const;
-
-  std::string dir_;
-  std::unique_ptr<PagedStore> store_;
-  obs::Counter* migrated_keys_;
-};
-
-/// Opens the backend selected by name: "flat" or "paged" (anything else is
-/// InvalidArgument). `cache_pages` / `compress` only apply to "paged".
-Result<std::shared_ptr<BlobStore>> OpenBlobStore(const std::string& dir,
-                                                 const std::string& backend,
-                                                 size_t cache_pages,
-                                                 bool compress);
-
-/// Opens the backend selected by the environment:
-///   FAIRCLEAN_STORE             "flat" (default) | "paged"
-///   FAIRCLEAN_STORE_CACHE_PAGES page-cache capacity (default 256)
-///   FAIRCLEAN_STORE_COMPRESS    "0" (default) | "1"
-/// Malformed knobs are a hard InvalidArgument, matching the suite's strict
-/// env parsing.
-Result<std::shared_ptr<BlobStore>> OpenBlobStoreFromEnv(
-    const std::string& dir);
 
 }  // namespace store
 }  // namespace fairclean

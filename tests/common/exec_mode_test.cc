@@ -24,8 +24,8 @@ TEST(ExecModeTest, RejectsUnknownTokenListingKnownModes) {
   Result<ExecMode> parsed = ParseExecMode("turbo");
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  // The error must name the knob and every legal token, FAIRCLEAN_STORE
-  // style, so a typo'd environment is self-explaining.
+  // The error must name the knob and every legal token, so a typo'd
+  // environment is self-explaining.
   std::string message = parsed.status().ToString();
   EXPECT_NE(message.find("FAIRCLEAN_EXEC_MODE"), std::string::npos);
   EXPECT_NE(message.find("naive"), std::string::npos);

@@ -22,10 +22,10 @@
 
 #include "common/status.h"
 #include "sched/experiment_graph.h"
+#include "sched/lease.h"
 #include "sched/shard.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
-#include "store/lease.h"
 
 namespace fairclean {
 namespace sched {
@@ -114,38 +114,38 @@ TEST(StaticShardTest, MoreShardsThanItemsLeavesTrailingShardsEmpty) {
 // merely applies it under the file lock, so this is where the protocol's
 // correctness lives.
 TEST(ClassifyClaimTest, StealRuleTruthTable) {
-  store::LeaseRecord record;
+  LeaseRecord record;
   record.pid = 12345;
   record.deadline_mono_s = 100.0;
   record.generation = 3;
 
   // Live owner inside its lease: held.
-  EXPECT_EQ(store::ClassifyClaim(record, 50.0, true),
-            store::ClaimState::kHeld);
+  EXPECT_EQ(ClassifyClaim(record, 50.0, true),
+            ClaimState::kHeld);
   // Live owner past its deadline (wedged): stealable.
-  EXPECT_EQ(store::ClassifyClaim(record, 100.5, true),
-            store::ClaimState::kStealable);
+  EXPECT_EQ(ClassifyClaim(record, 100.5, true),
+            ClaimState::kStealable);
   // Dead owner, deadline irrelevant: stealable.
-  EXPECT_EQ(store::ClassifyClaim(record, 50.0, false),
-            store::ClaimState::kStealable);
-  EXPECT_EQ(store::ClassifyClaim(record, 100.5, false),
-            store::ClaimState::kStealable);
+  EXPECT_EQ(ClassifyClaim(record, 50.0, false),
+            ClaimState::kStealable);
+  EXPECT_EQ(ClassifyClaim(record, 100.5, false),
+            ClaimState::kStealable);
   // Released record: free, never a steal.
   record.pid = 0;
-  EXPECT_EQ(store::ClassifyClaim(record, 50.0, false),
-            store::ClaimState::kFree);
-  EXPECT_EQ(store::ClassifyClaim(record, 100.5, true),
-            store::ClaimState::kFree);
+  EXPECT_EQ(ClassifyClaim(record, 50.0, false),
+            ClaimState::kFree);
+  EXPECT_EQ(ClassifyClaim(record, 100.5, true),
+            ClaimState::kFree);
 }
 
 TEST(LeaseRecordTest, EncodeDecodeRoundTrip) {
-  store::LeaseRecord record;
+  LeaseRecord record;
   record.pid = 4242;
   record.deadline_mono_s = 1234.56789;
   record.generation = 17;
   record.owner = "shard-2/4";
-  Result<store::LeaseRecord> decoded =
-      store::LeaseStore::Decode(store::LeaseStore::Encode(record));
+  Result<LeaseRecord> decoded =
+      LeaseStore::Decode(LeaseStore::Encode(record));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->pid, record.pid);
   EXPECT_NEAR(decoded->deadline_mono_s, record.deadline_mono_s, 1e-6);
@@ -154,13 +154,13 @@ TEST(LeaseRecordTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(LeaseStoreTest, AcquireRefreshReleaseLifecycle) {
-  store::LeaseStore store(FreshDir("lifecycle"));
-  Result<store::LeaseToken> token = store.Acquire("cell-a", "me", 30.0);
+  LeaseStore store(FreshDir("lifecycle"));
+  Result<LeaseToken> token = store.Acquire("cell-a", "me", 30.0);
   ASSERT_TRUE(token.ok()) << token.status().ToString();
   EXPECT_FALSE(token->stolen);
   EXPECT_EQ(token->key, "cell-a");
 
-  Result<store::LeaseRecord> record = store.Read("cell-a");
+  Result<LeaseRecord> record = store.Read("cell-a");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->pid, static_cast<int64_t>(::getpid()));
   EXPECT_EQ(record->owner, "me");
@@ -183,26 +183,26 @@ TEST(LeaseStoreTest, AcquireRefreshReleaseLifecycle) {
 }
 
 TEST(LeaseStoreTest, ReadOfUnknownKeyIsNotFound) {
-  store::LeaseStore store(FreshDir("unknown"));
-  Result<store::LeaseRecord> record = store.Read("never-acquired");
+  LeaseStore store(FreshDir("unknown"));
+  Result<LeaseRecord> record = store.Read("never-acquired");
   EXPECT_FALSE(record.ok());
   EXPECT_EQ(record.status().code(), StatusCode::kNotFound);
 }
 
 TEST(LeaseStoreTest, GenerationGrowsAcrossOwnershipChanges) {
-  store::LeaseStore store(FreshDir("generation"));
-  Result<store::LeaseToken> first = store.Acquire("cell-g", "a", 30.0);
+  LeaseStore store(FreshDir("generation"));
+  Result<LeaseToken> first = store.Acquire("cell-g", "a", 30.0);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(store.Release(*first).ok());
-  Result<store::LeaseToken> second = store.Acquire("cell-g", "b", 30.0);
+  Result<LeaseToken> second = store.Acquire("cell-g", "b", 30.0);
   ASSERT_TRUE(second.ok());
   EXPECT_GT(second->generation, first->generation);
 }
 
 TEST(LeaseStoreTest, HeldByLiveProcessIsUnavailableAcrossProcesses) {
   std::string dir = FreshDir("held");
-  store::LeaseStore store(dir);
-  Result<store::LeaseToken> mine = store.Acquire("cell-h", "parent", 60.0);
+  LeaseStore store(dir);
+  Result<LeaseToken> mine = store.Acquire("cell-h", "parent", 60.0);
   ASSERT_TRUE(mine.ok());
 
   // A forked child (distinct pid) must see the parent's live lease as
@@ -210,8 +210,8 @@ TEST(LeaseStoreTest, HeldByLiveProcessIsUnavailableAcrossProcesses) {
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    store::LeaseStore child_store(dir);
-    Result<store::LeaseToken> theirs =
+    LeaseStore child_store(dir);
+    Result<LeaseToken> theirs =
         child_store.Acquire("cell-h", "child", 60.0);
     if (theirs.ok()) _exit(10);
     _exit(theirs.status().code() == StatusCode::kUnavailable ? 0 : 11);
@@ -230,8 +230,8 @@ TEST(LeaseStoreTest, DeadOwnersClaimIsStolenWithJournalIntact) {
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    store::LeaseStore child_store(dir);
-    Result<store::LeaseToken> token =
+    LeaseStore child_store(dir);
+    Result<LeaseToken> token =
         child_store.Acquire("cell-d", "victim", 3600.0);
     _exit(token.ok() ? 0 : 1);
   }
@@ -239,18 +239,18 @@ TEST(LeaseStoreTest, DeadOwnersClaimIsStolenWithJournalIntact) {
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
 
-  store::LeaseStore store(dir);
-  Result<store::LeaseRecord> record = store.Read("cell-d");
+  LeaseStore store(dir);
+  Result<LeaseRecord> record = store.Read("cell-d");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->pid, static_cast<int64_t>(pid));
-  EXPECT_FALSE(store::PidAlive(record->pid));
-  EXPECT_EQ(store::ClassifyClaim(*record, store::MonotonicSeconds(),
-                                 store::PidAlive(record->pid)),
-            store::ClaimState::kStealable);
+  EXPECT_FALSE(PidAlive(record->pid));
+  EXPECT_EQ(ClassifyClaim(*record, MonotonicSeconds(),
+                          PidAlive(record->pid)),
+            ClaimState::kStealable);
 
   // Stealing from the dead owner works immediately — no need to wait out
   // the hour-long lease — and the token says so.
-  Result<store::LeaseToken> stolen = store.Acquire("cell-d", "thief", 30.0);
+  Result<LeaseToken> stolen = store.Acquire("cell-d", "thief", 30.0);
   ASSERT_TRUE(stolen.ok()) << stolen.status().ToString();
   EXPECT_TRUE(stolen->stolen);
   EXPECT_GT(stolen->generation, 1u);
@@ -258,18 +258,18 @@ TEST(LeaseStoreTest, DeadOwnersClaimIsStolenWithJournalIntact) {
 
 TEST(LeaseStoreTest, ExpiredLeaseOfLiveProcessIsStolen) {
   std::string dir = FreshDir("expired");
-  store::LeaseStore store(dir);
+  LeaseStore store(dir);
   // The parent holds with a microscopic lease, then a forked child (live
   // but distinct pid) steals after the deadline passes.
-  Result<store::LeaseToken> mine = store.Acquire("cell-e", "slow", 0.01);
+  Result<LeaseToken> mine = store.Acquire("cell-e", "slow", 0.01);
   ASSERT_TRUE(mine.ok());
   usleep(50 * 1000);
 
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    store::LeaseStore child_store(dir);
-    Result<store::LeaseToken> token =
+    LeaseStore child_store(dir);
+    Result<LeaseToken> token =
         child_store.Acquire("cell-e", "thief", 30.0);
     if (!token.ok()) _exit(1);
     _exit(token->stolen ? 0 : 2);
@@ -286,7 +286,7 @@ TEST(LeaseStoreTest, ExpiredLeaseOfLiveProcessIsStolen) {
   // Releasing the stolen-away token is a harmless no-op; the thief's
   // record survives.
   EXPECT_TRUE(store.Release(*mine).ok());
-  Result<store::LeaseRecord> record = store.Read("cell-e");
+  Result<LeaseRecord> record = store.Read("cell-e");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->owner, "thief");
 }
@@ -311,8 +311,8 @@ TEST(LeaseStoreTest, ForkedRaceHasExactlyOneWinner) {
     if (pid == 0) {
       close(report_pipe[0]);
       close(gate_pipe[1]);
-      store::LeaseStore store(dir);
-      Result<store::LeaseToken> token =
+      LeaseStore store(dir);
+      Result<LeaseToken> token =
           store.Acquire("contested", "racer", 3600.0);
       char result;
       if (token.ok()) {
@@ -363,7 +363,7 @@ TEST(LeaseStoreTest, ForkedRaceHasExactlyOneWinner) {
 // them.
 TEST(LeaseStoreTest, ClaimFilesStayOutOfTheCacheDirTopLevel) {
   std::string cache = FreshDir("cache_plane");
-  store::LeaseStore store(cache + "/claims");
+  LeaseStore store(cache + "/claims");
   ASSERT_TRUE(store.Acquire(ClaimKeyFor(CellKey{"german", "missing_values",
                                                 "xgboost"}),
                             "shard-1/2", 30.0)

@@ -26,9 +26,9 @@
 #include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/safe_io.h"
+#include "sched/lease.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
-#include "store/lease.h"
 
 namespace fairclean {
 namespace sched {
@@ -95,17 +95,14 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   std::string report = dir + "/report.json";
 
   // The victim: claim shard 1/2, sequential for a deterministic fault
-  // draw order, cache-write faults armed (page_write rides along but the
-  // flat backend never probes it), SIGKILLing itself at the first
+  // draw order, cache-write faults armed, SIGKILLing itself at the first
   // successful journal checkpoint. At width 1 the guided claim chunk is
   // one cell, so the victim dies holding exactly the first wave cell's
   // claim, with one repeat of it durably journaled.
   pid_t victim = fork();
   ASSERT_GE(victim, 0);
   if (victim == 0) {
-    if (!FaultInjector::Global()
-             .Configure("cache_write:0.25,page_write:0.25", 11)
-             .ok()) {
+    if (!FaultInjector::Global().Configure("cache_write:0.25", 11).ok()) {
       _exit(2);
     }
     SuiteOptions options = SoakOptions(cache, report);
@@ -133,7 +130,7 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   // the lease, because the owner is gone. Exactly one claim exists (the
   // guided chunk at width 1 is one cell); the rest of the wave was never
   // claimed.
-  store::LeaseStore leases(cache + "/claims");
+  LeaseStore leases(cache + "/claims");
   SuiteSpec spec = PaperSuite();
   const SuiteUnit* smoke = nullptr;
   for (const SuiteUnit& unit : spec.units) {
@@ -144,14 +141,14 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   ASSERT_EQ(cells.size(), 3u);
   size_t dead_claims = 0;
   for (const CellKey& cell : cells) {
-    Result<store::LeaseRecord> record = leases.Read(ClaimKeyFor(cell));
+    Result<LeaseRecord> record = leases.Read(ClaimKeyFor(cell));
     if (!record.ok()) continue;  // never claimed
     ++dead_claims;
     EXPECT_EQ(record->pid, static_cast<int64_t>(victim)) << cell.Id();
     EXPECT_FALSE(record->released()) << cell.Id();
-    EXPECT_EQ(store::ClassifyClaim(*record, store::MonotonicSeconds(),
-                                   store::PidAlive(record->pid)),
-              store::ClaimState::kStealable)
+    EXPECT_EQ(ClassifyClaim(*record, MonotonicSeconds(),
+                            PidAlive(record->pid)),
+              ClaimState::kStealable)
         << cell.Id();
   }
   EXPECT_EQ(dead_claims, 1u);

@@ -525,6 +525,10 @@ TEST_F(ServeTest, CallWithRetryHonorsShedHintsUntilAdmitted) {
   ASSERT_TRUE(filler.Send("{\"op\":\"pause\",\"id\":\"p\"}"));
   ASSERT_TRUE(ParseResponse(filler.ReadLine()).ok());
   ASSERT_TRUE(filler.Send(AnalyzeLine("hog")));
+  // The hog must hold the queue slot before the client's first attempt.
+  while (server_->Stats().queue_depth < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::thread resumer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
