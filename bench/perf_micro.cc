@@ -244,10 +244,7 @@ BENCHMARK(BM_PairedTTest);
 // median/p95 per op and the pair ratios are written to BENCH_kernels.json
 // so CI can watch them. Every case runs in its own forked child
 // (bench/bench_common.h): setup untimed, >= 5 timed iterations, no warm
-// allocator or thread pool inherited from a previous case. The
-// per-round-sort GBDT ablation is NOT byte-identical to the presort path
-// (per-round std::sort resolves equal-key ties differently), which is why
-// it only exists behind the presort_reuse knob for benchmarking.
+// allocator or thread pool inherited from a previous case.
 
 constexpr size_t kKnnBenchQueries = 256;
 
@@ -262,16 +259,6 @@ std::vector<ForkedCase> KernelCases() {
     auto data = std::make_shared<EncodedData>(EncodeAdult(8000));
     return std::function<void()>([data] {
       GradientBoostedTrees model;
-      Rng rng(19);
-      model.Fit(data->x, data->y, &rng).ok();
-    });
-  }});
-  cases.push_back({"BM_GbdtFitPerRoundSort/8000", [] {
-    auto data = std::make_shared<EncodedData>(EncodeAdult(8000));
-    return std::function<void()>([data] {
-      GbdtOptions options;
-      options.presort_reuse = false;
-      GradientBoostedTrees model(options);
       Rng rng(19);
       model.Fit(data->x, data->y, &rng).ok();
     });
@@ -425,8 +412,6 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
     const char* optimized;   // op key of the kernel
   };
   const KernelPair pairs[] = {
-      {"gbdt_presort_reuse_speedup", "BM_GbdtFitPerRoundSort/8000",
-       "BM_GbdtFitPresortReuse/8000"},
       {"knn_blocked_speedup", "BM_KnnPredictNaive/9000",
        "BM_KnnPredictBlocked/9000"},
       {"fold_cache_speedup", "BM_TuningFoldDataPerGridPoint/4000",
@@ -447,11 +432,8 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
     std::printf("kernel %s: %.2fx (%s %.4fs -> %s %.4fs)\n", pair.label,
                 ratio, pair.baseline, baseline->second, pair.optimized,
                 optimized->second);
-    // The exec-mode ladder is the headline once it ran; the historical
-    // GBDT pair keeps kernels-only runs meaningful.
-    if (std::string(pair.label) == "exec_fused_speedup" ||
-        (headline_speedup == 1.0 &&
-         std::string(pair.label) == "gbdt_presort_reuse_speedup")) {
+    // The exec-mode ladder is the headline.
+    if (std::string(pair.label) == "exec_fused_speedup") {
       headline_speedup = ratio;
     }
   }

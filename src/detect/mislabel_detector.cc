@@ -42,15 +42,10 @@ Result<ErrorMask> MislabelDetector::Detect(const DataFrame& frame,
   std::vector<TrainTestIndices> folds =
       KFoldIndices(n, options_.num_folds, &fold_rng);
 
-  // Pre-fork the per-fold fit RNGs in fold order before the fan-out: Fork
-  // advances the parent engine, so the fork order must match the old
-  // sequential loop for the probabilities to stay byte-identical under
-  // parallelism (pattern from ml/tuning.cc).
-  std::vector<Rng> fit_rngs;
-  fit_rngs.reserve(folds.size());
-  for (size_t f = 0; f < folds.size(); ++f) {
-    fit_rngs.push_back(rng->Fork(0xf01d + f));
-  }
+  // IRLS is deterministic and draws nothing, but the per-fold forks the
+  // detector has always taken advance the parent engine: keep taking them
+  // so every later draw from `rng` stays byte-identical.
+  for (size_t f = 0; f < folds.size(); ++f) rng->Fork(0xf01d + f);
   LogisticRegressionOptions lr_options;
   lr_options.c = options_.logreg_c;
 
@@ -65,13 +60,8 @@ Result<ErrorMask> MislabelDetector::Detect(const DataFrame& frame,
           return "mislabel oof fold " + std::to_string(f);
         });
         FoldProba result;
-        Matrix train_x = features.TakeRows(folds[f].train);
-        std::vector<int> train_y;
-        train_y.reserve(folds[f].train.size());
-        for (size_t index : folds[f].train) train_y.push_back(labels[index]);
-
         LogisticRegression model(lr_options);
-        Status st = model.Fit(train_x, train_y, &fit_rngs[f]);
+        Status st = model.FitRows(features, folds[f].train, labels);
         if (!st.ok()) return result;  // degenerate fold: keep prior rows
 
         Matrix held_x = features.TakeRows(folds[f].test);

@@ -105,7 +105,7 @@ Result<ErrorMask> IsolationForestOutlierDetector::Detect(
 
   IsolationForest forest(options_);
   FC_RETURN_IF_ERROR(forest.Fit(view, rng));
-  std::vector<bool> anomalies = forest.IsAnomaly(view);
+  std::vector<bool> anomalies = forest.TrainingAnomalies();
   ErrorMask mask(n);
   for (size_t row = 0; row < n; ++row) {
     if (anomalies[row]) mask.FlagRow(row);

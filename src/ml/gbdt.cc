@@ -55,38 +55,35 @@ Status GradientBoostedTrees::Fit(const Matrix& x, const std::vector<int>& y,
   RegressionTreeOptions tree_options = options_.tree;
   tree_options.max_depth = options_.max_depth;
 
+  // prob[i] = Sigmoid(margin[i]) of the model so far: computed where the
+  // margin changes and read back as the next round's gradient probability.
   std::vector<double> margin(n, base_score_);
+  std::vector<double> prob(n, Sigmoid(base_score_));
   std::vector<double> grad(n);
   std::vector<double> hess(n);
   trees_.clear();
-  loss_curve_.clear();
 
   // The feature ordering is invariant across boosting rounds; presort once
   // — or not at all when the tuner already presorted this matrix for the
   // whole hyperparameter grid.
   static obs::Counter* const shared_presorts =
       obs::MetricsRegistry::Global().GetCounter("ml.gbdt.presorts_shared");
-  static obs::Counter* const round_filters =
-      obs::MetricsRegistry::Global().GetCounter("ml.gbdt.round_filters");
   const PresortedFeatures* presorted = external_presort_;
   PresortedFeatures owned_presort;
   if (presorted != nullptr) {
     shared_presorts->Increment();
-  } else if (options_.presort_reuse) {
+  } else {
     owned_presort = PresortedFeatures::Compute(x);
     presorted = &owned_presort;
   }
 
-  // Round-loop scratch hoisted out of the 50-round hot loop: tree-fit
-  // buffers, the subsample membership bitmap and the filtered per-feature
-  // order are all reused across rounds.
+  // Tree-fit buffers, including the round's compacted and partitioned
+  // presort, are reused across the 50-round hot loop.
   TreeFitWorkspace workspace;
-  PresortedFeatures round_order;
-  std::vector<char> member;
 
   for (int round = 0; round < options_.num_rounds; ++round) {
     for (size_t i = 0; i < n; ++i) {
-      double p = Sigmoid(margin[i]);
+      double p = prob[i];
       grad[i] = p - static_cast<double>(y[i]);
       hess[i] = std::max(1e-10, p * (1.0 - p));
     }
@@ -102,36 +99,35 @@ Status GradientBoostedTrees::Fit(const Matrix& x, const std::vector<int>& y,
     }
 
     RegressionTree tree;
-    if (presorted == nullptr) {
-      // Ablation path (presort_reuse = false): per-round sort, the cost the
-      // shared presort eliminates.
-      FC_RETURN_IF_ERROR(tree.Fit(x, grad, hess, sample, tree_options));
-    } else if (sample.size() < n) {
-      // Derive this round's subsampled per-feature order by a stable
-      // membership filter of the global order: the scan sequence (and so
-      // every float sum) matches scanning the full order and skipping
-      // non-members, while each level scan shrinks to the sample size.
-      member.assign(n, 0);
-      for (size_t index : sample) member[index] = 1;
-      presorted->FilterInto(member, sample.size(), &round_order);
-      round_filters->Increment();
-      FC_RETURN_IF_ERROR(tree.FitPresorted(x, grad, hess, sample, round_order,
-                                           tree_options, &workspace));
-    } else {
-      FC_RETURN_IF_ERROR(tree.FitPresorted(x, grad, hess, sample, *presorted,
-                                           tree_options, &workspace));
+    FC_RETURN_IF_ERROR(tree.FitPresorted(x, grad, hess, sample, *presorted,
+                                         tree_options, &workspace));
+    for (size_t i = 0; i < n; ++i) {
+      margin[i] += options_.learning_rate * tree.PredictOne(x.Row(i));
+      prob[i] = Sigmoid(margin[i]);
     }
+    trees_.push_back(std::move(tree));
+  }
+  fitted_ = true;
+  return Status::OK();
+}
 
+std::vector<double> GradientBoostedTrees::TrainingLossCurve(
+    const Matrix& x, const std::vector<int>& y) const {
+  FC_CHECK_MSG(fitted_, "TrainingLossCurve before Fit");
+  FC_CHECK_EQ(x.rows(), y.size());
+  size_t n = x.rows();
+  std::vector<double> margin(n, base_score_);
+  std::vector<double> curve;
+  curve.reserve(trees_.size());
+  for (const RegressionTree& tree : trees_) {
     double loss = 0.0;
     for (size_t i = 0; i < n; ++i) {
       margin[i] += options_.learning_rate * tree.PredictOne(x.Row(i));
       loss += LogisticLoss(static_cast<double>(y[i]), Sigmoid(margin[i]));
     }
-    loss_curve_.push_back(loss / static_cast<double>(n));
-    trees_.push_back(std::move(tree));
+    curve.push_back(loss / static_cast<double>(n));
   }
-  fitted_ = true;
-  return Status::OK();
+  return curve;
 }
 
 Status GradientBoostedTrees::FitWithPresort(const Matrix& x,

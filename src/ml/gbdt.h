@@ -22,13 +22,6 @@ struct GbdtOptions {
   /// values < 1 make training depend on the Fit rng, mirroring the paper's
   /// per-seed model instances.
   double subsample = 0.8;
-  /// Bench/ablation knob: when false, every boosting round re-sorts its
-  /// subsample from scratch instead of filtering the shared presort. The
-  /// per-round sort orders ties between equal feature values differently
-  /// than the stable filter, so scores are NOT byte-identical across the
-  /// two settings — keep true everywhere except perf_micro's on/off
-  /// comparison.
-  bool presort_reuse = true;
   /// Fused-mode kernel switch: PredictProba walks trees-outer over blocks
   /// of rows (each tree's nodes stay cache-hot across the block) instead of
   /// rows-outer over all trees. Every row still accumulates
@@ -60,11 +53,11 @@ class GradientBoostedTrees : public Classifier {
 
   size_t num_trees() const { return trees_.size(); }
 
-  /// Mean training logistic loss after round `i` (recorded during Fit);
-  /// exposed for convergence tests.
-  const std::vector<double>& training_loss_curve() const {
-    return loss_curve_;
-  }
+  /// Mean logistic loss on (x, y) after each round, computed on demand by
+  /// replaying the trees in fit order. On the training set it reproduces
+  /// the margins Fit built, bit for bit; exposed for convergence tests.
+  std::vector<double> TrainingLossCurve(const Matrix& x,
+                                        const std::vector<int>& y) const;
 
  private:
   GbdtOptions options_;
@@ -72,7 +65,6 @@ class GradientBoostedTrees : public Classifier {
   const PresortedFeatures* external_presort_ = nullptr;
   std::vector<RegressionTree> trees_;
   double base_score_ = 0.0;  // initial log-odds
-  std::vector<double> loss_curve_;
   bool fitted_ = false;
 };
 

@@ -36,16 +36,18 @@ Status IsolationForest::Fit(const Matrix& x, Rng* rng) {
 
   trees_.clear();
   trees_.resize(static_cast<size_t>(options_.num_trees));
+  std::vector<size_t> spill(psi);
   for (Tree& tree : trees_) {
     std::vector<size_t> sample = rng->SampleWithoutReplacement(x.rows(), psi);
-    BuildNode(x, &sample, 0, depth_limit, rng, &tree);
+    BuildNode(x, sample.data(), sample.size(), spill.data(), 0, depth_limit,
+              rng, &tree);
   }
   fitted_ = true;
 
   // Threshold = (1 - contamination) quantile of the training scores, so
   // that a `contamination` fraction of the training rows is flagged.
-  std::vector<double> scores = Score(x);
-  std::vector<double> sorted = scores;
+  training_scores_ = Score(x);
+  std::vector<double> sorted = training_scores_;
   std::sort(sorted.begin(), sorted.end());
   double rank = (1.0 - options_.contamination) *
                 static_cast<double>(sorted.size() - 1);
@@ -56,14 +58,20 @@ Status IsolationForest::Fit(const Matrix& x, Rng* rng) {
   return Status::OK();
 }
 
-int IsolationForest::BuildNode(const Matrix& x, std::vector<size_t>* indices,
-                               int depth, int depth_limit, Rng* rng,
-                               Tree* tree) {
+int IsolationForest::BuildNode(const Matrix& x, size_t* indices, size_t count,
+                               size_t* spill, int depth, int depth_limit,
+                               Rng* rng, Tree* tree) {
   int node_id = static_cast<int>(tree->nodes.size());
   tree->nodes.emplace_back();
-  tree->nodes[static_cast<size_t>(node_id)].size = indices->size();
+  Node& leaf = tree->nodes.back();
+  leaf.child[0] = node_id;
+  leaf.child[1] = node_id;
+  // Same double sum as accumulating 1.0 per edge during scoring: depth is
+  // an exact small integer.
+  leaf.value = static_cast<double>(depth) + AveragePathLength(count);
+  tree->depth = std::max(tree->depth, depth);
 
-  if (indices->size() <= 1 || depth >= depth_limit) return node_id;
+  if (count <= 1 || depth >= depth_limit) return node_id;
 
   // Choose a split feature with spread; give up after a few attempts if the
   // subsample is constant in every tried dimension.
@@ -74,75 +82,107 @@ int IsolationForest::BuildNode(const Matrix& x, std::vector<size_t>* indices,
   for (int attempt = 0; attempt < 8 && !found; ++attempt) {
     feature = static_cast<size_t>(
         rng->UniformInt(0, static_cast<int64_t>(x.cols()) - 1));
-    lo = x.Row((*indices)[0])[feature];
+    lo = x.Row(indices[0])[feature];
     hi = lo;
-    for (size_t index : *indices) {
-      lo = std::min(lo, x.Row(index)[feature]);
-      hi = std::max(hi, x.Row(index)[feature]);
+    for (size_t i = 0; i < count; ++i) {
+      lo = std::min(lo, x.Row(indices[i])[feature]);
+      hi = std::max(hi, x.Row(indices[i])[feature]);
     }
     found = hi > lo;
   }
   if (!found) return node_id;
 
+  // Stable partition in place: left rows compact forward, right rows wait
+  // in `spill` (free again once copied back, before recursing), so each
+  // child sees its rows in the order a fresh per-node vector would hold.
   double split = rng->Uniform(lo, hi);
-  std::vector<size_t> left_indices;
-  std::vector<size_t> right_indices;
-  for (size_t index : *indices) {
+  size_t left_count = 0;
+  size_t right_count = 0;
+  for (size_t i = 0; i < count; ++i) {
+    size_t index = indices[i];
     if (x.Row(index)[feature] < split) {
-      left_indices.push_back(index);
+      indices[left_count++] = index;
     } else {
-      right_indices.push_back(index);
+      spill[right_count++] = index;
     }
   }
-  if (left_indices.empty() || right_indices.empty()) return node_id;
-  indices->clear();
-  indices->shrink_to_fit();
+  std::copy(spill, spill + right_count, indices + left_count);
+  if (left_count == 0 || right_count == 0) return node_id;
 
-  int left = BuildNode(x, &left_indices, depth + 1, depth_limit, rng, tree);
-  int right = BuildNode(x, &right_indices, depth + 1, depth_limit, rng, tree);
+  int left = BuildNode(x, indices, left_count, spill, depth + 1, depth_limit,
+                       rng, tree);
+  int right = BuildNode(x, indices + left_count, right_count, spill,
+                        depth + 1, depth_limit, rng, tree);
   Node& node = tree->nodes[static_cast<size_t>(node_id)];
-  node.is_leaf = false;
-  node.feature = feature;
-  node.threshold = split;
-  node.left = left;
-  node.right = right;
+  node.feature = static_cast<uint32_t>(feature);
+  node.value = split;
+  node.child[0] = left;
+  node.child[1] = right;
   return node_id;
 }
 
-double IsolationForest::PathLength(const Tree& tree, const double* row) const {
-  int node_id = 0;
-  double depth = 0.0;
-  while (true) {
-    const Node& node = tree.nodes[static_cast<size_t>(node_id)];
-    if (node.is_leaf) {
-      return depth + AveragePathLength(node.size);
-    }
-    depth += 1.0;
-    node_id = row[node.feature] < node.threshold ? node.left : node.right;
-  }
-}
-
+// Trees outer, rows inner: one tree's nodes stay cache-resident while every
+// row walks it, instead of each row walking the whole forest. Rows walk in
+// groups of kLanes, all lanes stepping together for the tree's full depth
+// (leaves step to themselves), so the group's node loads overlap and no
+// step branches on the data. Each row still reaches the same leaf and
+// adds its trees' path lengths in ascending tree order, so its sum is
+// bit-equal to a rows-outer walk.
 std::vector<double> IsolationForest::Score(const Matrix& x) const {
   FC_CHECK_MSG(fitted_, "Score before Fit");
-  std::vector<double> out(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    double mean_path = 0.0;
-    for (const Tree& tree : trees_) {
-      mean_path += PathLength(tree, x.Row(i));
+  constexpr size_t kLanes = 8;
+  size_t n = x.rows();
+  std::vector<double> total_path(n, 0.0);
+  for (const Tree& tree : trees_) {
+    const Node* nodes = tree.nodes.data();
+    for (size_t begin = 0; begin < n; begin += kLanes) {
+      size_t lanes = std::min(kLanes, n - begin);
+      const double* rows[kLanes];
+      const Node* at[kLanes];
+      for (size_t k = 0; k < lanes; ++k) {
+        rows[k] = x.Row(begin + k);
+        at[k] = nodes;
+      }
+      for (int step = 0; step < tree.depth; ++step) {
+        for (size_t k = 0; k < lanes; ++k) {
+          const Node* node = at[k];
+          bool right = !(rows[k][node->feature] < node->value);
+          at[k] = nodes + node->child[right];
+        }
+      }
+      for (size_t k = 0; k < lanes; ++k) {
+        total_path[begin + k] += at[k]->value;
+      }
     }
-    mean_path /= static_cast<double>(trees_.size());
+  }
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    double mean_path = total_path[i] / static_cast<double>(trees_.size());
     out[i] = std::pow(2.0, -mean_path / normalizer_);
   }
   return out;
 }
 
-std::vector<bool> IsolationForest::IsAnomaly(const Matrix& x) const {
-  std::vector<double> scores = Score(x);
+namespace {
+
+std::vector<bool> AboveThreshold(const std::vector<double>& scores,
+                                 double threshold) {
   std::vector<bool> out(scores.size());
   for (size_t i = 0; i < scores.size(); ++i) {
-    out[i] = scores[i] > threshold_;
+    out[i] = scores[i] > threshold;
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<bool> IsolationForest::IsAnomaly(const Matrix& x) const {
+  return AboveThreshold(Score(x), threshold_);
+}
+
+std::vector<bool> IsolationForest::TrainingAnomalies() const {
+  FC_CHECK_MSG(fitted_, "TrainingAnomalies before Fit");
+  return AboveThreshold(training_scores_, threshold_);
 }
 
 }  // namespace fairclean

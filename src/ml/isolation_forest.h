@@ -1,6 +1,7 @@
 #ifndef FAIRCLEAN_ML_ISOLATION_FOREST_H_
 #define FAIRCLEAN_ML_ISOLATION_FOREST_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -40,29 +41,37 @@ class IsolationForest {
   /// contamination threshold fitted on the training scores.
   std::vector<bool> IsAnomaly(const Matrix& x) const;
 
+  /// IsAnomaly of the matrix passed to the last Fit, from the scores Fit
+  /// already computed for the threshold.
+  std::vector<bool> TrainingAnomalies() const;
+
   double threshold() const { return threshold_; }
 
  private:
   struct Node {
-    bool is_leaf = true;
-    size_t feature = 0;
-    double threshold = 0.0;
-    int left = -1;
-    int right = -1;
-    size_t size = 0;  // training points at this leaf
+    /// Internal: the split threshold (go to child[0] if value < it). Leaf:
+    /// depth + c(training points here), the path length of every row that
+    /// ends here.
+    double value = 0.0;
+    uint32_t feature = 0;
+    /// A leaf's children are itself, so stepping past a leaf stays there.
+    int child[2] = {0, 0};
   };
   struct Tree {
     std::vector<Node> nodes;
+    int depth = 0;  // deepest leaf
   };
 
-  int BuildNode(const Matrix& x, std::vector<size_t>* indices, int depth,
-                int depth_limit, Rng* rng, Tree* tree);
-  double PathLength(const Tree& tree, const double* row) const;
+  /// Grows the subtree over indices[0, count); `spill` is scratch for at
+  /// least `count` entries.
+  int BuildNode(const Matrix& x, size_t* indices, size_t count, size_t* spill,
+                int depth, int depth_limit, Rng* rng, Tree* tree);
 
   IsolationForestOptions options_;
   std::vector<Tree> trees_;
   double normalizer_ = 1.0;  // c(psi)
   double threshold_ = 0.5;
+  std::vector<double> training_scores_;
   bool fitted_ = false;
 };
 

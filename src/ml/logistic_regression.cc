@@ -29,13 +29,29 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y,
   if (x.rows() != y.size()) {
     return Status::InvalidArgument("feature/label size mismatch");
   }
-  if (x.rows() == 0) {
+  return FitImpl(x, nullptr, x.rows(), y);
+}
+
+Status LogisticRegression::FitRows(const Matrix& x,
+                                   const std::vector<size_t>& rows,
+                                   const std::vector<int>& labels) {
+  if (x.rows() != labels.size()) {
+    return Status::InvalidArgument("feature/label size mismatch");
+  }
+  for (size_t row : rows) {
+    if (row >= x.rows()) return Status::InvalidArgument("row out of range");
+  }
+  return FitImpl(x, rows.data(), rows.size(), labels);
+}
+
+Status LogisticRegression::FitImpl(const Matrix& x, const size_t* rows,
+                                   size_t n, const std::vector<int>& labels) {
+  if (n == 0) {
     return Status::InvalidArgument("empty training set");
   }
   if (options_.c <= 0.0) {
     return Status::InvalidArgument("C must be positive");
   }
-  size_t n = x.rows();
   size_t d = x.cols();
   size_t dim = d + 1;  // augmented with intercept (last slot)
   double lambda = 1.0 / options_.c;
@@ -47,12 +63,13 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y,
     // Gradient of the penalized negative log-likelihood.
     std::vector<double> grad(dim, 0.0);
     for (size_t i = 0; i < n; ++i) {
-      const double* row = x.Row(i);
+      size_t index = rows != nullptr ? rows[i] : i;
+      const double* row = x.Row(index);
       double z = beta[d];
       for (size_t j = 0; j < d; ++j) z += beta[j] * row[j];
       double p = Sigmoid(z);
       proba[i] = p;
-      double r = p - static_cast<double>(y[i]);
+      double r = p - static_cast<double>(labels[index]);
       for (size_t j = 0; j < d; ++j) grad[j] += r * row[j];
       grad[d] += r;
     }
@@ -61,7 +78,7 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y,
     // Hessian: X_aug^T S X_aug + lambda * diag(1,...,1,0).
     std::vector<double> hess(dim * dim, 0.0);
     for (size_t i = 0; i < n; ++i) {
-      const double* row = x.Row(i);
+      const double* row = x.Row(rows != nullptr ? rows[i] : i);
       double s = proba[i] * (1.0 - proba[i]);
       if (s < 1e-10) s = 1e-10;
       for (size_t j = 0; j < d; ++j) {

@@ -30,6 +30,11 @@ class LogisticRegression : public Classifier {
       : options_(options) {}
 
   Status Fit(const Matrix& x, const std::vector<int>& y, Rng* rng) override;
+  /// Fit on the rows of `x` listed in `rows`, in that order, with `labels`
+  /// indexed by absolute row: the same arithmetic as Fit on
+  /// x.TakeRows(rows), without copying the rows.
+  Status FitRows(const Matrix& x, const std::vector<size_t>& rows,
+                 const std::vector<int>& labels);
   std::vector<double> PredictProba(const Matrix& x) const override;
   std::unique_ptr<Classifier> Clone() const override {
     return std::make_unique<LogisticRegression>(options_);
@@ -41,6 +46,11 @@ class LogisticRegression : public Classifier {
   double intercept() const { return intercept_; }
 
  private:
+  /// IRLS over rows[0, n) of `x` (row i itself when `rows` is null), with
+  /// labels indexed like `rows`' entries.
+  Status FitImpl(const Matrix& x, const size_t* rows, size_t n,
+                 const std::vector<int>& labels);
+
   LogisticRegressionOptions options_;
   std::vector<double> weights_;
   double intercept_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -26,17 +27,149 @@ size_t FeatureChunks(ThreadPool* pool, size_t num_features) {
   return std::min(num_features, pool->num_threads());
 }
 
+// Stable branchless filter of one presorted feature: every entry is
+// written, but the cursor advances only for members, so the kept rows stay
+// in presort order without a mispredicted branch per row (membership is
+// effectively random). The outputs need one slot past `limit` for the
+// unconditional write after the last member. Returns the kept count, or
+// limit + 1 as soon as more than `limit` entries are members. With
+// `values`, *sorted reports whether they ascend (NaN fails <=).
+size_t FilterFeature(const std::vector<uint32_t>& order, const double* values,
+                     const char* member, size_t limit, uint32_t* out_rows,
+                     double* out_values, bool* sorted) {
+  size_t count = 0;
+  size_t size = order.size();
+  const uint32_t* rows = order.data();
+  if (values != nullptr) {
+    bool ascending = true;
+    double previous = size > 0 ? values[0] : 0.0;
+    for (size_t i = 0; i < size && count <= limit; ++i) {
+      uint32_t row = rows[i];
+      double value = values[i];
+      out_rows[count] = row;
+      out_values[count] = value;
+      ascending &= previous <= value;
+      previous = value;
+      count += static_cast<size_t>(member[row] != 0);
+    }
+    *sorted = ascending;
+  } else {
+    for (size_t i = 0; i < size && count <= limit; ++i) {
+      uint32_t row = rows[i];
+      out_rows[count] = row;
+      count += static_cast<size_t>(member[row] != 0);
+    }
+  }
+  return count;
+}
+
+// Stable partition of one node segment into its children's segments of
+// the other copy: rows whose node is `right` go after the `left_size`
+// left rows. One write per entry, to a slot picked by mask arithmetic,
+// so the loop has no data-dependent branch. The run of the segment's
+// largest value is never partitioned: in every descendant it is again the
+// trailing run (or the whole segment), whose rows no scan or partition
+// reads, so each child's share of it only needs the value filled in.
+void PartitionSegment(const uint32_t* rows, const double* values, size_t size,
+                      size_t left_size, const int* node_of, int right,
+                      uint32_t* out_rows, double* out_values) {
+  if (size == 0) return;
+  double largest = values[size - 1];
+  size_t trailing = size - 1;
+  while (trailing > 0 && values[trailing - 1] == largest) --trailing;
+  size_t left_slot = 0;
+  size_t right_slot = left_size;
+  for (size_t i = 0; i < trailing; ++i) {
+    uint32_t row = rows[i];
+    size_t to_right = static_cast<size_t>(node_of[row] == right);
+    size_t mask = 0 - to_right;
+    size_t slot = (right_slot & mask) | (left_slot & ~mask);
+    out_rows[slot] = row;
+    out_values[slot] = values[i];
+    left_slot += 1 - to_right;
+    right_slot += to_right;
+  }
+  std::fill(out_values + left_slot, out_values + left_size, largest);
+  std::fill(out_values + right_slot, out_values + size, largest);
+}
+
+// Exact greedy split search over one node segment sorted ascending by
+// value. A candidate split exists only where the value changes, at the
+// sums of everything before the change, so:
+// - a single-value segment (first == last) has no candidate;
+// - the leading run of the smallest value only accumulates;
+// - the trailing run of the largest value contributes one candidate, at
+//   its first entry, from the sums before the run, and is never added.
+// Every evaluated candidate sees the same sums, in the same order, as a
+// scan of the whole segment, so the result is bit-identical to it.
+TreeFitWorkspace::SplitCandidate ScanSegment(
+    const uint32_t* rows, const double* values, size_t size, const double* gh,
+    double g_total, double h_total, double parent_score, size_t feature,
+    const RegressionTreeOptions& options) {
+  TreeFitWorkspace::SplitCandidate best;
+  if (size < 2) return best;
+  double first = values[0];
+  double largest = values[size - 1];
+  if (first == largest) return best;
+  const double lambda = options.lambda;
+  const double min_child_weight = options.min_child_weight;
+  const double gamma = options.gamma;
+  double best_gain = 0.0;
+  double best_threshold = 0.0;
+  double g_left = 0.0;
+  double h_left = 0.0;
+  auto candidate = [&](double last, double value) {
+    double g_right = g_total - g_left;
+    double h_right = h_total - h_left;
+    if (h_left >= min_child_weight && h_right >= min_child_weight) {
+      double gain = 0.5 * (ScoreHalf(g_left, h_left, lambda) +
+                           ScoreHalf(g_right, h_right, lambda) -
+                           parent_score) -
+                    gamma;
+      if (gain > best_gain) {
+        best_gain = gain;
+        best_threshold = 0.5 * (last + value);
+      }
+    }
+  };
+  // Both runs are bounded by the other end's differing value.
+  size_t trailing = size - 1;
+  while (values[trailing - 1] == largest) --trailing;
+  size_t i = 0;
+  do {
+    const double* pair = gh + 2 * static_cast<size_t>(rows[i]);
+    g_left += pair[0];
+    h_left += pair[1];
+    ++i;
+  } while (values[i] == first);
+  double last = values[i - 1];
+  for (; i < trailing; ++i) {
+    double value = values[i];
+    if (value != last) candidate(last, value);
+    const double* pair = gh + 2 * static_cast<size_t>(rows[i]);
+    g_left += pair[0];
+    h_left += pair[1];
+    last = value;
+  }
+  candidate(last, values[trailing]);
+  best.gain = best_gain;
+  best.feature = feature;
+  best.threshold = best_threshold;
+  return best;
+}
+
 }  // namespace
 
 PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
+  FC_CHECK_LE(x.rows(), static_cast<size_t>(UINT32_MAX));
   PresortedFeatures presorted;
-  std::vector<size_t> base(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) base[i] = i;
+  std::vector<uint32_t> base(x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) base[i] = static_cast<uint32_t>(i);
   presorted.order.assign(x.cols(), base);
   presorted.values.resize(x.cols());
   for (size_t f = 0; f < x.cols(); ++f) {
     std::sort(presorted.order[f].begin(), presorted.order[f].end(),
-              [&x, f](size_t a, size_t b) {
+              [&x, f](uint32_t a, uint32_t b) {
                 return x.Row(a)[f] < x.Row(b)[f];
               });
     std::vector<double>& vals = presorted.values[f];
@@ -61,38 +194,20 @@ void PresortedFeatures::FilterInto(const std::vector<char>& member,
     size_t begin = num_features * chunk / num_chunks;
     size_t end = num_features * (chunk + 1) / num_chunks;
     for (size_t f = begin; f < end; ++f) {
-      const std::vector<size_t>& full = order[f];
-      std::vector<size_t>& filtered = out->order[f];
-      // Branchless compaction: write every candidate, advance the cursor
-      // only for members. Membership is effectively random per row, so a
-      // conditional push_back would mispredict constantly; the output is
-      // identical (kept rows, original relative order) either way. One
-      // slot of headroom absorbs the unconditional write after the last
-      // member; the final resize trims it.
+      std::vector<uint32_t>& filtered = out->order[f];
       filtered.resize(member_count + 1);
-      size_t count = 0;
+      double* filtered_values = nullptr;
       if (has_values) {
-        const std::vector<double>& full_vals = values[f];
-        std::vector<double>& filtered_vals = out->values[f];
-        filtered_vals.resize(member_count + 1);
-        size_t* out_idx = filtered.data();
-        double* out_val = filtered_vals.data();
-        for (size_t i = 0; i < full.size(); ++i) {
-          size_t index = full[i];
-          out_idx[count] = index;
-          out_val[count] = full_vals[i];
-          count += static_cast<size_t>(member[index] != 0);
-        }
-        filtered_vals.resize(member_count);
-      } else {
-        size_t* out_idx = filtered.data();
-        for (size_t index : full) {
-          out_idx[count] = index;
-          count += static_cast<size_t>(member[index] != 0);
-        }
+        out->values[f].resize(member_count + 1);
+        filtered_values = out->values[f].data();
       }
+      bool sorted = true;
+      size_t count = FilterFeature(
+          order[f], has_values ? values[f].data() : nullptr, member.data(),
+          member_count, filtered.data(), filtered_values, &sorted);
       FC_CHECK_EQ(count, member_count);
       filtered.resize(member_count);
+      if (has_values) out->values[f].resize(member_count);
     }
     return 0;
   });
@@ -103,11 +218,19 @@ Status RegressionTree::Fit(const Matrix& x, const std::vector<double>& grad,
                            const std::vector<size_t>& sample_indices,
                            const RegressionTreeOptions& options) {
   // Presort just the sample rows by every feature (ascending).
+  std::vector<uint32_t> rows;
+  rows.reserve(sample_indices.size());
+  for (size_t index : sample_indices) {
+    if (index >= x.rows()) {
+      return Status::InvalidArgument("sample index out of range");
+    }
+    rows.push_back(static_cast<uint32_t>(index));
+  }
   PresortedFeatures presorted;
-  presorted.order.assign(x.cols(), sample_indices);
+  presorted.order.assign(x.cols(), rows);
   for (size_t f = 0; f < x.cols(); ++f) {
     std::sort(presorted.order[f].begin(), presorted.order[f].end(),
-              [&x, f](size_t a, size_t b) {
+              [&x, f](uint32_t a, uint32_t b) {
                 return x.Row(a)[f] < x.Row(b)[f];
               });
   }
@@ -125,16 +248,19 @@ Status RegressionTree::FitPresorted(const Matrix& x,
                       &workspace);
 }
 
-// Level-order exact greedy construction over presorted features: each level
-// costs O(num_features * num_rows) instead of a sort per node, which makes
-// this the throughput-critical piece of GBDT training.
+// Level-order exact greedy construction over node-partitioned presorts
+// (DESIGN.md §8). Level 0 compacts each feature's sample rows into one
+// segment; every later level first stably partitions the segments of the
+// nodes split at the previous level into their children's segments, then
+// scans the current frontier's segments. A level costs O(num_features *
+// sample) with no per-row node lookups in the scan.
 //
-// Determinism contract: the split search is parallel over feature chunks,
-// but every feature scans into its own scratch/candidate slice in the exact
-// row sequence of `presorted`, and the per-level reduction walks features
-// in ascending index with a strict > comparison — reproducing the
-// sequential loop's float sums and tie-breaks (lowest feature, then
-// earliest scan position) bit for bit at any thread count.
+// Determinism contract: the work is parallel over feature chunks, but
+// every feature scans its own segments into its own candidate slice in
+// presort order, and the per-level reduction walks features in ascending
+// index with a strict > comparison, reproducing the sequential scan's
+// float sums and tie-breaks (lowest feature, then earliest scan position)
+// bit for bit at any thread count.
 Status RegressionTree::FitPresorted(const Matrix& x,
                                     const std::vector<double>& grad,
                                     const std::vector<double>& hess,
@@ -154,15 +280,25 @@ Status RegressionTree::FitPresorted(const Matrix& x,
   if (presorted.order.size() != x.cols()) {
     return Status::InvalidArgument("presort does not match matrix");
   }
+  if (x.rows() > static_cast<size_t>(UINT32_MAX)) {
+    return Status::InvalidArgument("too many rows for 32-bit row ids");
+  }
   nodes_.clear();
 
   size_t num_features = x.cols();
-  const std::vector<std::vector<size_t>>& order = presorted.order;
+  size_t m = sample_indices.size();
+  size_t stride = m + 1;
 
-  // Root node.
+  // Root node, summed in sample order.
+  ws->member.assign(x.rows(), 0);
   double g_root = 0.0;
   double h_root = 0.0;
   for (size_t index : sample_indices) {
+    if (index >= x.rows() || ws->member[index] != 0) {
+      return Status::InvalidArgument(
+          "sample indices must be distinct rows of the matrix");
+    }
+    ws->member[index] = 1;
     g_root += grad[index];
     h_root += hess[index];
   }
@@ -182,136 +318,134 @@ Status RegressionTree::FitPresorted(const Matrix& x,
     ws->gh[2 * i + 1] = hess[i];
   }
 
-  // Per-node statistics, indexed by node id.
+  // Per-node statistics and segments, indexed by node id.
   ws->g_total.assign(1, g_root);
   ws->h_total.assign(1, h_root);
+  ws->seg_begin.assign(1, 0);
+  ws->seg_size.assign(1, m);
   ws->frontier.assign(1, 0);
+  ws->split_parents.clear();
+  for (int copy = 0; copy < 2; ++copy) {
+    ws->rows[copy].resize(num_features * stride);
+    ws->values[copy].resize(num_features * stride);
+  }
 
   ThreadPool* pool = ThreadPool::SharedForFolds();
+  size_t num_chunks = FeatureChunks(pool, num_features);
 
   for (int depth = 0; depth < options.max_depth && !ws->frontier.empty();
        ++depth) {
-    size_t num_nodes = nodes_.size();
-    ws->best.assign(num_nodes, {});
-    ws->in_frontier.assign(num_nodes, 0);
-    for (int node : ws->frontier) {
-      ws->in_frontier[static_cast<size_t>(node)] = 1;
+    size_t width = ws->frontier.size();
+    ws->parent_score.resize(width);
+    for (size_t slot = 0; slot < width; ++slot) {
+      size_t node = static_cast<size_t>(ws->frontier[slot]);
+      ws->parent_score[slot] =
+          ScoreHalf(ws->g_total[node], ws->h_total[node], options.lambda);
     }
-    ws->feature_best.resize(num_features * num_nodes);
-    ws->feature_scratch.resize(num_features * num_nodes);
+    ws->feature_best.resize(num_features * width);
 
-    // Column-parallel split search: feature f reads shared per-node totals
-    // and writes only its own [f * num_nodes, (f + 1) * num_nodes) slices.
-    size_t num_chunks = FeatureChunks(pool, num_features);
-    RunIndexed(pool, num_chunks, [&](size_t chunk) -> int {
+    // Column-parallel: feature f touches only its own segment stride and
+    // its own [f * width, (f + 1) * width) candidate slice.
+    int copy = depth & 1;
+    std::vector<int> errors = RunIndexed(pool, num_chunks, [&](size_t chunk) {
       size_t begin = num_features * chunk / num_chunks;
       size_t end = num_features * (chunk + 1) / num_chunks;
       for (size_t f = begin; f < end; ++f) {
-        TreeFitWorkspace::SplitScratch* scratch =
-            ws->feature_scratch.data() + f * num_nodes;
-        TreeFitWorkspace::SplitCandidate* best_f =
-            ws->feature_best.data() + f * num_nodes;
-        for (int node : ws->frontier) {
-          scratch[static_cast<size_t>(node)] = {};
-          best_f[static_cast<size_t>(node)] = {};
-        }
-        // Stream presorted values sequentially when the presort carries
-        // them (same doubles as the row gather, just cache-friendly).
-        const std::vector<size_t>& order_f = order[f];
-        const double* sorted_values =
-            (f < presorted.values.size() &&
-             presorted.values[f].size() == order_f.size())
-                ? presorted.values[f].data()
-                : nullptr;
-        const double* gh = ws->gh.data();
-        // One scan step: shared by both loop variants below so the float
-        // operations (and therefore the split choice) are literally the
-        // same code.
-        auto step = [&](size_t node_id, double value, size_t index) {
-          TreeFitWorkspace::SplitScratch& s = scratch[node_id];
-          if (s.count_left > 0 && value != s.last_value) {
-            double g_right = ws->g_total[node_id] - s.g_left;
-            double h_right = ws->h_total[node_id] - s.h_left;
-            if (s.h_left >= options.min_child_weight &&
-                h_right >= options.min_child_weight) {
-              double gain =
-                  0.5 * (ScoreHalf(s.g_left, s.h_left, options.lambda) +
-                         ScoreHalf(g_right, h_right, options.lambda) -
-                         ScoreHalf(ws->g_total[node_id], ws->h_total[node_id],
-                                   options.lambda)) -
-                  options.gamma;
-              if (gain > best_f[node_id].gain) {
-                best_f[node_id].gain = gain;
-                best_f[node_id].feature = f;
-                best_f[node_id].threshold = 0.5 * (s.last_value + value);
-              }
+        uint32_t* rows_f = ws->rows[copy].data() + f * stride;
+        double* values_f = ws->values[copy].data() + f * stride;
+        if (depth == 0) {
+          const std::vector<uint32_t>& order_f = presorted.order[f];
+          bool has_values = f < presorted.values.size() &&
+                            presorted.values[f].size() == order_f.size();
+          // The run skips rely on ascending values; NaN fails <= too.
+          bool sorted = true;
+          size_t kept = FilterFeature(
+              order_f, has_values ? presorted.values[f].data() : nullptr,
+              ws->member.data(), m, rows_f, values_f, &sorted);
+          if (kept != m) return 1;
+          if (!has_values) {
+            for (size_t i = 0; i < m; ++i) {
+              values_f[i] = x.Row(rows_f[i])[f];
+              sorted &= i == 0 || values_f[i - 1] <= values_f[i];
             }
           }
-          s.g_left += gh[2 * index];
-          s.h_left += gh[2 * index + 1];
-          s.last_value = value;
-          ++s.count_left;
-        };
-        if (num_nodes == 1 && order_f.size() == sample_indices.size()) {
-          // Root level over a sample-exact order (e.g. a FilterInto view):
-          // every entry is a sampled row sitting in node 0, so the
-          // node_of/in_frontier gathers are dead weight.
-          for (size_t pos = 0; pos < order_f.size(); ++pos) {
-            size_t index = order_f[pos];
-            double value = sorted_values != nullptr ? sorted_values[pos]
-                                                    : x.Row(index)[f];
-            step(0, value, index);
-          }
+          if (!sorted) return 2;
         } else {
-          for (size_t pos = 0; pos < order_f.size(); ++pos) {
-            size_t index = order_f[pos];
-            int node = ws->node_of[index];
-            if (node < 0 || !ws->in_frontier[static_cast<size_t>(node)]) {
-              continue;
-            }
-            double value = sorted_values != nullptr ? sorted_values[pos]
-                                                    : x.Row(index)[f];
-            step(static_cast<size_t>(node), value, index);
+          const uint32_t* from_rows = ws->rows[copy ^ 1].data() + f * stride;
+          const double* from_values =
+              ws->values[copy ^ 1].data() + f * stride;
+          for (int parent : ws->split_parents) {
+            const Node& node = nodes_[static_cast<size_t>(parent)];
+            size_t offset = ws->seg_begin[static_cast<size_t>(parent)];
+            PartitionSegment(from_rows + offset, from_values + offset,
+                             ws->seg_size[static_cast<size_t>(parent)],
+                             ws->seg_size[static_cast<size_t>(node.left)],
+                             ws->node_of.data(), node.right, rows_f + offset,
+                             values_f + offset);
           }
+        }
+        TreeFitWorkspace::SplitCandidate* best_f =
+            ws->feature_best.data() + f * width;
+        for (size_t slot = 0; slot < width; ++slot) {
+          size_t node = static_cast<size_t>(ws->frontier[slot]);
+          size_t offset = ws->seg_begin[node];
+          best_f[slot] = ScanSegment(
+              rows_f + offset, values_f + offset, ws->seg_size[node],
+              ws->gh.data(), ws->g_total[node], ws->h_total[node],
+              ws->parent_score[slot], f, options);
         }
       }
       return 0;
     });
+    for (int error : errors) {
+      if (error == 1) {
+        return Status::InvalidArgument("presort misses sample rows");
+      }
+      if (error == 2) {
+        return Status::InvalidArgument(
+            "presort values must be ascending and not NaN");
+      }
+    }
 
     // Reduce in fixed column order with a strict >, so ties keep the lowest
     // feature — exactly what the sequential cross-feature scan produced.
+    ws->best.assign(width, {});
     for (size_t f = 0; f < num_features; ++f) {
       const TreeFitWorkspace::SplitCandidate* best_f =
-          ws->feature_best.data() + f * num_nodes;
-      for (int node : ws->frontier) {
-        size_t node_id = static_cast<size_t>(node);
-        if (best_f[node_id].gain > ws->best[node_id].gain) {
-          ws->best[node_id] = best_f[node_id];
+          ws->feature_best.data() + f * width;
+      for (size_t slot = 0; slot < width; ++slot) {
+        if (best_f[slot].gain > ws->best[slot].gain) {
+          ws->best[slot] = best_f[slot];
         }
       }
     }
 
     // Materialize the accepted splits and re-assign samples to children.
     ws->next_frontier.clear();
-    for (int node : ws->frontier) {
-      size_t node_id = static_cast<size_t>(node);
-      if (ws->best[node_id].gain <= 0.0) continue;  // stays a leaf
+    ws->split_parents.clear();
+    for (size_t slot = 0; slot < width; ++slot) {
+      const TreeFitWorkspace::SplitCandidate& best = ws->best[slot];
+      if (best.gain <= 0.0) continue;  // stays a leaf
+      size_t node_id = static_cast<size_t>(ws->frontier[slot]);
       int left = static_cast<int>(nodes_.size());
       nodes_.emplace_back();
       int right = static_cast<int>(nodes_.size());
       nodes_.emplace_back();
       Node& parent = nodes_[node_id];
       parent.is_leaf = false;
-      parent.feature = ws->best[node_id].feature;
-      parent.threshold = ws->best[node_id].threshold;
+      parent.feature = best.feature;
+      parent.threshold = best.threshold;
       parent.left = left;
       parent.right = right;
-      ws->g_total.resize(nodes_.size(), 0.0);
-      ws->h_total.resize(nodes_.size(), 0.0);
       ws->next_frontier.push_back(left);
       ws->next_frontier.push_back(right);
+      ws->split_parents.push_back(ws->frontier[slot]);
     }
     if (ws->next_frontier.empty()) break;
+    ws->g_total.resize(nodes_.size(), 0.0);
+    ws->h_total.resize(nodes_.size(), 0.0);
+    ws->seg_begin.resize(nodes_.size(), 0);
+    ws->seg_size.resize(nodes_.size(), 0);
 
     for (size_t index : sample_indices) {
       int node = ws->node_of[index];
@@ -321,9 +455,18 @@ Status RegressionTree::FitPresorted(const Matrix& x,
       int child = x.Row(index)[parent.feature] < parent.threshold
                       ? parent.left
                       : parent.right;
+      size_t child_id = static_cast<size_t>(child);
       ws->node_of[index] = child;
-      ws->g_total[static_cast<size_t>(child)] += grad[index];
-      ws->h_total[static_cast<size_t>(child)] += hess[index];
+      ws->g_total[child_id] += grad[index];
+      ws->h_total[child_id] += hess[index];
+      ++ws->seg_size[child_id];
+    }
+    for (int parent : ws->split_parents) {
+      const Node& node = nodes_[static_cast<size_t>(parent)];
+      size_t left = static_cast<size_t>(node.left);
+      size_t right = static_cast<size_t>(node.right);
+      ws->seg_begin[left] = ws->seg_begin[static_cast<size_t>(parent)];
+      ws->seg_begin[right] = ws->seg_begin[left] + ws->seg_size[left];
     }
     for (int child : ws->next_frontier) {
       size_t child_id = static_cast<size_t>(child);

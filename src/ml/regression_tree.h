@@ -2,6 +2,7 @@
 #define FAIRCLEAN_ML_REGRESSION_TREE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -27,23 +28,20 @@ struct RegressionTreeOptions {
 struct PresortedFeatures {
   /// order[f] = row ids sorted ascending by feature f. Compute() emits all
   /// rows of the matrix; FilterInto() emits a subset in the same relative
-  /// order.
-  std::vector<std::vector<size_t>> order;
+  /// order. Row ids are 32-bit, which halves the presort's id bytes.
+  std::vector<std::vector<uint32_t>> order;
   /// values[f][i] = feature f of row order[f][i], kept in lockstep with
-  /// `order` so level scans stream feature values sequentially instead of
-  /// gathering one cache line per row. Same doubles in the same sequence —
-  /// a pure cache-layout optimization that cannot change any float sum.
-  /// May be empty (e.g. a hand-built presort), in which case scans gather
-  /// from the matrix.
+  /// `order` so the split search streams feature values sequentially
+  /// instead of gathering one cache line per row. May be empty (e.g. a
+  /// hand-built presort), in which case the fit gathers from the matrix.
   std::vector<std::vector<double>> values;
 
   static PresortedFeatures Compute(const Matrix& x);
 
   /// Stable membership filter: out->order[f] keeps exactly the rows with
-  /// member[row] != 0, preserving this order's relative order — the scan
-  /// sequence is therefore identical to scanning the full order and
-  /// skipping non-members, which keeps split-search float accumulation
-  /// byte-identical. `values` (when present) is filtered in lockstep.
+  /// member[row] != 0, preserving this order's relative order, so the
+  /// scan sequence equals scanning the full order and skipping
+  /// non-members. `values` (when present) is filtered in lockstep.
   /// member_count must be the exact number of kept rows (checked). Reuses
   /// out's buffers across calls; column-parallel when a fold pool is
   /// available (per-feature outputs are independent, so scheduling cannot
@@ -54,35 +52,40 @@ struct PresortedFeatures {
 
 /// Reusable scratch for FitPresorted, hoisted out of the per-round hot loop
 /// by GradientBoostedTrees so repeated fits on the same matrix allocate
-/// their row/node buffers once instead of once per tree. Contents are
-/// overwritten by every fit; a workspace must not be shared between
-/// concurrent fits.
+/// their buffers once instead of once per tree. Contents are overwritten
+/// by every fit; a workspace must not be shared between concurrent fits.
 class TreeFitWorkspace {
- private:
-  friend class RegressionTree;
-
+ public:
+  /// Best split found for one node; a gain of 0 means "stay a leaf".
   struct SplitCandidate {
     double gain = 0.0;
     size_t feature = 0;
     double threshold = 0.0;
   };
-  struct SplitScratch {
-    double g_left = 0.0;
-    double h_left = 0.0;
-    double last_value = 0.0;
-    size_t count_left = 0;
-  };
 
+ private:
+  friend class RegressionTree;
+
+  std::vector<char> member;      // per absolute row: 1 if sampled
   std::vector<int> node_of;      // per absolute row: current node id or -1
   std::vector<double> gh;        // interleaved [grad, hess] per absolute row
   std::vector<double> g_total;   // per node
   std::vector<double> h_total;   // per node
+  std::vector<size_t> seg_begin;  // per node: first slot of its segment
+  std::vector<size_t> seg_size;   // per node: rows in its segment
   std::vector<int> frontier;
   std::vector<int> next_frontier;
-  std::vector<char> in_frontier;
-  std::vector<SplitCandidate> best;           // per node, reduced result
-  std::vector<SplitCandidate> feature_best;   // [feature * num_nodes + node]
-  std::vector<SplitScratch> feature_scratch;  // [feature * num_nodes + node]
+  std::vector<int> split_parents;   // nodes split at the previous level
+  std::vector<double> parent_score;           // per frontier slot
+  std::vector<SplitCandidate> best;           // per frontier slot
+  std::vector<SplitCandidate> feature_best;   // [feature * width + slot]
+  // Two copies of the sample's presort, each one stride of m + 1 slots per
+  // feature (the branchless filter writes one slot past the last kept
+  // row), laid out as contiguous per-node segments. Level 0 compacts the
+  // presort into copy 0; every later level partitions the previous
+  // level's copy into the other one.
+  std::vector<uint32_t> rows[2];
+  std::vector<double> values[2];
 };
 
 /// A depth-limited regression tree fitted to per-example gradients and
@@ -98,9 +101,12 @@ class RegressionTree {
              const RegressionTreeOptions& options);
 
   /// Like Fit, but reuses a precomputed feature presort. `presorted` may
-  /// hold all rows of the matrix (rows outside `sample_indices` are
-  /// skipped during the scans) or only the sample rows (e.g. a FilterInto
-  /// view), which makes each level scan proportional to the sample size.
+  /// hold all rows of the matrix or only the sample rows (e.g. a
+  /// FilterInto view); either way the sample rows are first compacted
+  /// into the workspace, so each level costs O(sample size) per feature.
+  /// Sample indices must be distinct rows of `x`, and the presort must
+  /// list every sample row with values that ascend and hold no NaN;
+  /// anything else is rejected with InvalidArgument.
   Status FitPresorted(const Matrix& x, const std::vector<double>& grad,
                       const std::vector<double>& hess,
                       const std::vector<size_t>& sample_indices,
@@ -124,7 +130,6 @@ class RegressionTree {
   /// Number of leaves.
   size_t num_leaves() const;
 
- private:
   struct Node {
     bool is_leaf = true;
     size_t feature = 0;
@@ -134,6 +139,11 @@ class RegressionTree {
     double value = 0.0;  // leaf weight
   };
 
+  /// The fitted nodes in creation order (root first, then each level's
+  /// children left before right).
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
   std::vector<Node> nodes_;
 };
 

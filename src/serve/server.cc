@@ -548,8 +548,10 @@ void AdvisorServer::WriteResponse(const std::shared_ptr<Connection>& conn,
 void AdvisorServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->open.exchange(false)) {
     // shutdown() (not close) so the reader thread, which owns the fd,
-    // unblocks from recv and performs the single close.
-    ::shutdown(conn->fd, SHUT_RDWR);
+    // unblocks from recv and performs the single close. The reader sets
+    // fd to -1 under write_mutex, so read it under the same lock.
+    std::lock_guard<std::mutex> lock(conn->write_mutex);
+    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   }
 }
 

@@ -13,6 +13,14 @@ constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-14;
 constexpr double kTiny = 1e-300;
 
+// log|Gamma(a)| via the reentrant lgamma_r: std::lgamma also writes the
+// process-global `signgam`, a data race when server workers run paired
+// t-tests concurrently.
+double LogGamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 // Series expansion of P(a, x); converges quickly for x < a + 1.
 double GammaPSeries(double a, double x) {
   double ap = a;
@@ -24,7 +32,7 @@ double GammaPSeries(double a, double x) {
     sum += term;
     if (std::abs(term) < std::abs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Continued fraction for Q(a, x); converges quickly for x >= a + 1.
@@ -46,7 +54,7 @@ double GammaQContinuedFraction(double a, double x) {
     h *= delta;
     if (std::abs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Continued fraction for the incomplete beta function (Numerical Recipes
@@ -103,7 +111,7 @@ double RegularizedIncompleteBeta(double a, double b, double x) {
   FC_CHECK_GT(b, 0.0);
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  double log_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  double log_front = LogGamma(a + b) - LogGamma(a) - LogGamma(b) +
                      a * std::log(x) + b * std::log(1.0 - x);
   double front = std::exp(log_front);
   // Use the symmetry relation to stay in the rapidly-converging regime.

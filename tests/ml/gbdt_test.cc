@@ -45,7 +45,7 @@ TEST(GbdtTest, TrainingLossDecreasesMonotonically) {
   GradientBoostedTrees model(options);
   Rng rng(7);
   ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
-  const std::vector<double>& curve = model.training_loss_curve();
+  std::vector<double> curve = model.TrainingLossCurve(data.x, data.y);
   ASSERT_EQ(curve.size(), static_cast<size_t>(options.num_rounds));
   for (size_t i = 1; i < curve.size(); ++i) {
     EXPECT_LE(curve[i], curve[i - 1] + 1e-9);

@@ -88,6 +88,14 @@ TEST(IsolationForestTest, FlagsThePlantedAnomalies) {
   EXPECT_GE(anomalies_flagged, 8u);
 }
 
+TEST(IsolationForestTest, TrainingAnomaliesMatchRescoring) {
+  Matrix x = MakeClusterWithAnomalies(300, 6, 11);
+  IsolationForest forest;
+  Rng rng(12);
+  ASSERT_TRUE(forest.Fit(x, &rng).ok());
+  EXPECT_EQ(forest.TrainingAnomalies(), forest.IsAnomaly(x));
+}
+
 TEST(IsolationForestTest, DeterministicGivenSeed) {
   Matrix x = MakeClusterWithAnomalies(200, 5, 9);
   IsolationForest a;

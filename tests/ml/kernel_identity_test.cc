@@ -20,6 +20,7 @@
 #include "data/dataframe.h"
 #include "detect/mislabel_detector.h"
 #include "ml/gbdt.h"
+#include "ml/isolation_forest.h"
 #include "ml/knn.h"
 #include "ml/tuning.h"
 #include "tests/ml/test_data.h"
@@ -135,12 +136,35 @@ TEST(KernelIdentityTest, GbdtFitGolden) {
   Rng rng(11);
   ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
   EXPECT_EQ(model.num_trees(), 50u);
-  EXPECT_EQ(model.training_loss_curve().back(), 0x1.cd99c9d488b77p-4);
+  EXPECT_EQ(model.TrainingLossCurve(data.x, data.y).back(),
+            0x1.cd99c9d488b77p-4);
   ExpectBitEqual(model.PredictProba(data.x),
                  {0x1.19c1128a900cp-6, 0x1.dba9768a358b1p-7,
                   0x1.97ddf2271573bp-1, 0x1.709bf93f7f44cp-8,
                   0x1.f643e4a637c14p-1, 0x1.8b878defd1fb9p-1,
                   0x1.70a4361f3372ep-8, 0x1.3007802da7d5ap-3});
+}
+
+TEST(KernelIdentityTest, IsolationForestScoreGolden) {
+  test::BlobData data = test::MakeBlobs(300, 3, 2.0, 27);
+  IsolationForest forest;
+  Rng rng(31);
+  ASSERT_TRUE(forest.Fit(data.x, &rng).ok());
+  EXPECT_EQ(forest.threshold(), 0x1.4382d27f36442p-1);
+  ExpectBitEqual(forest.Score(data.x),
+                 {0x1.9e60e1f446a78p-2, 0x1.e49ad6113c77ep-2,
+                  0x1.a1889688f2a39p-2, 0x1.2f66eb4e29132p-1,
+                  0x1.97d5b84341cd5p-2, 0x1.9d898d5fd7a89p-2,
+                  0x1.a97c1304cb13fp-2, 0x1.209efc9833258p-1});
+  test::BlobData queries = test::MakeBlobs(13, 3, 8.0, 28);
+  ExpectBitEqual(forest.Score(queries.x),
+                 {0x1.21ec54e4a198bp-1, 0x1.25bc3ae2fcc26p-1,
+                  0x1.1ca1b8c57355ep-1, 0x1.2755fde599dcdp-1,
+                  0x1.49895ec5cffb3p-1, 0x1.2e0e726c47658p-1,
+                  0x1.476b929cbba27p-1, 0x1.123035fd95a59p-1,
+                  0x1.428a1d7d61757p-1, 0x1.2a5a20121664ap-1,
+                  0x1.1bdae7d2d6391p-1, 0x1.49c531853a1e5p-1,
+                  0x1.23f7abf1998c2p-1});
 }
 
 TEST(KernelIdentityTest, KnnPredictGolden) {

@@ -125,5 +125,23 @@ TEST(LogisticRegressionTest, CloneIsUntrainedWithSameOptions) {
   EXPECT_TRUE(clone->Fit(data.x, data.y, &rng).ok());
 }
 
+// FitRows over row indices must equal Fit over the copied rows, bit for
+// bit, including an index order that is not ascending.
+TEST(LogisticRegressionTest, FitRowsMatchesFitOnCopiedRows) {
+  test::BlobData data = test::MakeBlobs(120, 3, 1.5, 16);
+  std::vector<size_t> rows;
+  for (size_t i = 119; i >= 30; i -= 3) rows.push_back(i);
+  std::vector<int> labels;
+  for (size_t row : rows) labels.push_back(data.y[row]);
+  LogisticRegression copied;
+  Rng rng(17);
+  ASSERT_TRUE(copied.Fit(data.x.TakeRows(rows), labels, &rng).ok());
+  LogisticRegression indexed;
+  ASSERT_TRUE(indexed.FitRows(data.x, rows, data.y).ok());
+  EXPECT_EQ(indexed.coefficients(), copied.coefficients());
+  EXPECT_EQ(indexed.intercept(), copied.intercept());
+  EXPECT_FALSE(indexed.FitRows(data.x, {0, 120}, data.y).ok());
+}
+
 }  // namespace
 }  // namespace fairclean

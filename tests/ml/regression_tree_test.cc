@@ -144,8 +144,8 @@ TEST(PresortedFeaturesTest, FilterIntoPreservesRelativeOrder) {
   for (size_t f = 0; f < full.order.size(); ++f) {
     // The filtered order must be exactly the full order with non-members
     // dropped — same rows, same relative positions.
-    std::vector<size_t> expected;
-    for (size_t row : full.order[f]) {
+    std::vector<uint32_t> expected;
+    for (uint32_t row : full.order[f]) {
       if (member[row]) expected.push_back(row);
     }
     EXPECT_EQ(filtered.order[f], expected) << "feature " << f;
@@ -165,11 +165,11 @@ TEST(PresortedFeaturesTest, FilterIntoReusesOutputBuffers) {
   PresortedFeatures filtered;
   std::vector<char> member = {1, 0, 1, 0, 1, 0};
   full.FilterInto(member, 3, &filtered);
-  EXPECT_EQ(filtered.order[0], (std::vector<size_t>{0, 2, 4}));
+  EXPECT_EQ(filtered.order[0], (std::vector<uint32_t>{0, 2, 4}));
   // Second filter into the same object must fully replace the first.
   member = {0, 1, 0, 1, 0, 1};
   full.FilterInto(member, 3, &filtered);
-  EXPECT_EQ(filtered.order[0], (std::vector<size_t>{1, 3, 5}));
+  EXPECT_EQ(filtered.order[0], (std::vector<uint32_t>{1, 3, 5}));
 }
 
 TEST(RegressionTreeTest, FilteredPresortMatchesGlobalPresort) {
