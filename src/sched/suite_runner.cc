@@ -7,6 +7,7 @@
 
 #include "common/env.h"
 #include "common/exec_mode.h"
+#include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/safe_io.h"
 #include "common/strings.h"
@@ -15,6 +16,7 @@
 #include "obs/json_lite.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "sched/figure_record.h"
 #include "stats/tests.h"
 
 namespace fairclean {
@@ -158,6 +160,10 @@ SuiteScheduler::SuiteScheduler(SuiteOptions options)
                                    : ThreadPool::DefaultThreadCount()),
       metrics_(&obs::MetricsRegistry::Global()),
       artifacts_(&metrics_),
+      figure_records_loaded_(
+          metrics_.GetCounter("sched.figure_records_loaded")),
+      figure_records_written_(
+          metrics_.GetCounter("sched.figure_records_written")),
       planner_(options_.study.exec_mode, options_.study.seed,
                [this](const std::string& name) { return Dataset(name); }),
       start_(std::chrono::steady_clock::now()),
@@ -402,24 +408,82 @@ Result<std::shared_ptr<const DisparityArtifact>> SuiteScheduler::Disparity(
   return artifacts_.GetOrCreateAs<DisparityArtifact>(
       DisparityArtifactKey(dataset, intersectional, options_.study.seed),
       [&]() -> Result<DisparityArtifact> {
-        obs::TraceSpan span("sched", [&] {
-          return StrFormat("disparity %s/%s", dataset.c_str(),
-                           intersectional ? "intersectional" : "single");
-        });
-        FC_ASSIGN_OR_RETURN(std::shared_ptr<const GeneratedDataset> generated,
-                            Dataset(dataset));
-        DisparityOptions disparity_options;
-        // The historical per-figure rng streams (Fig. 1: seed+17, Fig. 2:
-        // seed+19), fresh per dataset, so each panel's bytes match the
-        // standalone figure bench exactly.
-        Rng rng(options_.study.seed + (intersectional ? 19 : 17));
-        DisparityArtifact artifact;
-        FC_ASSIGN_OR_RETURN(
-            artifact.rows,
-            AnalyzeDisparities(*generated, intersectional, disparity_options,
-                               &rng));
+        if (options_.cache_dir.empty()) {
+          return ComputeDisparity(dataset, intersectional);
+        }
+        const std::string key =
+            FigureRecordKey(dataset, intersectional, options_.study.seed);
+        std::optional<DisparityArtifact> loaded =
+            LoadFigureRecord(key, dataset, intersectional);
+        if (loaded.has_value()) return std::move(*loaded);
+        FC_ASSIGN_OR_RETURN(DisparityArtifact artifact,
+                            ComputeDisparity(dataset, intersectional));
+        // Best-effort like the class records: a failed write only means
+        // the next run recomputes this panel.
+        Status written = Store().Write(
+            key, EncodeFigureRecord(dataset, intersectional, artifact.rows));
+        if (written.ok()) {
+          figure_records_written_->Increment();
+        } else {
+          FC_LOG_WARN("sched", "figure record write failed for %s: %s",
+                      key.c_str(), written.ToString().c_str());
+        }
         return artifact;
       });
+}
+
+Result<DisparityArtifact> SuiteScheduler::ComputeDisparity(
+    const std::string& dataset, bool intersectional) {
+  obs::TraceSpan span("sched", [&] {
+    return StrFormat("disparity %s/%s", dataset.c_str(),
+                     intersectional ? "intersectional" : "single");
+  });
+  FC_ASSIGN_OR_RETURN(std::shared_ptr<const GeneratedDataset> generated,
+                      Dataset(dataset));
+  DisparityOptions disparity_options;
+  // The historical per-figure rng streams (Fig. 1: seed+17, Fig. 2:
+  // seed+19), fresh per dataset, so each panel's bytes match the
+  // standalone figure bench exactly.
+  Rng rng(options_.study.seed + (intersectional ? 19 : 17));
+  DisparityArtifact artifact;
+  FC_ASSIGN_OR_RETURN(artifact.rows,
+                      AnalyzeDisparities(*generated, intersectional,
+                                         disparity_options, &rng));
+  return artifact;
+}
+
+std::optional<DisparityArtifact> SuiteScheduler::LoadFigureRecord(
+    const std::string& key, const std::string& dataset, bool intersectional) {
+  const store::FlatFileStore& blob = Store();
+  Result<bool> found = blob.Contains(key);
+  if (!found.ok() || !*found) return std::nullopt;
+  obs::TraceSpan span("sched", [&] { return "figure-record load " + key; });
+  // The same "cache_read" probe as StudyDriver's journal load.
+  Result<std::vector<DisparityRow>> rows =
+      [&]() -> Result<std::vector<DisparityRow>> {
+    FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("cache_read"));
+    FC_ASSIGN_OR_RETURN(std::string bytes, blob.Read(key));
+    return DecodeFigureRecord(bytes, dataset, intersectional);
+  }();
+  if (rows.ok()) {
+    figure_records_loaded_->Increment();
+    return DisparityArtifact{std::move(*rows)};
+  }
+  if (rows.status().code() == StatusCode::kIoError ||
+      rows.status().code() == StatusCode::kNotFound) {
+    FC_LOG_WARN("sched", "figure record read failed: %s",
+                rows.status().ToString().c_str());
+    return std::nullopt;
+  }
+  {
+    std::lock_guard<std::mutex> lock(diag_mutex_);
+    ++total_.corrupt_quarantined;
+  }
+  Result<std::string> moved = blob.Quarantine(key);
+  FC_LOG_WARN("sched", "corrupt figure record %s (%s) -> %s",
+              blob.Describe(key).c_str(), rows.status().ToString().c_str(),
+              moved.ok() ? moved->c_str() : "quarantine failed");
+  return std::nullopt;
 }
 
 Result<ScopeResults> SuiteScheduler::RunScopeCells(const StudyScope& scope) {

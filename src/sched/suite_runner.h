@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -189,6 +190,8 @@ class SuiteScheduler {
   Result<ScopeResults> RunScopeCells(const StudyScope& scope);
 
   /// Shared dataset / cell / disparity artifacts (produced on first use).
+  /// With a cache dir, a disparity panel is read from its figure record
+  /// (FigureRecordKey) and only computed, then persisted, on a miss.
   Result<std::shared_ptr<const GeneratedDataset>> Dataset(
       const std::string& name);
   Result<std::shared_ptr<const CellArtifact>> Cell(const CellKey& cell);
@@ -253,6 +256,19 @@ class SuiteScheduler {
   const store::FlatFileStore& Store() const;
 
   Result<CellArtifact> ProduceCell(const CellKey& cell);
+
+  /// Runs AnalyzeDisparities for one figure panel on its historical rng
+  /// stream.
+  Result<DisparityArtifact> ComputeDisparity(const std::string& dataset,
+                                             bool intersectional);
+  /// The panel's persisted record, or nullopt on a miss. A damaged record
+  /// is quarantined; a failed read (the "cache_read" probe included) is a
+  /// miss that leaves the record in place. Either way the caller
+  /// recomputes and rewrites it.
+  std::optional<DisparityArtifact> LoadFigureRecord(const std::string& key,
+                                                    const std::string& dataset,
+                                                    bool intersectional);
+
   void Accumulate(const exec::RunDiagnostics& diagnostics);
 
   /// Classification + class-record persistence for one freshly produced
@@ -322,6 +338,9 @@ class SuiteScheduler {
   /// while staying separable for perf reporting.
   obs::MetricsRegistry metrics_;
   ArtifactStore artifacts_;
+  /// Figure panels served from / written to the on-disk store.
+  obs::Counter* figure_records_loaded_;
+  obs::Counter* figure_records_written_;
   /// Wave-level execution planner (DESIGN.md §15): materializes the shared
   /// per-(dataset, seed) inputs of each wave's cell group once, before the
   /// wave fans out.
