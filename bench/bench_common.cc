@@ -108,8 +108,7 @@ Result<BenchStats> RunForkedBench(
 Status WriteKernelStatsJson(const std::string& path,
                             const std::map<std::string, double>& ops,
                             const std::map<std::string, double>& p95,
-                            const std::map<std::string, size_t>& iters,
-                            size_t threads, double speedup) {
+                            const std::map<std::string, size_t>& iters) {
   std::string body = "{\"ops\":{";
   bool first = true;
   for (const auto& [name, value] : ops) {
@@ -131,8 +130,7 @@ Status WriteKernelStatsJson(const std::string& path,
                       obs::JsonEscape(name).c_str(), value);
     first = false;
   }
-  body += StrFormat("},\"threads\":%zu,\"speedup\":%.6g}\n", threads,
-                    speedup);
+  body += "}}\n";
   return WriteFileAtomic(path, body);
 }
 

@@ -42,20 +42,15 @@ Result<BenchStats> RunForkedBench(
     const std::string& label, size_t iters,
     const std::function<std::function<void()>()>& make_body);
 
-/// Writes the enriched kernel-bench JSON:
-///   {"ops":{"<op>":<median-or-ratio>,...},
+/// Writes the kernel-bench JSON:
+///   {"ops":{"<op>":<median seconds>,...},
 ///    "p95":{"<op>":<seconds>,...},
-///    "iters":{"<op>":<count>,...},
-///    "threads":N,"speedup":S}
-/// "ops" keeps the historical key set (medians for timed ops, plus the
-/// derived *_speedup ratios); "p95"/"iters" carry the order statistics for
-/// the timed ops only. Atomic write via the checksummed-IO temp+rename
-/// path.
+///    "iters":{"<op>":<count>,...}}
+/// Atomic write via the checksummed-IO temp+rename path.
 Status WriteKernelStatsJson(const std::string& path,
                             const std::map<std::string, double>& ops,
                             const std::map<std::string, double>& p95,
-                            const std::map<std::string, size_t>& iters,
-                            size_t threads, double speedup);
+                            const std::map<std::string, size_t>& iters);
 
 }  // namespace bench
 }  // namespace fairclean

@@ -48,8 +48,7 @@ Result<EvalOutcome> TrainAndEvaluate(const PreparedData& data,
                                      const DatasetSpec& spec,
                                      const std::vector<GroupDefinition>& groups,
                                      const TunedModelFamily& family,
-                                     size_t cv_folds, Rng* rng,
-                                     ExecMode exec_mode) {
+                                     size_t cv_folds, Rng* rng) {
   obs::TraceSpan span("core", [&] {
     return "TrainAndEvaluate " + spec.name + " " + family.name;
   });
@@ -66,7 +65,7 @@ Result<EvalOutcome> TrainAndEvaluate(const PreparedData& data,
   Rng tune_rng = rng->Fork(0x70e0);
   FC_ASSIGN_OR_RETURN(TuneOutcome tuned,
                       TuneAndFit(family, train_x, train_y, cv_folds,
-                                 &tune_rng, exec_mode));
+                                 &tune_rng));
   std::vector<int> predictions = tuned.model->Predict(test_x);
 
   EvalOutcome outcome;
@@ -196,9 +195,9 @@ Result<CleaningExperimentResult> RunCleaningRepeatSlice(
   result.dataset = dataset.spec.name;
   result.error_type = error_type;
   result.model = family.name;
-  // The wave planner pre-materializes the group definitions once per
-  // (dataset, seed) group; a standalone slice derives them here. Both are
-  // pure functions of the spec, so the result is identical either way.
+  // A caller may pass group definitions it already derived; otherwise the
+  // slice derives them here. Both are pure functions of the spec, so the
+  // result is identical either way.
   result.groups =
       groups != nullptr ? *groups : GroupDefinitionsFor(dataset.spec);
 
@@ -237,7 +236,7 @@ Result<CleaningExperimentResult> RunCleaningRepeatSlice(
   FC_ASSIGN_OR_RETURN(
       EvalOutcome dirty_outcome,
       TrainAndEvaluate(dirty, dataset.spec, result.groups, family,
-                       options.cv_folds, &dirty_rng, options.exec_mode));
+                       options.cv_folds, &dirty_rng));
   // Fault-injection site at the numeric boundary: a fired "numeric" fault
   // turns the score into NaN, which the study driver must catch as a
   // degenerate repeat (retry/skip) before it poisons the t-tests.
@@ -258,7 +257,7 @@ Result<CleaningExperimentResult> RunCleaningRepeatSlice(
     FC_ASSIGN_OR_RETURN(
         EvalOutcome repaired_outcome,
         TrainAndEvaluate(repaired, dataset.spec, result.groups, family,
-                         options.cv_folds, &eval_rng, options.exec_mode));
+                         options.cv_folds, &eval_rng));
     AppendScores(repaired_outcome, result.groups,
                  &result.repaired[method.Name()]);
     RecordOutcome(

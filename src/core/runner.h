@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_mode.h"
 #include "core/cleaning.h"
 #include "core/impact.h"
 #include "core/results.h"
@@ -34,11 +33,6 @@ struct StudyOptions {
   uint64_t seed = 42;
   /// Significance level before Bonferroni adjustment.
   double alpha = 0.05;
-  /// Execution mode (FAIRCLEAN_EXEC_MODE): how much work the tuning and
-  /// predict kernels share. Every mode produces byte-identical results;
-  /// the knob exists so each sharing layer is independently measurable
-  /// (DESIGN.md §15).
-  ExecMode exec_mode = ExecMode::kFused;
 };
 
 /// Reads StudyOptions from the environment (FAIRCLEAN_SAMPLE,
@@ -113,10 +107,10 @@ Result<CleaningExperimentResult> RunCleaningExperiment(
 /// fresh but deterministic seed, used to retry repeats whose data draw was
 /// degenerate (e.g. a single-class training fold).
 ///
-/// `groups` optionally supplies the dataset's group definitions
-/// pre-materialized by the wave planner; null derives them from the spec
-/// per slice. GroupDefinitionsFor is deterministic in the spec, so both
-/// paths yield identical results.
+/// `groups` optionally supplies the dataset's group definitions already
+/// derived by the caller; null derives them from the spec per slice.
+/// GroupDefinitionsFor is deterministic in the spec, so both paths yield
+/// identical results.
 Result<CleaningExperimentResult> RunCleaningRepeatSlice(
     const GeneratedDataset& dataset, const std::string& error_type,
     const TunedModelFamily& family, const StudyOptions& options,

@@ -345,8 +345,7 @@ bool StudyDriver::BudgetExhausted() const {
 
 StudyDriver::SlotOutcome StudyDriver::ComputeSlot(
     const GeneratedDataset& dataset, const std::string& error_type,
-    const TunedModelFamily& family, size_t slot,
-    const std::vector<GroupDefinition>* groups) const {
+    const TunedModelFamily& family, size_t slot) const {
   obs::TraceSpan span("exec", [&] {
     return StrFormat("slot %s/%s/%s r%zu", dataset.spec.name.c_str(),
                      error_type.c_str(), family.name.c_str(), slot);
@@ -362,7 +361,7 @@ StudyDriver::SlotOutcome StudyDriver::ComputeSlot(
         [&]() -> Result<CleaningExperimentResult> {
       try {
         return RunCleaningRepeatSlice(dataset, error_type, family,
-                                      options_.study, slot, salt, groups);
+                                      options_.study, slot, salt);
       } catch (const std::exception& e) {
         return Status::Internal(StrFormat("repeat %zu threw: %s", slot,
                                           e.what()));
@@ -432,24 +431,13 @@ Status StudyDriver::MergeSlot(size_t slot, SlotOutcome outcome,
 
 Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     const GeneratedDataset& dataset, const std::string& error_type,
-    const std::string& model, const CellPlanInputs* plan) {
+    const std::string& model) {
   obs::TraceSpan span("exec", [&] {
     return StrFormat("RunOrLoad %s/%s/%s", dataset.spec.name.c_str(),
                      error_type.c_str(), model.c_str());
   });
   Count("driver.experiments")->Increment();
-  // Consume the wave plan's pre-resolved family / group definitions when
-  // one was handed down; the standalone path derives them here. Both are
-  // pure functions of (model, exec_mode) / the dataset spec.
-  TunedModelFamily family;
-  if (plan != nullptr && plan->family != nullptr) {
-    family = *plan->family;
-  } else {
-    FC_ASSIGN_OR_RETURN(
-        family, ModelFamilyByName(model, options_.study.exec_mode));
-  }
-  const std::vector<GroupDefinition>* plan_groups =
-      plan != nullptr ? plan->groups.get() : nullptr;
+  FC_ASSIGN_OR_RETURN(TunedModelFamily family, ModelFamilyByName(model));
 
   const bool persist = !options_.cache_dir.empty();
   std::string cache_key;
@@ -603,7 +591,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
       SlotOutcome outcome;
       {
         StageScope stage(StageWall("compute"), "compute");
-        outcome = ComputeSlot(dataset, error_type, family, slot, plan_groups);
+        outcome = ComputeSlot(dataset, error_type, family, slot);
       }
       FC_RETURN_IF_ERROR(MergeSlot(slot, std::move(outcome), dataset,
                                    error_type, model, journal_key, persist,
@@ -629,15 +617,13 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     for (size_t slot = resume_from; slot < num_repeats; ++slot) {
       if (BudgetExhausted()) break;
       futures.push_back(pool.Submit(
-          [this, &dataset, &error_type, &family, plan_groups,
-           slot]() -> SlotOutcome {
+          [this, &dataset, &error_type, &family, slot]() -> SlotOutcome {
             if (BudgetExhausted()) {
               SlotOutcome out;
               out.budget_skipped = true;
               return out;
             }
-            return ComputeSlot(dataset, error_type, family, slot,
-                               plan_groups);
+            return ComputeSlot(dataset, error_type, family, slot);
           }));
       scheduled_end = slot + 1;
     }

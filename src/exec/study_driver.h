@@ -17,22 +17,6 @@
 namespace fairclean {
 namespace exec {
 
-/// Pre-materialized per-cell inputs handed down by the wave planner
-/// (sched::WavePlanner, DESIGN.md §15): whatever a (dataset, seed) group of
-/// cells would otherwise rebuild per cell. Immutable once built — the
-/// driver only reads through the shared_ptrs, so one plan can serve many
-/// cells across worker threads. Every field is a pure function of inputs
-/// the driver would derive itself, which is what keeps planned and
-/// unplanned runs byte-identical.
-struct CellPlanInputs {
-  /// Group definitions derived from the dataset spec
-  /// (GroupDefinitionsFor), shared by every cell of the group.
-  std::shared_ptr<const std::vector<GroupDefinition>> groups;
-  /// Mode-resolved tuned model family for this cell's model name
-  /// (ModelFamilyByName under the study's exec_mode).
-  std::shared_ptr<const TunedModelFamily> family;
-};
-
 /// Knobs of the fault-tolerant study execution layer.
 struct StudyDriverOptions {
   StudyOptions study;
@@ -131,15 +115,9 @@ class StudyDriver {
   /// Runs (or loads, or resumes) the cleaning experiment for one
   /// (dataset, error type, model family). On DeadlineExceeded the
   /// completed repeats are journaled and a re-run resumes them.
-  ///
-  /// `plan` optionally supplies wave-planner-materialized inputs; null
-  /// rebuilds them per call (the standalone path). Results are
-  /// byte-identical either way.
   Result<CleaningExperimentResult> RunOrLoad(const GeneratedDataset& dataset,
                                              const std::string& error_type,
-                                             const std::string& model,
-                                             const CellPlanInputs* plan =
-                                                 nullptr);
+                                             const std::string& model);
 
   /// Snapshot of the driver's metric instruments in the legacy
   /// RunDiagnostics shape. Counters are shared with the global metrics
@@ -190,13 +168,11 @@ class StudyDriver {
   bool BudgetExhausted() const;
 
   /// Runs the retry loop for one repeat slot. Pure given (dataset,
-  /// error_type, family, slot, groups) apart from fault injection, so
-  /// slots can compute on any thread in any order. `groups` may be null
-  /// (derived per slice) or the plan's shared definitions.
+  /// error_type, family, slot) apart from fault injection, so slots can
+  /// compute on any thread in any order.
   SlotOutcome ComputeSlot(const GeneratedDataset& dataset,
                           const std::string& error_type,
-                          const TunedModelFamily& family, size_t slot,
-                          const std::vector<GroupDefinition>* groups) const;
+                          const TunedModelFamily& family, size_t slot) const;
 
   /// Merges one computed slot into `result` (scores or skip marker plus
   /// journal cursor) and checkpoints the journal. Driver thread only.

@@ -22,12 +22,6 @@ struct GbdtOptions {
   /// values < 1 make training depend on the Fit rng, mirroring the paper's
   /// per-seed model instances.
   double subsample = 0.8;
-  /// Fused-mode kernel switch: PredictProba walks trees-outer over blocks
-  /// of rows (each tree's nodes stay cache-hot across the block) instead of
-  /// rows-outer over all trees. Every row still accumulates
-  /// base + lr*tree0 + lr*tree1 + ... in the same order, so the scores are
-  /// bit-identical to the plain path (DESIGN.md §15).
-  bool stacked_predict = false;
   RegressionTreeOptions tree;
 };
 

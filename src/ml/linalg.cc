@@ -180,15 +180,6 @@ void BlockedSquaredDistancesPacked(const Matrix& queries, size_t query_begin,
 #endif
 }
 
-void BlockedSquaredDistances(const Matrix& queries, size_t query_begin,
-                             size_t query_end, const Matrix& train,
-                             double* out) {
-  PackedPanels packed;
-  PackTrainPanels(train, &packed);
-  BlockedSquaredDistancesPacked(queries, query_begin, query_end, train,
-                                packed, out);
-}
-
 Result<std::vector<double>> SolveCholesky(const std::vector<double>& a,
                                           const std::vector<double>& b,
                                           size_t n) {

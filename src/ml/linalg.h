@@ -13,30 +13,14 @@ namespace fairclean {
 /// `query` (train.cols() doubles) to train row t, accumulated in ascending
 /// feature order with one accumulator per pair — the exact loop of the
 /// pre-blocking kNN implementation. Kept as the bit-identity oracle for
-/// BlockedSquaredDistances and as the naive side of the kernel microbench.
+/// BlockedSquaredDistancesPacked.
 void SquaredDistancesToRow(const Matrix& train, const double* query,
                            double* out);
 
-/// Cache-blocked, query-tiled squared-distance kernel: for every query row
-/// q in [query_begin, query_end) fills
-///   out[(q - query_begin) * train.rows() + t]
-/// with the squared Euclidean distance to train row t.
-///
-/// Train rows are packed once into register-width panels so the inner loop
-/// keeps one independent accumulator per panel row in vector registers
-/// (breaking the reference loop's add latency chain) while every pair
-/// still accumulates its squares in the same ascending feature order as
-/// SquaredDistancesToRow. The blocking reorders only WHICH pair is computed
-/// when — never the float sums inside a pair — so every distance is
-/// bit-equal to the reference kernel (no norm-trick expansion).
-void BlockedSquaredDistances(const Matrix& queries, size_t query_begin,
-                             size_t query_end, const Matrix& train,
-                             double* out);
-
-/// Panel-major packing of a train matrix, reusable across query blocks (the
-/// many-RHS form of BlockedSquaredDistances: pack once, sweep many query
-/// tiles). `width == 0` marks the portable build, where no packing exists
-/// and the packed entry point falls back to the reference kernel.
+/// Panel-major packing of a train matrix, reusable across query blocks
+/// (pack once, sweep many query tiles). `width == 0` marks the portable
+/// build, where no packing exists and the packed entry point falls back to
+/// the reference kernel.
 struct PackedPanels {
   size_t width = 0;
   size_t num_panels = 0;
@@ -47,9 +31,19 @@ struct PackedPanels {
 /// Packs `train` once for BlockedSquaredDistancesPacked.
 void PackTrainPanels(const Matrix& train, PackedPanels* packed);
 
-/// BlockedSquaredDistances against a pre-packed train matrix. Bit-equal to
-/// the unpacked entry point (the packing is pure data movement); `packed`
-/// must have been built from `train` by PackTrainPanels.
+/// Cache-blocked, query-tiled squared-distance kernel: for every query row
+/// q in [query_begin, query_end) fills
+///   out[(q - query_begin) * train.rows() + t]
+/// with the squared Euclidean distance to train row t. `packed` must have
+/// been built from `train` by PackTrainPanels.
+///
+/// The packed panels let the inner loop keep one independent accumulator
+/// per panel row in vector registers (breaking the reference loop's add
+/// latency chain) while every pair still accumulates its squares in the
+/// same ascending feature order as SquaredDistancesToRow. The blocking
+/// reorders only WHICH pair is computed when — never the float sums inside
+/// a pair — so every distance is bit-equal to the reference kernel (no
+/// norm-trick expansion).
 void BlockedSquaredDistancesPacked(const Matrix& queries, size_t query_begin,
                                    size_t query_end, const Matrix& train,
                                    const PackedPanels& packed, double* out);

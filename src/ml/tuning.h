@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_mode.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "data/split.h"
@@ -30,13 +29,13 @@ struct TunedModelFamily {
   /// PresortedFeatures of its training matrix (xgboost); lets the tuner
   /// presort every fold once for the whole grid instead of once per fit.
   bool wants_presort = false;
-  /// Optional fused-mode batched grid evaluator: validation accuracy of one
-  /// fold for EVERY param_grid entry from a single pass (kNN answers the
-  /// whole k grid from one top-max(k) distance sweep). Each entry must be
-  /// bit-equal to the per-grid-point fit+score path; an error marks the
-  /// fold failed for every grid entry, matching the per-point skip. Null
-  /// when the family has no batched kernel — the tuner then falls back to
-  /// the per-grid-point loop even in fused mode.
+  /// Optional batched grid evaluator: validation accuracy of one fold for
+  /// EVERY param_grid entry from a single pass (kNN answers the whole k
+  /// grid from one top-max(k) distance sweep). Each entry must be bit-equal
+  /// to the per-grid-point fit+score path; an error marks the fold failed
+  /// for every grid entry, matching the per-point skip. Null when the
+  /// family has no batched kernel — the tuner then runs the per-grid-point
+  /// loop.
   std::function<Result<std::vector<double>>(const TuningFoldData&)>
       fused_grid_eval;
 };
@@ -67,17 +66,14 @@ std::vector<TuningFoldData> MaterializeTuningFolds(
     const std::vector<TrainTestIndices>& folds, bool with_presort,
     const std::vector<int>* group_membership = nullptr);
 
-/// The three families of the study with their default grids. `mode` picks
-/// the kernel flavor (fused families enable the batched grid evaluator and
-/// the packed/stacked predict kernels); every mode scores identically,
-/// bit for bit.
+/// The three families of the study with their default grids. kNN carries
+/// the batched grid evaluator; log-reg and xgboost tune per grid point.
 TunedModelFamily LogRegFamily();
-TunedModelFamily KnnFamily(ExecMode mode = ExecMode::kFused);
-TunedModelFamily GbdtFamily(ExecMode mode = ExecMode::kFused);
+TunedModelFamily KnnFamily();
+TunedModelFamily GbdtFamily();
 
 /// Looks up a family by its paper name ("log-reg", "knn", "xgboost").
-Result<TunedModelFamily> ModelFamilyByName(const std::string& name,
-                                           ExecMode mode = ExecMode::kFused);
+Result<TunedModelFamily> ModelFamilyByName(const std::string& name);
 
 /// Names of all model families, in the paper's order.
 std::vector<std::string> AllModelNames();
@@ -93,15 +89,14 @@ struct TuneOutcome {
 /// the earlier grid entry), then trains a fresh model on the full training
 /// set. All randomized decisions derive from `rng`.
 ///
-/// `mode` selects how much work is shared across the grid (DESIGN.md §15):
-/// naive re-materializes every fold slice (and presort) per grid point,
-/// shared materializes them once per tune, fused additionally evaluates the
-/// whole grid per fold through `family.fused_grid_eval` when available.
-/// The rng fork sequence is identical in every mode, so the selected
-/// hyperparameter, CV accuracy, and final model are byte-identical.
+/// Each fold's slices are materialized once per tune (DESIGN.md §15). The
+/// grid is then scored per fold through `family.fused_grid_eval` when the
+/// family has one, and otherwise one fit per grid point. Both draw the same
+/// rng fork sequence, so the selected hyperparameter, CV accuracy, and
+/// final model are byte-identical either way.
 Result<TuneOutcome> TuneAndFit(const TunedModelFamily& family, const Matrix& x,
                                const std::vector<int>& y, size_t num_folds,
-                               Rng* rng, ExecMode mode = ExecMode::kFused);
+                               Rng* rng);
 
 }  // namespace fairclean
 

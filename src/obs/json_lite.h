@@ -16,7 +16,7 @@ std::string JsonEscape(std::string_view text);
 
 /// A parsed JSON value. Deliberately tiny: enough to validate the files
 /// this repo emits (trace-event JSON, metrics JSONL) and to aggregate them
-/// in tools/trace_summary — not a general-purpose JSON library.
+/// in tools/obs_tool — not a general-purpose JSON library.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -87,17 +87,13 @@ Status SuiteScheduler::ProduceWaveCells(const SuiteSpec& spec,
                                         size_t wave_index,
                                         const std::vector<size_t>& ids) {
   if (ids.empty()) return Status::OK();
-  std::vector<CellKey> wave_cells;
-  wave_cells.reserve(ids.size());
-  for (size_t id : ids) wave_cells.push_back(graph.nodes()[id].cell);
   current_wave_ = wave_index;
-  planner_.PlanWave(wave_index, wave_cells);
   // Same LPT submission discipline as ExecuteGraph: longest-first with
   // ascending node id as the deterministic tiebreak.
   std::vector<size_t> order = ids;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = CellCostRank(graph.nodes()[a].cell, options_.study.exec_mode);
-    int rb = CellCostRank(graph.nodes()[b].cell, options_.study.exec_mode);
+    int ra = CellCostRank(graph.nodes()[a].cell);
+    int rb = CellCostRank(graph.nodes()[b].cell);
     if (ra != rb) return ra > rb;
     return a < b;
   });
@@ -106,7 +102,6 @@ Status SuiteScheduler::ProduceWaveCells(const SuiteSpec& spec,
         return InvokeWithStatusCapture(
             [&, i] { return RunNode(spec, graph, order[i]); });
       });
-  planner_.EndWave();
   current_wave_ = kNoWave;
   size_t failed_pos = order.size();
   for (size_t i = 0; i < order.size(); ++i) {

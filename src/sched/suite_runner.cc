@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/env.h"
-#include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/safe_io.h"
@@ -35,7 +34,6 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   options.study.test_fraction = 0.3;
   options.study.seed =
       static_cast<uint64_t>(GetEnvInt64("FAIRCLEAN_SEED", 42));
-  FC_ASSIGN_OR_RETURN(options.study.exec_mode, ExecModeFromEnv());
   options.cache_dir = GetEnvString("FAIRCLEAN_CACHE_DIR", "fairclean_cache");
   FC_ASSIGN_OR_RETURN(
       int64_t max_retries,
@@ -154,6 +152,12 @@ void PrintTableWithReference(const ImpactTable& measured,
       paper_direction == measured_direction ? "MATCH" : "MISMATCH");
 }
 
+int CellCostRank(const CellKey& cell) {
+  if (cell.model == "xgboost") return 30;
+  if (cell.model == "knn") return 20;
+  return 10;  // log-reg and anything unknown: cheap, fills the tail
+}
+
 SuiteScheduler::SuiteScheduler(SuiteOptions options)
     : options_(std::move(options)),
       width_(options_.threads != 0 ? options_.threads
@@ -164,8 +168,6 @@ SuiteScheduler::SuiteScheduler(SuiteOptions options)
           metrics_.GetCounter("sched.figure_records_loaded")),
       figure_records_written_(
           metrics_.GetCounter("sched.figure_records_written")),
-      planner_(options_.study.exec_mode, options_.study.seed,
-               [this](const std::string& name) { return Dataset(name); }),
       start_(std::chrono::steady_clock::now()),
       store_(options_.cache_dir) {
   if (width_ > 1) pool_ = std::make_unique<ThreadPool>(width_);
@@ -279,24 +281,8 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
                ? "cell " + cell.Id()
                : StrFormat("cell w%zu %s", wave, cell.Id().c_str());
   });
-  // Shared inputs from the wave planner when this cell's group was planned;
-  // otherwise rebuild per cell. Both paths are byte-identical — the plan
-  // only removes redundant work (DESIGN.md §15).
-  const WavePlan* plan = planner_.Consume(cell);
-  std::shared_ptr<const GeneratedDataset> dataset;
-  if (plan != nullptr && plan->data != nullptr) {
-    dataset = plan->data;
-  } else if (options_.study.exec_mode == ExecMode::kNaive) {
-    // Naive baseline: regenerate the dataset for every cell instead of
-    // touching the shared artifact — the deliberately unshared cost the
-    // planner exists to remove. Generation is a pure function of
-    // (name, seed), so the bytes do not change.
-    FC_ASSIGN_OR_RETURN(GeneratedDataset rebuilt,
-                        MakeSuiteDataset(cell.dataset, options_.study.seed));
-    dataset = std::make_shared<const GeneratedDataset>(std::move(rebuilt));
-  } else {
-    FC_ASSIGN_OR_RETURN(dataset, Dataset(cell.dataset));
-  }
+  FC_ASSIGN_OR_RETURN(std::shared_ptr<const GeneratedDataset> dataset,
+                      Dataset(cell.dataset));
   FC_ASSIGN_OR_RETURN(exec::StudyDriverOptions driver_options,
                       CellDriverOptions());
   if (options_.shard.mode == ShardMode::kClaim || cell_checkpoint_hook_) {
@@ -310,14 +296,8 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
     };
   }
   exec::StudyDriver driver(driver_options);
-  exec::CellPlanInputs inputs;
-  const exec::CellPlanInputs* plan_inputs = nullptr;
-  if (plan != nullptr) {
-    inputs = plan->InputsFor(cell.model);
-    plan_inputs = &inputs;
-  }
   Result<CleaningExperimentResult> result =
-      driver.RunOrLoad(*dataset, cell.error_type, cell.model, plan_inputs);
+      driver.RunOrLoad(*dataset, cell.error_type, cell.model);
   Accumulate(driver.diagnostics());
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded &&
@@ -493,25 +473,21 @@ Result<ScopeResults> SuiteScheduler::RunScopeCells(const StudyScope& scope) {
       cells.push_back({dataset, scope.error_type, model});
     }
   }
-  // The scope fan-out is a single pseudo-wave: plan its (dataset, seed)
-  // groups up front exactly like a graph wave, so the legacy bench path
-  // shares materializations too.
+  // The scope fan-out is a single pseudo-wave.
   current_wave_ = 0;
-  planner_.PlanWave(0, cells);
   // Longest-first submission order (see ExecuteGraph); results are mapped
   // back to cell order below, so only the makespan changes.
   std::vector<size_t> order(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = CellCostRank(cells[a], options_.study.exec_mode);
-    int rb = CellCostRank(cells[b], options_.study.exec_mode);
+    int ra = CellCostRank(cells[a]);
+    int rb = CellCostRank(cells[b]);
     if (ra != rb) return ra > rb;
     return a < b;
   });
   std::vector<Result<std::shared_ptr<const CellArtifact>>> produced =
       RunIndexed(pool_.get(), order.size(),
                  [&](size_t i) { return Cell(cells[order[i]]); });
-  planner_.EndWave();
   current_wave_ = kNoWave;
   std::vector<Result<std::shared_ptr<const CellArtifact>>*> by_cell(
       cells.size());
@@ -656,12 +632,9 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
     const std::vector<size_t>& wave = waves[w];
     std::vector<size_t> fan_out;
     std::vector<size_t> serial;
-    std::vector<CellKey> wave_cells;
     for (size_t id : wave) {
       switch (graph.nodes()[id].kind) {
         case NodeKind::kCell:
-          wave_cells.push_back(graph.nodes()[id].cell);
-          [[fallthrough]];
         case NodeKind::kDataset:
         case NodeKind::kFigure:
           fan_out.push_back(id);
@@ -670,12 +643,7 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
           serial.push_back(id);
       }
     }
-    // Materialize the wave's shared (dataset, seed) group inputs once,
-    // single-threaded, before the fan-out (DESIGN.md §15). Cell nodes
-    // depend on their dataset node in an earlier wave, so the planner's
-    // dataset lookups are artifact-store cache hits.
     current_wave_ = w;
-    planner_.PlanWave(w, wave_cells);
     // Submit the wave longest-first (LPT): expensive cells start before
     // cheap ones, so the tail of the wave fills idle workers instead of
     // stranding one long cell at the end. Stable sort with ascending id as
@@ -686,8 +654,7 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
                        const GraphNode& nb = graph.nodes()[b];
                        auto rank = [this](const GraphNode& node) {
                          return node.kind == NodeKind::kCell
-                                    ? CellCostRank(node.cell,
-                                                   options_.study.exec_mode)
+                                    ? CellCostRank(node.cell)
                                     : 15;  // datasets/figures: mid-weight
                        };
                        int ra = rank(na);
@@ -703,7 +670,6 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
           return InvokeWithStatusCapture(
               [&, i] { return RunNode(spec, graph, fan_out[i]); });
         });
-    planner_.EndWave();
     current_wave_ = kNoWave;
     size_t failed_pos = fan_out.size();
     for (size_t i = 0; i < fan_out.size(); ++i) {

@@ -23,7 +23,6 @@
 #include "sched/shard.h"
 #include "sched/suite_spec.h"
 #include "sched/lease.h"
-#include "sched/wave_plan.h"
 #include "store/blob_store.h"
 
 namespace fairclean {
@@ -65,9 +64,9 @@ struct SuiteOptions {
 
 /// The bench-scale defaults (sample 3500, 16 repeats, 3 folds, holdout
 /// 0.3, seed 42) overridable via FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
-/// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_EXEC_MODE /
-/// FAIRCLEAN_CACHE_DIR / FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S /
-/// FAIRCLEAN_THREADS / FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_SHARD_LEASE_S.
+/// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_CACHE_DIR /
+/// FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S / FAIRCLEAN_THREADS /
+/// FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_SHARD_LEASE_S.
 /// Reads the environment exactly once, at the call. Count and budget knobs
 /// parse strictly (GetEnvCount / GetEnvBudgetSeconds): trailing garbage,
 /// NaN/inf, or a negative value is an InvalidArgument instead of a silent
@@ -117,6 +116,15 @@ Result<ImpactTable> AggregateImpactTable(const ScopeResults& results,
 void PrintTableWithReference(const ImpactTable& measured,
                              const PaperTable& reference,
                              const std::string& title);
+
+/// Relative cost rank of one cell for longest-processing-time-first (LPT)
+/// ordering: the scheduler submits a wave's fan-out in descending rank so
+/// the expensive cells start first and the cheap ones fill the tail,
+/// tightening the wave's makespan. Pure scheduling — results land in
+/// id-indexed slots and failures are still reported in deterministic node
+/// order, so the bytes cannot change. GBDT tuning is the longest pole, then
+/// kNN; log-reg and unknown models are cheap.
+int CellCostRank(const CellKey& cell);
 
 /// Runs the paper grid as one DAG: dataset and experiment-cell nodes are
 /// deduplicated across units and produced exactly once through a
@@ -289,8 +297,8 @@ class SuiteScheduler {
   };
   /// Cache key of one cell under this suite's scale (pure; no store I/O).
   std::string CellCacheKey(const CellKey& cell) const;
-  /// Produces the given cell nodes of wave `w` through the planner + pool
-  /// (the fan-out slice of ExecuteGraph, cells only).
+  /// Produces the given cell nodes of wave `w` through the pool (the
+  /// fan-out slice of ExecuteGraph, cells only).
   Status ProduceWaveCells(const SuiteSpec& spec, const ExperimentGraph& graph,
                           size_t wave_index, const std::vector<size_t>& ids);
   Status RunClaimWave(const SuiteSpec& spec, const ExperimentGraph& graph,
@@ -341,14 +349,10 @@ class SuiteScheduler {
   /// Figure panels served from / written to the on-disk store.
   obs::Counter* figure_records_loaded_;
   obs::Counter* figure_records_written_;
-  /// Wave-level execution planner (DESIGN.md §15): materializes the shared
-  /// per-(dataset, seed) inputs of each wave's cell group once, before the
-  /// wave fans out.
-  WavePlanner planner_;
   /// Wave index of the fan-out currently executing; kNoWave outside one.
-  /// Tags cell spans "cell w<k> ..." so trace summaries can group the
-  /// planner's materialization cost with the wave it paid for. Written
-  /// only on the scheduling thread between fan-outs.
+  /// Tags cell spans "cell w<k> ..." so trace digests can break cell time
+  /// down per wave. Written only on the scheduling thread between
+  /// fan-outs.
   static constexpr size_t kNoWave = static_cast<size_t>(-1);
   size_t current_wave_ = kNoWave;
   std::unique_ptr<ThreadPool> pool_;  ///< null when width_ == 1

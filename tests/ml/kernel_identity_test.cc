@@ -9,8 +9,10 @@
 // The binary is registered three times in tests/CMakeLists.txt with
 // FAIRCLEAN_THREADS ∈ {1, 2, 8} so the same goldens are enforced at every
 // thread width — parallel schedules must be byte-identical to sequential.
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "ml/gbdt.h"
 #include "ml/isolation_forest.h"
 #include "ml/knn.h"
+#include "ml/linalg.h"
 #include "ml/tuning.h"
 #include "tests/ml/test_data.h"
 
@@ -182,27 +185,83 @@ TEST(KernelIdentityTest, KnnPredictGolden) {
                   0x1.3333333333333p-1});
 }
 
-// The §15 execution-mode ladder at the kernel layer: the naive reference
-// kNN path (per-query distance rows, no batching), the blocked kernel, and
-// the packed fused kernel must produce the same bits for every query.
-TEST(KernelIdentityTest, KnnModeLadderBitIdentical) {
-  test::BlobData data = test::MakeBlobs(400, 6, 1.5, 9);
-  test::BlobData queries = test::MakeBlobs(37, 6, 1.5, 10);
-  std::vector<std::vector<double>> proba;
-  for (int rung = 0; rung < 3; ++rung) {
-    KnnOptions options;
-    options.blocked = rung > 0;
-    options.packed_reuse = rung > 1;
-    KnnClassifier model(options);
-    Rng rng(23);
-    ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
-    proba.push_back(model.PredictProba(queries.x));
+// Per-query brute force written out here: reference distance row, full
+// (distance, row index) sort, first k labels. PredictProba's packed
+// blocked kernel and bounded selection must match it bit for bit.
+std::vector<double> BruteForceKnnProba(const Matrix& train,
+                                       const std::vector<int>& train_y,
+                                       const Matrix& queries, size_t k) {
+  size_t n_train = train.rows();
+  k = std::min(k, n_train);
+  std::vector<double> sq(n_train);
+  std::vector<std::pair<double, size_t>> order(n_train);
+  std::vector<double> out(queries.rows());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    SquaredDistancesToRow(train, queries.Row(q), sq.data());
+    for (size_t t = 0; t < n_train; ++t) order[t] = {sq[t], t};
+    std::sort(order.begin(), order.end());
+    int positives = 0;
+    for (size_t j = 0; j < k; ++j) positives += train_y[order[j].second];
+    out[q] = static_cast<double>(positives) / static_cast<double>(k);
   }
-  EXPECT_EQ(proba[0], proba[1]) << "naive vs blocked";
-  EXPECT_EQ(proba[1], proba[2]) << "blocked vs packed";
+  return out;
 }
 
-// The fused grid kernel answers the whole k grid from one top-max(k) sweep;
+// Gaussian blobs plus a small integer lattice: the lattice makes many
+// distances tie exactly, and its rows are appended twice with opposite
+// labels, so duplicate train rows compete for the same neighbor slots and
+// only the row-index tie-break decides which labels are counted.
+TEST(KernelIdentityTest, KnnPredictMatchesBruteForce) {
+  test::BlobData blobs = test::MakeBlobs(200, 3, 1.5, 9);
+  const size_t lattice = 27;  // {0,1,2}^3
+  Matrix train(blobs.x.rows() + 2 * lattice, 3);
+  std::vector<int> train_y(train.rows());
+  for (size_t i = 0; i < blobs.x.rows(); ++i) {
+    for (size_t d = 0; d < 3; ++d) train(i, d) = blobs.x(i, d);
+    train_y[i] = blobs.y[i];
+  }
+  for (size_t copy = 0; copy < 2; ++copy) {
+    for (size_t p = 0; p < lattice; ++p) {
+      size_t row = blobs.x.rows() + copy * lattice + p;
+      train(row, 0) = static_cast<double>(p % 3);
+      train(row, 1) = static_cast<double>((p / 3) % 3);
+      train(row, 2) = static_cast<double>(p / 9);
+      train_y[row] = static_cast<int>((p + copy) % 2);
+    }
+  }
+  // 131 queries span three 64-query blocks: lattice points (exact ties,
+  // zero distances to both duplicates), half-lattice points (ties at
+  // equal nonzero distance), and blob rows.
+  test::BlobData blob_queries = test::MakeBlobs(77, 3, 1.5, 10);
+  Matrix queries(131, 3);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    for (size_t d = 0; d < 3; ++d) {
+      if (q < lattice) {
+        queries(q, d) = train(blobs.x.rows() + q, d);
+      } else if (q < 2 * lattice) {
+        queries(q, d) = train(blobs.x.rows() + q - lattice, d) + 0.5;
+      } else {
+        queries(q, d) = blob_queries.x(q - 2 * lattice, d);
+      }
+    }
+  }
+  for (int k : {1, 2, 7, 31, 400}) {
+    KnnOptions options;
+    options.k = k;
+    KnnClassifier model(options);
+    Rng rng(23);
+    ASSERT_TRUE(model.Fit(train, train_y, &rng).ok());
+    std::vector<double> proba = model.PredictProba(queries);
+    std::vector<double> oracle =
+        BruteForceKnnProba(train, train_y, queries, static_cast<size_t>(k));
+    ASSERT_EQ(proba.size(), oracle.size());
+    for (size_t q = 0; q < proba.size(); ++q) {
+      EXPECT_EQ(proba[q], oracle[q]) << "k=" << k << " query " << q;
+    }
+  }
+}
+
+// The batched grid kernel answers the whole k grid from one top-max(k) sweep;
 // its accuracies must equal fitting one classifier per k and scoring its
 // 0.5-thresholded predictions — exactly, not approximately.
 TEST(KernelIdentityTest, KnnGridMatchesPerKOracle) {
@@ -230,55 +289,55 @@ TEST(KernelIdentityTest, KnnGridMatchesPerKOracle) {
   }
 }
 
-// GBDT stacked prediction (trees-outer over row blocks) against the plain
-// per-row tree walk: same model, same bits.
-TEST(KernelIdentityTest, GbdtStackedPredictBitIdentical) {
+// GBDT prediction runs trees-outer over 64-row blocks. A single-row call is
+// the rows-outer order (one row, every tree), so a whole-matrix call with
+// a ragged final block must match row-by-row calls bit for bit.
+TEST(KernelIdentityTest, GbdtBlockPredictMatchesSingleRows) {
   test::BlobData data = test::MakeBlobs(250, 4, 1.0, 21);
   test::BlobData queries = test::MakeBlobs(97, 4, 1.0, 22);
-  std::vector<std::vector<double>> proba;
-  for (bool stacked : {false, true}) {
-    GbdtOptions options;
-    options.stacked_predict = stacked;
-    GradientBoostedTrees model(options);
-    Rng rng(19);
-    ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
-    proba.push_back(model.PredictProba(queries.x));
+  GradientBoostedTrees model;
+  Rng rng(19);
+  ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
+  std::vector<double> proba = model.PredictProba(queries.x);
+  ASSERT_EQ(proba.size(), queries.x.rows());
+  for (size_t i = 0; i < queries.x.rows(); ++i) {
+    std::vector<double> single = model.PredictProba(queries.x.TakeRows({i}));
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(proba[i], single[0]) << "row " << i;
   }
-  EXPECT_EQ(proba[0], proba[1]);
 }
 
-// Whole-tune mode identity: for every model family, TuneAndFit under
-// naive, shared, and fused selects the same hyperparameter, reports the
-// same CV accuracy, and trains a bit-identical final model. This is the
-// kernel-layer half of the suite-level mode identity the wave_plan and
-// suite_golden registrations pin.
-TEST(KernelIdentityTest, TuneAndFitModeLadderBitIdentical) {
+// Batched grid evaluation against the per-grid-point loop: for every model
+// family, TuneAndFit with `fused_grid_eval` cleared selects the same
+// hyperparameter, reports the same CV accuracy, and trains a bit-identical
+// final model as with it set. The suite-level half of this identity is
+// pinned by the suite_golden registrations.
+TEST(KernelIdentityTest, TuneAndFitBatchedGridMatchesPerPointLoop) {
   test::BlobData data = test::MakeBlobs(180, 4, 1.3, 41);
   test::BlobData queries = test::MakeBlobs(23, 4, 1.3, 42);
   for (const std::string& name : AllModelNames()) {
-    struct ModeOutcome {
+    Result<TunedModelFamily> batched = ModelFamilyByName(name);
+    ASSERT_TRUE(batched.ok()) << name;
+    TunedModelFamily per_point = *batched;
+    per_point.fused_grid_eval = nullptr;
+    struct Outcome {
       double param;
       double cv_accuracy;
       std::vector<double> proba;
     };
-    std::vector<ModeOutcome> outcomes;
-    for (ExecMode mode :
-         {ExecMode::kNaive, ExecMode::kShared, ExecMode::kFused}) {
-      Result<TunedModelFamily> family = ModelFamilyByName(name, mode);
-      ASSERT_TRUE(family.ok()) << name;
+    std::vector<Outcome> outcomes;
+    for (const TunedModelFamily* family : {&per_point, &*batched}) {
       Rng rng(77);
       Result<TuneOutcome> outcome =
-          TuneAndFit(*family, data.x, data.y, 3, &rng, mode);
+          TuneAndFit(*family, data.x, data.y, 3, &rng);
       ASSERT_TRUE(outcome.ok()) << name << ": "
                                 << outcome.status().ToString();
       outcomes.push_back({outcome->best_param, outcome->best_cv_accuracy,
                           outcome->model->PredictProba(queries.x)});
     }
-    for (size_t m = 1; m < outcomes.size(); ++m) {
-      EXPECT_EQ(outcomes[m].param, outcomes[0].param) << name;
-      EXPECT_EQ(outcomes[m].cv_accuracy, outcomes[0].cv_accuracy) << name;
-      EXPECT_EQ(outcomes[m].proba, outcomes[0].proba) << name;
-    }
+    EXPECT_EQ(outcomes[1].param, outcomes[0].param) << name;
+    EXPECT_EQ(outcomes[1].cv_accuracy, outcomes[0].cv_accuracy) << name;
+    EXPECT_EQ(outcomes[1].proba, outcomes[0].proba) << name;
   }
 }
 

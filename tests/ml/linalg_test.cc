@@ -8,7 +8,7 @@ namespace fairclean {
 namespace {
 
 // Fills `out` with distances from every query to every train row using the
-// reference kernel — the oracle the blocked kernel must match bit for bit.
+// reference kernel — the oracle the packed kernel must match bit for bit.
 std::vector<double> ReferenceDistances(const Matrix& queries,
                                        size_t query_begin, size_t query_end,
                                        const Matrix& train) {
@@ -20,12 +20,22 @@ std::vector<double> ReferenceDistances(const Matrix& queries,
   return out;
 }
 
+// Packs `train` once and runs the production kernel over the query range.
+std::vector<double> PackedDistances(const Matrix& queries, size_t query_begin,
+                                    size_t query_end, const Matrix& train) {
+  PackedPanels packed;
+  PackTrainPanels(train, &packed);
+  std::vector<double> out((query_end - query_begin) * train.rows());
+  BlockedSquaredDistancesPacked(queries, query_begin, query_end, train,
+                                packed, out.data());
+  return out;
+}
+
 TEST(BlockedSquaredDistancesTest, BitEqualsReferenceKernel) {
   test::BlobData train = test::MakeBlobs(97, 5, 1.5, 41);
   test::BlobData queries = test::MakeBlobs(23, 5, 1.5, 42);
-  std::vector<double> blocked(queries.x.rows() * train.x.rows());
-  BlockedSquaredDistances(queries.x, 0, queries.x.rows(), train.x,
-                          blocked.data());
+  std::vector<double> blocked =
+      PackedDistances(queries.x, 0, queries.x.rows(), train.x);
   std::vector<double> reference =
       ReferenceDistances(queries.x, 0, queries.x.rows(), train.x);
   ASSERT_EQ(blocked.size(), reference.size());
@@ -40,9 +50,8 @@ TEST(BlockedSquaredDistancesTest, OddSizesAcrossTileBoundary) {
   // must both match the reference exactly.
   test::BlobData train = test::MakeBlobs(131, 3, 2.0, 43);
   test::BlobData queries = test::MakeBlobs(7, 3, 2.0, 44);
-  std::vector<double> blocked(queries.x.rows() * train.x.rows());
-  BlockedSquaredDistances(queries.x, 0, queries.x.rows(), train.x,
-                          blocked.data());
+  std::vector<double> blocked =
+      PackedDistances(queries.x, 0, queries.x.rows(), train.x);
   std::vector<double> reference =
       ReferenceDistances(queries.x, 0, queries.x.rows(), train.x);
   for (size_t i = 0; i < blocked.size(); ++i) {
@@ -53,8 +62,7 @@ TEST(BlockedSquaredDistancesTest, OddSizesAcrossTileBoundary) {
 TEST(BlockedSquaredDistancesTest, SubRangeOfQueries) {
   test::BlobData train = test::MakeBlobs(50, 4, 1.0, 45);
   test::BlobData queries = test::MakeBlobs(20, 4, 1.0, 46);
-  std::vector<double> blocked(5 * train.x.rows());
-  BlockedSquaredDistances(queries.x, 11, 16, train.x, blocked.data());
+  std::vector<double> blocked = PackedDistances(queries.x, 11, 16, train.x);
   std::vector<double> reference = ReferenceDistances(queries.x, 11, 16,
                                                      train.x);
   for (size_t i = 0; i < blocked.size(); ++i) {
@@ -64,9 +72,8 @@ TEST(BlockedSquaredDistancesTest, SubRangeOfQueries) {
 
 TEST(BlockedSquaredDistancesTest, ZeroDistanceToSelf) {
   test::BlobData train = test::MakeBlobs(10, 3, 1.0, 47);
-  std::vector<double> blocked(train.x.rows() * train.x.rows());
-  BlockedSquaredDistances(train.x, 0, train.x.rows(), train.x,
-                          blocked.data());
+  std::vector<double> blocked =
+      PackedDistances(train.x, 0, train.x.rows(), train.x);
   for (size_t i = 0; i < train.x.rows(); ++i) {
     EXPECT_EQ(blocked[i * train.x.rows() + i], 0.0);
   }

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/safe_io.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
@@ -36,7 +35,6 @@ StudyOptions GoldenStudy() {
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  options.exec_mode = ExecModeFromEnv().ValueOrDie();
   return options;
 }
 

@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/safe_io.h"
 #include "sched/lease.h"
@@ -40,7 +39,6 @@ StudyOptions GoldenStudy() {
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  options.exec_mode = ExecModeFromEnv().ValueOrDie();
   return options;
 }
 

@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/safe_io.h"
@@ -39,10 +38,6 @@ StudyOptions GoldenStudy() {
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  // The mode-identity registrations (suite_golden_<mode>_t{1,2,4}) rerun
-  // this whole binary with FAIRCLEAN_EXEC_MODE=naive/shared: every golden
-  // byte contract must hold unchanged on each rung of the §15 ladder.
-  options.exec_mode = ExecModeFromEnv().ValueOrDie();
   return options;
 }
 
