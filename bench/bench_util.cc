@@ -56,8 +56,7 @@ int RunTableBench(const std::string& unit_name) {
 }
 
 Status WriteBenchPerfJson(const std::string& path,
-                          const std::map<std::string, double>& op_seconds,
-                          size_t threads, double speedup) {
+                          const std::map<std::string, double>& op_seconds) {
   std::string body = "{\"ops\":{";
   bool first = true;
   for (const auto& [name, seconds] : op_seconds) {
@@ -65,8 +64,7 @@ Status WriteBenchPerfJson(const std::string& path,
                       obs::JsonEscape(name).c_str(), seconds);
     first = false;
   }
-  body += StrFormat("},\"threads\":%zu,\"speedup\":%.6g}\n", threads,
-                    speedup);
+  body += "}}\n";
   return WriteFileAtomic(path, body);
 }
 

@@ -52,11 +52,10 @@ Result<GeneratedDataset> BenchDataset(const std::string& name,
 int RunTableBench(const std::string& unit_name);
 
 /// Writes machine-readable micro-benchmark results as JSON:
-///   {"ops":{"<op>":<seconds>,...},"threads":N,"speedup":S}
+///   {"ops":{"<op>":<seconds>,...}}
 /// Atomic write via the checksummed-IO layer's temp-file+rename path.
 Status WriteBenchPerfJson(const std::string& path,
-                          const std::map<std::string, double>& op_seconds,
-                          size_t threads, double speedup);
+                          const std::map<std::string, double>& op_seconds);
 
 }  // namespace bench
 }  // namespace fairclean

@@ -8,7 +8,7 @@
 //     p95 reported, written to FAIRCLEAN_BENCH_KERNELS_JSON (default
 //     BENCH_kernels.json).
 //   - The remaining throughput benches run under google-benchmark, followed
-//     by the repeat/suite fan-out summary lines, and land in
+//     by the suite fan-out summary line, and land in
 //     FAIRCLEAN_BENCH_JSON (default BENCH_perf.json) for CI trend tracking.
 // The forked children must come first: fork requires a single-threaded
 // parent, and both google-benchmark and the fan-out reports spawn pools.
@@ -27,7 +27,6 @@
 #include "common/env.h"
 #include "common/thread_pool.h"
 #include "core/cleaning.h"
-#include "exec/study_driver.h"
 #include "datasets/generator.h"
 #include "detect/detector.h"
 #include "detect/mislabel_detector.h"
@@ -336,23 +335,6 @@ void WriteKernelBenchJson(const std::map<std::string, double>& ops,
   std::printf("kernel bench results: %s\n", json_path.c_str());
 }
 
-// Times one small in-memory cleaning experiment end to end at the given
-// repeat fan-out width.
-double TimeStudySeconds(size_t threads, const GeneratedDataset& dataset) {
-  exec::StudyDriverOptions options;
-  options.study.sample_size = 300;
-  options.study.num_repeats = 8;
-  options.study.cv_folds = 3;
-  options.study.seed = 99;
-  options.threads = threads;
-  exec::StudyDriver driver(options);
-  auto start = std::chrono::steady_clock::now();
-  driver.RunOrLoad(dataset, "missing_values", "log-reg").ValueOrDie();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Console reporter that additionally captures seconds-per-iteration for
 /// every benchmark run, so the table printed to the terminal and the JSON
 /// written for CI come from the same measurements.
@@ -402,9 +384,9 @@ double TimeSuiteSeconds(size_t threads, uint64_t* reused_out) {
   return seconds;
 }
 
-// Suite-level fan-out: experiments in parallel (sequential drivers inside),
-// the scheduler's inversion of the per-repeat fan-out below. Also reports
-// the shared-artifact reuse counter so CI can watch artifact sharing.
+// Suite-level fan-out: experiments in parallel, sequential drivers inside.
+// Also reports the shared-artifact reuse counter so CI can watch artifact
+// sharing.
 void ReportSuiteFanOutSpeedup(std::map<std::string, double>* op_seconds) {
   size_t threads = ThreadPool::DefaultThreadCount();
   uint64_t reused = 0;
@@ -419,24 +401,6 @@ void ReportSuiteFanOutSpeedup(std::map<std::string, double>* op_seconds) {
   (*op_seconds)["suite_fanout_1_thread"] = sequential_s;
   (*op_seconds)["suite_fanout_n_threads"] = parallel_s;
   (*op_seconds)["sched.artifacts_reused"] = static_cast<double>(reused);
-}
-
-void ReportRepeatFanOutSpeedup(std::map<std::string, double>* op_seconds,
-                               size_t* threads_out, double* speedup_out) {
-  Rng rng(7);
-  GeneratedDataset dataset = MakeDataset("german", 500, &rng).ValueOrDie();
-  size_t threads = ThreadPool::DefaultThreadCount();
-  double sequential_s = TimeStudySeconds(1, dataset);
-  double parallel_s =
-      threads > 1 ? TimeStudySeconds(threads, dataset) : sequential_s;
-  std::printf(
-      "\nrepeat fan-out: 1 thread %.2fs, %zu threads %.2fs -> %.2fx speedup "
-      "(set FAIRCLEAN_THREADS to change the width)\n",
-      sequential_s, threads, parallel_s, sequential_s / parallel_s);
-  (*op_seconds)["repeat_fanout_1_thread"] = sequential_s;
-  (*op_seconds)["repeat_fanout_n_threads"] = parallel_s;
-  *threads_out = threads;
-  *speedup_out = sequential_s / parallel_s;
 }
 
 int RunPerfMicro(int argc, char** argv) {
@@ -455,16 +419,12 @@ int RunPerfMicro(int argc, char** argv) {
   benchmark::Shutdown();
 
   std::map<std::string, double> op_seconds = reporter.op_seconds();
-  size_t threads = 1;
-  double speedup = 1.0;
-  ReportRepeatFanOutSpeedup(&op_seconds, &threads, &speedup);
   ReportSuiteFanOutSpeedup(&op_seconds);
 
   std::string json_path =
       GetEnvString("FAIRCLEAN_BENCH_JSON", "BENCH_perf.json");
   if (!json_path.empty()) {
-    Status written =
-        bench::WriteBenchPerfJson(json_path, op_seconds, threads, speedup);
+    Status written = bench::WriteBenchPerfJson(json_path, op_seconds);
     if (!written.ok()) {
       std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
                    written.ToString().c_str());

@@ -98,8 +98,8 @@ Result<CleaningExperimentResult> RunCleaningExperiment(
 
 /// Runs exactly one repeat (slot `repeat`) of the protocol and returns it
 /// as a result whose score series all have length 1 (records keyed
-/// "r<repeat>" as usual). This is the checkpointable unit of work the
-/// fault-tolerant study driver journals between: an interrupted experiment
+/// "r<repeat>" as usual). This is the unit of work the fault-tolerant
+/// study driver persists as one slice record: an interrupted experiment
 /// resumes at the repeat boundary instead of restarting.
 ///
 /// `seed_salt` 0 is the canonical attempt and reproduces the exact numbers

@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "core/runner.h"
 #include "datasets/generator.h"
 #include "obs/metrics.h"
@@ -20,8 +19,8 @@ namespace exec {
 /// Knobs of the fault-tolerant study execution layer.
 struct StudyDriverOptions {
   StudyOptions study;
-  /// Directory for cached experiment records and repeat journals ("" runs
-  /// fully in memory: no cache, no checkpoints).
+  /// Directory for cell records and repeat slices ("" runs fully in
+  /// memory: no cache, no slices).
   std::string cache_dir;
   /// Extra attempts per degenerate repeat. The first retry replays the
   /// identical seed (recovering transient faults without changing any
@@ -29,32 +28,27 @@ struct StudyDriverOptions {
   /// stays degenerate after all retries is skipped.
   size_t max_retries = 2;
   /// Soft wall-clock budget in seconds measured from driver construction
-  /// (<= 0: unlimited). When exceeded, the driver checkpoints and returns
-  /// DeadlineExceeded at the next repeat boundary instead of being killed
-  /// mid-write; re-running resumes from the journal.
+  /// (<= 0: unlimited). When exceeded, the driver returns DeadlineExceeded
+  /// at the next repeat boundary instead of being killed mid-write;
+  /// re-running reuses the slices written so far.
   double time_budget_s = 0.0;
   /// Absolute per-request deadline (steady clock). Where time_budget_s is
   /// process-scoped (measured from driver construction), the deadline is
   /// stamped by a caller that existed before this driver — the serving
   /// layer marks it at request admission, so queue wait counts against it.
-  /// Both limits are enforced; whichever trips first checkpoints the
-  /// journal and returns DeadlineExceeded at the next repeat boundary.
+  /// Both limits are enforced; whichever trips first returns
+  /// DeadlineExceeded at the next repeat boundary.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Worker threads the driver fans repeat slices out across. 0 resolves
-  /// FAIRCLEAN_THREADS (whose own default is hardware_concurrency); 1 runs
-  /// the historical strictly-sequential path. Results are byte-identical
-  /// across thread counts (see DESIGN.md, threading model).
-  size_t threads = 0;
-  /// Invoked on the driver thread after each successful journal checkpoint
-  /// write (never on failure). The shard claim layer refreshes its cell
-  /// lease here, so a lease outlives any cell whose repeats keep making
-  /// progress; tests also use it as a deterministic mid-cell crash point.
+  /// Invoked after each successful slice write (never on failure). The
+  /// shard claim layer refreshes its cell lease here, so a lease outlives
+  /// any cell whose repeats keep making progress; tests also use it as a
+  /// deterministic mid-cell crash point.
   std::function<void()> checkpoint_hook;
 };
 
 /// Structured counters describing how a driver run degraded (or didn't):
-/// cache reuse, journal resumes, retries, skips, quarantined files, and
-/// wall time per stage. Printed by the table benches.
+/// cache reuse, slice reuse, retries, skips, quarantined files, and wall
+/// time per stage. Printed by the table benches.
 ///
 /// Since the observability rework this is a point-in-time snapshot
 /// assembled from the driver's metrics registry (see
@@ -64,22 +58,18 @@ struct StudyDriverOptions {
 struct RunDiagnostics {
   size_t experiments = 0;        ///< RunOrLoad calls served.
   size_t cache_hits = 0;         ///< served entirely from the result cache
-  size_t journal_resumes = 0;    ///< experiments resumed from a journal
-  size_t repeats_resumed = 0;    ///< repeats recovered from journals
+  size_t slices_reused = 0;      ///< repeats loaded from slice records
   size_t repeats_run = 0;        ///< repeats computed in this process
   size_t retries = 0;            ///< extra attempts on degenerate repeats
   size_t skips = 0;              ///< repeats abandoned after all retries
-  size_t corrupt_quarantined = 0;///< cache/journal files moved to .corrupt
-  size_t checkpoints = 0;        ///< journal snapshots written
+  size_t corrupt_quarantined = 0;///< cell/slice records moved to .corrupt
+  size_t checkpoints = 0;        ///< slice records written
   bool budget_exhausted = false; ///< stopped by FAIRCLEAN_TIME_BUDGET_S
-  size_t threads = 1;            ///< worker threads of the repeat fan-out
-  /// Wall-clock seconds per stage as seen by the driver thread:
-  /// "cache_load", "compute" (time spent waiting on slices), "checkpoint",
-  /// "finalize".
+  /// Wall-clock seconds per stage: "cache_load" (cell and slice reads),
+  /// "compute", "checkpoint" (slice writes), "finalize" (cell write).
   std::map<std::string, double> stage_seconds;
-  /// CPU seconds per stage summed across workers; under parallel execution
-  /// "compute" exceeds its wall-clock counterpart by roughly the achieved
-  /// speedup factor.
+  /// CPU seconds per stage on the computing thread; "compute" excludes
+  /// the fold-level workers it fans out to.
   std::map<std::string, double> stage_cpu_seconds;
 
   /// Multi-line human-readable summary.
@@ -93,28 +83,27 @@ struct RunDiagnostics {
 ///  - serves completed experiments from a checksummed result cache,
 ///    quarantining corrupt/truncated files to <name>.corrupt and
 ///    recomputing instead of crashing or silently reusing garbage;
-///  - journals every completed repeat with atomic temp-file+rename writes,
-///    so an interrupted experiment resumes at the repeat (not experiment)
-///    boundary and reproduces byte-identical results;
+///  - persists every completed repeat as its own checksummed slice record
+///    (atomic temp-file+rename), keyed without the repeat count, so an
+///    interrupted experiment resumes at the repeat boundary, a run with
+///    more repeats reuses the slices of a smaller one, and both reproduce
+///    byte-identical cell records;
 ///  - retries degenerate repeats (non-finite score, single-class fold,
 ///    empty group slice) with deterministic reseeding, then skips them;
-///  - honors a soft time budget, exiting cleanly with resumable state;
-///  - fans repeat slices out across a fixed thread pool (options.threads /
-///    FAIRCLEAN_THREADS) while merging them on the calling thread in repeat
-///    order, so results, caches, and journals are byte-identical to the
-///    sequential path.
+///  - honors a soft time budget, exiting cleanly with resumable state.
 ///
-/// One driver instance is meant to span a whole bench invocation so the
-/// time budget and diagnostics cover the full scope. RunOrLoad must be
-/// called from one thread at a time (the internal fan-out is the driver's
-/// own concern); diagnostics are only mutated on that calling thread.
+/// Repeats run sequentially on the calling thread; callers that want
+/// parallelism run several drivers (the suite scheduler and the advisor
+/// server fan out across cells). One driver instance is meant to span a
+/// whole bench invocation so the time budget and diagnostics cover the
+/// full scope. RunOrLoad must be called from one thread at a time.
 class StudyDriver {
  public:
   explicit StudyDriver(StudyDriverOptions options);
 
   /// Runs (or loads, or resumes) the cleaning experiment for one
   /// (dataset, error type, model family). On DeadlineExceeded the
-  /// completed repeats are journaled and a re-run resumes them.
+  /// completed repeats are already persisted and a re-run reuses them.
   Result<CleaningExperimentResult> RunOrLoad(const GeneratedDataset& dataset,
                                              const std::string& error_type,
                                              const std::string& model);
@@ -124,18 +113,18 @@ class StudyDriver {
   /// registry, so a FAIRCLEAN_METRICS export sees the same numbers.
   RunDiagnostics diagnostics() const;
 
-  /// Store key (cache-file basename) for one configuration — the unit of
-  /// addressing shared by every backend.
+  /// Store key (cache-file basename) of one configuration's cell record.
   static std::string CacheKey(const StudyDriverOptions& options,
                               const std::string& dataset,
                               const std::string& error_type,
                               const std::string& model);
 
-  /// Journal key used while a configuration is in flight.
-  static std::string JournalKey(const StudyDriverOptions& options,
-                                const std::string& dataset,
-                                const std::string& error_type,
-                                const std::string& model);
+  /// Store key of one repeat slot's slice record. It leaves out the repeat
+  /// count: slot k's bytes do not depend on how many repeats the cell has.
+  static std::string SliceKey(const StudyDriverOptions& options,
+                              const std::string& dataset,
+                              const std::string& error_type,
+                              const std::string& model, size_t slot);
 
   /// Cache file for one configuration under the flat backend (same layout
   /// the benches always used, so pre-existing caches keep working).
@@ -144,47 +133,32 @@ class StudyDriver {
                                const std::string& error_type,
                                const std::string& model);
 
-  /// Journal file used while a configuration is in flight (flat backend).
-  static std::string JournalPath(const StudyDriverOptions& options,
-                                 const std::string& dataset,
-                                 const std::string& error_type,
-                                 const std::string& model);
-
   /// Seconds since driver construction.
   double ElapsedSeconds() const;
 
  private:
-  /// Result of computing one repeat slot on a worker (or inline): the
-  /// retry loop's outcome plus its accounting, merged into diagnostics on
-  /// the driver thread.
-  struct SlotOutcome {
-    std::optional<CleaningExperimentResult> slice;  ///< empty: skipped
-    size_t retries = 0;           ///< attempts beyond the first
-    double compute_seconds = 0.0; ///< cpu time spent in the retry loop
-    bool budget_skipped = false;  ///< never attempted: budget was gone
-    Status last_failure;
-  };
-
   bool BudgetExhausted() const;
 
-  /// Runs the retry loop for one repeat slot. Pure given (dataset,
-  /// error_type, family, slot) apart from fault injection, so slots can
-  /// compute on any thread in any order.
-  SlotOutcome ComputeSlot(const GeneratedDataset& dataset,
-                          const std::string& error_type,
-                          const TunedModelFamily& family, size_t slot) const;
+  /// Runs the retry loop for one repeat slot and records its accounting.
+  /// Returns the slot's slice, or nullopt when every attempt failed or was
+  /// degenerate (`last_failure` says why).
+  std::optional<CleaningExperimentResult> ComputeSlot(
+      const GeneratedDataset& dataset, const std::string& error_type,
+      const TunedModelFamily& family, size_t slot, Status* last_failure);
 
-  /// Merges one computed slot into `result` (scores or skip marker plus
-  /// journal cursor) and checkpoints the journal. Driver thread only.
-  Status MergeSlot(size_t slot, SlotOutcome outcome,
-                   const GeneratedDataset& dataset,
-                   const std::string& error_type, const std::string& model,
-                   const std::string& journal_key, bool persist,
-                   CleaningExperimentResult* result, Status* last_failure);
+  /// The slot's persisted slice records, or nullopt on a miss. A damaged
+  /// record is quarantined; a failed read (the "cache_read" probe
+  /// included) is a miss that leaves the record in place.
+  std::optional<ResultStore> LoadSlice(const std::string& key,
+                                       const GeneratedDataset& dataset,
+                                       const std::string& error_type,
+                                       const std::string& model,
+                                       size_t slot);
 
-  /// Effective worker count (resolves options_.threads == 0 via
-  /// FAIRCLEAN_THREADS / hardware_concurrency).
-  size_t EffectiveThreads() const;
+  /// Persists one computed slot's records as its slice, then fires the
+  /// checkpoint hook. A failed write only costs a recompute on resume.
+  void WriteSlice(const std::string& key, const ResultStore& records,
+                  size_t slot);
 
   /// Named instrument shorthand on the driver's local registry.
   obs::Counter* Count(const char* name);
@@ -192,7 +166,7 @@ class StudyDriver {
   obs::Histogram* StageCpu(const char* stage);
 
   StudyDriverOptions options_;
-  /// Cache records and repeat journals under options_.cache_dir.
+  /// Cell and slice records under options_.cache_dir.
   store::FlatFileStore store_;
   /// Scoped registry: every value recorded here forwards to the same-named
   /// instrument in MetricsRegistry::Global(), so one driver's diagnostics

@@ -11,8 +11,8 @@ namespace obs {
 
 /// Always-on crash flight recorder (DESIGN.md §14): every thread owns a
 /// lock-free ring of compact 16-byte binary events (span begin/end, fault
-/// fires, store transaction commits/rollbacks, request sheds, journal
-/// checkpoints). The enabled cost per event is a clock read plus a handful
+/// fires, store transaction commits/rollbacks, request sheds, slice
+/// writes). The enabled cost per event is a clock read plus a handful
 /// of stores into thread-local memory — no locks, no allocation after the
 /// ring exists — so the recorder stays armed in production and the last
 /// seconds before a crash are always reconstructible.
@@ -31,7 +31,7 @@ enum class FlightEventType : uint8_t {
   kFault = 3,        ///< site = "fault:<site>"; injected fault fired
   // 4 and 5 are retired; values are part of the dump format, never reused.
   kShed = 6,         ///< site = "serve.shed"; admission or connection shed
-  kCheckpoint = 7,   ///< site = "exec.checkpoint"; journal snapshot written
+  kCheckpoint = 7,   ///< site = "driver.checkpoint"; repeat slice written
   kDeadline = 8,     ///< site names the layer that tripped the deadline
   kMark = 9,         ///< free-form marker (tests, tools)
 };

@@ -49,8 +49,8 @@ inline bool SpanCaptureEnabled() { return CaptureMask() != 0; }
 /// destructor on the owning thread.
 ///
 /// Determinism: the tracer only observes. It draws no randomness, changes
-/// no control flow, and writes only to its own file, so scores, caches and
-/// journals are byte-identical with tracing on or off (enforced by
+/// no control flow, and writes only to its own file, so scores, cell and
+/// slice records are byte-identical with tracing on or off (enforced by
 /// tests/exec/observability_test.cc).
 ///
 /// Spans recorded while a TraceContextScope (trace_context.h) is active on

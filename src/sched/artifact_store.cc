@@ -47,7 +47,7 @@ Result<std::shared_ptr<const void>> ArtifactStore::GetOrCreate(
           // Waiters blocked on this entry still observe the transient
           // status (via their shared_ptr), but the key is vacated so the
           // next request re-runs the producer — which resumes from the
-          // journal instead of replaying a memoized failure forever.
+          // slices instead of replaying a memoized failure forever.
           auto it = entries_.find(key);
           if (it != entries_.end() && it->second == entry) entries_.erase(it);
         }

@@ -47,7 +47,7 @@ class ArtifactStore {
   /// of retrying a deterministic failure. *Transient* failures
   /// (DeadlineExceeded, Unavailable) are NOT memoized — the entry is
   /// dropped so a later request re-runs the producer; the serving layer
-  /// relies on this to resume a deadline-expired cell from its journal
+  /// relies on this to resume a deadline-expired cell from its slices
   /// instead of being poisoned by the first expiry forever.
   ///
   /// `deadline` bounds how long a non-owning caller waits for another

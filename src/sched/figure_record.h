@@ -19,7 +19,7 @@ constexpr int kFigureRecordVersion = 1;
 /// Store key of one figure panel (DESIGN.md Section 11):
 /// "figure:v<version>:" + DisparityArtifactKey, e.g.
 /// "figure:v1:disparity:adult:single:s59". No cell-record name (a ".json"
-/// cache file, its ".journal", a "class:" record) can take this form.
+/// cache file, a "slice:" or "class:" record) can take this form.
 std::string FigureRecordKey(const std::string& dataset, bool intersectional,
                             uint64_t study_seed);
 

@@ -11,8 +11,6 @@ const char* ShardModeName(ShardMode mode) {
   switch (mode) {
     case ShardMode::kNone:
       return "none";
-    case ShardMode::kStatic:
-      return "static";
     case ShardMode::kClaim:
       return "claim";
   }
@@ -46,16 +44,6 @@ Result<ShardSpec> ParseShardSpec(ShardMode mode, const std::string& text) {
   spec.index = static_cast<size_t>(i - 1);
   spec.count = static_cast<size_t>(n);
   return spec;
-}
-
-std::vector<size_t> StaticShardIndices(size_t item_count, size_t shard_index,
-                                       size_t shard_count) {
-  std::vector<size_t> mine;
-  if (shard_count == 0 || shard_index >= shard_count) return mine;
-  for (size_t j = shard_index; j < item_count; j += shard_count) {
-    mine.push_back(j);
-  }
-  return mine;
 }
 
 std::string ClaimKeyFor(const CellKey& cell) { return "claim:" + cell.Id(); }

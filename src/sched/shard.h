@@ -15,9 +15,8 @@ namespace sched {
 /// How a suite run coordinates with sibling processes over one cache dir
 /// (DESIGN.md Section 16).
 enum class ShardMode {
-  kNone,    ///< single process: the historical RunSuite path
-  kStatic,  ///< --shard i/N: deterministic per-wave partition, no claims
-  kClaim,   ///< --shard-claim i/N: work stealing through lease records
+  kNone,   ///< single process: the historical RunSuite path
+  kClaim,  ///< --shard-claim i/N: work stealing through lease records
 };
 
 const char* ShardModeName(ShardMode mode);
@@ -37,14 +36,6 @@ struct ShardSpec {
 /// Parses the 1-based "i/N" CLI syntax (i in [1, N], N >= 1) into a spec
 /// with the given mode.
 Result<ShardSpec> ParseShardSpec(ShardMode mode, const std::string& text);
-
-/// The positions of `item_count` wave items owned by static shard
-/// `shard_index` of `shard_count`: position j belongs to shard
-/// j % shard_count. Pure and order-preserving, so the N shards' index sets
-/// form a disjoint exact cover of [0, item_count) — the property test pins
-/// this for every wave of the paper graph.
-std::vector<size_t> StaticShardIndices(size_t item_count, size_t shard_index,
-                                       size_t shard_count);
 
 /// Lease-store key of one cell's claim. Distinct namespace from cache
 /// records on purpose: claims live in the LeaseStore (flat files under

@@ -1,6 +1,6 @@
 // Shard execution layer of the suite scheduler (DESIGN.md Section 16):
-// RunSuiteShard produces this process's slice of the cell grid — static
-// per-wave partition or lease-based work stealing — and RunSuiteMerge
+// RunSuiteShard produces this process's share of the cell grid through
+// lease-based work stealing, and RunSuiteMerge
 // assembles the merged report without stitching: it validates the
 // per-shard partials against the shared cache, then executes the full
 // graph over the warm cache, which by the fresh==warm identity contract
@@ -187,9 +187,9 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
         std::lock_guard<std::mutex> lock(shard_mutex_);
         claim_tokens_[cell.Id()] = *token;
         if (token->stolen) {
-          // Dead or expired owner: we take over. Its journal (if any)
-          // lives in the shared cache dir, so ProduceCell resumes the
-          // partial repeats instead of recomputing them.
+          // Dead or expired owner: we take over. Its slice records live
+          // in the shared cache dir, so ProduceCell reuses the repeats it
+          // finished instead of recomputing them.
           stolen_cells_.insert(cell.Id());
           ++shard_counters_.steals;
           metrics_.GetCounter("sched.shard.steals")->Increment();
@@ -314,8 +314,7 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
   const ShardSpec& shard = options_.shard;
   if (!shard.active()) {
     return Status::InvalidArgument(
-        "RunSuiteShard requires an active shard spec (--shard or "
-        "--shard-claim)");
+        "RunSuiteShard requires an active shard spec (--shard-claim)");
   }
   if (options_.cache_dir.empty()) {
     return Status::InvalidArgument(
@@ -330,7 +329,7 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
   obs::TraceSpan span("sched", [&] {
     return "suite-shard " + spec.name + " " + shard.Label();
   });
-  if (shard.mode == ShardMode::kClaim && lease_store_ == nullptr) {
+  if (lease_store_ == nullptr) {
     lease_store_ = std::make_unique<LeaseStore>(options_.cache_dir + "/claims");
   }
 
@@ -348,50 +347,31 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
       if (graph.nodes()[id].kind == NodeKind::kCell) cell_ids.push_back(id);
     }
     if (cell_ids.empty()) continue;
-    if (shard.mode == ShardMode::kStatic) {
-      std::vector<size_t> mine;
-      for (size_t pos :
-           StaticShardIndices(cell_ids.size(), shard.index, shard.count)) {
-        mine.push_back(cell_ids[pos]);
-      }
-      FC_RETURN_IF_ERROR(ProduceWaveCells(spec, graph, w, mine));
-      {
-        std::lock_guard<std::mutex> lock(shard_mutex_);
-        shard_counters_.produced += mine.size();
-        metrics_.GetCounter("sched.shard.cells_produced")
-            ->Increment(mine.size());
-      }
-      produced_ids.insert(produced_ids.end(), mine.begin(), mine.end());
-    } else {
-      FC_RETURN_IF_ERROR(
-          RunClaimWave(spec, graph, w, cell_ids, &produced_ids));
-    }
+    FC_RETURN_IF_ERROR(RunClaimWave(spec, graph, w, cell_ids, &produced_ids));
   }
 
   FC_RETURN_IF_ERROR(WritePartialReport(spec, graph, filter, produced_ids));
 
-  if (shard.mode == ShardMode::kClaim) {
-    // Merge election: a claim shard only reaches this point once every
-    // cell of every wave has a cache record (its scan loop cannot finish
-    // otherwise), so any finisher could merge — the __merge__ lease picks
-    // one. Re-merging after a release would be harmless (the merged
-    // report is byte-identical by construction), just wasted work.
-    Result<LeaseToken> merge = lease_store_->Acquire(
-        kMergeClaimKey, shard.Label(), options_.shard_lease_s);
-    if (merge.ok()) {
-      Status merged = RunSuiteMerge(spec, filter);
-      Status released = lease_store_->Release(*merge);
-      if (!released.ok()) {
-        FC_LOG_WARN("sched", "merge claim release failed: %s",
-                    released.ToString().c_str());
-      }
-      FC_RETURN_IF_ERROR(merged);
-    } else if (merge.status().code() == StatusCode::kUnavailable) {
-      FC_LOG_INFO("sched", "%s: merge already claimed by a sibling shard",
-                  shard.Label().c_str());
-    } else {
-      return merge.status();
+  // Merge election: a shard only reaches this point once every cell of
+  // every wave has a cache record (its scan loop cannot finish otherwise),
+  // so any finisher could merge — the __merge__ lease picks one.
+  // Re-merging after a release would be harmless (the merged report is
+  // byte-identical by construction), just wasted work.
+  Result<LeaseToken> merge = lease_store_->Acquire(
+      kMergeClaimKey, shard.Label(), options_.shard_lease_s);
+  if (merge.ok()) {
+    Status merged = RunSuiteMerge(spec, filter);
+    Status released = lease_store_->Release(*merge);
+    if (!released.ok()) {
+      FC_LOG_WARN("sched", "merge claim release failed: %s",
+                  released.ToString().c_str());
     }
+    FC_RETURN_IF_ERROR(merged);
+  } else if (merge.status().code() == StatusCode::kUnavailable) {
+    FC_LOG_INFO("sched", "%s: merge already claimed by a sibling shard",
+                shard.Label().c_str());
+  } else {
+    return merge.status();
   }
   return Status::OK();
 }

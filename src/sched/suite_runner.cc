@@ -171,7 +171,6 @@ SuiteScheduler::SuiteScheduler(SuiteOptions options)
       start_(std::chrono::steady_clock::now()),
       store_(options_.cache_dir) {
   if (width_ > 1) pool_ = std::make_unique<ThreadPool>(width_);
-  total_.threads = width_;
 }
 
 double SuiteScheduler::ElapsedSeconds() const {
@@ -192,9 +191,6 @@ Result<exec::StudyDriverOptions> SuiteScheduler::CellDriverOptions() const {
   driver_options.cache_dir = options_.cache_dir;
   driver_options.max_retries = options_.max_retries;
   if (!options_.cache_dir.empty()) Store();  // creates the cache dir
-  // Parallelism lives at the suite level; each cell driver runs the
-  // strictly-sequential path (also keeps pool-in-pool nesting impossible).
-  driver_options.threads = 1;
   if (options_.time_budget_s > 0.0) {
     double remaining = options_.time_budget_s - ElapsedSeconds();
     if (remaining <= 0.0) {
@@ -209,8 +205,7 @@ void SuiteScheduler::Accumulate(const exec::RunDiagnostics& diagnostics) {
   std::lock_guard<std::mutex> lock(diag_mutex_);
   total_.experiments += diagnostics.experiments;
   total_.cache_hits += diagnostics.cache_hits;
-  total_.journal_resumes += diagnostics.journal_resumes;
-  total_.repeats_resumed += diagnostics.repeats_resumed;
+  total_.slices_reused += diagnostics.slices_reused;
   total_.repeats_run += diagnostics.repeats_run;
   total_.retries += diagnostics.retries;
   total_.skips += diagnostics.skips;
@@ -227,9 +222,7 @@ void SuiteScheduler::Accumulate(const exec::RunDiagnostics& diagnostics) {
 
 exec::RunDiagnostics SuiteScheduler::AggregateDiagnostics() const {
   std::lock_guard<std::mutex> lock(diag_mutex_);
-  exec::RunDiagnostics copy = total_;
-  copy.threads = width_;
-  return copy;
+  return total_;
 }
 
 void SuiteScheduler::PrintRunSummary() const {
@@ -286,7 +279,7 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   FC_ASSIGN_OR_RETURN(exec::StudyDriverOptions driver_options,
                       CellDriverOptions());
   if (options_.shard.mode == ShardMode::kClaim || cell_checkpoint_hook_) {
-    // Each successful journal checkpoint proves the cell is making repeat
+    // Each successful slice write proves the cell is making repeat
     // progress: extend its claim lease so a live shard is never stolen
     // from mid-cell (and give tests their deterministic crash point).
     CellKey hooked = cell;
@@ -340,9 +333,9 @@ CellClass SuiteScheduler::ClassifyProducedCell(
   // Each cell runs its own driver, so the diagnostics describe exactly
   // this production. A pure cache hit preserves the class recorded by
   // whichever run computed the cell (absent record: a pre-classifier
-  // cache — pass); a computed (fresh or journal-resumed) cell classifies
+  // cache — pass); a computed (fresh or slice-resumed) cell classifies
   // from what this run observed and persists the verdict next to the
-  // cache record, best-effort like the journal writes.
+  // cache record, best-effort like the slice writes.
   const bool cache_hit = diag.cache_hits > 0;
   if (cache_hit && blob != nullptr) {
     CellClass cls = CellClass::kPass;
@@ -438,7 +431,7 @@ std::optional<DisparityArtifact> SuiteScheduler::LoadFigureRecord(
   Result<bool> found = blob.Contains(key);
   if (!found.ok() || !*found) return std::nullopt;
   obs::TraceSpan span("sched", [&] { return "figure-record load " + key; });
-  // The same "cache_read" probe as StudyDriver's journal load.
+  // The same "cache_read" probe as StudyDriver's slice load.
   Result<std::vector<DisparityRow>> rows =
       [&]() -> Result<std::vector<DisparityRow>> {
     FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("cache_read"));

@@ -52,12 +52,12 @@ struct SuiteOptions {
   /// Where RunSuite writes the merged JSON report ("" keeps it in memory
   /// only; see SuiteScheduler::report_json()).
   std::string report_path;
-  /// This process's slice of a multi-process run (--shard / --shard-claim;
-  /// inactive by default). Sharding requires a non-empty cache_dir: the
+  /// This process's slice of a multi-process run (--shard-claim; inactive
+  /// by default). Sharding requires a non-empty cache_dir: the
   /// shared cache IS the coordination plane.
   ShardSpec shard;
   /// Claim-lease duration in seconds (FAIRCLEAN_SHARD_LEASE_S). A claim
-  /// whose owner neither finishes nor refreshes (each journal checkpoint
+  /// whose owner neither finishes nor refreshes (each slice write
   /// refreshes) within this window becomes stealable.
   double shard_lease_s = 30.0;
 };
@@ -129,10 +129,9 @@ int CellCostRank(const CellKey& cell);
 /// Runs the paper grid as one DAG: dataset and experiment-cell nodes are
 /// deduplicated across units and produced exactly once through a
 /// content-addressed ArtifactStore, ready nodes fan out across a
-/// suite-level ThreadPool (each cell runs a sequential StudyDriver, so the
-/// per-repeat fan-out is replaced by experiment-level parallelism without
-/// nesting pools), and aggregation nodes fold cell artifacts into the
-/// paper's tables and figures.
+/// suite-level ThreadPool (each cell runs a sequential StudyDriver, so
+/// parallelism is across experiments), and aggregation nodes fold cell
+/// artifacts into the paper's tables and figures.
 ///
 /// Identity contract (DESIGN.md Section 9): each cell's cache record is
 /// byte-identical to what the standalone table bench produces, at any
@@ -156,16 +155,14 @@ class SuiteScheduler {
   Status RunSuite(const SuiteSpec& spec, const SuiteFilter& filter);
 
   /// Runs this process's shard of the suite (options.shard must be
-  /// active): produces cell artifacts only — static mode takes a
-  /// deterministic per-wave partition, claim mode work-steals cells
-  /// through lease records under <cache_dir>/claims — then writes a
-  /// partial report next to options.report_path. In claim mode the last
-  /// finishing shard wins a __merge__ lease election and assembles the
-  /// merged report itself (DESIGN.md Section 16); static shards rely on an
-  /// explicit RunSuiteMerge pass.
+  /// active): produces cell artifacts only, work-stealing cells through
+  /// lease records under <cache_dir>/claims, then writes a partial report
+  /// next to options.report_path. The last finishing shard wins a
+  /// __merge__ lease election and assembles the merged report itself
+  /// (DESIGN.md Section 16).
   Status RunSuiteShard(const SuiteSpec& spec, const SuiteFilter& filter);
 
-  /// Merge step of a sharded run: validates every partial report found
+  /// Merge step of a sharded run, run by the election winner: validates every partial report found
   /// next to options.report_path (each listed cell's sha256 must match the
   /// shared cache's actual bytes), then executes the full graph over the
   /// warm cache — every cell is a cache hit — so the merged report is
@@ -178,8 +175,8 @@ class SuiteScheduler {
   static std::string PartialReportPath(const std::string& report_path,
                                        const ShardSpec& shard);
 
-  /// Invoked (with the cell) after every successful journal checkpoint of
-  /// a cell driver, in addition to the claim-lease refresh the shard layer
+  /// Invoked (with the cell) after every successful slice write of a cell
+  /// driver, in addition to the claim-lease refresh the shard layer
   /// performs there. The shard soak test uses it as a deterministic
   /// mid-cell crash point (raise SIGKILL after the first checkpoint).
   void set_cell_checkpoint_hook(std::function<void(const CellKey&)> hook) {
@@ -206,8 +203,7 @@ class SuiteScheduler {
   Result<std::shared_ptr<const DisparityArtifact>> Disparity(
       const std::string& dataset, bool intersectional);
 
-  /// Sum of every cell driver's diagnostics; `threads` reports the suite
-  /// width (per-cell drivers are sequential by construction).
+  /// Sum of every cell driver's diagnostics.
   exec::RunDiagnostics AggregateDiagnostics() const;
 
   /// Prints the aggregate diagnostics (and, at info level, the process
@@ -252,8 +248,8 @@ class SuiteScheduler {
     std::map<std::string, Tally> tallies;
   };
 
-  /// Driver options for one cell: the suite options with threads pinned to
-  /// 1 and the time budget reduced to what remains of the suite budget.
+  /// Driver options for one cell: the suite options with the time budget
+  /// reduced to what remains of the suite budget.
   /// Creates the cache dir when caching is on. DeadlineExceeded when the
   /// suite budget is already exhausted.
   Result<exec::StudyDriverOptions> CellDriverOptions() const;
@@ -310,7 +306,7 @@ class SuiteScheduler {
                             const std::vector<size_t>& produced_ids) const;
   /// True when this cell's claim was stolen by this process.
   bool IsStolenCell(const CellKey& cell) const;
-  /// Lease refresh driven by the cell driver's journal checkpoints.
+  /// Lease refresh driven by the cell driver's slice writes.
   void RefreshCellLease(const CellKey& cell);
 
   /// Executes the graph wave by wave: dataset/cell/figure nodes fan out

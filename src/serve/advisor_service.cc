@@ -47,10 +47,6 @@ Result<sched::CellArtifact> AdvisorService::ProduceCell(
     std::error_code ec;
     std::filesystem::create_directories(options_.cache_dir, ec);
   }
-  // Per-request parallelism stays at 1: the server's worker pool is the
-  // fan-out, and sequential drivers keep cache bytes identical to the
-  // batch suite at any width.
-  driver_options.threads = 1;
   driver_options.deadline = deadline;
   exec::StudyDriver driver(driver_options);
   Result<CleaningExperimentResult> result =
@@ -62,8 +58,8 @@ Result<sched::CellArtifact> AdvisorService::ProduceCell(
   if (diagnostics.cache_hits > 0) {
     metrics_.GetCounter("serve.cell_cache_hits")->Increment();
   }
-  if (diagnostics.journal_resumes > 0) {
-    metrics_.GetCounter("serve.journal_resumes")->Increment();
+  if (diagnostics.slices_reused > 0) {
+    metrics_.GetCounter("serve.slice_resumes")->Increment();
   }
   if (!result.ok()) return result.status();
   metrics_.GetCounter("serve.cells_served")->Increment();

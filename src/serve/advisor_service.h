@@ -18,7 +18,7 @@ namespace serve {
 /// datasets and experiment-cell artifacts are memoized in a
 /// content-addressed ArtifactStore shared across requests (and worker
 /// threads), and each cell is produced by a fault-tolerant StudyDriver
-/// whose cache/journal live in the suite cache directory — so the stack
+/// whose cell and slice records live in the suite cache directory — so the stack
 /// that answers requests is the same one the batch suite runs on, and a
 /// served cell's cache record is byte-identical to the suite's.
 ///
@@ -34,9 +34,9 @@ class AdvisorService {
 
   /// Answers one validated analyze request. `deadline` is the absolute
   /// per-request deadline stamped at admission (nullopt = unbounded): the
-  /// cell driver checkpoints its journal and returns DeadlineExceeded when
-  /// it trips, and a retry of the same request resumes from that journal
-  /// (the store does not memoize transient failures).
+  /// cell driver returns DeadlineExceeded when it trips, and a retry of the
+  /// same request reuses the repeat slices already written (the store does
+  /// not memoize transient failures).
   Result<AdvisorAnalysis> Analyze(const AdvisorRequest& request,
                                   const sched::ArtifactStore::Deadline& deadline);
 

@@ -25,7 +25,7 @@ struct AdvisorResponse {
 
   bool ok() const { return status == "ok"; }
   /// True for failures where retrying can succeed: overload shedding
-  /// (unavailable), an expired deadline (the journal checkpointed), or an
+  /// (unavailable), an expired deadline (finished repeats persist), or an
   /// injected/real IO fault on the wire.
   bool Retryable() const {
     return status == "unavailable" || status == "deadline_exceeded" ||

@@ -181,8 +181,8 @@ std::string RenderError(const std::string& id, const Status& status,
     out += StrFormat(",\"retry_after_ms\":%d", retry_after_ms);
   }
   if (status.code() == StatusCode::kDeadlineExceeded) {
-    // Completed repeats are journaled; a retry resumes instead of
-    // restarting, so the client should come back.
+    // Completed repeats are persisted as slices; a retry resumes instead
+    // of restarting, so the client should come back.
     out += ",\"resumable\":true";
   }
   out += "}\n";

@@ -111,8 +111,8 @@ const char* StatusCodeToken(StatusCode code);
 
 /// Response renderers. Every response carries {"id","status"}; error
 /// responses add {"error"}; retryable ones add {"retry_after_ms"} and
-/// deadline ones {"resumable":true} (the server checkpointed the §6
-/// journal, so retrying resumes instead of restarting).
+/// deadline ones {"resumable":true} (the §6 repeat slices written so far
+/// persist, so retrying resumes instead of restarting).
 std::string RenderAnalysis(const std::string& id,
                            const AdvisorAnalysis& analysis);
 std::string RenderError(const std::string& id, const Status& status,

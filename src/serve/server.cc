@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <utility>
@@ -24,6 +25,9 @@ namespace fairclean {
 namespace serve {
 
 namespace {
+
+// How long the worker_stall fault site wedges a worker.
+constexpr std::chrono::milliseconds kWorkerStall(100);
 
 // One registry fetch per instrument; pointers are stable for the process.
 obs::Gauge* QueueDepthGauge() {
@@ -123,10 +127,6 @@ Result<ServeOptions> ServeOptionsFromEnv() {
       GetEnvCount("FAIRCLEAN_SERVE_RETRY_MS",
                   static_cast<int64_t>(options.retry_after_ms)));
   options.retry_after_ms = static_cast<int>(retry_ms);
-  FC_ASSIGN_OR_RETURN(int64_t stall_ms,
-                      GetEnvCount("FAIRCLEAN_SERVE_STALL_MS",
-                                  static_cast<int64_t>(options.stall_ms)));
-  options.stall_ms = static_cast<int>(stall_ms);
   FC_ASSIGN_OR_RETURN(
       int64_t max_conns,
       GetEnvCount("FAIRCLEAN_SERVE_MAX_CONNS",
@@ -465,8 +465,7 @@ void AdvisorServer::WorkerLoop(size_t index) {
       // Models a worker wedged on slow IO/compute: the request it holds is
       // delayed (and may expire), but the queue bound keeps shedding
       // deterministic for everyone else.
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.stall_ms));
+      std::this_thread::sleep_for(kWorkerStall);
     }
     Execute(std::move(pending));
   }

@@ -42,9 +42,6 @@ struct ServeOptions {
   size_t workers = 0;
   /// Backoff hint attached to shed responses (FAIRCLEAN_SERVE_RETRY_MS).
   int retry_after_ms = 200;
-  /// How long the worker_stall fault site stalls a worker
-  /// (FAIRCLEAN_SERVE_STALL_MS).
-  int stall_ms = 100;
   /// Open-connection bound; excess accepts are answered with a shed
   /// response and closed immediately.
   size_t max_connections = 64;
@@ -73,8 +70,9 @@ Result<ServeOptions> ServeOptionsFromEnv();
 /// Shutdown: Shutdown() stops accepting, sheds whatever is still queued
 /// (Unavailable, "shutting down"), unblocks readers, and joins every
 /// thread. A SIGKILL needs no cooperation: cache writes are atomic and
-/// journaled, so a restarted server resumes in-flight cells from their
-/// journals (the soak test pins byte identity with an unfaulted run).
+/// every finished repeat is its own slice record, so a restarted server
+/// resumes in-flight cells from their slices (the soak test pins byte
+/// identity with an unfaulted run).
 class AdvisorServer {
  public:
   explicit AdvisorServer(ServeOptions options);

@@ -9,14 +9,15 @@ namespace fairclean {
 namespace store {
 
 /// The artifact byte store: one file per key under a cache directory
-/// (DESIGN.md Section 11). Keys are cache-file basenames (e.g.
-/// "adult_outliers_LR_s7_n3_r2_f0.json" or its ".journal" sibling); values
+/// (DESIGN.md Section 11). Keys are cache-file basenames (e.g. the cell
+/// record "adult_outliers_LR_s7_n3_r2_f0.json" or one of its repeat slices,
+/// "slice:v1:adult_outliers_LR_s7_n3_f0_slot1"); values
 /// are the exact file bytes, checksum footer included. The store never
 /// interprets the bytes — footers stay the caller's concern.
 ///
 /// Write probes the "cache_write" fault site (through WriteFileAtomic).
 /// Read is unprobed — callers that need a "cache_read" probe (the driver's
-/// journal load) arm it themselves.
+/// slice load) arm it themselves.
 class FlatFileStore {
  public:
   explicit FlatFileStore(std::string dir);

@@ -1,11 +1,12 @@
 // The observability layer must only observe: with FAIRCLEAN_TRACE and
-// FAIRCLEAN_METRICS active the driver's scores, cache files and journals
-// must be byte-identical to an uninstrumented run at any thread width.
+// FAIRCLEAN_METRICS active the driver's scores, cell records and slices
+// must be byte-identical to an uninstrumented run.
 
 #include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -42,13 +43,11 @@ const GeneratedDataset& German() {
 /// Runs the small experiment into `cache_dir` and returns every produced
 /// cache file keyed by filename.
 std::map<std::string, std::string> RunAndCollectCache(
-    const std::string& cache_dir, const std::string& error_type,
-    size_t threads) {
+    const std::string& cache_dir, const std::string& error_type) {
   std::filesystem::remove_all(cache_dir);
   StudyDriverOptions options;
   options.study = SmallStudy();
   options.cache_dir = cache_dir;
-  options.threads = threads;
   StudyDriver driver(options);
   EXPECT_TRUE(driver.RunOrLoad(German(), error_type, "log-reg").ok());
   std::map<std::string, std::string> files;
@@ -85,11 +84,11 @@ class ObservabilityTest : public testing::Test {
 TEST_F(ObservabilityTest, CacheFilesAreByteIdenticalWithTracingEnabled) {
   const std::string base = testing::TempDir() + "/obs_identity_";
   std::map<std::string, std::string> plain =
-      RunAndCollectCache(base + "off", "missing_values", /*threads=*/1);
+      RunAndCollectCache(base + "off", "missing_values");
 
   EnableObservability("identity");
   std::map<std::string, std::string> traced =
-      RunAndCollectCache(base + "on", "missing_values", /*threads=*/3);
+      RunAndCollectCache(base + "on", "missing_values");
 
   ASSERT_FALSE(plain.empty());
   ASSERT_EQ(plain.size(), traced.size());
@@ -102,9 +101,13 @@ TEST_F(ObservabilityTest, CacheFilesAreByteIdenticalWithTracingEnabled) {
 TEST_F(ObservabilityTest, TraceCoversEveryInstrumentedLayer) {
   EnableObservability("layers");
   // Outlier cleaning exercises detectors and repairs on top of the shared
-  // exec / ml / data instrumentation.
-  RunAndCollectCache(testing::TempDir() + "/obs_layers_cache", "outliers",
-                     /*threads=*/2);
+  // exec / ml / data instrumentation. Two cells run on two threads, the
+  // way the suite fans drivers out.
+  const std::string base = testing::TempDir() + "/obs_layers_";
+  std::thread other(
+      [&] { RunAndCollectCache(base + "missing", "missing_values"); });
+  RunAndCollectCache(base + "outliers", "outliers");
+  other.join();
   obs::Tracer::Global().Flush();
 
   Result<std::string> text = ReadFileToString(trace_path_);
@@ -127,14 +130,14 @@ TEST_F(ObservabilityTest, TraceCoversEveryInstrumentedLayer) {
        {"exec", "core", "ml", "detect", "repair", "data", "io"}) {
     EXPECT_TRUE(categories.count(layer)) << "no spans from layer " << layer;
   }
-  // Repeat slices executed on more than one worker thread.
+  // Spans arrived from more than one thread.
   EXPECT_GE(span_tids.size(), 2u);
 }
 
 TEST_F(ObservabilityTest, MetricsExportIsValidJsonlWithDriverCounters) {
   EnableObservability("export");
   RunAndCollectCache(testing::TempDir() + "/obs_export_cache",
-                     "missing_values", /*threads=*/2);
+                     "missing_values");
   ASSERT_TRUE(
       obs::MetricsRegistry::Global().WriteJsonlFile(metrics_path_));
 

@@ -73,6 +73,13 @@ void ExpectSameScores(const CleaningExperimentResult& actual,
   }
 }
 
+// The file's bytes, or "" (failing the test) when it cannot be read.
+std::string FileBytes(const std::string& path) {
+  Result<std::string> bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << path;
+  return bytes.ok() ? *bytes : "";
+}
+
 class StudyDriverTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -98,6 +105,12 @@ class StudyDriverTest : public testing::Test {
                                   "log-reg");
   }
 
+  std::string SliceFile(size_t slot) const {
+    return cache_dir_ + "/" +
+           StudyDriver::SliceKey(Options(), "german", "missing_values",
+                                 "log-reg", slot);
+  }
+
   std::string cache_dir_;
 };
 
@@ -120,9 +133,12 @@ TEST_F(StudyDriverTest, SecondRunIsServedFromCacheWithIdenticalScores) {
     ASSERT_TRUE(
         driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
     EXPECT_EQ(driver.diagnostics().cache_hits, 0u);
-    // The journal is replaced by the final cache file.
+    // One slice record per repeat, then the cell record.
+    EXPECT_EQ(driver.diagnostics().checkpoints, 3u);
     EXPECT_TRUE(std::filesystem::exists(CacheFile()));
-    EXPECT_FALSE(std::filesystem::exists(CacheFile() + ".journal"));
+    for (size_t slot = 0; slot < 3; ++slot) {
+      EXPECT_TRUE(std::filesystem::exists(SliceFile(slot))) << slot;
+    }
   }
   StudyDriver driver(Options());
   Result<CleaningExperimentResult> cached =
@@ -133,40 +149,97 @@ TEST_F(StudyDriverTest, SecondRunIsServedFromCacheWithIdenticalScores) {
   ExpectSameScores(*cached, Baseline());
 }
 
-TEST_F(StudyDriverTest, ResumesFromPartialJournalByteIdentically) {
+TEST_F(StudyDriverTest, ResumesFromPartialSlicesByteIdentically) {
   {
     StudyDriver driver(Options());
     ASSERT_TRUE(
         driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
   }
-  std::string full_cache = *ReadFileToString(CacheFile());
+  std::string full_cache = FileBytes(CacheFile());
+  std::string slice1 = FileBytes(SliceFile(1));
 
-  // Rebuild the journal a run killed after repeat 0 would have left:
-  // repeat-0 records plus the cursor.
-  ResultStore full = ResultStore::LoadFromFile(CacheFile()).ValueOrDie();
-  ResultStore partial;
-  for (const std::string& key : full.KeysWithPrefix("german")) {
-    if (key.find("r0__") != std::string::npos) {
-      partial.Put(key, full.Get(key).ValueOrDie());
-    }
-  }
-  partial.Put("__meta__/next_repeat", 1.0);
-  ASSERT_TRUE(partial.SaveToFile(CacheFile() + ".journal").ok());
+  // Leave what a run killed after repeat 0 would have left: slice 0 only.
   std::filesystem::remove(CacheFile());
+  std::filesystem::remove(SliceFile(1));
+  std::filesystem::remove(SliceFile(2));
 
   StudyDriver driver(Options());
   Result<CleaningExperimentResult> resumed =
       driver.RunOrLoad(German(), "missing_values", "log-reg");
   ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(driver.diagnostics().journal_resumes, 1u);
-  EXPECT_EQ(driver.diagnostics().repeats_resumed, 1u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 1u);
   EXPECT_EQ(driver.diagnostics().repeats_run, 2u);
+  EXPECT_EQ(driver.diagnostics().checkpoints, 2u);
   ExpectSameScores(*resumed, Baseline());
 
-  // The rewritten cache is byte-identical to the uninterrupted run's, and
-  // the journal is gone.
-  EXPECT_EQ(*ReadFileToString(CacheFile()), full_cache);
-  EXPECT_FALSE(std::filesystem::exists(CacheFile() + ".journal"));
+  // The rewritten cell record and slices are byte-identical to the
+  // uninterrupted run's.
+  EXPECT_EQ(FileBytes(CacheFile()), full_cache);
+  EXPECT_EQ(FileBytes(SliceFile(1)), slice1);
+}
+
+TEST_F(StudyDriverTest, EscalatingRepeatsReusesSlicesOfTheSmallerRun) {
+  StudyDriverOptions two = Options();
+  two.study.num_repeats = 2;
+  {
+    StudyDriver driver(two);
+    ASSERT_TRUE(
+        driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+    EXPECT_EQ(driver.diagnostics().repeats_run, 2u);
+  }
+
+  StudyDriverOptions four = Options();
+  four.study.num_repeats = 4;
+  StudyDriver driver(four);
+  Result<CleaningExperimentResult> escalated =
+      driver.RunOrLoad(German(), "missing_values", "log-reg");
+  ASSERT_TRUE(escalated.ok());
+  EXPECT_EQ(driver.diagnostics().cache_hits, 0u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 2u);
+  EXPECT_EQ(driver.diagnostics().repeats_run, 2u);
+  EXPECT_EQ(escalated->dirty.accuracy.size(), 4u);
+
+  // A cold four-repeat run in its own directory writes the same cell.
+  StudyDriverOptions cold = four;
+  cold.cache_dir = cache_dir_ + "/cold";
+  StudyDriver cold_driver(cold);
+  Result<CleaningExperimentResult> fresh =
+      cold_driver.RunOrLoad(German(), "missing_values", "log-reg");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(cold_driver.diagnostics().repeats_run, 4u);
+  ExpectSameScores(*escalated, *fresh);
+  EXPECT_EQ(FileBytes(StudyDriver::CachePath(
+                four, "german", "missing_values", "log-reg")),
+            FileBytes(StudyDriver::CachePath(
+                cold, "german", "missing_values", "log-reg")));
+}
+
+TEST_F(StudyDriverTest, DamagedSliceIsQuarantinedAndOnlyItsSlotRecomputes) {
+  {
+    StudyDriver driver(Options());
+    ASSERT_TRUE(
+        driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  }
+  std::string full_cache = FileBytes(CacheFile());
+  std::string slice1 = FileBytes(SliceFile(1));
+  std::string flipped = slice1;
+  flipped[flipped.size() / 2] ^= 0x01;
+  ASSERT_TRUE(WriteFileAtomic(SliceFile(1), flipped).ok());
+  std::filesystem::remove(CacheFile());
+
+  StudyDriver driver(Options());
+  Result<CleaningExperimentResult> result =
+      driver.RunOrLoad(German(), "missing_values", "log-reg");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(driver.diagnostics().corrupt_quarantined, 1u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 2u);
+  EXPECT_EQ(driver.diagnostics().repeats_run, 1u);
+  ExpectSameScores(*result, Baseline());
+  // The damaged bytes are kept as evidence; the slot's slice and the cell
+  // record come back byte-identical.
+  EXPECT_EQ(FileBytes(SliceFile(1) + ".corrupt"), flipped);
+  EXPECT_EQ(FileBytes(SliceFile(1)), slice1);
+  EXPECT_EQ(FileBytes(CacheFile()), full_cache);
 }
 
 TEST_F(StudyDriverTest, QuarantinesBitFlippedCacheAndRecomputes) {
@@ -175,7 +248,8 @@ TEST_F(StudyDriverTest, QuarantinesBitFlippedCacheAndRecomputes) {
     ASSERT_TRUE(
         driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
   }
-  std::string content = *ReadFileToString(CacheFile());
+  std::string full_cache = FileBytes(CacheFile());
+  std::string content = full_cache;
   content[content.size() / 2] ^= 0x01;
   ASSERT_TRUE(WriteFileAtomic(CacheFile(), content).ok());
 
@@ -185,11 +259,13 @@ TEST_F(StudyDriverTest, QuarantinesBitFlippedCacheAndRecomputes) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(driver.diagnostics().corrupt_quarantined, 1u);
   EXPECT_EQ(driver.diagnostics().cache_hits, 0u);
-  EXPECT_EQ(driver.diagnostics().repeats_run, 3u);
+  // The cell is reassembled from its intact slices, not recomputed.
+  EXPECT_EQ(driver.diagnostics().slices_reused, 3u);
+  EXPECT_EQ(driver.diagnostics().repeats_run, 0u);
   ExpectSameScores(*result, Baseline());
-  // Evidence preserved, fresh cache valid again.
+  // Evidence preserved, fresh cache byte-identical to the original.
   EXPECT_TRUE(std::filesystem::exists(CacheFile() + ".corrupt"));
-  EXPECT_TRUE(ResultStore::LoadFromFile(CacheFile()).ok());
+  EXPECT_EQ(FileBytes(CacheFile()), full_cache);
 }
 
 TEST_F(StudyDriverTest, TruncatedCacheIsRejectedNotReused) {
@@ -198,7 +274,7 @@ TEST_F(StudyDriverTest, TruncatedCacheIsRejectedNotReused) {
     ASSERT_TRUE(
         driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
   }
-  std::string content = *ReadFileToString(CacheFile());
+  std::string content = FileBytes(CacheFile());
   ASSERT_TRUE(
       WriteFileAtomic(CacheFile(), content.substr(0, content.size() / 2))
           .ok());
@@ -264,42 +340,9 @@ TEST_F(StudyDriverTest, TimeBudgetStopsCleanlyWithDeadlineExceeded) {
   EXPECT_TRUE(driver.diagnostics().budget_exhausted);
 }
 
-TEST_F(StudyDriverTest, ParallelRepeatsMatchSequentialByteIdentically) {
-  StudyDriverOptions sequential = Options();
-  sequential.threads = 1;
-  sequential.cache_dir = cache_dir_ + "/seq";
-  StudyDriver seq_driver(sequential);
-  Result<CleaningExperimentResult> seq =
-      seq_driver.RunOrLoad(German(), "missing_values", "log-reg");
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(seq_driver.diagnostics().threads, 1u);
-
-  StudyDriverOptions parallel = Options();
-  parallel.threads = 8;
-  parallel.cache_dir = cache_dir_ + "/par";
-  StudyDriver par_driver(parallel);
-  Result<CleaningExperimentResult> par =
-      par_driver.RunOrLoad(German(), "missing_values", "log-reg");
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(par_driver.diagnostics().threads, 8u);
-  EXPECT_EQ(par_driver.diagnostics().repeats_run, 3u);
-
-  // Same scores and byte-identical cache files: thread count must never
-  // leak into results.
-  ExpectSameScores(*par, *seq);
-  ExpectSameScores(*par, Baseline());
-  std::string seq_cache = *ReadFileToString(
-      StudyDriver::CachePath(sequential, "german", "missing_values",
-                             "log-reg"));
-  std::string par_cache = *ReadFileToString(
-      StudyDriver::CachePath(parallel, "german", "missing_values",
-                             "log-reg"));
-  EXPECT_EQ(seq_cache, par_cache);
-}
-
-TEST_F(StudyDriverTest, ParallelInterruptLeavesByteIdenticalJournal) {
+TEST_F(StudyDriverTest, InterruptLeavesReusableSlices) {
   // Find a seed whose "interrupt" site draws false, false, true: the run
-  // dies exactly before repeat 2, leaving a two-repeat journal.
+  // dies exactly before repeat 2, leaving slices 0 and 1.
   uint64_t seed = 0;
   for (uint64_t candidate = 1; candidate <= 200 && seed == 0; ++candidate) {
     ASSERT_TRUE(
@@ -311,72 +354,47 @@ TEST_F(StudyDriverTest, ParallelInterruptLeavesByteIdenticalJournal) {
   }
   ASSERT_NE(seed, 0u);
 
-  StudyDriverOptions sequential = Options();
-  sequential.threads = 1;
-  sequential.cache_dir = cache_dir_ + "/seq";
-  StudyDriverOptions parallel = Options();
-  parallel.threads = 8;
-  parallel.cache_dir = cache_dir_ + "/par";
-
   ASSERT_TRUE(FaultInjector::Global().Configure("interrupt:0.5", seed).ok());
   {
-    StudyDriver driver(sequential);
+    StudyDriver driver(Options());
     Result<CleaningExperimentResult> killed =
         driver.RunOrLoad(German(), "missing_values", "log-reg");
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(driver.diagnostics().checkpoints, 2u);
   }
-  ASSERT_TRUE(FaultInjector::Global().Configure("interrupt:0.5", seed).ok());
-  {
-    StudyDriver driver(parallel);
-    Result<CleaningExperimentResult> killed =
-        driver.RunOrLoad(German(), "missing_values", "log-reg");
-    ASSERT_FALSE(killed.ok());
-    EXPECT_EQ(killed.status().code(), StatusCode::kIoError);
-  }
+  EXPECT_TRUE(std::filesystem::exists(SliceFile(0)));
+  EXPECT_TRUE(std::filesystem::exists(SliceFile(1)));
+  EXPECT_FALSE(std::filesystem::exists(SliceFile(2)));
+  EXPECT_FALSE(std::filesystem::exists(CacheFile()));
 
-  // Both paths drew the fault at the same merge boundary and checkpointed
-  // the same repeats: the journals match byte for byte.
-  std::string seq_journal = *ReadFileToString(StudyDriver::JournalPath(
-      sequential, "german", "missing_values", "log-reg"));
-  std::string par_journal = *ReadFileToString(StudyDriver::JournalPath(
-      parallel, "german", "missing_values", "log-reg"));
-  EXPECT_EQ(seq_journal, par_journal);
-
-  // Fault-free re-runs resume both journals to the same final cache.
+  // A fault-free rerun computes only repeat 2 and converges to the bytes
+  // of an uninterrupted run in its own directory.
   FaultInjector::Global().Reset();
-  StudyDriver seq_driver(sequential);
-  Result<CleaningExperimentResult> seq =
-      seq_driver.RunOrLoad(German(), "missing_values", "log-reg");
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(seq_driver.diagnostics().journal_resumes, 1u);
-  StudyDriver par_driver(parallel);
-  Result<CleaningExperimentResult> par =
-      par_driver.RunOrLoad(German(), "missing_values", "log-reg");
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(par_driver.diagnostics().journal_resumes, 1u);
-  ExpectSameScores(*par, *seq);
-  ExpectSameScores(*par, Baseline());
-  std::string seq_cache = *ReadFileToString(StudyDriver::CachePath(
-      sequential, "german", "missing_values", "log-reg"));
-  std::string par_cache = *ReadFileToString(StudyDriver::CachePath(
-      parallel, "german", "missing_values", "log-reg"));
-  EXPECT_EQ(seq_cache, par_cache);
-}
-
-TEST_F(StudyDriverTest, ParallelRetryRecoversTransientNumericFault) {
-  ASSERT_TRUE(FaultInjector::Global().Configure("numeric:1:1", 1).ok());
-  StudyDriverOptions options = Options();
-  options.threads = 8;
-  StudyDriver driver(options);
-  Result<CleaningExperimentResult> result =
+  StudyDriver driver(Options());
+  Result<CleaningExperimentResult> resumed =
       driver.RunOrLoad(German(), "missing_values", "log-reg");
-  ASSERT_TRUE(result.ok());
-  // Which slot's probe fires first is scheduling-dependent, but the retry
-  // replays that slot's own seed, so recovery is byte-identical either way.
-  EXPECT_EQ(driver.diagnostics().retries, 1u);
-  EXPECT_EQ(driver.diagnostics().skips, 0u);
-  ExpectSameScores(*result, Baseline());
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(driver.diagnostics().slices_reused, 2u);
+  EXPECT_EQ(driver.diagnostics().repeats_run, 1u);
+  ExpectSameScores(*resumed, Baseline());
+
+  StudyDriverOptions clean = Options();
+  clean.cache_dir = cache_dir_ + "/clean";
+  StudyDriver clean_driver(clean);
+  ASSERT_TRUE(
+      clean_driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  EXPECT_EQ(FileBytes(CacheFile()),
+            FileBytes(StudyDriver::CachePath(
+                clean, "german", "missing_values", "log-reg")));
+  for (size_t slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(FileBytes(SliceFile(slot)),
+              FileBytes(
+                  clean.cache_dir + "/" +
+                  StudyDriver::SliceKey(clean, "german", "missing_values",
+                                        "log-reg", slot)))
+        << slot;
+  }
 }
 
 TEST_F(StudyDriverTest, DegenerateCachedGapsAreRecomputedNotServed) {
@@ -400,12 +418,28 @@ TEST_F(StudyDriverTest, DegenerateCachedGapsAreRecomputedNotServed) {
   }
   ASSERT_GT(zeroed, 0u);
   ASSERT_TRUE(store.SaveToFile(CacheFile()).ok());
+  // Slices from that era carry the same zeroed counts: rewrite each
+  // slot's keys (with a valid footer) so none of them is reusable either.
+  for (size_t slot = 0; slot < 3; ++slot) {
+    ResultStore slice =
+        ResultStore::FromJson(
+            *VerifyChecksumFooter(FileBytes(SliceFile(slot))))
+            .ValueOrDie();
+    for (const std::string& key : slice.KeysWithPrefix("german")) {
+      slice.Put(key, store.Get(key).ValueOrDie());
+    }
+    ASSERT_TRUE(WriteFileAtomic(SliceFile(slot),
+                                AppendChecksumFooter(slice.ToJson()))
+                    .ok());
+  }
 
   StudyDriver driver(Options());
   Result<CleaningExperimentResult> result =
       driver.RunOrLoad(German(), "missing_values", "log-reg");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(driver.diagnostics().cache_hits, 0u);
+  EXPECT_EQ(driver.diagnostics().corrupt_quarantined, 3u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 0u);
   EXPECT_EQ(driver.diagnostics().repeats_run, 3u);
   ExpectSameScores(*result, Baseline());
 }
@@ -416,10 +450,10 @@ TEST_F(StudyDriverTest, CachePathEncodesStudyShape) {
   EXPECT_EQ(
       StudyDriver::CachePath(options, "german", "missing_values", "log-reg"),
       "cache/german_missing_values_log-reg_s99_n300_r3_f3.json");
-  EXPECT_EQ(StudyDriver::JournalPath(options, "german", "missing_values",
-                                     "log-reg"),
-            "cache/german_missing_values_log-reg_s99_n300_r3_f3.json"
-            ".journal");
+  // Slice keys leave out the repeat count.
+  EXPECT_EQ(StudyDriver::SliceKey(options, "german", "missing_values",
+                                  "log-reg", 7),
+            "slice:v1:german_missing_values_log-reg_s99_n300_f3_slot7");
 }
 
 TEST_F(StudyDriverTest, DiagnosticsFormatMentionsCounters) {
@@ -430,6 +464,7 @@ TEST_F(StudyDriverTest, DiagnosticsFormatMentionsCounters) {
   EXPECT_NE(formatted.find("experiments=1"), std::string::npos);
   EXPECT_NE(formatted.find("repeats_run=3"), std::string::npos);
   EXPECT_NE(formatted.find("checkpoints=3"), std::string::npos);
+  EXPECT_NE(formatted.find("slices_reused=0"), std::string::npos);
 }
 
 }  // namespace

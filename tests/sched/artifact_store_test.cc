@@ -64,8 +64,8 @@ TEST(ArtifactStoreTest, DeterministicFailureIsMemoized) {
 }
 
 TEST(ArtifactStoreTest, TransientFailureIsNotMemoized) {
-  // A deadline expiry checkpoints the journal and must not poison the key:
-  // the next request re-runs the producer and resumes. Same for overload
+  // A deadline expiry leaves the finished repeat slices on disk and must
+  // not poison the key: the next request re-runs the producer and resumes. Same for overload
   // shedding (Unavailable).
   for (const Status& transient :
        {Status::DeadlineExceeded("out of time"),

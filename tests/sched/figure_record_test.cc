@@ -353,10 +353,10 @@ TEST(FigureRecord, FailedWriteKeepsReportAndNextRunRecomputes) {
   EXPECT_EQ(warm.loaded, Panels().size());
 }
 
-TEST(FigureRecord, ReadsProbeCacheReadLikeTheJournalLoad) {
+TEST(FigureRecord, ReadsProbeCacheReadLikeTheSliceLoad) {
   std::string dir = FreshDir("read_fault");
   {
-    // Like the journal load, the probe sits behind the existence check:
+    // Like the slice load, the probe sits behind the existence check:
     // a cold run has no record to read and draws nothing.
     FaultGuard faults("cache_read:1");
     FigureRun cold = RunSuite(dir);

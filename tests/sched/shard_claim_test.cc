@@ -1,7 +1,5 @@
 // Property tests for the shard coordination layer (DESIGN.md Section 16):
-// the 1-based "i/N" spec syntax, the static partition's disjoint-exact-
-// cover guarantee over the real paper graph's waves, the pure steal rule
-// (ClassifyClaim), the LeaseStore protocol itself — acquire / conflict /
+// the 1-based "i/N" spec syntax, the pure steal rule (ClassifyClaim), the LeaseStore protocol itself — acquire / conflict /
 // refresh / expired- and dead-owner steal / release-marker semantics,
 // including a forked multi-process single-winner race — and the
 // classification plumbing (names, counts, report blocks). Claims must
@@ -14,14 +12,12 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/status.h"
-#include "sched/experiment_graph.h"
 #include "sched/lease.h"
 #include "sched/shard.h"
 #include "sched/suite_runner.h"
@@ -40,9 +36,9 @@ std::string FreshDir(const std::string& name) {
 }
 
 TEST(ShardSpecTest, ParsesOneBasedSyntax) {
-  Result<ShardSpec> spec = ParseShardSpec(ShardMode::kStatic, "1/4");
+  Result<ShardSpec> spec = ParseShardSpec(ShardMode::kClaim, "1/4");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(spec->mode, ShardMode::kStatic);
+  EXPECT_EQ(spec->mode, ShardMode::kClaim);
   EXPECT_EQ(spec->index, 0u);
   EXPECT_EQ(spec->count, 4u);
   EXPECT_TRUE(spec->active());
@@ -57,57 +53,13 @@ TEST(ShardSpecTest, ParsesOneBasedSyntax) {
 TEST(ShardSpecTest, RejectsMalformedSpecs) {
   for (const char* bad : {"", "0/4", "5/4", "1/0", "a/b", "1/4x", "1",
                           "1/", "/4", "-1/4", "1/-4", "1 / 4"}) {
-    EXPECT_FALSE(ParseShardSpec(ShardMode::kStatic, bad).ok()) << bad;
+    EXPECT_FALSE(ParseShardSpec(ShardMode::kClaim, bad).ok()) << bad;
   }
 }
 
 TEST(ShardSpecTest, InactiveByDefault) {
   ShardSpec spec;
   EXPECT_FALSE(spec.active());
-}
-
-// The static partition must be a disjoint exact cover of every wave's cell
-// positions for every shard count — over the real paper graph, not a toy:
-// a missed or doubled position means a cell the merge would find missing
-// or a cell two processes compute.
-TEST(StaticShardTest, PartitionIsDisjointExactCoverOfPaperWaves) {
-  ExperimentGraph graph = ExperimentGraph::Build(PaperSuite(), SuiteFilter());
-  std::vector<size_t> wave_cell_counts;
-  for (const std::vector<size_t>& wave : graph.Waves()) {
-    size_t cells = 0;
-    for (size_t id : wave) {
-      if (graph.nodes()[id].kind == NodeKind::kCell) ++cells;
-    }
-    if (cells > 0) wave_cell_counts.push_back(cells);
-  }
-  ASSERT_FALSE(wave_cell_counts.empty());
-
-  for (size_t count : {1u, 2u, 3u, 4u, 7u}) {
-    for (size_t items : wave_cell_counts) {
-      std::set<size_t> seen;
-      for (size_t shard = 0; shard < count; ++shard) {
-        std::vector<size_t> mine = StaticShardIndices(items, shard, count);
-        // Order-preserving within a shard.
-        for (size_t i = 1; i < mine.size(); ++i) {
-          EXPECT_LT(mine[i - 1], mine[i]);
-        }
-        for (size_t pos : mine) {
-          EXPECT_LT(pos, items);
-          EXPECT_TRUE(seen.insert(pos).second)
-              << "position " << pos << " assigned twice at N=" << count;
-        }
-      }
-      EXPECT_EQ(seen.size(), items) << "N=" << count;
-    }
-  }
-}
-
-TEST(StaticShardTest, MoreShardsThanItemsLeavesTrailingShardsEmpty) {
-  EXPECT_TRUE(StaticShardIndices(2, 2, 4).empty());
-  EXPECT_TRUE(StaticShardIndices(2, 3, 4).empty());
-  EXPECT_EQ(StaticShardIndices(2, 0, 4), (std::vector<size_t>{0}));
-  EXPECT_EQ(StaticShardIndices(2, 1, 4), (std::vector<size_t>{1}));
-  EXPECT_TRUE(StaticShardIndices(0, 0, 1).empty());
 }
 
 // The whole steal rule as a truth table. ClassifyClaim is pure; Acquire
@@ -224,7 +176,7 @@ TEST(LeaseStoreTest, HeldByLiveProcessIsUnavailableAcrossProcesses) {
   ASSERT_TRUE(store.Release(*mine).ok());
 }
 
-TEST(LeaseStoreTest, DeadOwnersClaimIsStolenWithJournalIntact) {
+TEST(LeaseStoreTest, DeadOwnersClaimIsStolenImmediately) {
   std::string dir = FreshDir("dead");
   // A child acquires the claim and dies without releasing.
   pid_t pid = fork();

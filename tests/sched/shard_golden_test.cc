@@ -1,12 +1,11 @@
 // Multi-process golden identity for the shard execution layer (DESIGN.md
-// Section 16): real forked shard processes — 2 and 4, in both static and
-// claim mode — produce the smoke grid over one shared cache directory,
-// and the merged report plus every cache record must be byte-identical to
-// a single-process baseline. The binary is registered at FAIRCLEAN_THREADS
+// Section 16): real forked claim-shard processes — 2 and 4 — produce the
+// smoke grid over one shared cache directory, and the merged report plus
+// every cache record must be byte-identical to a single-process baseline. The binary is registered at FAIRCLEAN_THREADS
 // 1, 2, and 4 (plain add_test), so the multi-process identity is pinned at
 // every suite fan-out width.
 //
-// Every suite run — baseline, shards, merge — happens in a forked child
+// Every suite run — baseline and shards — happens in a forked child
 // that _exits straight after: the shared fold pool is sized and spawned
 // once per process, and threads do not survive fork, so the parent
 // process must never run a suite before forking workers.
@@ -58,7 +57,7 @@ SuiteOptions ShardOptions(const std::string& cache_dir,
 
 /// Forks a child that runs one suite entry point and _exits with 0 on OK.
 /// No gtest assertions in the child: it reports through its exit status.
-enum class ChildRun { kSingle, kShard, kMerge };
+enum class ChildRun { kSingle, kShard };
 
 pid_t ForkRun(ChildRun what, const SuiteOptions& options) {
   pid_t pid = fork();
@@ -72,10 +71,6 @@ pid_t ForkRun(ChildRun what, const SuiteOptions& options) {
     case ChildRun::kShard:
       status =
           scheduler.RunSuiteShard(PaperSuite(), SuiteFilter::Parse("smoke"));
-      break;
-    case ChildRun::kMerge:
-      status =
-          scheduler.RunSuiteMerge(PaperSuite(), SuiteFilter::Parse("smoke"));
       break;
   }
   if (!status.ok()) {
@@ -144,7 +139,7 @@ void ExpectMatchesBaseline(const std::string& scenario,
   }
 }
 
-void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
+void RunShards(size_t count, const std::string& scenario) {
   const Baseline& baseline = GetBaseline();
   ASSERT_FALSE(baseline.report.empty()) << "baseline run failed";
 
@@ -152,13 +147,13 @@ void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
   std::string cache = dir + "/cache";
   std::string report = dir + "/report.json";
 
-  // All N shard processes run concurrently over the one cache dir — in
-  // claim mode that concurrency IS the scenario (conflicts, cache skips,
+  // All N shard processes run concurrently over the one cache dir — that
+  // concurrency IS the scenario (conflicts, cache skips,
   // and the merge election only happen with live siblings).
   std::vector<pid_t> pids;
   for (size_t i = 0; i < count; ++i) {
     SuiteOptions options = ShardOptions(cache, report);
-    options.shard.mode = mode;
+    options.shard.mode = ShardMode::kClaim;
     options.shard.index = i;
     options.shard.count = count;
     pids.push_back(ForkRun(ChildRun::kShard, options));
@@ -170,7 +165,7 @@ void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
   // Every shard leaves its partial report behind.
   for (size_t i = 0; i < count; ++i) {
     SuiteOptions options = ShardOptions(cache, report);
-    options.shard.mode = mode;
+    options.shard.mode = ShardMode::kClaim;
     options.shard.index = i;
     options.shard.count = count;
     EXPECT_TRUE(std::filesystem::exists(
@@ -178,15 +173,8 @@ void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
         << scenario << ": missing partial report of shard " << (i + 1);
   }
 
-  if (mode == ShardMode::kStatic) {
-    // Static shards do not merge on their own; run the explicit merge
-    // pass (validates partials, then executes over the warm cache).
-    ASSERT_TRUE(
-        WaitOk(ForkRun(ChildRun::kMerge, ShardOptions(cache, report))))
-        << scenario << ": merge process failed";
-  }
-  // Claim mode: the last finishing shard already won the __merge__
-  // election and wrote the merged report itself.
+  // The last finishing shard won the __merge__ election and wrote the
+  // merged report itself.
 
   ExpectMatchesBaseline(scenario, report, cache);
 }
@@ -194,26 +182,19 @@ void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
 TEST(ShardGolden, BaselineChildSucceeds) {
   const Baseline& baseline = GetBaseline();
   ASSERT_FALSE(baseline.report.empty());
-  // 3 cache records + 3 class records; the report carries the classifier
-  // block the partial reports must agree with.
-  EXPECT_EQ(baseline.files.size(), 6u);
+  // 3 cache records + 3 class records + 9 repeat slices (3 cells x 3
+  // repeats); the report carries the classifier block the partial reports
+  // must agree with.
+  EXPECT_EQ(baseline.files.size(), 15u);
   EXPECT_NE(baseline.report.find("\"classifier\":"), std::string::npos);
 }
 
-TEST(ShardGolden, StaticTwoShardsMergeMatchesSingleProcess) {
-  RunShards(ShardMode::kStatic, 2, "static2");
-}
-
-TEST(ShardGolden, StaticFourShardsMergeMatchesSingleProcess) {
-  RunShards(ShardMode::kStatic, 4, "static4");
-}
-
 TEST(ShardGolden, ClaimTwoShardsAutoMergeMatchesSingleProcess) {
-  RunShards(ShardMode::kClaim, 2, "claim2");
+  RunShards(2, "claim2");
 }
 
 TEST(ShardGolden, ClaimFourShardsAutoMergeMatchesSingleProcess) {
-  RunShards(ShardMode::kClaim, 4, "claim4");
+  RunShards(4, "claim4");
 }
 
 }  // namespace

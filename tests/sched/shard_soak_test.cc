@@ -1,16 +1,16 @@
 // Kill -9 work-stealing soak for the claim shard layer (DESIGN.md Section
 // 16): a claiming shard process — with write faults armed — SIGKILLs
-// itself at its first successful journal checkpoint, mid-cell, holding
-// every claim of the wave. A survivor shard started afterwards must see
-// the dead owner's claims as stealable, steal them, resume the victim's
-// partial repeats from its journal, auto-merge, and converge to the exact
-// bytes of an unfaulted single-process run — with the stolen cells
-// classified "stolen" in the merged report and zero quarantined files.
+// itself at its first successful slice write, mid-cell, holding every
+// claim of the wave. A survivor shard started afterwards must see the dead
+// owner's claims as stealable, steal them, reuse the victim's repeat
+// slices, auto-merge, and converge to the exact bytes of an unfaulted
+// single-process run — with the stolen cells classified "stolen" in the
+// merged report and zero quarantined files.
 //
 // All suite runs happen in forked children (threads never survive fork;
 // see shard_golden_test.cc), and the victim's crash point is the
 // scheduler's cell checkpoint hook — deterministic, because the hook only
-// fires after a journal record is durably on disk.
+// fires after a slice record is durably on disk.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -94,9 +94,9 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
 
   // The victim: claim shard 1/2, sequential for a deterministic fault
   // draw order, cache-write faults armed, SIGKILLing itself at the first
-  // successful journal checkpoint. At width 1 the guided claim chunk is
-  // one cell, so the victim dies holding exactly the first wave cell's
-  // claim, with one repeat of it durably journaled.
+  // successful slice write. At width 1 the guided claim chunk is one cell,
+  // so the victim dies holding exactly the first wave cell's claim, with
+  // one repeat of it durably persisted.
   pid_t victim = fork();
   ASSERT_GE(victim, 0);
   if (victim == 0) {
@@ -151,19 +151,16 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   }
   EXPECT_EQ(dead_claims, 1u);
 
-  // The kill fired after a durable journal write: the partial repeats the
-  // survivor must resume are on disk.
-  size_t journals = 0;
+  // The kill fired after a durable slice write: the repeat the survivor
+  // must reuse is on disk.
+  size_t slices = 0;
   for (const auto& entry : std::filesystem::directory_iterator(cache)) {
-    if (entry.path().filename().string().find(".journal") !=
-        std::string::npos) {
-      ++journals;
-    }
+    if (entry.path().filename().string().rfind("slice:", 0) == 0) ++slices;
   }
-  EXPECT_GE(journals, 1u) << "victim left no journal to resume";
+  EXPECT_GE(slices, 1u) << "victim left no slice to reuse";
 
   // The survivor: claim shard 2/2, unfaulted. It must steal the dead
-  // claim, resume its journaled repeats rather than recompute them, claim
+  // claim, reuse the victim's slices rather than recompute them, claim
   // the untouched cells normally, and — as the only finisher — win the
   // merge election and assemble the merged report itself.
   pid_t survivor = fork();
@@ -182,14 +179,13 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
       _exit(1);
     }
     exec::RunDiagnostics diagnostics = scheduler.AggregateDiagnostics();
-    if (diagnostics.journal_resumes < 1) _exit(5);
-    if (diagnostics.repeats_resumed < 1) _exit(6);
+    if (diagnostics.slices_reused < 1) _exit(5);
     _exit(0);
   }
   ASSERT_EQ(waitpid(survivor, &wstatus, 0), survivor);
   ASSERT_TRUE(WIFEXITED(wstatus));
   ASSERT_EQ(WEXITSTATUS(wstatus), 0)
-      << "survivor failed (5: no journal resume, 6: no repeats resumed)";
+      << "survivor failed (5: no slice reused)";
 
   // The survivor's partial report counts the steal and classifies the
   // stolen cell, and so does the merged report it assembled (the class
@@ -219,13 +215,14 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
             std::string::npos)
       << *merged;
 
-  // Crash-safety payoff: every cache record converges to the unfaulted
-  // baseline's exact bytes, no file was quarantined, and no journal
-  // outlives its completed cell.
+  // Crash-safety payoff: every cell and slice record converges to the
+  // unfaulted baseline's exact bytes (3 cells + 3 x 3 slices), no file was
+  // quarantined, and the cache holds nothing but those records, their
+  // class records, and the claims directory.
   std::map<std::string, std::string> baseline_files =
       ReadCacheRecords(baseline_dir + "/cache");
   std::map<std::string, std::string> soak_files = ReadCacheRecords(cache);
-  ASSERT_EQ(baseline_files.size(), 3u);
+  ASSERT_EQ(baseline_files.size(), 12u);
   ASSERT_EQ(soak_files.size(), baseline_files.size());
   for (const auto& [name, bytes] : baseline_files) {
     ASSERT_TRUE(soak_files.count(name)) << name;
@@ -237,8 +234,13 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
     const std::string name = entry.path().filename().string();
     EXPECT_EQ(name.find(".corrupt"), std::string::npos)
         << "quarantined file after soak: " << entry.path();
-    EXPECT_EQ(name.find(".journal"), std::string::npos)
-        << "stale journal after soak: " << entry.path();
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(cache)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(entry.path().extension() == ".json" ||
+                name.rfind("slice:", 0) == 0 || name.rfind("class:", 0) == 0)
+        << "unexpected file after soak: " << entry.path();
   }
 
   // Apart from the classifier/class divergence (stolen vs pass), the

@@ -60,13 +60,21 @@ struct SuiteRun {
   std::map<std::string, std::string> files;
 };
 
-/// Cache records proper, excluding the "class:" classification records.
-size_t CacheRecordCount(const std::map<std::string, std::string>& files) {
+/// Files whose name starts with `prefix`.
+size_t CountWithPrefix(const std::map<std::string, std::string>& files,
+                       const std::string& prefix) {
   size_t count = 0;
   for (const auto& [name, bytes] : files) {
-    if (name.rfind("class:", 0) != 0) ++count;
+    if (name.rfind(prefix, 0) == 0) ++count;
   }
   return count;
+}
+
+/// Cell records proper, excluding the "class:" classification and
+/// "slice:" repeat records.
+size_t CacheRecordCount(const std::map<std::string, std::string>& files) {
+  return files.size() - CountWithPrefix(files, "class:") -
+         CountWithPrefix(files, "slice:");
 }
 
 SuiteRun RunSmoke(size_t threads, const std::string& cache_dir) {
@@ -103,11 +111,13 @@ TEST(SuiteGolden, SequentialBaselineSucceeds) {
   const SuiteRun& baseline = Baseline();
   ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
   EXPECT_FALSE(baseline.report.empty());
-  // One cache record plus one "class:" classification record per smoke
-  // cell (german missing values x three models); completed runs leave no
-  // journals behind.
-  EXPECT_EQ(baseline.files.size(), 6u);
+  // One cache record, one "class:" classification record and one slice
+  // record per repeat for each smoke cell (german missing values x three
+  // models, three repeats each, none skipped).
+  EXPECT_EQ(baseline.files.size(), 15u);
   EXPECT_EQ(CacheRecordCount(baseline.files), 3u);
+  EXPECT_EQ(CountWithPrefix(baseline.files, "class:"), 3u);
+  EXPECT_EQ(CountWithPrefix(baseline.files, "slice:"), 9u);
   for (const auto& [name, bytes] : baseline.files) {
     EXPECT_FALSE(bytes.empty()) << name;
   }
@@ -230,7 +240,6 @@ TEST(SuiteGolden, CellRecordsMatchStandaloneDriverSha256) {
     exec::StudyDriverOptions driver_options;
     driver_options.study = GoldenStudy();
     driver_options.cache_dir = standalone_dir;
-    driver_options.threads = 1;
     exec::StudyDriver driver(driver_options);
     Result<GeneratedDataset> dataset =
         MakeSuiteDataset(cell.dataset, driver_options.study.seed);
@@ -256,8 +265,8 @@ TEST(SuiteGolden, CellRecordsMatchStandaloneDriverSha256) {
 }
 
 // Kill-and-resume: an injected hard interruption fails the run mid-suite;
-// rerunning over the same cache directory resumes from the journals and
-// converges to the exact baseline bytes.
+// rerunning over the same cache directory reuses the slices written so far
+// and converges to the exact baseline bytes.
 TEST(SuiteGolden, KillAndResumeReproducesReportAndCache) {
   const SuiteRun& baseline = Baseline();
   ASSERT_TRUE(baseline.status.ok());

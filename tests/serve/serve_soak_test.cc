@@ -2,7 +2,7 @@
 // loaded server is SIGKILLed mid-flight, restarted on the same cache
 // directory, and must (a) leave zero quarantined (.corrupt) cache entries
 // and (b) serve every cell with bytes identical to an unfaulted baseline
-// run — the atomic-write + journal discipline means a hard kill costs
+// run — atomic writes and per-repeat slice records mean a hard kill costs
 // progress, never correctness.
 //
 // Unlike the in-process serve tests, this one exercises the real
@@ -257,15 +257,15 @@ TEST(ServeSoakTest, KillAndRestartLosesProgressNeverCorrectness) {
       }
     });
   }
-  // Early enough to usually land mid-computation (journals partially
-  // written), late enough that real work has started.
+  // Early enough to usually land mid-computation (some slices written),
+  // late enough that real work has started.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   KillServer(&faulted);
   for (std::thread& thread : load) thread.join();
   // A hard kill never leaves a torn flight dump: absent or decodable.
   ExpectFlightDumpAbsentOrDecodable(soak_dir);
 
-  // Restart on the same cache directory: journals resume, caches verify.
+  // Restart on the same cache directory: slices resume, caches verify.
   ServerProc restarted = SpawnServer(soak_dir, "");
   if (restarted.port == 0) {
     KillServer(&restarted);

@@ -346,6 +346,27 @@ TEST(ServeOptionsTest, EnvParsingIsStrict) {
   unsetenv("FAIRCLEAN_SERVE_DEADLINE_S");
 }
 
+TEST(ServeOptionsTest, RetryHintKnobParsesStrictly) {
+  setenv("FAIRCLEAN_SERVE_RETRY_MS", "250ms", 1);
+  Result<ServeOptions> garbage = ServeOptionsFromEnv();
+  ASSERT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(garbage.status().message().find("FAIRCLEAN_SERVE_RETRY_MS"),
+            std::string::npos);
+
+  setenv("FAIRCLEAN_SERVE_RETRY_MS", "-5", 1);
+  EXPECT_FALSE(ServeOptionsFromEnv().ok());
+
+  setenv("FAIRCLEAN_SERVE_RETRY_MS", "750", 1);
+  Result<ServeOptions> parsed = ServeOptionsFromEnv();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->retry_after_ms, 750);
+  unsetenv("FAIRCLEAN_SERVE_RETRY_MS");
+  Result<ServeOptions> unset = ServeOptionsFromEnv();
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(unset->retry_after_ms, ServeOptions().retry_after_ms);
+}
+
 TEST_F(ServeTest, PingAnalyzeAndStatsRoundTrip) {
   StartServer("roundtrip", 8);
   AdvisorClient client("127.0.0.1", server_->port());

@@ -14,8 +14,9 @@
 // The first stdout line once serving is "listening on port <P>" — scripts
 // (the soak test, CI) scrape it to find an ephemeral port. The server exits
 // cleanly on a {"op":"shutdown"} request; a SIGKILL needs no cooperation
-// because every cache write is atomic and journaled, and a restarted server
-// resumes in-flight cells from their journals.
+// because every cache write is atomic and every finished repeat is its own
+// slice record, so a restarted server resumes in-flight cells from their
+// slices.
 
 #include <csignal>
 #include <cstdio>

@@ -6,7 +6,7 @@
 // written at the end.
 //
 // Usage: run_suite [--filter a,b,c] [--report path] [--list]
-//                  [--shard i/N | --shard-claim i/N | --merge-report]
+//                  [--shard-claim i/N]
 //
 //   --filter  comma-separated substring filter over unit names and cell
 //             ids: "tables_missing" runs one unit, "german" runs every
@@ -15,22 +15,16 @@
 //   --report  merged report path (default: FAIRCLEAN_SUITE_REPORT or
 //             fairclean_suite_report.json).
 //   --list    print the selected units and cells, then exit.
-//   --shard i/N        static shard mode: this process produces the cells
-//             at positions j % N == i-1 of every wave, writes a partial
-//             report "<report>.shard<i>of<N>", and exits; run
-//             --merge-report once every shard finished.
-//   --shard-claim i/N  dynamic shard mode: N cooperating processes
-//             work-steal cells through lease records under
-//             <cache_dir>/claims (lease length: FAIRCLEAN_SHARD_LEASE_S,
-//             refreshed at every journal checkpoint; expired or dead
-//             owners are stolen from and their journals resumed). The
-//             last finishing shard assembles the merged report itself.
-//   --merge-report     validate the partial reports against the shared
-//             cache, then execute the full graph over the warm cache —
-//             the merged report is byte-identical to a single-process
-//             run.
+//   --shard-claim i/N  N cooperating processes work-steal cells through
+//             lease records under <cache_dir>/claims (lease length:
+//             FAIRCLEAN_SHARD_LEASE_S, refreshed at every slice write;
+//             expired or dead owners are stolen from and their finished
+//             repeat slices reused). Each writes a partial report
+//             "<report>.shard<i>of<N>"; the last finishing shard
+//             validates them against the shared cache and assembles the
+//             merged report, byte-identical to a single-process run.
 //
-// The run is resumable: the per-cell StudyDriver cache and repeat journals
+// The run is resumable: the per-cell StudyDriver cache and repeat slices
 // survive a kill, and re-running the same command resumes mid-suite. Exit
 // codes: 0 success, 75 (EX_TEMPFAIL) time budget exhausted with resumable
 // state, 1 failure. Scale knobs are the bench ones (FAIRCLEAN_SAMPLE /
@@ -71,7 +65,6 @@ int Run(int argc, char** argv) {
   std::string filter_text;
   std::string report_path;
   bool list_only = false;
-  bool merge_only = false;
   ShardSpec shard;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
@@ -80,15 +73,6 @@ int Run(int argc, char** argv) {
       report_path = argv[++i];
     } else if (std::strcmp(argv[i], "--list") == 0) {
       list_only = true;
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      Result<ShardSpec> parsed = ParseShardSpec(ShardMode::kStatic,
-                                                argv[++i]);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --shard: %s\n",
-                     parsed.status().ToString().c_str());
-        return 1;
-      }
-      shard = *parsed;
     } else if (std::strcmp(argv[i], "--shard-claim") == 0 && i + 1 < argc) {
       Result<ShardSpec> parsed = ParseShardSpec(ShardMode::kClaim,
                                                 argv[++i]);
@@ -98,21 +82,12 @@ int Run(int argc, char** argv) {
         return 1;
       }
       shard = *parsed;
-    } else if (std::strcmp(argv[i], "--merge-report") == 0) {
-      merge_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: run_suite [--filter a,b,c] [--report path] "
-                   "[--list] [--shard i/N | --shard-claim i/N | "
-                   "--merge-report]\n");
+                   "[--list] [--shard-claim i/N]\n");
       return 1;
     }
-  }
-  if (merge_only && shard.active()) {
-    std::fprintf(stderr,
-                 "--merge-report cannot be combined with --shard / "
-                 "--shard-claim\n");
-    return 1;
   }
 
   Status faults = FaultInjector::Global().ConfigureFromEnv();
@@ -152,17 +127,10 @@ int Run(int argc, char** argv) {
     std::printf("shard partial report: %s\n",
                 SuiteScheduler::PartialReportPath(options.report_path, shard)
                     .c_str());
-    if (shard.mode == ShardMode::kStatic) {
-      std::printf(
-          "run `run_suite --merge-report` once every shard finished to "
-          "assemble %s\n",
-          options.report_path.c_str());
-    }
     return 0;
   }
 
-  Status status = merge_only ? scheduler.RunSuiteMerge(spec, filter)
-                             : scheduler.RunSuite(spec, filter);
+  Status status = scheduler.RunSuite(spec, filter);
   if (!status.ok()) return scheduler.ReportFailure(status);
   scheduler.PrintRunSummary();
   std::printf("suite report: %s (artifacts produced=%llu reused=%llu)\n",
