@@ -32,16 +32,34 @@ void CountBytesWritten(size_t bytes) {
   counter->Increment(bytes);
 }
 
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 tables: table[0] is the classic byte-at-a-time table of the
+// reflected IEEE polynomial; table[k][b] is the CRC of byte b followed by k
+// zero bytes, so eight table lookups fold eight input bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables BuildCrc32Tables() {
+  Crc32Tables table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
     }
-    table[i] = crc;
+    table[0][i] = crc;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      uint32_t prev = table[k - 1][i];
+      table[k][i] = (prev >> 8) ^ table[0][prev & 0xffu];
+    }
   }
   return table;
+}
+
+// Little-endian 32-bit load, independent of host byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
@@ -51,11 +69,19 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
+  static const Crc32Tables table = BuildCrc32Tables();
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xffffffffu;
-  for (unsigned char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ c) & 0xffu];
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = crc ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    crc = table[7][lo & 0xffu] ^ table[6][(lo >> 8) & 0xffu] ^
+          table[5][(lo >> 16) & 0xffu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xffu] ^ table[2][(hi >> 8) & 0xffu] ^
+          table[1][(hi >> 16) & 0xffu] ^ table[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ table[0][(crc ^ *p) & 0xffu];
   return crc ^ 0xffffffffu;
 }
 
@@ -120,11 +146,9 @@ std::string AppendChecksumFooter(const std::string& body) {
 }
 
 bool HasChecksumFooter(const std::string& content) {
-  size_t footer = content.rfind(kChecksumFooterPrefix);
-  if (footer == std::string::npos) return false;
-  // The footer must start a line and be the last line.
-  if (footer != 0 && content[footer - 1] != '\n') return false;
-  return content.find('\n', footer) == content.size() - 1;
+  const std::string_view prefix = kChecksumFooterPrefix;
+  return content.compare(0, prefix.size(), prefix) == 0 ||
+         content.find("\n" + std::string(prefix)) != std::string::npos;
 }
 
 Result<std::string> VerifyChecksumFooter(const std::string& content) {
@@ -132,6 +156,11 @@ Result<std::string> VerifyChecksumFooter(const std::string& content) {
   if (footer == std::string::npos ||
       (footer != 0 && content[footer - 1] != '\n')) {
     return Status::InvalidArgument("missing checksum footer");
+  }
+  // Bytes after the footer line are damage too: the footer vouches for
+  // the whole file, not a prefix of it.
+  if (content.find('\n', footer) != content.size() - 1) {
+    return Status::InvalidArgument("checksum footer is not the final line");
   }
   std::string body = content.substr(0, footer);
   const char* fields = content.c_str() + footer + sizeof(kChecksumFooterPrefix) - 1;

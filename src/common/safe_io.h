@@ -31,10 +31,14 @@ std::string AppendChecksumFooter(const std::string& body);
 
 /// Splits a footer off `content` and verifies it. Returns the body on
 /// success; InvalidArgument when the footer is missing (truncated file) or
-/// the checksum / length does not match (bit rot, partial write).
+/// not the final line, or the checksum / length does not match (bit rot,
+/// partial write).
 Result<std::string> VerifyChecksumFooter(const std::string& content);
 
-/// True if `content` ends with a checksum footer line (without verifying).
+/// True if any line of `content` starts with the footer prefix (without
+/// verifying). Such content claims a checksum, so a reader must verify it
+/// instead of parsing it as legacy footer-less content: a footer followed
+/// by stray bytes is damage, not a legacy file.
 bool HasChecksumFooter(const std::string& content);
 
 /// Writes `body` + checksum footer atomically to `path`.

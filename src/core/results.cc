@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/safe_io.h"
 #include "common/strings.h"
@@ -105,6 +106,13 @@ Result<ResultStore> ResultStore::FromJson(const std::string& json) {
     }
     ++pos;
     std::string key;
+    // Fast path: a key without escapes is one contiguous copy.
+    size_t close = json.find('"', pos);
+    if (close != std::string::npos &&
+        std::memchr(json.data() + pos, '\\', close - pos) == nullptr) {
+      key.assign(json, pos, close - pos);
+      pos = close;
+    }
     while (pos < json.size() && json[pos] != '"') {
       if (json[pos] == '\\' && pos + 1 < json.size()) {
         ++pos;
@@ -133,19 +141,30 @@ Result<ResultStore> ResultStore::FromJson(const std::string& json) {
     }
     ++pos;
     skip_ws();
+    double value;
     if (StartsWith(std::string_view(json).substr(pos), "null")) {
-      store.Put(key, std::nan(""));
+      value = std::nan("");
       pos += 4;
-      continue;
+    } else {
+      const char* begin = json.c_str() + pos;
+      char* end = nullptr;
+      value = std::strtod(begin, &end);
+      if (end == begin) {
+        return Status::InvalidArgument("expected number in result JSON");
+      }
+      pos += static_cast<size_t>(end - begin);
     }
-    const char* begin = json.c_str() + pos;
-    char* end = nullptr;
-    double value = std::strtod(begin, &end);
-    if (end == begin) {
-      return Status::InvalidArgument("expected number in result JSON");
+    // ToJson writes keys in sorted order, so the end is the usual hint.
+    store.values_.insert_or_assign(store.values_.end(), std::move(key),
+                                   value);
+  }
+  // Only whitespace may follow the object: trailing bytes mean the record
+  // was damaged or concatenated, never that it is complete.
+  for (++pos; pos < json.size(); ++pos) {
+    char c = json[pos];
+    if (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
+      return Status::InvalidArgument("trailing bytes after result JSON");
     }
-    pos += static_cast<size_t>(end - begin);
-    store.Put(key, value);
   }
   return store;
 }

@@ -38,7 +38,8 @@ class ResultStore {
   /// Serializes to a flat JSON object with keys in sorted order.
   std::string ToJson() const;
 
-  /// Parses a store previously produced by ToJson.
+  /// Parses a store previously produced by ToJson. Only whitespace may
+  /// follow the closing brace.
   static Result<ResultStore> FromJson(const std::string& json);
 
   /// Persists to / restores from a file — the stop-and-resume facility the
@@ -52,8 +53,9 @@ class ResultStore {
 
   /// LoadFromFile's parsing half on bytes already in memory (the blob
   /// store backends hand the driver raw bytes): verifies the footer when
-  /// present, accepts legacy footer-less content. `origin` prefixes error
-  /// messages the way LoadFromFile uses the path.
+  /// any line carries one (so bytes after a footer are damage, not a
+  /// legacy file), accepts legacy footer-less content. `origin` prefixes
+  /// error messages the way LoadFromFile uses the path.
   static Result<ResultStore> LoadFromString(const std::string& content,
                                             const std::string& origin);
 

@@ -169,16 +169,7 @@ Result<GeneratedDataset> MakeAdultDataset(size_t num_rows, Rng* rng) {
   GeneratedDataset dataset;
   dataset.frame = std::move(frame);
   dataset.true_labels = std::move(true_labels);
-  dataset.spec.name = "adult";
-  dataset.spec.source = "census";
-  dataset.spec.label = "income";
-  dataset.spec.drop_variables = {"sex", "race"};
-  dataset.spec.error_types = {"missing_values", "outliers", "mislabels"};
-  dataset.spec.sensitive_attributes = {
-      {"sex", GroupPredicate::CategoryEq("sex", "male")},
-      {"race", GroupPredicate::CategoryEq("race", "white")},
-  };
-  dataset.spec.intersectional = true;
+  FC_ASSIGN_OR_RETURN(dataset.spec, DatasetSpecByName("adult"));
   return dataset;
 }
 

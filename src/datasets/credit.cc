@@ -134,15 +134,7 @@ Result<GeneratedDataset> MakeCreditDataset(size_t num_rows, Rng* rng) {
   GeneratedDataset dataset;
   dataset.frame = std::move(frame);
   dataset.true_labels = std::move(true_labels);
-  dataset.spec.name = "credit";
-  dataset.spec.source = "finance";
-  dataset.spec.label = "good_credit";
-  dataset.spec.drop_variables = {"age"};
-  dataset.spec.error_types = {"outliers", "mislabels"};
-  dataset.spec.sensitive_attributes = {
-      {"age", GroupPredicate::NumericGt("age", 30.0)},
-  };
-  dataset.spec.intersectional = false;
+  FC_ASSIGN_OR_RETURN(dataset.spec, DatasetSpecByName("credit"));
   return dataset;
 }
 

@@ -151,16 +151,7 @@ Result<GeneratedDataset> MakeFolkDataset(size_t num_rows, Rng* rng) {
   GeneratedDataset dataset;
   dataset.frame = std::move(frame);
   dataset.true_labels = std::move(true_labels);
-  dataset.spec.name = "folk";
-  dataset.spec.source = "census";
-  dataset.spec.label = "PINCP_50K";
-  dataset.spec.drop_variables = {"SEX", "RAC1P"};
-  dataset.spec.error_types = {"missing_values", "outliers", "mislabels"};
-  dataset.spec.sensitive_attributes = {
-      {"sex", GroupPredicate::CategoryEq("SEX", "male")},
-      {"race", GroupPredicate::CategoryEq("RAC1P", "white")},
-  };
-  dataset.spec.intersectional = true;
+  FC_ASSIGN_OR_RETURN(dataset.spec, DatasetSpecByName("folk"));
   return dataset;
 }
 

@@ -52,6 +52,12 @@ Result<GeneratedDataset> MakeHeartDataset(size_t num_rows, Rng* rng);
 Result<GeneratedDataset> MakeDataset(const std::string& name, size_t num_rows,
                                      Rng* rng);
 
+/// The declarative spec of a paper dataset (label, hidden columns, error
+/// types, privileged-group predicates), without generating any rows. Every
+/// generator attaches exactly this spec to its frame. NotFound for an
+/// unknown name.
+Result<DatasetSpec> DatasetSpecByName(const std::string& name);
+
 /// All dataset names in the paper's Table I order.
 std::vector<std::string> AllDatasetNames();
 

@@ -164,18 +164,7 @@ Result<GeneratedDataset> MakeGermanDataset(size_t num_rows, Rng* rng) {
   GeneratedDataset dataset;
   dataset.frame = std::move(frame);
   dataset.true_labels = std::move(true_labels);
-  dataset.spec.name = "german";
-  dataset.spec.source = "finance";
-  dataset.spec.label = "credit";
-  // Listing 1 of the paper: age, personal_status and sex are hidden from
-  // the classifier (foreign_worker is removed from the data entirely).
-  dataset.spec.drop_variables = {"age", "personal_status", "sex"};
-  dataset.spec.error_types = {"missing_values", "outliers", "mislabels"};
-  dataset.spec.sensitive_attributes = {
-      {"sex", GroupPredicate::CategoryEq("sex", "male")},
-      {"age", GroupPredicate::NumericGt("age", 25.0)},
-  };
-  dataset.spec.intersectional = true;
+  FC_ASSIGN_OR_RETURN(dataset.spec, DatasetSpecByName("german"));
   return dataset;
 }
 

@@ -125,17 +125,7 @@ Result<GeneratedDataset> MakeHeartDataset(size_t num_rows, Rng* rng) {
   GeneratedDataset dataset;
   dataset.frame = std::move(frame);
   dataset.true_labels = std::move(true_labels);
-  dataset.spec.name = "heart";
-  dataset.spec.source = "healthcare";
-  dataset.spec.label = "cardio";
-  dataset.spec.drop_variables = {"gender", "age"};
-  // No missing values at all (paper footnote 8).
-  dataset.spec.error_types = {"outliers", "mislabels"};
-  dataset.spec.sensitive_attributes = {
-      {"sex", GroupPredicate::CategoryEq("gender", "male")},
-      {"age", GroupPredicate::NumericGt("age", 45.0)},
-  };
-  dataset.spec.intersectional = true;
+  FC_ASSIGN_OR_RETURN(dataset.spec, DatasetSpecByName("heart"));
   return dataset;
 }
 

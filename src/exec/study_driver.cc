@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/safe_io.h"
 #include "common/strings.h"
 #include "core/cleaning.h"
@@ -109,14 +110,14 @@ bool IsDegenerateSlice(const CleaningExperimentResult& slice) {
 }
 
 // A cell shell with no repeats: the metadata every score series hangs off.
-CleaningExperimentResult EmptyCell(const GeneratedDataset& dataset,
+CleaningExperimentResult EmptyCell(const DatasetSpec& spec,
                                    const std::string& error_type,
                                    const std::string& model) {
   CleaningExperimentResult result;
-  result.dataset = dataset.spec.name;
+  result.dataset = spec.name;
   result.error_type = error_type;
   result.model = model;
-  result.groups = GroupDefinitionsFor(dataset.spec);
+  result.groups = GroupDefinitionsFor(spec);
   return result;
 }
 
@@ -126,21 +127,26 @@ CleaningExperimentResult EmptyCell(const GeneratedDataset& dataset,
 Status AppendStoredRepeat(const ResultStore& records,
                           const std::vector<CleaningMethod>& methods,
                           size_t repeat, CleaningExperimentResult* result) {
-  std::vector<std::string> versions = {"dirty"};
-  for (const CleaningMethod& method : methods) {
-    versions.push_back(method.Name());
-  }
-  for (const std::string& version : versions) {
+  // Every lookup is MetricKey({prefix, ...}): "<prefix>__test_acc" or
+  // "<prefix>__<group>_<side>__<cell>". One buffer is rebuilt per lookup
+  // instead of allocating a key string for each of a cell's ~900 reads.
+  std::string key;
+  size_t prefix_size = 0;
+  auto get = [&](std::initializer_list<std::string_view> parts) {
+    key.resize(prefix_size);
+    for (std::string_view part : parts) key.append(part);
+    return records.Get(key);
+  };
+  for (size_t v = 0; v <= methods.size(); ++v) {
+    const std::string version = v == 0 ? "dirty" : methods[v - 1].Name();
     ScoreSeries* series =
-        version == "dirty" ? &result->dirty : &result->repaired[version];
-    std::string prefix =
-        StrFormat("%s/%s/%s/%s/r%zu", result->dataset.c_str(),
-                  result->error_type.c_str(), version.c_str(),
-                  result->model.c_str(), repeat);
-    FC_ASSIGN_OR_RETURN(double accuracy,
-                        records.Get(MetricKey({prefix, "test_acc"})));
-    FC_ASSIGN_OR_RETURN(double f1,
-                        records.Get(MetricKey({prefix, "test_f1"})));
+        v == 0 ? &result->dirty : &result->repaired[version];
+    key = StrFormat("%s/%s/%s/%s/r%zu__", result->dataset.c_str(),
+                    result->error_type.c_str(), version.c_str(),
+                    result->model.c_str(), repeat);
+    prefix_size = key.size();
+    FC_ASSIGN_OR_RETURN(double accuracy, get({"test_acc"}));
+    FC_ASSIGN_OR_RETURN(double f1, get({"test_f1"}));
     series->accuracy.push_back(accuracy);
     series->f1.push_back(f1);
     for (const GroupDefinition& group : result->groups) {
@@ -148,18 +154,13 @@ Status AppendStoredRepeat(const ResultStore& records,
       const struct {
         const char* suffix;
         ConfusionMatrix* cm;
-      } sides[2] = {{"priv", &confusion.privileged},
-                    {"dis", &confusion.disadvantaged}};
+      } sides[2] = {{"_priv__", &confusion.privileged},
+                    {"_dis__", &confusion.disadvantaged}};
       for (const auto& side : sides) {
-        std::string base = group.key + "_" + side.suffix;
-        FC_ASSIGN_OR_RETURN(double tn,
-                            records.Get(MetricKey({prefix, base, "tn"})));
-        FC_ASSIGN_OR_RETURN(double fp,
-                            records.Get(MetricKey({prefix, base, "fp"})));
-        FC_ASSIGN_OR_RETURN(double fn,
-                            records.Get(MetricKey({prefix, base, "fn"})));
-        FC_ASSIGN_OR_RETURN(double tp,
-                            records.Get(MetricKey({prefix, base, "tp"})));
+        FC_ASSIGN_OR_RETURN(double tn, get({group.key, side.suffix, "tn"}));
+        FC_ASSIGN_OR_RETURN(double fp, get({group.key, side.suffix, "fp"}));
+        FC_ASSIGN_OR_RETURN(double fn, get({group.key, side.suffix, "fn"}));
+        FC_ASSIGN_OR_RETURN(double tp, get({group.key, side.suffix, "tp"}));
         side.cm->tn = static_cast<int64_t>(tn);
         side.cm->fp = static_cast<int64_t>(fp);
         side.cm->fn = static_cast<int64_t>(fn);
@@ -181,25 +182,26 @@ struct Reconstructed {
 };
 
 // Rebuilds ScoreSeries from the flat records of a cell, honoring the skip
-// markers. Serves both the cache-hit path (records read from disk) and
-// the assembled path (the union of this run's slices). Returns an error if
-// any expected key is absent.
-Result<Reconstructed> ReconstructFromStore(const ResultStore& records,
-                                           const GeneratedDataset& dataset,
+// markers, and moves the records into the result. Serves both the
+// cache-hit path (records read from disk) and the assembled path (the
+// union of this run's slices). Returns an error if any expected key is
+// absent.
+Result<Reconstructed> ReconstructFromStore(ResultStore records,
+                                           const DatasetSpec& spec,
                                            const std::string& error_type,
                                            const std::string& model,
                                            const StudyOptions& study) {
   FC_ASSIGN_OR_RETURN(std::vector<CleaningMethod> methods,
                       CleaningMethodsFor(error_type));
   Reconstructed out;
-  out.result = EmptyCell(dataset, error_type, model);
-  out.result.records = records;
+  out.result = EmptyCell(spec, error_type, model);
   for (size_t repeat = 0; repeat < study.num_repeats; ++repeat) {
     if (records.Contains(SkippedKey(repeat))) continue;
     FC_RETURN_IF_ERROR(
         AppendStoredRepeat(records, methods, repeat, &out.result));
     ++out.completed;
   }
+  out.result.records = std::move(records);
   return out;
 }
 
@@ -207,14 +209,14 @@ Result<Reconstructed> ReconstructFromStore(const ResultStore& records,
 // a record with a bad footer, missing keys, or gaps that reconstruct to NaN
 // (written before gap metrics reported empty groups as NaN) is damaged.
 Result<ResultStore> DecodeSlice(const std::string& bytes,
-                                const GeneratedDataset& dataset,
+                                const DatasetSpec& spec,
                                 const std::string& error_type,
                                 const std::string& model, size_t slot) {
   FC_ASSIGN_OR_RETURN(std::string body, VerifyChecksumFooter(bytes));
   FC_ASSIGN_OR_RETURN(ResultStore records, ResultStore::FromJson(body));
   FC_ASSIGN_OR_RETURN(std::vector<CleaningMethod> methods,
                       CleaningMethodsFor(error_type));
-  CleaningExperimentResult probe = EmptyCell(dataset, error_type, model);
+  CleaningExperimentResult probe = EmptyCell(spec, error_type, model);
   Status rebuilt = AppendStoredRepeat(records, methods, slot, &probe);
   if (!rebuilt.ok()) return Status::InvalidArgument(rebuilt.message());
   if (IsDegenerateSlice(probe)) {
@@ -400,7 +402,7 @@ std::optional<CleaningExperimentResult> StudyDriver::ComputeSlot(
 }
 
 std::optional<ResultStore> StudyDriver::LoadSlice(
-    const std::string& key, const GeneratedDataset& dataset,
+    const std::string& key, const DatasetSpec& spec,
     const std::string& error_type, const std::string& model, size_t slot) {
   Result<bool> found = store_.Contains(key);
   if (!found.ok() || !*found) return std::nullopt;
@@ -415,7 +417,7 @@ std::optional<ResultStore> StudyDriver::LoadSlice(
                 bytes.status().ToString().c_str());
     return std::nullopt;
   }
-  Result<ResultStore> records = DecodeSlice(*bytes, dataset, error_type,
+  Result<ResultStore> records = DecodeSlice(*bytes, spec, error_type,
                                             model, slot);
   if (records.ok()) {
     Count("driver.slices_reused")->Increment();
@@ -451,10 +453,11 @@ void StudyDriver::WriteSlice(const std::string& key,
 }
 
 Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
-    const GeneratedDataset& dataset, const std::string& error_type,
-    const std::string& model) {
+    const DatasetSpec& spec, const RowsFn& rows,
+    const std::string& error_type, const std::string& model,
+    std::string* record_sha256) {
   obs::TraceSpan span("exec", [&] {
-    return StrFormat("RunOrLoad %s/%s/%s", dataset.spec.name.c_str(),
+    return StrFormat("RunOrLoad %s/%s/%s", spec.name.c_str(),
                      error_type.c_str(), model.c_str());
   });
   Count("driver.experiments")->Increment();
@@ -465,7 +468,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
   if (persist) {
     std::error_code ec;
     std::filesystem::create_directories(options_.cache_dir, ec);
-    cache_key = CacheKey(options_, dataset.spec.name, error_type, model);
+    cache_key = CacheKey(options_, spec.name, error_type, model);
     Result<bool> found = store_.Contains(cache_key);
     if (!found.ok()) {
       FC_LOG_WARN("driver", "store lookup of %s failed: %s",
@@ -474,11 +477,11 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     // A completed experiment in the result cache.
     if (found.ok() && *found) {
       StageScope stage(StageWall("cache_load"), "cache_load");
-      Result<ResultStore> store = [&]() -> Result<ResultStore> {
-        FC_ASSIGN_OR_RETURN(std::string bytes, store_.Read(cache_key));
-        return ResultStore::LoadFromString(bytes,
-                                           store_.Describe(cache_key));
-      }();
+      Result<std::string> bytes = store_.Read(cache_key);
+      Result<ResultStore> store =
+          bytes.ok() ? ResultStore::LoadFromString(*bytes,
+                                                   store_.Describe(cache_key))
+                     : Result<ResultStore>(bytes.status());
       if (!store.ok()) {
         // Truncated, bit-flipped, or unparsable: quarantine the evidence
         // and recompute. Transient read errors (and a record that vanished
@@ -496,8 +499,9 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
                       store.status().ToString().c_str());
         }
       } else {
-        Result<Reconstructed> cached = ReconstructFromStore(
-            *store, dataset, error_type, model, options_.study);
+        Result<Reconstructed> cached =
+            ReconstructFromStore(std::move(*store), spec, error_type, model,
+                                 options_.study);
         if (cached.ok() && cached->completed >= kMinCompletedRepeats &&
             !IsDegenerateSlice(cached->result)) {
           // The degeneracy re-check matters for caches written before gap
@@ -505,9 +509,9 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
           // confusion matrices now reconstruct to non-finite gaps, and such
           // scores must be recomputed, not served.
           Count("driver.cache_hits")->Increment();
-          FC_LOG_INFO("driver", "cache hit %s/%s/%s",
-                      dataset.spec.name.c_str(), error_type.c_str(),
-                      model.c_str());
+          FC_LOG_INFO("driver", "cache hit %s/%s/%s", spec.name.c_str(),
+                      error_type.c_str(), model.c_str());
+          if (record_sha256 != nullptr) *record_sha256 = Sha256Hex(*bytes);
           return std::move(cached->result);
         }
         // Stale store (missing keys) at the cache path: the file is intact
@@ -516,7 +520,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     }
   }
 
-  FC_LOG_INFO("driver", "run %s/%s/%s ...", dataset.spec.name.c_str(),
+  FC_LOG_INFO("driver", "run %s/%s/%s ...", spec.name.c_str(),
               error_type.c_str(), model.c_str());
   const size_t num_repeats = options_.study.num_repeats;
   // The cell record is the union of its slots' records plus the skip
@@ -524,13 +528,14 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
   // score series exactly as the cache-hit path does.
   ResultStore records;
   Status last_failure;
+  // Generated on the first slot that must be computed.
+  const GeneratedDataset* dataset = nullptr;
   for (size_t slot = 0; slot < num_repeats; ++slot) {
     std::string slice_key;
     if (persist) {
-      slice_key = SliceKey(options_, dataset.spec.name, error_type, model,
-                           slot);
+      slice_key = SliceKey(options_, spec.name, error_type, model, slot);
       std::optional<ResultStore> loaded =
-          LoadSlice(slice_key, dataset, error_type, model, slot);
+          LoadSlice(slice_key, spec, error_type, model, slot);
       if (loaded.has_value()) {
         records.MergeFrom(*loaded);
         continue;
@@ -547,24 +552,27 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
               : "request deadline exceeded";
       return Status::DeadlineExceeded(StrFormat(
           "%s; %zu/%zu repeats of %s/%s/%s are persisted — re-run to resume",
-          limit.c_str(), slot, num_repeats, dataset.spec.name.c_str(),
+          limit.c_str(), slot, num_repeats, spec.name.c_str(),
           error_type.c_str(), model.c_str()));
     }
     // Simulated hard interruption between repeats (tests kill-and-resume):
     // every earlier repeat is already persisted.
     FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("interrupt"));
+    if (dataset == nullptr) {
+      FC_ASSIGN_OR_RETURN(dataset, rows());
+    }
     std::optional<CleaningExperimentResult> slice;
     {
       StageScope stage(StageWall("compute"), "compute");
-      slice = ComputeSlot(dataset, error_type, family, slot, &last_failure);
+      slice = ComputeSlot(*dataset, error_type, family, slot, &last_failure);
     }
     if (!slice.has_value()) {
       // Skipped slots persist nothing; a resume recomputes them.
       Count("driver.skips")->Increment();
       records.Put(SkippedKey(slot), 1.0);
-      FC_LOG_WARN("driver", "skip %s/%s/%s r%zu: %s",
-                  dataset.spec.name.c_str(), error_type.c_str(),
-                  model.c_str(), slot, last_failure.ToString().c_str());
+      FC_LOG_WARN("driver", "skip %s/%s/%s r%zu: %s", spec.name.c_str(),
+                  error_type.c_str(), model.c_str(), slot,
+                  last_failure.ToString().c_str());
       continue;
     }
     Count("driver.repeats_run")->Increment();
@@ -573,27 +581,28 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
   }
   records.Put(kMetaNextRepeat, static_cast<double>(num_repeats));
 
+  const std::string bytes = AppendChecksumFooter(records.ToJson());
   FC_ASSIGN_OR_RETURN(Reconstructed assembled,
-                      ReconstructFromStore(records, dataset, error_type,
-                                           model, options_.study));
+                      ReconstructFromStore(std::move(records), spec,
+                                           error_type, model, options_.study));
   if (assembled.completed < kMinCompletedRepeats) {
     return Status::InvalidArgument(StrFormat(
         "only %zu of %zu repeats of %s/%s/%s succeeded (need >= %zu); "
         "last failure: %s",
-        assembled.completed, num_repeats, dataset.spec.name.c_str(),
+        assembled.completed, num_repeats, spec.name.c_str(),
         error_type.c_str(), model.c_str(), kMinCompletedRepeats,
         last_failure.ToString().c_str()));
   }
 
   if (persist) {
     StageScope stage(StageWall("finalize"), "finalize");
-    Status saved =
-        store_.Write(cache_key, AppendChecksumFooter(records.ToJson()));
+    Status saved = store_.Write(cache_key, bytes);
     if (!saved.ok()) {
       FC_LOG_WARN("driver", "cache write failed: %s",
                   saved.ToString().c_str());
     }
   }
+  if (record_sha256 != nullptr) *record_sha256 = Sha256Hex(bytes);
   return std::move(assembled.result);
 }
 

@@ -101,12 +101,33 @@ class StudyDriver {
  public:
   explicit StudyDriver(StudyDriverOptions options);
 
+  /// Supplies a cell's generated rows. The pointee must outlive the
+  /// RunOrLoad call.
+  using RowsFn = std::function<Result<const GeneratedDataset*>()>;
+
   /// Runs (or loads, or resumes) the cleaning experiment for one
-  /// (dataset, error type, model family). On DeadlineExceeded the
-  /// completed repeats are already persisted and a re-run reuses them.
+  /// (dataset, error type, model family). Keys, logs, cache hits and slice
+  /// loads need only `spec`; `rows` is called at most once, at the first
+  /// repeat slot that must be computed, so a cache hit generates no data.
+  /// When `record_sha256` is set it receives the SHA-256 of the cell
+  /// record's bytes: the bytes read and verified on a hit, otherwise the
+  /// bytes written (or, without a cache dir, that would be written). On
+  /// DeadlineExceeded the completed repeats are already persisted and a
+  /// re-run reuses them.
+  Result<CleaningExperimentResult> RunOrLoad(const DatasetSpec& spec,
+                                             const RowsFn& rows,
+                                             const std::string& error_type,
+                                             const std::string& model,
+                                             std::string* record_sha256 =
+                                                 nullptr);
+
+  /// RunOrLoad over rows the caller already holds.
   Result<CleaningExperimentResult> RunOrLoad(const GeneratedDataset& dataset,
                                              const std::string& error_type,
-                                             const std::string& model);
+                                             const std::string& model) {
+    return RunOrLoad(dataset.spec, [&dataset] { return &dataset; },
+                     error_type, model);
+  }
 
   /// Snapshot of the driver's metric instruments in the legacy
   /// RunDiagnostics shape. Counters are shared with the global metrics
@@ -150,7 +171,7 @@ class StudyDriver {
   /// record is quarantined; a failed read (the "cache_read" probe
   /// included) is a miss that leaves the record in place.
   std::optional<ResultStore> LoadSlice(const std::string& key,
-                                       const GeneratedDataset& dataset,
+                                       const DatasetSpec& spec,
                                        const std::string& error_type,
                                        const std::string& model,
                                        size_t slot);

@@ -19,7 +19,7 @@ namespace fairclean {
 namespace sched {
 
 /// Content-addressed, in-process memoization of shared suite artifacts
-/// (generated datasets, experiment-cell records, disparity analyses).
+/// (dataset handles, experiment-cell records, disparity analyses).
 ///
 /// Keys are canonical serializations of everything that determines the
 /// artifact's bytes (see DatasetArtifactKey / CellArtifactKey /

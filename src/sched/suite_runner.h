@@ -101,6 +101,26 @@ struct DisparityArtifact {
 /// Scope results keyed "<dataset>/<model>", shared with the artifact store.
 using ScopeResults = std::map<std::string, std::shared_ptr<const CellArtifact>>;
 
+/// The dataset artifact `name` from `artifacts`: one store request whose
+/// producer only resolves the static spec (NotFound for an unknown name).
+/// Rows are generated on the handle's first Rows call and counted on
+/// `generated` ("sched.datasets_generated").
+Result<std::shared_ptr<const DatasetHandle>> DatasetArtifact(
+    ArtifactStore* artifacts, const std::string& name, uint64_t study_seed,
+    obs::Counter* generated, const ArtifactStore::Deadline& deadline = {});
+
+/// Produces one cell through a fresh StudyDriver, shared by the suite
+/// scheduler and the advisor service. The dataset's rows are requested
+/// (bounded by options.deadline) only if a repeat slot must be computed,
+/// and the artifact's sha256 hashes the record bytes the driver verified or
+/// wrote, so a cache hit reads its record once. `diagnostics` receives the
+/// driver's counters whether or not the run succeeded. The cell class is
+/// left at kPass for the caller to set.
+Result<CellArtifact> ProduceCellArtifact(
+    const DatasetHandle& dataset, const CellKey& cell,
+    const exec::StudyDriverOptions& options,
+    exec::RunDiagnostics* diagnostics);
+
 /// Aggregates a scope's results into the paper's 3x3 impact table for one
 /// (grouping, fairness metric): every (pair-or-dataset, method, model)
 /// configuration contributes one cell. `alpha` is the base level; it is
@@ -195,9 +215,11 @@ class SuiteScheduler {
   Result<ScopeResults> RunScopeCells(const StudyScope& scope);
 
   /// Shared dataset / cell / disparity artifacts (produced on first use).
-  /// With a cache dir, a disparity panel is read from its figure record
-  /// (FigureRecordKey) and only computed, then persisted, on a miss.
-  Result<std::shared_ptr<const GeneratedDataset>> Dataset(
+  /// A dataset artifact is a lazy handle: its rows are generated only when
+  /// a cell slot or figure panel must be computed. With a cache dir, a
+  /// disparity panel is read from its figure record (FigureRecordKey) and
+  /// only computed, then persisted, on a miss.
+  Result<std::shared_ptr<const DatasetHandle>> Dataset(
       const std::string& name);
   Result<std::shared_ptr<const CellArtifact>> Cell(const CellKey& cell);
   Result<std::shared_ptr<const DisparityArtifact>> Disparity(
@@ -345,6 +367,8 @@ class SuiteScheduler {
   /// Figure panels served from / written to the on-disk store.
   obs::Counter* figure_records_loaded_;
   obs::Counter* figure_records_written_;
+  /// Dataset row generations that actually ran (cache hits run none).
+  obs::Counter* datasets_generated_;
   /// Wave index of the fan-out currently executing; kNoWave outside one.
   /// Tags cell spans "cell w<k> ..." so trace digests can break cell time
   /// down per wave. Written only on the scheduling thread between
@@ -370,7 +394,7 @@ class SuiteScheduler {
   std::function<void(const CellKey&)> cell_checkpoint_hook_;
 
   /// Node results of the last ExecuteGraph, indexed by node id. Holds
-  /// CellArtifact / GeneratedDataset / FigureValue / TableValue /
+  /// CellArtifact / DatasetHandle / FigureValue / TableValue /
   /// ModelTableValue per the node kind.
   std::vector<std::shared_ptr<const void>> node_values_;
   std::string report_json_;

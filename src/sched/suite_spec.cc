@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/strings.h"
 #include "ml/tuning.h"
+#include "obs/trace.h"
 
 namespace fairclean {
 namespace sched {
@@ -227,6 +228,41 @@ Result<GeneratedDataset> MakeSuiteDataset(const std::string& name,
   // still derives from the global study seed.
   Rng rng(study_seed * 0x9e3779b97f4a7c15ULL + Fnv1a64(name));
   return MakeDataset(name, 0, &rng);
+}
+
+DatasetHandle::DatasetHandle(DatasetSpec spec, uint64_t study_seed,
+                             obs::Counter* generated)
+    : spec_(std::move(spec)), study_seed_(study_seed), generated_(generated) {}
+
+Result<const GeneratedDataset*> DatasetHandle::Rows(
+    const Deadline& deadline) const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!started_) {
+    started_ = true;
+    lock.unlock();
+    Result<GeneratedDataset> made = [&] {
+      obs::TraceSpan span("sched", [&] { return "dataset " + spec_.name; });
+      return MakeSuiteDataset(spec_.name, study_seed_);
+    }();
+    if (generated_ != nullptr) generated_->Increment();
+    lock.lock();
+    if (made.ok()) {
+      rows_ = std::move(*made);
+    } else {
+      status_ = made.status();
+    }
+    ready_ = true;
+    ready_cv_.notify_all();
+  } else if (deadline.has_value()) {
+    if (!ready_cv_.wait_until(lock, *deadline, [this] { return ready_; })) {
+      return Status::DeadlineExceeded(
+          "deadline expired waiting for the rows of dataset " + spec_.name);
+    }
+  } else {
+    ready_cv_.wait(lock, [this] { return ready_; });
+  }
+  if (!status_.ok()) return status_;
+  return &rows_;
 }
 
 std::string DatasetArtifactKey(const std::string& name, uint64_t study_seed) {

@@ -1,6 +1,10 @@
 #ifndef FAIRCLEAN_SCHED_SUITE_SPEC_H_
 #define FAIRCLEAN_SCHED_SUITE_SPEC_H_
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,6 +13,7 @@
 #include "core/runner.h"
 #include "datasets/generator.h"
 #include "fairness/fairness_metrics.h"
+#include "obs/metrics.h"
 
 namespace fairclean {
 namespace sched {
@@ -134,6 +139,42 @@ struct SuiteFilter {
 /// have always used, so every pre-existing driver cache stays valid.
 Result<GeneratedDataset> MakeSuiteDataset(const std::string& name,
                                           uint64_t study_seed);
+
+/// The suite's dataset artifact: the static spec at once, the generated
+/// rows on demand. Keys, logs, cache hits and figure-record loads need only
+/// the spec. The rows are generated (MakeSuiteDataset) by the first Rows
+/// call, which is the first repeat slot or figure panel that must actually
+/// be computed, and shared by every later call. A failed generation is
+/// memoized: it is deterministic given (name, seed), like every artifact
+/// failure.
+///
+/// Thread-safe. Concurrent Rows calls share the one generation; a caller
+/// whose deadline passes while another generates gets DeadlineExceeded
+/// without disturbing it (the ArtifactStore waiter contract).
+class DatasetHandle {
+ public:
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+  /// `generated` (may be null) counts the generations that actually run.
+  DatasetHandle(DatasetSpec spec, uint64_t study_seed,
+                obs::Counter* generated);
+
+  const DatasetSpec& spec() const { return spec_; }
+
+  /// The generated rows, valid for the handle's lifetime.
+  Result<const GeneratedDataset*> Rows(const Deadline& deadline = {}) const;
+
+ private:
+  const DatasetSpec spec_;
+  const uint64_t study_seed_;
+  obs::Counter* const generated_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable ready_cv_;
+  mutable bool started_ = false;
+  mutable bool ready_ = false;
+  mutable Status status_ = Status::OK();
+  mutable GeneratedDataset rows_;
+};
 
 /// Content-address key of a generated dataset artifact. Generation is
 /// deterministic given (name, study seed), so the key pins the bytes.

@@ -1,10 +1,7 @@
 #include "serve/advisor_service.h"
 
-#include <filesystem>
 #include <utility>
 
-#include "common/safe_io.h"
-#include "common/hash.h"
 #include "core/cleaning.h"
 #include "core/fair_selector.h"
 #include "exec/study_driver.h"
@@ -19,39 +16,24 @@ AdvisorService::AdvisorService(sched::SuiteOptions options)
     : options_(std::move(options)),
       metrics_(&obs::MetricsRegistry::Global()),
       artifacts_(&metrics_),
-      store_(options_.cache_dir) {}
-
-Result<std::shared_ptr<const GeneratedDataset>> AdvisorService::Dataset(
-    const std::string& name,
-    const sched::ArtifactStore::Deadline& deadline) {
-  return artifacts_.GetOrCreateAs<GeneratedDataset>(
-      sched::DatasetArtifactKey(name, options_.study.seed),
-      [&]() -> Result<GeneratedDataset> {
-        obs::TraceSpan span("serve", [&] { return "dataset " + name; });
-        return sched::MakeSuiteDataset(name, options_.study.seed);
-      },
-      deadline);
-}
+      datasets_generated_(metrics_.GetCounter("sched.datasets_generated")) {}
 
 Result<sched::CellArtifact> AdvisorService::ProduceCell(
     const sched::CellKey& cell, const sched::ArtifactStore::Deadline& deadline,
     bool* cache_hit) {
   obs::TraceSpan span("serve", [&] { return "cell " + cell.Id(); });
-  FC_ASSIGN_OR_RETURN(std::shared_ptr<const GeneratedDataset> dataset,
-                      Dataset(cell.dataset, deadline));
+  FC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const sched::DatasetHandle> dataset,
+      sched::DatasetArtifact(&artifacts_, cell.dataset, options_.study.seed,
+                             datasets_generated_, deadline));
   exec::StudyDriverOptions driver_options;
   driver_options.study = options_.study;
   driver_options.cache_dir = options_.cache_dir;
   driver_options.max_retries = options_.max_retries;
-  if (!options_.cache_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.cache_dir, ec);
-  }
   driver_options.deadline = deadline;
-  exec::StudyDriver driver(driver_options);
-  Result<CleaningExperimentResult> result =
-      driver.RunOrLoad(*dataset, cell.error_type, cell.model);
-  exec::RunDiagnostics diagnostics = driver.diagnostics();
+  exec::RunDiagnostics diagnostics;
+  Result<sched::CellArtifact> artifact = sched::ProduceCellArtifact(
+      *dataset, cell, driver_options, &diagnostics);
   // cache_hits > 0 means RunOrLoad served the whole experiment from the
   // on-disk record without computing a repeat in this process.
   *cache_hit = diagnostics.cache_hits > 0;
@@ -61,21 +43,8 @@ Result<sched::CellArtifact> AdvisorService::ProduceCell(
   if (diagnostics.slices_reused > 0) {
     metrics_.GetCounter("serve.slice_resumes")->Increment();
   }
-  if (!result.ok()) return result.status();
+  if (!artifact.ok()) return artifact.status();
   metrics_.GetCounter("serve.cells_served")->Increment();
-
-  sched::CellArtifact artifact;
-  artifact.result = std::move(*result);
-  std::string bytes;
-  if (!options_.cache_dir.empty()) {
-    std::string key = exec::StudyDriver::CacheKey(
-        driver_options, cell.dataset, cell.error_type, cell.model);
-    FC_ASSIGN_OR_RETURN(bytes, store_.Read(key));
-    artifact.cache_file = key;
-  } else {
-    bytes = AppendChecksumFooter(artifact.result.records.ToJson());
-  }
-  artifact.sha256 = Sha256Hex(bytes);
   return artifact;
 }
 

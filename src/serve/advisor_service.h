@@ -9,13 +9,13 @@
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
 #include "serve/protocol.h"
-#include "store/blob_store.h"
 
 namespace fairclean {
 namespace serve {
 
-/// The resident analysis stack behind the advisor server: generated
-/// datasets and experiment-cell artifacts are memoized in a
+/// The resident analysis stack behind the advisor server: dataset handles
+/// (rows generated only for a cell that must be computed) and
+/// experiment-cell artifacts are memoized in a
 /// content-addressed ArtifactStore shared across requests (and worker
 /// threads), and each cell is produced by a fault-tolerant StudyDriver
 /// whose cell and slice records live in the suite cache directory — so the stack
@@ -43,8 +43,6 @@ class AdvisorService {
   sched::ArtifactStore& artifacts() { return artifacts_; }
 
  private:
-  Result<std::shared_ptr<const GeneratedDataset>> Dataset(
-      const std::string& name, const sched::ArtifactStore::Deadline& deadline);
   Result<std::shared_ptr<const sched::CellArtifact>> Cell(
       const sched::CellKey& cell,
       const sched::ArtifactStore::Deadline& deadline, bool* cache_hit);
@@ -55,7 +53,7 @@ class AdvisorService {
   sched::SuiteOptions options_;
   obs::MetricsRegistry metrics_;
   sched::ArtifactStore artifacts_;
-  store::FlatFileStore store_;
+  obs::Counter* datasets_generated_;
 };
 
 }  // namespace serve

@@ -1,6 +1,7 @@
 #include "common/safe_io.h"
 
 #include <filesystem>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -27,6 +28,33 @@ TEST(Crc32Test, SensitiveToSingleBitFlip) {
   uint32_t before = Crc32(data);
   data[1] ^= 0x01;
   EXPECT_NE(Crc32(data), before);
+}
+
+// Bit-at-a-time CRC-32 straight from the reflected polynomial: the
+// reference the table-driven implementation must match.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937 rng(77);
+  std::string buffer(1024 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  const auto* bytes = reinterpret_cast<const unsigned char*>(buffer.data());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      ASSERT_EQ(Crc32(std::string_view(buffer.data() + offset, length)),
+                BitwiseCrc32(bytes + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(AtomicWriteTest, RoundTripsAndLeavesNoTempFile) {
@@ -82,6 +110,29 @@ TEST(ChecksumFooterTest, DetectsTruncatedBody) {
   // Drop one byte of the body but keep the footer intact.
   std::string truncated = framed.substr(1);
   EXPECT_FALSE(VerifyChecksumFooter(truncated).ok());
+}
+
+TEST(ChecksumFooterTest, RejectsBytesAfterTheFooter) {
+  std::string framed = AppendChecksumFooter("{\"x\": 1}\n");
+  ASSERT_TRUE(VerifyChecksumFooter(framed).ok());
+  for (const char* tail : {"\n", " ", "x", "{\"y\": 2}\n"}) {
+    Result<std::string> verified = VerifyChecksumFooter(framed + tail);
+    ASSERT_FALSE(verified.ok()) << "tail \"" << tail << "\"";
+    EXPECT_EQ(verified.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ChecksumFooterTest, AnyFooterLineClaimsAChecksum) {
+  std::string framed = AppendChecksumFooter("{\"x\": 1}\n");
+  // A footer that is no longer the last line still marks checksummed
+  // content, so readers verify it (and fail) instead of treating it as a
+  // legacy footer-less file.
+  EXPECT_TRUE(HasChecksumFooter(framed + "\n"));
+  EXPECT_TRUE(HasChecksumFooter(framed + "trailing"));
+  EXPECT_TRUE(
+      HasChecksumFooter(std::string(kChecksumFooterPrefix) + "0 len=0"));
+  EXPECT_FALSE(HasChecksumFooter("{\"x\": 1}\n"));
+  EXPECT_FALSE(HasChecksumFooter("{\"x #fc-crc32 \": 1}\n"));
 }
 
 TEST(ChecksummedFileTest, RoundTrip) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/safe_io.h"
+
 namespace fairclean {
 namespace {
 
@@ -89,6 +91,36 @@ TEST(ResultStoreTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(ResultStore::FromJson("{\"a\": }").ok());
   EXPECT_FALSE(ResultStore::FromJson("{\"a\" 1}").ok());
   EXPECT_FALSE(ResultStore::FromJson("{\"unterminated").ok());
+}
+
+TEST(ResultStoreTest, FromJsonRejectsTrailingBytes) {
+  EXPECT_TRUE(ResultStore::FromJson("{\"a\": 1}\n \t\r\n").ok());
+  EXPECT_FALSE(ResultStore::FromJson("{\"a\": 1}\nx").ok());
+  EXPECT_FALSE(ResultStore::FromJson("{\"a\": 1}{\"a\": 2}").ok());
+  EXPECT_FALSE(ResultStore::FromJson("{\"a\": 1},").ok());
+}
+
+TEST(ResultStoreTest, CorruptedRecordWithBytesAfterItsFooterIsRejected) {
+  ResultStore store;
+  store.Put("cell/r0__test_acc", 0.75);
+  store.Put("cell/r0__test_f1", 0.5);
+  std::string framed = AppendChecksumFooter(store.ToJson());
+  ASSERT_TRUE(ResultStore::LoadFromString(framed, "cell").ok());
+  // One value bit-flipped (0.75 -> 0.65) and one byte after the footer:
+  // the footer is still there, so the content must be verified, not
+  // parsed as a legacy footer-less record.
+  std::string damaged = framed;
+  size_t digit = damaged.find("0.75");
+  ASSERT_NE(digit, std::string::npos);
+  damaged[digit + 2] ^= 0x01;
+  damaged += "\n";
+  Result<ResultStore> loaded = ResultStore::LoadFromString(damaged, "cell");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  // Intact bytes followed by a stray byte are rejected just the same.
+  EXPECT_FALSE(ResultStore::LoadFromString(framed + "\n", "cell").ok());
+  // Legacy content without any footer still loads.
+  EXPECT_TRUE(ResultStore::LoadFromString(store.ToJson(), "cell").ok());
 }
 
 TEST(ResultStoreTest, EmptyStoreRoundTrips) {

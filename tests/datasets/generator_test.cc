@@ -26,6 +26,29 @@ TEST_P(GeneratorTest, ProducesRequestedRowCount) {
   EXPECT_EQ(dataset.spec.name, GetParam());
 }
 
+TEST_P(GeneratorTest, SpecByNameDescribesTheGeneratedFrame) {
+  // The spec is known without generating a row, and the generator attaches
+  // exactly it: label and hidden columns are columns of the frame.
+  Result<DatasetSpec> spec = DatasetSpecByName(GetParam());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  GeneratedDataset dataset = Generate(200);
+  EXPECT_EQ(spec->name, GetParam());
+  EXPECT_EQ(dataset.spec.label, spec->label);
+  EXPECT_EQ(dataset.spec.drop_variables, spec->drop_variables);
+  EXPECT_EQ(dataset.spec.error_types, spec->error_types);
+  EXPECT_EQ(dataset.spec.intersectional, spec->intersectional);
+  EXPECT_TRUE(dataset.frame.HasColumn(spec->label));
+  for (const std::string& column : spec->drop_variables) {
+    EXPECT_TRUE(dataset.frame.HasColumn(column)) << column;
+  }
+}
+
+TEST(DatasetSpecByNameTest, UnknownNameIsNotFound) {
+  Result<DatasetSpec> spec = DatasetSpecByName("nope");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kNotFound);
+}
+
 TEST_P(GeneratorTest, ZeroRowsUsesDefaultSize) {
   Rng rng(2);
   Result<GeneratedDataset> dataset = MakeDataset(GetParam(), 0, &rng);

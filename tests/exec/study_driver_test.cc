@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/safe_io.h"
 #include "datasets/generator.h"
@@ -266,6 +267,89 @@ TEST_F(StudyDriverTest, QuarantinesBitFlippedCacheAndRecomputes) {
   // Evidence preserved, fresh cache byte-identical to the original.
   EXPECT_TRUE(std::filesystem::exists(CacheFile() + ".corrupt"));
   EXPECT_EQ(FileBytes(CacheFile()), full_cache);
+}
+
+TEST_F(StudyDriverTest, CellRecordWithTrailingByteIsQuarantinedNotServed) {
+  {
+    StudyDriver driver(Options());
+    ASSERT_TRUE(
+        driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  }
+  std::string full_cache = FileBytes(CacheFile());
+  // Intact record, one stray byte after its footer: the footer no longer
+  // vouches for the whole file, so the record is damaged.
+  std::string damaged = full_cache + "\n";
+  ASSERT_TRUE(WriteFileAtomic(CacheFile(), damaged).ok());
+
+  StudyDriver driver(Options());
+  Result<CleaningExperimentResult> result =
+      driver.RunOrLoad(German(), "missing_values", "log-reg");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(driver.diagnostics().cache_hits, 0u);
+  EXPECT_EQ(driver.diagnostics().corrupt_quarantined, 1u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 3u);
+  ExpectSameScores(*result, Baseline());
+  EXPECT_EQ(FileBytes(CacheFile() + ".corrupt"), damaged);
+  EXPECT_EQ(FileBytes(CacheFile()), full_cache);
+}
+
+TEST_F(StudyDriverTest, RowsAreRequestedOnlyWhenASlotMustBeComputed) {
+  size_t rows_calls = 0;
+  const StudyDriver::RowsFn rows = [&]() -> Result<const GeneratedDataset*> {
+    ++rows_calls;
+    return &German();
+  };
+  std::string cold_sha;
+  {
+    StudyDriver driver(Options());
+    ASSERT_TRUE(driver
+                    .RunOrLoad(German().spec, rows, "missing_values",
+                               "log-reg", &cold_sha)
+                    .ok());
+    EXPECT_EQ(driver.diagnostics().repeats_run, 3u);
+  }
+  // Generated once for three computed slots; the digest is of the bytes
+  // written.
+  EXPECT_EQ(rows_calls, 1u);
+  EXPECT_EQ(cold_sha, Sha256Hex(FileBytes(CacheFile())));
+
+  // A cache hit reads the record once and never asks for rows.
+  std::string warm_sha;
+  StudyDriver warm(Options());
+  Result<CleaningExperimentResult> cached = warm.RunOrLoad(
+      German().spec, rows, "missing_values", "log-reg", &warm_sha);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(warm.diagnostics().cache_hits, 1u);
+  EXPECT_EQ(rows_calls, 1u);
+  EXPECT_EQ(warm_sha, cold_sha);
+  ExpectSameScores(*cached, Baseline());
+
+  // Reassembling the cell from its slices computes nothing either.
+  std::filesystem::remove(CacheFile());
+  std::string assembled_sha;
+  StudyDriver assembler(Options());
+  ASSERT_TRUE(assembler
+                  .RunOrLoad(German().spec, rows, "missing_values",
+                             "log-reg", &assembled_sha)
+                  .ok());
+  EXPECT_EQ(assembler.diagnostics().slices_reused, 3u);
+  EXPECT_EQ(rows_calls, 1u);
+  EXPECT_EQ(assembled_sha, cold_sha);
+
+  // A failing getter fails only a run that must compute.
+  const StudyDriver::RowsFn broken = []() -> Result<const GeneratedDataset*> {
+    return Status::Internal("no rows");
+  };
+  StudyDriver hit(Options());
+  EXPECT_TRUE(
+      hit.RunOrLoad(German().spec, broken, "missing_values", "log-reg").ok());
+  StudyDriverOptions in_memory = Options();
+  in_memory.cache_dir = "";
+  StudyDriver miss(in_memory);
+  Result<CleaningExperimentResult> failed =
+      miss.RunOrLoad(German().spec, broken, "missing_values", "log-reg");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
 }
 
 TEST_F(StudyDriverTest, TruncatedCacheIsRejectedNotReused) {

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "sched/suite_runner.h"
+#include "sched/suite_spec.h"
 
 namespace fairclean {
 namespace sched {
@@ -154,6 +156,58 @@ TEST(ArtifactStoreTest, KeysAreSorted) {
   ASSERT_TRUE(store.GetOrCreate("b", []() { return MakeInt(1); }).ok());
   ASSERT_TRUE(store.GetOrCreate("a", []() { return MakeInt(2); }).ok());
   EXPECT_EQ(store.Keys(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(DatasetHandleTest, SpecIsImmediateAndRowsAreGeneratedOnce) {
+  obs::MetricsRegistry metrics;
+  ArtifactStore store(&metrics);
+  obs::Counter* generated = metrics.GetCounter("sched.datasets_generated");
+  Result<std::shared_ptr<const DatasetHandle>> handle =
+      DatasetArtifact(&store, "german", 42, generated);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_EQ((*handle)->spec().name, "german");
+  EXPECT_TRUE((*handle)->spec().intersectional);
+  EXPECT_EQ(generated->value(), 0u);
+
+  // One artifact-store entry, as before the rows became lazy.
+  Result<std::shared_ptr<const DatasetHandle>> again =
+      DatasetArtifact(&store, "german", 42, generated);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), handle->get());
+  EXPECT_EQ(store.produced(), 1u);
+  EXPECT_EQ(store.reused(), 1u);
+
+  // Concurrent first calls share one generation.
+  std::vector<const GeneratedDataset*> rows(4, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    threads.emplace_back([&, i] {
+      Result<const GeneratedDataset*> got = (*handle)->Rows();
+      if (got.ok()) rows[i] = *got;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(generated->value(), 1u);
+  ASSERT_NE(rows[0], nullptr);
+  for (const GeneratedDataset* row : rows) EXPECT_EQ(row, rows[0]);
+  EXPECT_EQ(store.produced(), 1u);
+
+  // The rows are MakeSuiteDataset's, under the handle's spec.
+  GeneratedDataset expected = MakeSuiteDataset("german", 42).ValueOrDie();
+  ASSERT_EQ(rows[0]->frame.num_rows(), expected.frame.num_rows());
+  EXPECT_EQ(rows[0]->true_labels, expected.true_labels);
+  EXPECT_EQ(rows[0]->spec.label, (*handle)->spec().label);
+}
+
+TEST(DatasetHandleTest, UnknownDatasetFailsWithoutGenerating) {
+  obs::MetricsRegistry metrics;
+  ArtifactStore store(&metrics);
+  obs::Counter* generated = metrics.GetCounter("sched.datasets_generated");
+  Result<std::shared_ptr<const DatasetHandle>> handle =
+      DatasetArtifact(&store, "nope", 42, generated);
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(generated->value(), 0u);
 }
 
 }  // namespace

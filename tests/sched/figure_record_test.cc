@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/safe_io.h"
 #include "core/disparity.h"
@@ -65,6 +66,8 @@ struct FigureRun {
   uint64_t written = 0;
   uint64_t quarantined = 0;
   uint64_t cache_hits = 0;
+  uint64_t repeats_run = 0;
+  uint64_t generated = 0;  ///< dataset row generations
 };
 
 FigureRun RunSuite(const std::string& cache_dir,
@@ -75,6 +78,7 @@ FigureRun RunSuite(const std::string& cache_dir,
   options.threads = 0;  // FAIRCLEAN_THREADS of this registration
   const uint64_t loaded = GlobalCount("sched.figure_records_loaded");
   const uint64_t written = GlobalCount("sched.figure_records_written");
+  const uint64_t generated = GlobalCount("sched.datasets_generated");
   SuiteScheduler scheduler(options);
   FigureRun run;
   testing::internal::CaptureStdout();
@@ -83,9 +87,11 @@ FigureRun RunSuite(const std::string& cache_dir,
   run.report = scheduler.report_json();
   run.loaded = GlobalCount("sched.figure_records_loaded") - loaded;
   run.written = GlobalCount("sched.figure_records_written") - written;
+  run.generated = GlobalCount("sched.datasets_generated") - generated;
   exec::RunDiagnostics diagnostics = scheduler.AggregateDiagnostics();
   run.quarantined = diagnostics.corrupt_quarantined;
   run.cache_hits = diagnostics.cache_hits;
+  run.repeats_run = diagnostics.repeats_run;
   return run;
 }
 
@@ -409,6 +415,97 @@ TEST(FigureRecord, FiguresAndCellsShareOneStore) {
   ASSERT_NE(tables, std::string::npos);
   EXPECT_NE(warm.report.find(reference.substr(figures, tables - figures)),
             std::string::npos);
+}
+
+// Dataset artifacts are lazy handles (DESIGN.md Section 9): a warm rerun
+// reads only the store, and a miss generates exactly the datasets whose
+// cells or panels must be computed.
+
+std::string CellFile(const CellKey& cell) {
+  exec::StudyDriverOptions options;
+  options.study = GoldenStudy();
+  return exec::StudyDriver::CacheKey(options, cell.dataset, cell.error_type,
+                                     cell.model);
+}
+
+TEST(LazyDatasets, WarmRerunGeneratesNoDatasetAndKeepsEveryByte) {
+  std::string dir = FreshDir("lazy_warm");
+  FigureRun cold = RunSuite(dir, "smoke,fig1,fig2");
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  // Each of the five datasets is generated once, however many cells and
+  // panels read it.
+  EXPECT_EQ(cold.generated, 5u);
+  std::map<std::string, std::string> files = ReadDir(dir);
+
+  FigureRun warm = RunSuite(dir, "smoke,fig1,fig2");
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_EQ(warm.generated, 0u);
+  EXPECT_EQ(warm.cache_hits, 3u);
+  EXPECT_EQ(warm.loaded, Panels().size());
+  EXPECT_EQ(warm.report, cold.report);
+  EXPECT_EQ(warm.stdout_text, cold.stdout_text);
+  EXPECT_EQ(ReadDir(dir), files);
+  // Each reported digest is of the cell record's bytes on disk: the one
+  // read a hit makes is the one that is hashed.
+  for (const SuiteUnit& unit : PaperSuite().units) {
+    if (unit.name != "smoke") continue;
+    for (const CellKey& cell : UnitCells(unit)) {
+      const std::string digest = Sha256Hex(files.at(CellFile(cell)));
+      EXPECT_NE(warm.report.find("\"sha256\":\"" + digest + "\""),
+                std::string::npos)
+          << cell.Id();
+    }
+  }
+}
+
+TEST(LazyDatasets, MissingCellRegeneratesOnlyItsDataset) {
+  const std::string filter =
+      "fig1,credit/outliers/log-reg,heart/outliers/log-reg";
+  std::string dir = FreshDir("lazy_cell");
+  FigureRun cold = RunSuite(dir, filter);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_EQ(cold.generated, 5u);
+  EXPECT_EQ(cold.repeats_run, 6u);
+  std::map<std::string, std::string> files = ReadDir(dir);
+
+  // Drop the credit cell: its record and every repeat slice.
+  const CellKey credit{"credit", "outliers", "log-reg"};
+  exec::StudyDriverOptions options;
+  options.study = GoldenStudy();
+  ASSERT_TRUE(std::filesystem::remove(dir + "/" + CellFile(credit)));
+  for (size_t slot = 0; slot < GoldenStudy().num_repeats; ++slot) {
+    ASSERT_TRUE(std::filesystem::remove(
+        dir + "/" +
+        exec::StudyDriver::SliceKey(options, credit.dataset,
+                                    credit.error_type, credit.model, slot)));
+  }
+
+  FigureRun rerun = RunSuite(dir, filter);
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
+  EXPECT_EQ(rerun.generated, 1u);
+  EXPECT_EQ(rerun.repeats_run, GoldenStudy().num_repeats);
+  EXPECT_EQ(rerun.cache_hits, 1u);
+  EXPECT_EQ(rerun.loaded, 5u);
+  EXPECT_EQ(rerun.report, cold.report);
+  EXPECT_EQ(ReadDir(dir), files);
+}
+
+TEST(LazyDatasets, MissingFigureRecordRegeneratesOnlyItsPanelsDataset) {
+  std::string dir = FreshDir("lazy_figure");
+  FigureRun cold = RunSuite(dir);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_EQ(cold.generated, 5u);
+  std::map<std::string, std::string> files = ReadDir(dir);
+
+  ASSERT_TRUE(std::filesystem::remove(
+      dir + "/" + FigureRecordKey("heart", true, GoldenStudy().seed)));
+  FigureRun rerun = RunSuite(dir);
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
+  EXPECT_EQ(rerun.generated, 1u);
+  EXPECT_EQ(rerun.written, 1u);
+  EXPECT_EQ(rerun.loaded, Panels().size() - 1);
+  EXPECT_EQ(rerun.report, Reference().report);
+  EXPECT_EQ(ReadDir(dir), files);
 }
 
 }  // namespace

@@ -30,6 +30,8 @@
 #include "common/fault_injection.h"
 #include "obs/flight.h"
 #include "obs/json_lite.h"
+#include "obs/metrics.h"
+#include "serve/advisor_service.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -344,6 +346,43 @@ TEST(ServeOptionsTest, EnvParsingIsStrict) {
   unsetenv("FAIRCLEAN_SERVE_PORT");
   unsetenv("FAIRCLEAN_SERVE_QUEUE");
   unsetenv("FAIRCLEAN_SERVE_DEADLINE_S");
+}
+
+uint64_t DatasetsGenerated() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("sched.datasets_generated")
+      ->value();
+}
+
+TEST(AdvisorServiceTest, FreshServiceAnswersACachedCellWithoutGeneratingData) {
+  sched::SuiteOptions options;
+  options.study.sample_size = 300;
+  options.study.num_repeats = 2;
+  options.study.cv_folds = 2;
+  options.cache_dir = FreshDir("lazy_service");
+  AdvisorRequest request;
+  request.dataset = "german";
+  request.error_type = "missing_values";
+  request.model = "log-reg";
+
+  const uint64_t before = DatasetsGenerated();
+  std::string sha;
+  {
+    AdvisorService cold(options);
+    Result<AdvisorAnalysis> analysis = cold.Analyze(request, std::nullopt);
+    ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+    EXPECT_FALSE(analysis->cache_hit);
+    sha = analysis->sha256;
+  }
+  EXPECT_EQ(DatasetsGenerated() - before, 1u);
+
+  // A restarted server: nothing resident, the cell record on disk.
+  AdvisorService warm(options);
+  Result<AdvisorAnalysis> analysis = warm.Analyze(request, std::nullopt);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  EXPECT_TRUE(analysis->cache_hit);
+  EXPECT_EQ(analysis->sha256, sha);
+  EXPECT_EQ(DatasetsGenerated() - before, 1u);
 }
 
 TEST(ServeOptionsTest, RetryHintKnobParsesStrictly) {
