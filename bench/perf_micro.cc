@@ -4,17 +4,14 @@
 //
 // Two harnesses share this binary:
 //   - The kernel microbenches run first, each in a forked child
-//     (bench/bench_common.h): >= 5 timed iterations per kernel, median +
-//     p95 reported, written to FAIRCLEAN_BENCH_KERNELS_JSON (default
-//     BENCH_kernels.json).
-//   - The remaining throughput benches run under google-benchmark, followed
-//     by the suite fan-out summary line, and land in
-//     FAIRCLEAN_BENCH_JSON (default BENCH_perf.json) for CI trend tracking.
+//     (bench/bench_common.h): kKernelIters timed iterations per kernel,
+//     median + p95 reported, written to FAIRCLEAN_BENCH_KERNELS_JSON
+//     (default BENCH_kernels.json).
+//   - The remaining throughput benches run under google-benchmark, which
+//     prints them; its own --benchmark_out writes them as JSON.
 // The forked children must come first: fork requires a single-threaded
-// parent, and both google-benchmark and the fan-out reports spawn pools.
+// parent, and google-benchmark may spawn threads.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -23,9 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "bench/bench_util.h"
 #include "common/env.h"
-#include "common/thread_pool.h"
 #include "core/cleaning.h"
 #include "datasets/generator.h"
 #include "detect/detector.h"
@@ -290,19 +285,17 @@ std::vector<ForkedCase> KernelCases() {
   return cases;
 }
 
+// Timed iterations per forked kernel case: enough for the median and p95
+// to mean something (the committed BENCH_kernels.json records 7).
+constexpr size_t kKernelIters = 7;
+
 // Runs the forked kernel cases and records their stats.
-// FAIRCLEAN_BENCH_KERNEL_ITERS (default 7, floor 5) sets the sample count;
-// 0 skips the section.
 void RunForkedCases(std::map<std::string, double>* ops,
                     std::map<std::string, double>* p95,
                     std::map<std::string, size_t>* iters) {
-  int64_t kernel_iters =
-      GetEnvCount("FAIRCLEAN_BENCH_KERNEL_ITERS", 7).ValueOrDie();
-  if (kernel_iters <= 0) return;
-  kernel_iters = std::max<int64_t>(kernel_iters, 5);
   for (const ForkedCase& c : KernelCases()) {
-    Result<bench::BenchStats> stats = bench::RunForkedBench(
-        c.key, static_cast<size_t>(kernel_iters), c.make_body);
+    Result<bench::BenchStats> stats =
+        bench::RunForkedBench(c.key, kKernelIters, c.make_body);
     if (!stats.ok()) {
       std::fprintf(stderr, "forked bench %s failed: %s\n", c.key.c_str(),
                    stats.status().ToString().c_str());
@@ -318,7 +311,7 @@ void RunForkedCases(std::map<std::string, double>* ops,
 }
 
 // Writes the kernel stats to FAIRCLEAN_BENCH_KERNELS_JSON. Cases that did
-// not run (skipped via the env knob or a failed child) are absent.
+// not run (a failed child) are absent.
 void WriteKernelBenchJson(const std::map<std::string, double>& ops,
                           const std::map<std::string, double>& p95,
                           const std::map<std::string, size_t>& iters) {
@@ -335,77 +328,9 @@ void WriteKernelBenchJson(const std::map<std::string, double>& ops,
   std::printf("kernel bench results: %s\n", json_path.c_str());
 }
 
-/// Console reporter that additionally captures seconds-per-iteration for
-/// every benchmark run, so the table printed to the terminal and the JSON
-/// written for CI come from the same measurements.
-class CapturingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      double iterations = static_cast<double>(run.iterations);
-      if (iterations <= 0) continue;
-      // real_accumulated_time is in seconds regardless of the display unit.
-      op_seconds_[run.benchmark_name()] =
-          run.real_accumulated_time / iterations;
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  const std::map<std::string, double>& op_seconds() const {
-    return op_seconds_;
-  }
-
- private:
-  std::map<std::string, double> op_seconds_;
-};
-
-// Times a small 3-cell suite (german x missing values x all models) through
-// the suite scheduler at the given experiment-level fan-out width. Caching
-// is disabled so the measurement is compute, not disk.
-double TimeSuiteSeconds(size_t threads, uint64_t* reused_out) {
-  sched::SuiteOptions options;
-  options.study.sample_size = 300;
-  options.study.num_repeats = 8;
-  options.study.cv_folds = 3;
-  options.study.seed = 99;
-  options.cache_dir.clear();
-  options.threads = threads;
-  sched::SuiteScheduler scheduler(options);
-  sched::StudyScope scope;
-  scope.error_type = "missing_values";
-  scope.single_pairs = {{"german", "age"}};
-  auto start = std::chrono::steady_clock::now();
-  scheduler.RunScopeCells(scope).ValueOrDie();
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  *reused_out = scheduler.artifacts().reused();
-  return seconds;
-}
-
-// Suite-level fan-out: experiments in parallel, sequential drivers inside.
-// Also reports the shared-artifact reuse counter so CI can watch artifact
-// sharing.
-void ReportSuiteFanOutSpeedup(std::map<std::string, double>* op_seconds) {
-  size_t threads = ThreadPool::DefaultThreadCount();
-  uint64_t reused = 0;
-  double sequential_s = TimeSuiteSeconds(1, &reused);
-  double parallel_s =
-      threads > 1 ? TimeSuiteSeconds(threads, &reused) : sequential_s;
-  std::printf(
-      "suite fan-out:  1 thread %.2fs, %zu threads %.2fs -> %.2fx speedup "
-      "(3 cells, sched.artifacts_reused=%llu)\n",
-      sequential_s, threads, parallel_s, sequential_s / parallel_s,
-      static_cast<unsigned long long>(reused));
-  (*op_seconds)["suite_fanout_1_thread"] = sequential_s;
-  (*op_seconds)["suite_fanout_n_threads"] = parallel_s;
-  (*op_seconds)["sched.artifacts_reused"] = static_cast<double>(reused);
-}
-
 int RunPerfMicro(int argc, char** argv) {
   // Forked benches strictly first: the children must fork from a
-  // single-threaded parent, and everything below spawns thread pools.
+  // single-threaded parent, and google-benchmark may spawn threads.
   std::map<std::string, double> forked_ops;
   std::map<std::string, double> forked_p95;
   std::map<std::string, size_t> forked_iters;
@@ -414,24 +339,8 @@ int RunPerfMicro(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CapturingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  std::map<std::string, double> op_seconds = reporter.op_seconds();
-  ReportSuiteFanOutSpeedup(&op_seconds);
-
-  std::string json_path =
-      GetEnvString("FAIRCLEAN_BENCH_JSON", "BENCH_perf.json");
-  if (!json_path.empty()) {
-    Status written = bench::WriteBenchPerfJson(json_path, op_seconds);
-    if (!written.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("machine-readable results: %s\n", json_path.c_str());
-  }
   return 0;
 }
 

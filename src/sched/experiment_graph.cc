@@ -20,6 +20,8 @@ const char* NodeKindName(NodeKind kind) {
       return "table";
     case NodeKind::kModelTable:
       return "model_table";
+    case NodeKind::kDeepDive:
+      return "deep_dive";
   }
   return "unknown";
 }
@@ -115,10 +117,13 @@ ExperimentGraph ExperimentGraph::Build(const SuiteSpec& spec,
           graph.nodes_.push_back(node);
         }
         break;
-      case SuiteUnit::Kind::kModelTable: {
+      case SuiteUnit::Kind::kModelTable:
+      case SuiteUnit::Kind::kDeepDive: {
         GraphNode node;
         node.id = graph.nodes_.size();
-        node.kind = NodeKind::kModelTable;
+        node.kind = unit.kind == SuiteUnit::Kind::kModelTable
+                        ? NodeKind::kModelTable
+                        : NodeKind::kDeepDive;
         node.label = unit.name;
         node.deps = cell_ids;
         node.unit_index = u;

@@ -12,8 +12,16 @@ namespace fairclean {
 namespace sched {
 
 /// Node kinds of the suite DAG, in dependency order: dataset artifacts feed
-/// experiment cells and figure analyses, which feed table aggregations.
-enum class NodeKind { kDataset, kCell, kFigure, kTable, kModelTable };
+/// experiment cells and figure analyses, which feed table and deep-dive
+/// aggregations.
+enum class NodeKind {
+  kDataset,
+  kCell,
+  kFigure,
+  kTable,
+  kModelTable,
+  kDeepDive
+};
 
 const char* NodeKindName(NodeKind kind);
 
@@ -29,7 +37,7 @@ struct GraphNode {
   std::string dataset;          ///< kDataset / kFigure
   bool intersectional = false;  ///< kFigure
   CellKey cell;                 ///< kCell
-  size_t unit_index = 0;        ///< kFigure / kTable / kModelTable
+  size_t unit_index = 0;        ///< every kind but kDataset / kCell
   size_t table_index = 0;       ///< kTable: index into unit.tables
 };
 

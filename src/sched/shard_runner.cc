@@ -82,38 +82,6 @@ void SuiteScheduler::RefreshCellLease(const CellKey& cell) {
   }
 }
 
-Status SuiteScheduler::ProduceWaveCells(const SuiteSpec& spec,
-                                        const ExperimentGraph& graph,
-                                        size_t wave_index,
-                                        const std::vector<size_t>& ids) {
-  if (ids.empty()) return Status::OK();
-  current_wave_ = wave_index;
-  // Same LPT submission discipline as ExecuteGraph: longest-first with
-  // ascending node id as the deterministic tiebreak.
-  std::vector<size_t> order = ids;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = CellCostRank(graph.nodes()[a].cell);
-    int rb = CellCostRank(graph.nodes()[b].cell);
-    if (ra != rb) return ra > rb;
-    return a < b;
-  });
-  std::vector<Status> statuses =
-      RunIndexed(pool_.get(), order.size(), [&](size_t i) {
-        return InvokeWithStatusCapture(
-            [&, i] { return RunNode(spec, graph, order[i]); });
-      });
-  current_wave_ = kNoWave;
-  size_t failed_pos = order.size();
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (statuses[i].ok()) continue;
-    if (failed_pos == order.size() || order[i] < order[failed_pos]) {
-      failed_pos = i;
-    }
-  }
-  if (failed_pos != order.size()) return statuses[failed_pos];
-  return Status::OK();
-}
-
 Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
                                     const ExperimentGraph& graph,
                                     size_t wave_index,
@@ -200,7 +168,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
       batch.push_back(id);
     }
     if (!batch.empty()) {
-      Status produced = ProduceWaveCells(spec, graph, wave_index, batch);
+      Status produced = FanOut(spec, graph, wave_index, batch);
       for (size_t id : batch) {
         const CellKey& cell = graph.nodes()[id].cell;
         LeaseToken token;

@@ -15,6 +15,7 @@
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "sched/figure_record.h"
+#include "stats/descriptive.h"
 #include "stats/tests.h"
 
 namespace fairclean {
@@ -31,8 +32,8 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   // A larger holdout than the library default stabilizes the group-wise
   // precision/recall estimates that the fairness metrics compare.
   options.study.test_fraction = 0.3;
-  options.study.seed =
-      static_cast<uint64_t>(GetEnvInt64("FAIRCLEAN_SEED", 42));
+  FC_ASSIGN_OR_RETURN(int64_t seed, GetEnvCount("FAIRCLEAN_SEED", 42));
+  options.study.seed = static_cast<uint64_t>(seed);
   options.cache_dir = GetEnvString("FAIRCLEAN_CACHE_DIR", "fairclean_cache");
   FC_ASSIGN_OR_RETURN(
       int64_t max_retries,
@@ -112,6 +113,73 @@ Result<ImpactTable> AggregateImpactTable(const ScopeResults& results,
     }
   }
   return table;
+}
+
+Status ForEachSingleAttributeImpact(
+    const ScopeResults& results, const StudyScope& scope, double alpha,
+    const std::function<void(const SingleAttributeImpact&)>& fold) {
+  FC_ASSIGN_OR_RETURN(std::vector<CleaningMethod> methods,
+                      CleaningMethodsFor(scope.error_type));
+  const double adjusted = BonferroniAlpha(alpha, methods.size());
+  for (const std::string& model : AllModelNames()) {
+    for (const PairSpec& pair : scope.single_pairs) {
+      auto it = results.find(pair.dataset + "/" + model);
+      if (it == results.end()) {
+        return Status::NotFound("no results for " + pair.dataset + "/" +
+                                model);
+      }
+      const CleaningExperimentResult& result = it->second->result;
+      for (const CleaningMethod& method : methods) {
+        auto series = result.repaired.find(method.Name());
+        if (series == result.repaired.end()) {
+          return Status::NotFound("no " + method.Name() + " results for " +
+                                  pair.dataset + "/" + model);
+        }
+        for (FairnessMetric metric : {FairnessMetric::kPredictiveParity,
+                                      FairnessMetric::kEqualOpportunity}) {
+          FC_ASSIGN_OR_RETURN(ImpactOutcome outcome,
+                              ComputeImpact(result.dirty, series->second,
+                                            pair.attribute, metric,
+                                            adjusted));
+          fold({model, pair, method, metric, outcome});
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status FoldDeepDive(const ScopeResults& results, const StudyScope& scope,
+                    double alpha, DeepDive* deep_dive) {
+  for (const auto& [key, artifact] : results) {
+    FC_ASSIGN_OR_RETURN(double mean, Mean(artifact->result.dirty.accuracy));
+    deep_dive->dirty_accuracy[key].push_back(mean);
+  }
+  return ForEachSingleAttributeImpact(
+      results, scope, alpha, [&](const SingleAttributeImpact& impact) {
+        const Impact fairness = impact.outcome.fairness;
+        DeepDive::Case& outcome = deep_dive->cases[StrFormat(
+            "%s/%s/%s/%s", FairnessMetricShortName(impact.metric),
+            impact.pair.dataset.c_str(), impact.pair.attribute.c_str(),
+            scope.error_type.c_str())];
+        if (fairness != Impact::kWorse) outcome.non_worsening = true;
+        if (fairness == Impact::kBetter) {
+          outcome.improving = true;
+          if (scope.error_type == "missing_values") {
+            ++deep_dive->categorical_wins[CategoricalImputeName(
+                impact.method.categorical_impute)];
+          }
+          if (impact.outcome.accuracy == Impact::kBetter) {
+            outcome.both_improving = true;
+          }
+        }
+        if (scope.error_type == "outliers") {
+          auto& [negative, total] =
+              deep_dive->detector_negative[impact.method.detector];
+          ++total;
+          if (fairness == Impact::kWorse) ++negative;
+        }
+      });
 }
 
 void PrintTableWithReference(const ImpactTable& measured,
@@ -477,42 +545,66 @@ std::optional<DisparityArtifact> SuiteScheduler::LoadFigureRecord(
   return std::nullopt;
 }
 
-Result<ScopeResults> SuiteScheduler::RunScopeCells(const StudyScope& scope) {
-  std::vector<CellKey> cells;
-  for (const std::string& dataset : scope.Datasets()) {
-    for (const std::string& model : AllModelNames()) {
-      cells.push_back({dataset, scope.error_type, model});
-    }
-  }
-  // The scope fan-out is a single pseudo-wave.
-  current_wave_ = 0;
-  // Longest-first submission order (see ExecuteGraph); results are mapped
-  // back to cell order below, so only the makespan changes.
-  std::vector<size_t> order(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = CellCostRank(cells[a]);
-    int rb = CellCostRank(cells[b]);
-    if (ra != rb) return ra > rb;
-    return a < b;
-  });
-  std::vector<Result<std::shared_ptr<const CellArtifact>>> produced =
-      RunIndexed(pool_.get(), order.size(),
-                 [&](size_t i) { return Cell(cells[order[i]]); });
-  current_wave_ = kNoWave;
-  std::vector<Result<std::shared_ptr<const CellArtifact>>*> by_cell(
-      cells.size());
-  for (size_t i = 0; i < order.size(); ++i) by_cell[order[i]] = &produced[i];
-  ScopeResults results;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    // First failure in cell order, deterministic across widths and
-    // submission orders.
-    if (!by_cell[i]->ok()) return by_cell[i]->status();
-    results.emplace(cells[i].dataset + "/" + cells[i].model,
-                    std::move(**by_cell[i]));
-  }
-  return results;
+namespace {
+
+/// The three error-type scopes that Table XIV and the deep dive span.
+std::vector<StudyScope> ErrorTypeScopes() {
+  return {MissingScope(), OutlierScope(), MislabelScope()};
 }
+
+/// Prints the deep-dive counts next to the paper's Section VI figures.
+void PrintDeepDive(const DeepDive& deep_dive) {
+  size_t non_worsening = 0;
+  size_t improving = 0;
+  size_t both = 0;
+  for (const auto& [key, outcome] : deep_dive.cases) {
+    if (outcome.non_worsening) ++non_worsening;
+    if (outcome.improving) ++improving;
+    if (outcome.both_improving) ++both;
+  }
+  std::printf("cases (metric x dataset/attribute x error type): %zu "
+              "(paper: 40)\n",
+              deep_dive.cases.size());
+  std::printf("  with a technique that does not worsen fairness: %zu "
+              "(paper: 37 of 40)\n",
+              non_worsening);
+  std::printf("  with a technique that improves fairness:        %zu "
+              "(paper: 23 of 40)\n",
+              improving);
+  std::printf("  with a technique improving fairness & accuracy: %zu "
+              "(paper: 17 of 40)\n\n",
+              both);
+
+  std::printf("categorical imputation producing fairness improvements "
+              "(missing values):\n");
+  for (const auto& [name, wins] : deep_dive.categorical_wins) {
+    std::printf("  %-6s: %lld improvements\n", name.c_str(),
+                static_cast<long long>(wins));
+  }
+  std::printf("  (paper: dummy imputation most beneficial, 27 vs 22)\n\n");
+
+  std::printf("outlier detectors: fraction of configurations with negative "
+              "fairness impact:\n");
+  for (const auto& [detector, counts] : deep_dive.detector_negative) {
+    const auto [negative, total] = counts;
+    std::printf("  %-13s: %5.1f%% (%lld of %lld)\n", detector.c_str(),
+                total ? 100.0 * static_cast<double>(negative) / total : 0.0,
+                static_cast<long long>(negative),
+                static_cast<long long>(total));
+  }
+  std::printf("  (paper: iqr 50%%, if 33.3%%, sd 25%%)\n\n");
+
+  std::printf("mean dirty-baseline test accuracy per dataset/model:\n");
+  for (const auto& [key, values] : deep_dive.dirty_accuracy) {
+    Result<double> mean = Mean(values);
+    std::printf("  %-16s: %.4f\n", key.c_str(), mean.ok() ? *mean : 0.0);
+  }
+  std::printf("  (paper: log-reg provides the highest accuracy over all "
+              "tasks, outperformed by xgboost only for outliers on "
+              "folk/heart and missing values on adult/folk)\n");
+}
+
+}  // namespace
 
 bool SuiteScheduler::Narrowed(const ExperimentGraph& graph,
                               size_t unit_index) const {
@@ -587,45 +679,37 @@ Status SuiteScheduler::RunNode(const SuiteSpec& spec,
       auto value = std::make_shared<ModelTableValue>();
       if (Narrowed(graph, node.unit_index)) {
         value->skipped = true;
-        node_values_[id] = value;
-        return Status::OK();
-      }
-      const StudyScope scopes[3] = {MissingScope(), OutlierScope(),
-                                    MislabelScope()};
-      for (const StudyScope& scope : scopes) {
-        ScopeResults results = ScopeFromDeps(graph, node, scope.error_type);
-        FC_ASSIGN_OR_RETURN(std::vector<CleaningMethod> methods,
-                            CleaningMethodsFor(scope.error_type));
-        double alpha = BonferroniAlpha(options_.study.alpha, methods.size());
-        for (const std::string& model : AllModelNames()) {
-          for (const PairSpec& pair : scope.single_pairs) {
-            auto it = results.find(pair.dataset + "/" + model);
-            if (it == results.end()) {
-              return Status::NotFound("no results for " + pair.dataset + "/" +
-                                      model);
-            }
-            const CleaningExperimentResult& result = it->second->result;
-            for (const auto& [method, series] : result.repaired) {
-              for (FairnessMetric metric :
-                   {FairnessMetric::kPredictiveParity,
-                    FairnessMetric::kEqualOpportunity}) {
-                FC_ASSIGN_OR_RETURN(
-                    ImpactOutcome impact,
-                    ComputeImpact(result.dirty, series, pair.attribute,
-                                  metric, alpha));
-                ModelTableValue::Tally& tally = value->tallies[model];
+      } else {
+        for (const StudyScope& scope : ErrorTypeScopes()) {
+          FC_RETURN_IF_ERROR(ForEachSingleAttributeImpact(
+              ScopeFromDeps(graph, node, scope.error_type), scope,
+              options_.study.alpha, [&](const SingleAttributeImpact& impact) {
+                ModelTableValue::Tally& tally = value->tallies[impact.model];
                 ++tally.total;
-                if (impact.fairness == Impact::kWorse) ++tally.fairness_worse;
-                if (impact.fairness == Impact::kBetter) {
+                if (impact.outcome.fairness == Impact::kWorse) {
+                  ++tally.fairness_worse;
+                }
+                if (impact.outcome.fairness == Impact::kBetter) {
                   ++tally.fairness_better;
+                  if (impact.outcome.accuracy == Impact::kBetter) {
+                    ++tally.both_better;
+                  }
                 }
-                if (impact.fairness == Impact::kBetter &&
-                    impact.accuracy == Impact::kBetter) {
-                  ++tally.both_better;
-                }
-              }
-            }
-          }
+              }));
+        }
+      }
+      node_values_[id] = value;
+      return Status::OK();
+    }
+    case NodeKind::kDeepDive: {
+      auto value = std::make_shared<DeepDiveValue>();
+      if (Narrowed(graph, node.unit_index)) {
+        value->skipped = true;
+      } else {
+        for (const StudyScope& scope : ErrorTypeScopes()) {
+          FC_RETURN_IF_ERROR(FoldDeepDive(
+              ScopeFromDeps(graph, node, scope.error_type), scope,
+              options_.study.alpha, &value->counts));
         }
       }
       node_values_[id] = value;
@@ -640,10 +724,9 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
   node_values_.assign(graph.nodes().size(), nullptr);
   const std::vector<std::vector<size_t>> waves = graph.Waves();
   for (size_t w = 0; w < waves.size(); ++w) {
-    const std::vector<size_t>& wave = waves[w];
     std::vector<size_t> fan_out;
     std::vector<size_t> serial;
-    for (size_t id : wave) {
+    for (size_t id : waves[w]) {
       switch (graph.nodes()[id].kind) {
         case NodeKind::kCell:
         case NodeKind::kDataset:
@@ -654,47 +737,47 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
           serial.push_back(id);
       }
     }
-    current_wave_ = w;
-    // Submit the wave longest-first (LPT): expensive cells start before
-    // cheap ones, so the tail of the wave fills idle workers instead of
-    // stranding one long cell at the end. Stable sort with ascending id as
-    // the tiebreak keeps the order deterministic.
-    std::stable_sort(fan_out.begin(), fan_out.end(),
-                     [&](size_t a, size_t b) {
-                       const GraphNode& na = graph.nodes()[a];
-                       const GraphNode& nb = graph.nodes()[b];
-                       auto rank = [this](const GraphNode& node) {
-                         return node.kind == NodeKind::kCell
-                                    ? CellCostRank(node.cell)
-                                    : 15;  // datasets/figures: mid-weight
-                       };
-                       int ra = rank(na);
-                       int rb = rank(nb);
-                       if (ra != rb) return ra > rb;
-                       return a < b;
-                     });
-    // Compute-heavy nodes fan out across the suite pool; results land in
-    // their node slot. Failures are reported by smallest node id so every
-    // width (and every submission order) sees the same first error.
-    std::vector<Status> statuses =
-        RunIndexed(pool_.get(), fan_out.size(), [&](size_t i) {
-          return InvokeWithStatusCapture(
-              [&, i] { return RunNode(spec, graph, fan_out[i]); });
-        });
-    current_wave_ = kNoWave;
-    size_t failed_pos = fan_out.size();
-    for (size_t i = 0; i < fan_out.size(); ++i) {
-      if (statuses[i].ok()) continue;
-      if (failed_pos == fan_out.size() ||
-          fan_out[i] < fan_out[failed_pos]) {
-        failed_pos = i;
-      }
-    }
-    if (failed_pos != fan_out.size()) return statuses[failed_pos];
+    FC_RETURN_IF_ERROR(FanOut(spec, graph, w, std::move(fan_out)));
     // Aggregation nodes are cheap and read many deps: run inline.
     for (size_t id : serial) FC_RETURN_IF_ERROR(RunNode(spec, graph, id));
   }
   return Status::OK();
+}
+
+Status SuiteScheduler::FanOut(const SuiteSpec& spec,
+                              const ExperimentGraph& graph, size_t wave_index,
+                              std::vector<size_t> ids) {
+  // Submit longest-first (LPT): expensive cells start before cheap ones,
+  // so the tail of the wave fills idle workers instead of stranding one
+  // long cell at the end. Stable sort with ascending id as the tiebreak
+  // keeps the order deterministic.
+  auto rank = [&graph](size_t id) {
+    const GraphNode& node = graph.nodes()[id];
+    return node.kind == NodeKind::kCell ? CellCostRank(node.cell)
+                                        : 15;  // datasets/figures: mid-weight
+  };
+  std::stable_sort(ids.begin(), ids.end(), [&](size_t a, size_t b) {
+    int ra = rank(a);
+    int rb = rank(b);
+    if (ra != rb) return ra > rb;
+    return a < b;
+  });
+  // Results land in their node slot. Failures are reported by smallest
+  // node id so every width (and every submission order) sees the same
+  // first error.
+  current_wave_ = wave_index;
+  std::vector<Status> statuses =
+      RunIndexed(pool_.get(), ids.size(), [&](size_t i) {
+        return InvokeWithStatusCapture(
+            [&, i] { return RunNode(spec, graph, ids[i]); });
+      });
+  current_wave_ = kNoWave;
+  size_t failed_pos = ids.size();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (statuses[i].ok()) continue;
+    if (failed_pos == ids.size() || ids[i] < ids[failed_pos]) failed_pos = i;
+  }
+  return failed_pos == ids.size() ? Status::OK() : statuses[failed_pos];
 }
 
 void SuiteScheduler::PrintUnitHeading(const SuiteUnit& unit) const {
@@ -872,6 +955,24 @@ Status SuiteScheduler::RenderUnitBody(const SuiteSpec& spec,
             "shape check: for every model, cleaning worsens fairness more "
             "often than it improves it -> %s\n",
             all_worse_dominates ? "MATCH" : "MISMATCH");
+      }
+      return Status::OK();
+    }
+    case SuiteUnit::Kind::kDeepDive: {
+      for (const GraphNode& node : graph.nodes()) {
+        if (node.kind != NodeKind::kDeepDive ||
+            node.unit_index != unit_index) {
+          continue;
+        }
+        auto value = std::static_pointer_cast<const DeepDiveValue>(
+            node_values_[node.id]);
+        if (value->skipped) {
+          std::printf("%s: skipped — the filter narrowed this unit's cell "
+                      "set, so the aggregation would be incomplete\n",
+                      unit.name.c_str());
+          continue;
+        }
+        PrintDeepDive(value->counts);
       }
       return Status::OK();
     }
@@ -1135,17 +1236,6 @@ Status SuiteScheduler::RunSuite(const SuiteSpec& spec,
     FC_LOG_INFO("suite", "report written to %s", options_.report_path.c_str());
   }
   return Status::OK();
-}
-
-Status SuiteScheduler::RunUnit(const SuiteUnit& unit) {
-  SuiteSpec spec;
-  spec.name = unit.name;
-  spec.units.push_back(unit);
-  SuiteFilter filter = SuiteFilter::Parse(unit.name);
-  ExperimentGraph graph = ExperimentGraph::Build(spec, filter);
-  PrintUnitHeading(unit);
-  FC_RETURN_IF_ERROR(ExecuteGraph(spec, graph));
-  return RenderUnitBody(spec, graph, 0);
 }
 
 }  // namespace sched

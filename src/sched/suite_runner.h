@@ -9,10 +9,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/cleaning.h"
 #include "core/disparity.h"
 #include "core/runner.h"
 #include "datasets/generator.h"
@@ -130,6 +132,50 @@ Result<ImpactTable> AggregateImpactTable(const ScopeResults& results,
                                          bool intersectional,
                                          FairnessMetric metric, double alpha);
 
+/// One single-attribute impact test of a scope: a (model, pair, cleaning
+/// method, fairness metric) configuration and its classified outcome.
+struct SingleAttributeImpact {
+  const std::string& model;
+  const PairSpec& pair;
+  const CleaningMethod& method;
+  FairnessMetric metric;
+  ImpactOutcome outcome;
+};
+
+/// Runs ComputeImpact for every (model, single pair, cleaning method,
+/// PP/EO) configuration of `scope` and hands each outcome to `fold`.
+/// `alpha` is the base level; it is Bonferroni-adjusted by the scope's
+/// cleaning-method count. NotFound for a missing cell or method series;
+/// otherwise the first failed impact test.
+Status ForEachSingleAttributeImpact(
+    const ScopeResults& results, const StudyScope& scope, double alpha,
+    const std::function<void(const SingleAttributeImpact&)>& fold);
+
+/// The Section VI deep-dive counts, accumulated over the three error-type
+/// scopes.
+struct DeepDive {
+  struct Case {
+    bool non_worsening = false;
+    bool improving = false;
+    bool both_improving = false;
+  };
+  /// "<metric>/<dataset>/<attribute>/<error type>" -> what its cleaning
+  /// configurations achieve.
+  std::map<std::string, Case> cases;
+  /// Categorical imputation -> fairness improvements (missing values).
+  std::map<std::string, int64_t> categorical_wins;
+  /// Outlier detector -> {negative fairness impacts, configurations}.
+  std::map<std::string, std::pair<int64_t, int64_t>> detector_negative;
+  /// "<dataset>/<model>" -> mean dirty-baseline accuracy, one per scope.
+  std::map<std::string, std::vector<double>> dirty_accuracy;
+};
+
+/// Folds one scope's cells into `deep_dive` (ForEachSingleAttributeImpact
+/// over `results`, plus every cell's mean dirty accuracy). Errors as
+/// ForEachSingleAttributeImpact.
+Status FoldDeepDive(const ScopeResults& results, const StudyScope& scope,
+                    double alpha, DeepDive* deep_dive);
+
 /// Prints measured-vs-paper tables side by side plus a qualitative shape
 /// check (dominant-row agreement). Byte-identical to the historical bench
 /// output.
@@ -158,8 +204,8 @@ int CellCostRank(const CellKey& cell);
 /// thread width, and the merged report is byte-identical between
 /// sequential, parallel, and killed-and-resumed runs.
 ///
-/// RunSuite / RunUnit / RunScopeCells must be called from one thread at a
-/// time; internal fan-out is the scheduler's own concern.
+/// RunSuite / RunSuiteShard / RunSuiteMerge must be called from one thread
+/// at a time; internal fan-out is the scheduler's own concern.
 class SuiteScheduler {
  public:
   explicit SuiteScheduler(SuiteOptions options);
@@ -169,9 +215,9 @@ class SuiteScheduler {
   size_t width() const { return width_; }
   ArtifactStore& artifacts() { return artifacts_; }
 
-  /// Runs every unit the filter selects, prints each unit's report
-  /// (byte-identical to the standalone benches' bodies), and assembles the
-  /// merged JSON report (written to options.report_path when set).
+  /// Runs every unit the filter selects, prints each unit's heading and
+  /// body, and assembles the merged JSON report (written to
+  /// options.report_path when set).
   Status RunSuite(const SuiteSpec& spec, const SuiteFilter& filter);
 
   /// Runs this process's shard of the suite (options.shard must be
@@ -202,17 +248,6 @@ class SuiteScheduler {
   void set_cell_checkpoint_hook(std::function<void(const CellKey&)> hook) {
     cell_checkpoint_hook_ = std::move(hook);
   }
-
-  /// Runs a single unit for the legacy bench binaries: prints the unit
-  /// heading up front (progress visibility), executes the unit's subgraph,
-  /// then prints the unit body. No merged report.
-  Status RunUnit(const SuiteUnit& unit);
-
-  /// Runs (or reuses) every cell of one scope across the suite pool and
-  /// returns them keyed "<dataset>/<model>". Shared-artifact path for the
-  /// Table XIV and deep-dive consumers: repeated calls reuse datasets and
-  /// cells through the store.
-  Result<ScopeResults> RunScopeCells(const StudyScope& scope);
 
   /// Shared dataset / cell / disparity artifacts (produced on first use).
   /// A dataset artifact is a lazy handle: its rows are generated only when
@@ -269,6 +304,10 @@ class SuiteScheduler {
     bool skipped = false;
     std::map<std::string, Tally> tallies;
   };
+  struct DeepDiveValue {
+    bool skipped = false;
+    DeepDive counts;
+  };
 
   /// Driver options for one cell: the suite options with the time budget
   /// reduced to what remains of the suite budget.
@@ -315,10 +354,6 @@ class SuiteScheduler {
   };
   /// Cache key of one cell under this suite's scale (pure; no store I/O).
   std::string CellCacheKey(const CellKey& cell) const;
-  /// Produces the given cell nodes of wave `w` through the pool (the
-  /// fan-out slice of ExecuteGraph, cells only).
-  Status ProduceWaveCells(const SuiteSpec& spec, const ExperimentGraph& graph,
-                          size_t wave_index, const std::vector<size_t>& ids);
   Status RunClaimWave(const SuiteSpec& spec, const ExperimentGraph& graph,
                       size_t wave_index, const std::vector<size_t>& cell_ids,
                       std::vector<size_t>* produced_ids);
@@ -336,6 +371,11 @@ class SuiteScheduler {
   /// node_values_. On failure returns the failed node with the smallest id
   /// (deterministic across widths).
   Status ExecuteGraph(const SuiteSpec& spec, const ExperimentGraph& graph);
+  /// Runs the nodes `ids` of wave `wave_index` across the pool, longest
+  /// first (CellCostRank), and returns the failure of the smallest node id.
+  /// The one fan-out of ExecuteGraph and of the claim-mode shard waves.
+  Status FanOut(const SuiteSpec& spec, const ExperimentGraph& graph,
+                size_t wave_index, std::vector<size_t> ids);
   Status RunNode(const SuiteSpec& spec, const ExperimentGraph& graph,
                  size_t id);
   bool Narrowed(const ExperimentGraph& graph, size_t unit_index) const;
@@ -395,7 +435,7 @@ class SuiteScheduler {
 
   /// Node results of the last ExecuteGraph, indexed by node id. Holds
   /// CellArtifact / DatasetHandle / FigureValue / TableValue /
-  /// ModelTableValue per the node kind.
+  /// ModelTableValue / DeepDiveValue per the node kind.
   std::vector<std::shared_ptr<const void>> node_values_;
   std::string report_json_;
 };

@@ -147,6 +147,14 @@ SuiteSpec PaperSuite() {
                              {"log-reg", 36.3, 21.2, 16.0}};
   spec.units.push_back(models);
 
+  // Section VI: the same cells as Table XIV, folded into the paper's
+  // deep-dive counts. Printed only; the merged report has no key for it.
+  SuiteUnit deepdive;
+  deepdive.name = "deepdive";
+  deepdive.kind = SuiteUnit::Kind::kDeepDive;
+  deepdive.heading = "Section VI deep dive";
+  spec.units.push_back(deepdive);
+
   // CI smoke subset: one dataset with every missing-values cell, aggregated
   // against the full-scope paper references (the shape check is
   // informational at this scale). Selected only via --filter smoke.
@@ -191,6 +199,7 @@ std::vector<CellKey> UnitCells(const SuiteUnit& unit) {
       add_scope(unit.scope);
       break;
     case SuiteUnit::Kind::kModelTable:
+    case SuiteUnit::Kind::kDeepDive:
       add_scope(MissingScope());
       add_scope(OutlierScope());
       add_scope(MislabelScope());

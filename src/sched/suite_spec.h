@@ -66,10 +66,10 @@ struct ModelReference {
 };
 
 /// One schedulable unit of the suite: a table group over one error-type
-/// scope, the per-model breakdown spanning all three scopes, or a
-/// disparity figure.
+/// scope, the per-model breakdown or the Section VI deep dive (both
+/// spanning all three scopes), or a disparity figure.
 struct SuiteUnit {
-  enum class Kind { kTables, kModelTable, kFigure };
+  enum class Kind { kTables, kModelTable, kDeepDive, kFigure };
 
   std::string name;
   Kind kind = Kind::kTables;
@@ -97,8 +97,8 @@ struct SuiteSpec {
 };
 
 /// The full paper grid as one suite: Figures 1-2, Tables II-XIII (three
-/// table units), Table XIV (model unit), plus the filter-only "smoke"
-/// subset used by CI.
+/// table units), Table XIV (model unit), the Section VI deep dive, plus
+/// the filter-only "smoke" subset used by CI.
 SuiteSpec PaperSuite();
 
 /// One experiment cell of the grid: the unit of driver work and caching.
@@ -115,8 +115,8 @@ struct CellKey {
 };
 
 /// The distinct experiment cells a unit consumes, in deterministic order
-/// (scope dataset order x AllModelNames). The model unit spans the three
-/// error-type scopes; figure units consume no cells.
+/// (scope dataset order x AllModelNames). The model and deep-dive units
+/// span the three error-type scopes; figure units consume no cells.
 std::vector<CellKey> UnitCells(const SuiteUnit& unit);
 
 /// Comma-separated substring filter over unit names and cell/figure ids.

@@ -32,7 +32,8 @@ ExperimentGraph BuildWithFilter(const std::string& filter_csv) {
 TEST(ExperimentGraph, NodeIdsMatchIndices) {
   for (const std::string& filter : {std::string(), std::string("smoke"),
                                     std::string("fig1"),
-                                    std::string("table_models")}) {
+                                    std::string("table_models"),
+                                    std::string("deepdive")}) {
     ExperimentGraph graph = BuildWithFilter(filter);
     ASSERT_FALSE(graph.nodes().empty()) << "filter=" << filter;
     for (size_t i = 0; i < graph.nodes().size(); ++i) {

@@ -380,6 +380,26 @@ TEST(ShardOptionsTest, LeaseSecondsKnobParsesStrictly) {
   EXPECT_DOUBLE_EQ(options->shard_lease_s, 30.0);
 }
 
+// A mistyped seed must fail loudly: a lenient parse would run, report and
+// cache the whole suite under the default seed 42.
+TEST(ShardOptionsTest, SeedKnobParsesStrictly) {
+  ASSERT_EQ(setenv("FAIRCLEAN_SEED", "7", 1), 0);
+  Result<SuiteOptions> options = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->study.seed, 7u);
+
+  for (const char* bad : {"7x", "-1", "nan"}) {
+    ASSERT_EQ(setenv("FAIRCLEAN_SEED", bad, 1), 0);
+    Result<SuiteOptions> rejected = TrySuiteOptionsFromEnv();
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ASSERT_EQ(unsetenv("FAIRCLEAN_SEED"), 0);
+  options = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(options.ok());
+  EXPECT_EQ(options->study.seed, 42u);
+}
+
 }  // namespace
 }  // namespace sched
 }  // namespace fairclean

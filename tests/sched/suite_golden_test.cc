@@ -130,10 +130,10 @@ TEST(SuiteGolden, SequentialBaselineSucceeds) {
       << baseline.report;
 }
 
-// The full-suite figure output is byte-identical to the standalone fig1 /
-// fig2 bodies (RunUnit is the figure benches' path): with both figure
-// units in one graph, each unit's rendering — in particular its "summary
-// vs paper" counts — must cover that unit's own figure nodes only.
+// The two-unit figure output is byte-identical to the one-unit runs
+// (`run_suite --filter fig1` / `--filter fig2`): with both figure units in
+// one graph, each unit's rendering — in particular its "summary vs paper"
+// counts — must cover that unit's own figure nodes only.
 TEST(SuiteGolden, FigureUnitsMatchStandaloneUnitRunsByteForByte) {
   SuiteOptions options;
   options.study = GoldenStudy();
@@ -146,7 +146,7 @@ TEST(SuiteGolden, FigureUnitsMatchStandaloneUnitRunsByteForByte) {
     if (unit.kind != SuiteUnit::Kind::kFigure) continue;
     SuiteScheduler scheduler(options);
     testing::internal::CaptureStdout();
-    Status status = scheduler.RunUnit(unit);
+    Status status = scheduler.RunSuite(spec, SuiteFilter::Parse(unit.name));
     standalone[unit.name] = testing::internal::GetCapturedStdout();
     ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_NE(standalone[unit.name].find("== summary vs paper =="),
@@ -161,10 +161,9 @@ TEST(SuiteGolden, FigureUnitsMatchStandaloneUnitRunsByteForByte) {
   std::string suite_out = testing::internal::GetCapturedStdout();
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  // RunSuite prints heading + body + "\n" per selected unit, RunUnit
-  // prints heading + body; units render in spec order.
-  EXPECT_EQ(suite_out,
-            standalone.at("fig1") + "\n" + standalone.at("fig2") + "\n");
+  // RunSuite prints heading + body + "\n" per selected unit, in spec
+  // order.
+  EXPECT_EQ(suite_out, standalone.at("fig1") + standalone.at("fig2"));
 
   // On a fresh run the structurally derived artifacts block must agree
   // with the store's runtime counters, and figure units sharing the five

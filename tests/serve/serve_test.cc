@@ -406,6 +406,27 @@ TEST(ServeOptionsTest, RetryHintKnobParsesStrictly) {
   EXPECT_EQ(unset->retry_after_ms, ServeOptions().retry_after_ms);
 }
 
+TEST(ServeOptionsTest, MaxConnsKnobParsesStrictly) {
+  for (const char* bad : {"0", "5x", "many"}) {
+    setenv("FAIRCLEAN_SERVE_MAX_CONNS", bad, 1);
+    Result<ServeOptions> rejected = ServeOptionsFromEnv();
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(rejected.status().message().find("FAIRCLEAN_SERVE_MAX_CONNS"),
+              std::string::npos)
+        << bad;
+  }
+
+  setenv("FAIRCLEAN_SERVE_MAX_CONNS", "5", 1);
+  Result<ServeOptions> parsed = ServeOptionsFromEnv();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->max_connections, 5u);
+  unsetenv("FAIRCLEAN_SERVE_MAX_CONNS");
+  Result<ServeOptions> unset = ServeOptionsFromEnv();
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(unset->max_connections, ServeOptions().max_connections);
+}
+
 TEST_F(ServeTest, PingAnalyzeAndStatsRoundTrip) {
   StartServer("roundtrip", 8);
   AdvisorClient client("127.0.0.1", server_->port());

@@ -1,17 +1,20 @@
-// Runs the whole paper grid (Figures 1-2, Tables II-XIV) as one DAG
-// through the suite scheduler: shared upstream artifacts (generated
-// datasets, experiment-cell records, detector outputs) are produced once
-// and reused across units, ready cells fan out across FAIRCLEAN_THREADS
-// workers, and one merged JSON report with per-table paper comparisons is
-// written at the end.
+// Runs the paper's evaluation (Figures 1-2, Tables II-XIV and the Section
+// VI deep dive) as one DAG through the suite scheduler: shared upstream
+// artifacts (generated datasets, experiment-cell records, detector
+// outputs) are produced once and reused across units, ready cells fan out
+// across FAIRCLEAN_THREADS workers, each selected unit prints its heading
+// and its measured-vs-paper body, and one merged JSON report is written at
+// the end. This is the one way to run the paper: `--filter <unit>` prints
+// a single artifact.
 //
 // Usage: run_suite [--filter a,b,c] [--report path] [--list]
 //                  [--shard-claim i/N]
 //
 //   --filter  comma-separated substring filter over unit names and cell
-//             ids: "tables_missing" runs one unit, "german" runs every
-//             german cell, "smoke" runs the CI smoke subset. Empty: every
-//             default unit.
+//             ids: "tables_missing" runs one unit (units: fig1, fig2,
+//             tables_missing, tables_outliers, tables_mislabels,
+//             table_models, deepdive), "german" runs every german cell,
+//             "smoke" runs the CI smoke subset. Empty: every default unit.
 //   --report  merged report path (default: FAIRCLEAN_SUITE_REPORT or
 //             fairclean_suite_report.json).
 //   --list    print the selected units and cells, then exit.
@@ -27,9 +30,9 @@
 // The run is resumable: the per-cell StudyDriver cache and repeat slices
 // survive a kill, and re-running the same command resumes mid-suite. Exit
 // codes: 0 success, 75 (EX_TEMPFAIL) time budget exhausted with resumable
-// state, 1 failure. Scale knobs are the bench ones (FAIRCLEAN_SAMPLE /
-// FAIRCLEAN_REPEATS / FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / ...), resolved
-// once at startup so a mid-run environment change cannot split the suite.
+// state, 1 failure. Scale knobs (FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
+// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / ...) are resolved once at startup so
+// a mid-run environment change cannot split the suite.
 
 #include <cstdio>
 #include <cstring>
