@@ -165,13 +165,15 @@ Status FoldDeepDive(const ScopeResults& results, const StudyScope& scope,
         if (fairness != Impact::kWorse) outcome.non_worsening = true;
         if (fairness == Impact::kBetter) {
           outcome.improving = true;
-          if (scope.error_type == "missing_values") {
-            ++deep_dive->categorical_wins[CategoricalImputeName(
-                impact.method.categorical_impute)];
-          }
           if (impact.outcome.accuracy == Impact::kBetter) {
             outcome.both_improving = true;
           }
+        }
+        if (scope.error_type == "missing_values") {
+          // Every imputation gets a row, so a zero-win one still prints.
+          int64_t& wins = deep_dive->categorical_wins[CategoricalImputeName(
+              impact.method.categorical_impute)];
+          if (fairness == Impact::kBetter) ++wins;
         }
         if (scope.error_type == "outliers") {
           auto& [negative, total] =

@@ -162,7 +162,8 @@ struct DeepDive {
   /// "<metric>/<dataset>/<attribute>/<error type>" -> what its cleaning
   /// configurations achieve.
   std::map<std::string, Case> cases;
-  /// Categorical imputation -> fairness improvements (missing values).
+  /// Categorical imputation -> fairness improvements (missing values;
+  /// every imputation of the scope, zero counts included).
   std::map<std::string, int64_t> categorical_wins;
   /// Outlier detector -> {negative fairness impacts, configurations}.
   std::map<std::string, std::pair<int64_t, int64_t>> detector_negative;
