@@ -34,6 +34,7 @@
 #include "ml/linalg.h"
 #include "ml/logistic_regression.h"
 #include "ml/tuning.h"
+#include "obs/trace.h"
 #include "repair/imputer.h"
 #include "stats/tests.h"
 
@@ -335,6 +336,10 @@ int RunPerfMicro(int argc, char** argv) {
   std::map<std::string, double> forked_p95;
   std::map<std::string, size_t> forked_iters;
   RunForkedCases(&forked_ops, &forked_p95, &forked_iters);
+  // FAIRCLEAN_TRACE covers what runs in this process from here on: the
+  // report write and the google-benchmark ops. The forked kernel timings
+  // stay free of trace capture.
+  obs::InitTraceFromEnv();
   WriteKernelBenchJson(forked_ops, forked_p95, forked_iters);
 
   benchmark::Initialize(&argc, argv);

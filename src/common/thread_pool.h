@@ -38,8 +38,8 @@ uint64_t SwapTraceId(uint64_t trace_id);
 }  // namespace internal
 
 /// Fixed-size worker pool used to fan out independent units of work
-/// (repeat slices in the study driver, cross-validation folds in
-/// hyperparameter search).
+/// (experiment cells in the suite scheduler, cross-validation folds and
+/// kernel blocks through the shared fold pool).
 ///
 /// Tasks are submitted as callables and their results retrieved through
 /// std::future; an exception thrown by a task is captured in the future and
