@@ -48,7 +48,7 @@ struct StudyDriverOptions {
 
 /// Structured counters describing how a driver run degraded (or didn't):
 /// cache reuse, slice reuse, retries, skips, quarantined files, and wall
-/// time per stage. Printed by the table benches.
+/// time per stage. Printed by run_suite.
 ///
 /// Since the observability rework this is a point-in-time snapshot
 /// assembled from the driver's metrics registry (see
@@ -95,7 +95,7 @@ struct RunDiagnostics {
 /// Repeats run sequentially on the calling thread; callers that want
 /// parallelism run several drivers (the suite scheduler and the advisor
 /// server fan out across cells). One driver instance is meant to span a
-/// whole bench invocation so the time budget and diagnostics cover the
+/// whole cell production so the time budget and diagnostics cover the
 /// full scope. RunOrLoad must be called from one thread at a time.
 class StudyDriver {
  public:

@@ -115,6 +115,21 @@ Result<ImpactTable> AggregateImpactTable(const ScopeResults& results,
   return table;
 }
 
+namespace {
+
+/// One single-attribute impact test of a scope: a (model, pair, cleaning
+/// method, fairness metric) configuration and its classified outcome.
+struct SingleAttributeImpact {
+  const std::string& model;
+  const PairSpec& pair;
+  const CleaningMethod& method;
+  FairnessMetric metric;
+  ImpactOutcome outcome;
+};
+
+/// Runs ComputeImpact for every (model, single pair, cleaning method,
+/// PP/EO) configuration of `scope` and hands each outcome to `fold`: the
+/// one loop behind Table XIV and the deep dive. Errors as FoldDeepDive.
 Status ForEachSingleAttributeImpact(
     const ScopeResults& results, const StudyScope& scope, double alpha,
     const std::function<void(const SingleAttributeImpact&)>& fold) {
@@ -148,6 +163,8 @@ Status ForEachSingleAttributeImpact(
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status FoldDeepDive(const ScopeResults& results, const StudyScope& scope,
                     double alpha, DeepDive* deep_dive) {
@@ -502,9 +519,9 @@ Result<DisparityArtifact> SuiteScheduler::ComputeDisparity(
                       Dataset(dataset));
   FC_ASSIGN_OR_RETURN(const GeneratedDataset* generated, handle->Rows());
   DisparityOptions disparity_options;
-  // The historical per-figure rng streams (Fig. 1: seed+17, Fig. 2:
-  // seed+19), fresh per dataset, so each panel's bytes match the
-  // standalone figure bench exactly.
+  // The per-figure rng streams (Fig. 1: seed+17, Fig. 2: seed+19), fresh
+  // per dataset, so a panel's bytes do not depend on which other panels
+  // ran.
   Rng rng(options_.study.seed + (intersectional ? 19 : 17));
   DisparityArtifact artifact;
   FC_ASSIGN_OR_RETURN(artifact.rows,

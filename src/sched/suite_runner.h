@@ -14,7 +14,6 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/cleaning.h"
 #include "core/disparity.h"
 #include "core/runner.h"
 #include "datasets/generator.h"
@@ -64,7 +63,7 @@ struct SuiteOptions {
   double shard_lease_s = 30.0;
 };
 
-/// The bench-scale defaults (sample 3500, 16 repeats, 3 folds, holdout
+/// The suite-scale defaults (sample 3500, 16 repeats, 3 folds, holdout
 /// 0.3, seed 42) overridable via FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
 /// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_CACHE_DIR /
 /// FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S / FAIRCLEAN_THREADS /
@@ -75,7 +74,7 @@ struct SuiteOptions {
 /// fallback to the default.
 Result<SuiteOptions> TrySuiteOptionsFromEnv();
 
-/// TrySuiteOptionsFromEnv for contexts without an error channel (benches,
+/// TrySuiteOptionsFromEnv for contexts without an error channel (tools,
 /// tests): a malformed knob aborts the process with the parse error, which
 /// beats silently running the whole suite at an unintended scale.
 SuiteOptions SuiteOptionsFromEnv();
@@ -132,25 +131,6 @@ Result<ImpactTable> AggregateImpactTable(const ScopeResults& results,
                                          bool intersectional,
                                          FairnessMetric metric, double alpha);
 
-/// One single-attribute impact test of a scope: a (model, pair, cleaning
-/// method, fairness metric) configuration and its classified outcome.
-struct SingleAttributeImpact {
-  const std::string& model;
-  const PairSpec& pair;
-  const CleaningMethod& method;
-  FairnessMetric metric;
-  ImpactOutcome outcome;
-};
-
-/// Runs ComputeImpact for every (model, single pair, cleaning method,
-/// PP/EO) configuration of `scope` and hands each outcome to `fold`.
-/// `alpha` is the base level; it is Bonferroni-adjusted by the scope's
-/// cleaning-method count. NotFound for a missing cell or method series;
-/// otherwise the first failed impact test.
-Status ForEachSingleAttributeImpact(
-    const ScopeResults& results, const StudyScope& scope, double alpha,
-    const std::function<void(const SingleAttributeImpact&)>& fold);
-
 /// The Section VI deep-dive counts, accumulated over the three error-type
 /// scopes.
 struct DeepDive {
@@ -171,15 +151,17 @@ struct DeepDive {
   std::map<std::string, std::vector<double>> dirty_accuracy;
 };
 
-/// Folds one scope's cells into `deep_dive` (ForEachSingleAttributeImpact
-/// over `results`, plus every cell's mean dirty accuracy). Errors as
-/// ForEachSingleAttributeImpact.
+/// Folds one scope's cells into `deep_dive`: every cell's mean dirty
+/// accuracy, and the impact test of every (model, single pair, cleaning
+/// method, PP/EO) configuration, the tests Table XIV tallies. `alpha` is
+/// the base level; it is Bonferroni-adjusted by the scope's cleaning-method
+/// count. NotFound for a missing cell or method series; otherwise the first
+/// failed test.
 Status FoldDeepDive(const ScopeResults& results, const StudyScope& scope,
                     double alpha, DeepDive* deep_dive);
 
 /// Prints measured-vs-paper tables side by side plus a qualitative shape
-/// check (dominant-row agreement). Byte-identical to the historical bench
-/// output.
+/// check (dominant-row agreement).
 void PrintTableWithReference(const ImpactTable& measured,
                              const PaperTable& reference,
                              const std::string& title);
@@ -201,7 +183,7 @@ int CellCostRank(const CellKey& cell);
 /// artifacts into the paper's tables and figures.
 ///
 /// Identity contract (DESIGN.md Section 9): each cell's cache record is
-/// byte-identical to what the standalone table bench produces, at any
+/// byte-identical to what a standalone StudyDriver produces, at any
 /// thread width, and the merged report is byte-identical between
 /// sequential, parallel, and killed-and-resumed runs.
 ///
@@ -265,7 +247,7 @@ class SuiteScheduler {
   exec::RunDiagnostics AggregateDiagnostics() const;
 
   /// Prints the aggregate diagnostics (and, at info level, the process
-  /// metric instruments) to stdout — the benches' historical run summary.
+  /// metric instruments) to stdout: the run summary.
   void PrintRunSummary() const;
 
   /// Reports a failed run to stderr (message, diagnostics, resume hint on

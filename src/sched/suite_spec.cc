@@ -50,7 +50,7 @@ StudyScope MislabelScope() {
 namespace {
 
 std::vector<TableSpec> StandardTables(const PaperTable references[4]) {
-  // Print order of every table bench: single-PP, single-EO,
+  // Print order of every table unit: single-PP, single-EO,
   // intersectional-PP, intersectional-EO.
   return {
       {false, FairnessMetric::kPredictiveParity, references[0]},
