@@ -41,6 +41,13 @@ void PrintRanking(const std::vector<CleaningRecommendation>& ranking,
 }
 
 int Run() {
+  // A malformed scale knob is a usage error: report it before any work.
+  Result<StudyOptions> env_options = StudyOptionsFromEnv();
+  if (!env_options.ok()) {
+    std::fprintf(stderr, "%s\n", env_options.status().ToString().c_str());
+    return 2;
+  }
+  StudyOptions options = *env_options;
   Rng rng(4711);
   Result<GeneratedDataset> dataset = MakeDataset("adult", 0, &rng);
   if (!dataset.ok()) {
@@ -49,7 +56,6 @@ int Run() {
     return 1;
   }
 
-  StudyOptions options = StudyOptionsFromEnv();
   options.sample_size = 1500;
   options.num_repeats = 8;
   std::printf("Tuning the missing-value cleaning of 'adult' for equal "

@@ -41,6 +41,13 @@ void PrintGroupStory(const CleaningExperimentResult& experiment,
 }
 
 int Run() {
+  // A malformed scale knob is a usage error: report it before any work.
+  Result<StudyOptions> env_options = StudyOptionsFromEnv();
+  if (!env_options.ok()) {
+    std::fprintf(stderr, "%s\n", env_options.status().ToString().c_str());
+    return 2;
+  }
+  StudyOptions options = *env_options;
   Rng rng(77);
   Result<GeneratedDataset> dataset = MakeDataset("heart", 0, &rng);
   if (!dataset.ok()) {
@@ -52,7 +59,6 @@ int Run() {
               dataset->frame.num_rows(), dataset->frame.num_columns(),
               dataset->spec.label.c_str());
 
-  StudyOptions options = StudyOptionsFromEnv();
   options.sample_size = 2000;
   options.num_repeats = 8;
 

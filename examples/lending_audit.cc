@@ -21,6 +21,13 @@ namespace {
 using namespace fairclean;  // NOLINT: example brevity
 
 int Run() {
+  // A malformed scale knob is a usage error: report it before any work.
+  Result<StudyOptions> env_options = StudyOptionsFromEnv();
+  if (!env_options.ok()) {
+    std::fprintf(stderr, "%s\n", env_options.status().ToString().c_str());
+    return 2;
+  }
+  StudyOptions options = *env_options;
   Rng rng(2024);
   Result<GeneratedDataset> dataset = MakeDataset("credit", 0, &rng);
   if (!dataset.ok()) {
@@ -35,7 +42,6 @@ int Run() {
                   .privileged.Description()
                   .c_str());
 
-  StudyOptions options = StudyOptionsFromEnv();
   options.sample_size = 1500;
   options.num_repeats = 8;
   Result<CleaningExperimentResult> experiment =

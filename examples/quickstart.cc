@@ -19,6 +19,13 @@ namespace {
 using namespace fairclean;  // NOLINT: example brevity
 
 int RunQuickstart() {
+  // A malformed scale knob is a usage error: report it before any work.
+  Result<StudyOptions> env_options = StudyOptionsFromEnv();
+  if (!env_options.ok()) {
+    std::fprintf(stderr, "%s\n", env_options.status().ToString().c_str());
+    return 2;
+  }
+  StudyOptions options = *env_options;
   Rng rng(7);
   Result<GeneratedDataset> dataset = MakeDataset("german", 0, &rng);
   if (!dataset.ok()) {
@@ -47,7 +54,6 @@ int RunQuickstart() {
   std::printf("%s\n", FormatDisparityTable(*disparities).c_str());
 
   std::printf("== RQ2: impact of auto-cleaning missing values ==\n");
-  StudyOptions options = StudyOptionsFromEnv();
   options.num_repeats = 8;
   Result<CleaningExperimentResult> experiment = RunCleaningExperiment(
       *dataset, "missing_values", LogRegFamily(), options);

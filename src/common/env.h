@@ -9,8 +9,8 @@
 namespace fairclean {
 
 /// Reads an integer knob from the environment, falling back to
-/// `default_value` when unset or unparsable. Used by the benchmark harness
-/// for scale knobs (FAIRCLEAN_REPEATS, FAIRCLEAN_SAMPLE, FAIRCLEAN_SEED).
+/// `default_value` when unset or unparsable (FAIRCLEAN_THREADS,
+/// FAIRCLEAN_FAULT_SEED). Scale knobs use the strict GetEnvCount.
 int64_t GetEnvInt64(const char* name, int64_t default_value);
 
 /// Reads a floating-point knob from the environment (e.g.

@@ -133,18 +133,26 @@ void RecordOutcome(const std::string& prefix, const EvalOutcome& outcome,
 
 }  // namespace
 
-StudyOptions StudyOptionsFromEnv() {
+Result<StudyOptions> StudyOptionsFromEnv() {
   StudyOptions options;
-  options.sample_size = static_cast<size_t>(
-      GetEnvInt64("FAIRCLEAN_SAMPLE",
+  FC_ASSIGN_OR_RETURN(
+      int64_t sample,
+      GetEnvCount("FAIRCLEAN_SAMPLE",
                   static_cast<int64_t>(options.sample_size)));
-  options.num_repeats = static_cast<size_t>(
-      GetEnvInt64("FAIRCLEAN_REPEATS",
+  options.sample_size = static_cast<size_t>(sample);
+  FC_ASSIGN_OR_RETURN(
+      int64_t repeats,
+      GetEnvCount("FAIRCLEAN_REPEATS",
                   static_cast<int64_t>(options.num_repeats)));
-  options.cv_folds = static_cast<size_t>(
-      GetEnvInt64("FAIRCLEAN_FOLDS", static_cast<int64_t>(options.cv_folds)));
-  options.seed = static_cast<uint64_t>(
-      GetEnvInt64("FAIRCLEAN_SEED", static_cast<int64_t>(options.seed)));
+  options.num_repeats = static_cast<size_t>(repeats);
+  FC_ASSIGN_OR_RETURN(
+      int64_t folds,
+      GetEnvCount("FAIRCLEAN_FOLDS", static_cast<int64_t>(options.cv_folds)));
+  options.cv_folds = static_cast<size_t>(folds);
+  FC_ASSIGN_OR_RETURN(
+      int64_t seed,
+      GetEnvCount("FAIRCLEAN_SEED", static_cast<int64_t>(options.seed)));
+  options.seed = static_cast<uint64_t>(seed);
   return options;
 }
 

@@ -37,8 +37,10 @@ struct StudyOptions {
 
 /// Reads StudyOptions from the environment (FAIRCLEAN_SAMPLE,
 /// FAIRCLEAN_REPEATS, FAIRCLEAN_FOLDS, FAIRCLEAN_SEED), falling back to the
-/// defaults above.
-StudyOptions StudyOptionsFromEnv();
+/// defaults above when a knob is unset or empty. Each set knob must be a
+/// non-negative decimal integer (GetEnvCount); anything else is an
+/// InvalidArgument naming the knob.
+Result<StudyOptions> StudyOptionsFromEnv();
 
 /// A group definition the runner evaluates: either one sensitive attribute
 /// ("sex") or the intersectional combination of the first two

@@ -101,8 +101,14 @@ Status GradientBoostedTrees::Fit(const Matrix& x, const std::vector<int>& y,
     RegressionTree tree;
     FC_RETURN_IF_ERROR(tree.FitPresorted(x, grad, hess, sample, *presorted,
                                          tree_options, &workspace));
+    // The fit already routed every sampled row to its leaf, with the same
+    // comparisons as PredictOne; only rows outside the sample walk the tree.
+    const std::vector<RegressionTree::Node>& nodes = tree.nodes();
     for (size_t i = 0; i < n; ++i) {
-      margin[i] += options_.learning_rate * tree.PredictOne(x.Row(i));
+      int leaf = workspace.leaf_of(i);
+      double value = leaf >= 0 ? nodes[static_cast<size_t>(leaf)].value
+                               : tree.PredictOne(x.Row(i));
+      margin[i] += options_.learning_rate * value;
       prob[i] = Sigmoid(margin[i]);
     }
     trees_.push_back(std::move(tree));

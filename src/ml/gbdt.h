@@ -46,6 +46,8 @@ class GradientBoostedTrees : public Classifier {
   std::string name() const override { return "xgboost"; }
 
   size_t num_trees() const { return trees_.size(); }
+  /// The fitted trees in boosting order.
+  const std::vector<RegressionTree>& trees() const { return trees_; }
 
   /// Mean logistic loss on (x, y) after each round, computed on demand by
   /// replaying the trees in fit order. On the training set it reproduces

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "ml/tree_compress.h"
 
 namespace fairclean {
 
@@ -25,72 +26,6 @@ double ScoreHalf(double g, double h, double lambda) {
 size_t FeatureChunks(ThreadPool* pool, size_t num_features) {
   if (pool == nullptr) return num_features == 0 ? 0 : 1;
   return std::min(num_features, pool->num_threads());
-}
-
-// Stable branchless filter of one presorted feature: every entry is
-// written, but the cursor advances only for members, so the kept rows stay
-// in presort order without a mispredicted branch per row (membership is
-// effectively random). The outputs need one slot past `limit` for the
-// unconditional write after the last member. Returns the kept count, or
-// limit + 1 as soon as more than `limit` entries are members. With
-// `values`, *sorted reports whether they ascend (NaN fails <=).
-size_t FilterFeature(const std::vector<uint32_t>& order, const double* values,
-                     const char* member, size_t limit, uint32_t* out_rows,
-                     double* out_values, bool* sorted) {
-  size_t count = 0;
-  size_t size = order.size();
-  const uint32_t* rows = order.data();
-  if (values != nullptr) {
-    bool ascending = true;
-    double previous = size > 0 ? values[0] : 0.0;
-    for (size_t i = 0; i < size && count <= limit; ++i) {
-      uint32_t row = rows[i];
-      double value = values[i];
-      out_rows[count] = row;
-      out_values[count] = value;
-      ascending &= previous <= value;
-      previous = value;
-      count += static_cast<size_t>(member[row] != 0);
-    }
-    *sorted = ascending;
-  } else {
-    for (size_t i = 0; i < size && count <= limit; ++i) {
-      uint32_t row = rows[i];
-      out_rows[count] = row;
-      count += static_cast<size_t>(member[row] != 0);
-    }
-  }
-  return count;
-}
-
-// Stable partition of one node segment into its children's segments of
-// the other copy: rows whose node is `right` go after the `left_size`
-// left rows. One write per entry, to a slot picked by mask arithmetic,
-// so the loop has no data-dependent branch. The run of the segment's
-// largest value is never partitioned: in every descendant it is again the
-// trailing run (or the whole segment), whose rows no scan or partition
-// reads, so each child's share of it only needs the value filled in.
-void PartitionSegment(const uint32_t* rows, const double* values, size_t size,
-                      size_t left_size, const int* node_of, int right,
-                      uint32_t* out_rows, double* out_values) {
-  if (size == 0) return;
-  double largest = values[size - 1];
-  size_t trailing = size - 1;
-  while (trailing > 0 && values[trailing - 1] == largest) --trailing;
-  size_t left_slot = 0;
-  size_t right_slot = left_size;
-  for (size_t i = 0; i < trailing; ++i) {
-    uint32_t row = rows[i];
-    size_t to_right = static_cast<size_t>(node_of[row] == right);
-    size_t mask = 0 - to_right;
-    size_t slot = (right_slot & mask) | (left_slot & ~mask);
-    out_rows[slot] = row;
-    out_values[slot] = values[i];
-    left_slot += 1 - to_right;
-    right_slot += to_right;
-  }
-  std::fill(out_values + left_slot, out_values + left_size, largest);
-  std::fill(out_values + right_slot, out_values + size, largest);
 }
 
 // Exact greedy split search over one node segment sorted ascending by
@@ -181,38 +116,6 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
   return presorted;
 }
 
-void PresortedFeatures::FilterInto(const std::vector<char>& member,
-                                   size_t member_count,
-                                   PresortedFeatures* out) const {
-  size_t num_features = order.size();
-  bool has_values = !values.empty();
-  out->order.resize(num_features);
-  out->values.resize(has_values ? num_features : 0);
-  ThreadPool* pool = ThreadPool::SharedForFolds();
-  size_t num_chunks = FeatureChunks(pool, num_features);
-  RunIndexed(pool, num_chunks, [&](size_t chunk) -> int {
-    size_t begin = num_features * chunk / num_chunks;
-    size_t end = num_features * (chunk + 1) / num_chunks;
-    for (size_t f = begin; f < end; ++f) {
-      std::vector<uint32_t>& filtered = out->order[f];
-      filtered.resize(member_count + 1);
-      double* filtered_values = nullptr;
-      if (has_values) {
-        out->values[f].resize(member_count + 1);
-        filtered_values = out->values[f].data();
-      }
-      bool sorted = true;
-      size_t count = FilterFeature(
-          order[f], has_values ? values[f].data() : nullptr, member.data(),
-          member_count, filtered.data(), filtered_values, &sorted);
-      FC_CHECK_EQ(count, member_count);
-      filtered.resize(member_count);
-      if (has_values) out->values[f].resize(member_count);
-    }
-    return 0;
-  });
-}
-
 Status RegressionTree::Fit(const Matrix& x, const std::vector<double>& grad,
                            const std::vector<double>& hess,
                            const std::vector<size_t>& sample_indices,
@@ -289,25 +192,24 @@ Status RegressionTree::FitPresorted(const Matrix& x,
   size_t m = sample_indices.size();
   size_t stride = m + 1;
 
-  // Root node, summed in sample order.
-  ws->member.assign(x.rows(), 0);
+  // Per-sample current node, indexed by absolute row id; -1 marks rows
+  // outside the sample, including the sentinel past the last row that
+  // clamped row ids read (tree_compress.h). The root is summed in sample
+  // order.
+  ws->node_of.assign(x.rows() + 1, -1);
   double g_root = 0.0;
   double h_root = 0.0;
   for (size_t index : sample_indices) {
-    if (index >= x.rows() || ws->member[index] != 0) {
+    if (index >= x.rows() || ws->node_of[index] == 0) {
       return Status::InvalidArgument(
           "sample indices must be distinct rows of the matrix");
     }
-    ws->member[index] = 1;
+    ws->node_of[index] = 0;
     g_root += grad[index];
     h_root += hess[index];
   }
   nodes_.emplace_back();
   nodes_[0].value = LeafWeight(g_root, h_root, options.lambda);
-
-  // Per-sample current node (indexed by absolute row id).
-  ws->node_of.assign(x.rows(), -1);
-  for (size_t index : sample_indices) ws->node_of[index] = 0;
 
   // Interleave gradient and hessian so each scan entry touches one cache
   // line instead of two. Same doubles, added in the same places — the
@@ -332,6 +234,14 @@ Status RegressionTree::FitPresorted(const Matrix& x,
 
   ThreadPool* pool = ThreadPool::SharedForFolds();
   size_t num_chunks = FeatureChunks(pool, num_features);
+  // The vector kernels gather node_of with signed 32-bit indices.
+  bool vector = tree_compress::CpuHasAvx512() &&
+                x.rows() <= static_cast<size_t>(INT32_MAX);
+  auto* filter_feature = vector ? tree_compress::FilterFeatureAvx512
+                                : tree_compress::FilterFeature;
+  auto* partition_segment = vector ? tree_compress::PartitionSegmentAvx512
+                                   : tree_compress::PartitionSegment;
+  uint32_t num_rows = static_cast<uint32_t>(x.rows());
 
   for (int depth = 0; depth < options.max_depth && !ws->frontier.empty();
        ++depth) {
@@ -359,9 +269,10 @@ Status RegressionTree::FitPresorted(const Matrix& x,
                             presorted.values[f].size() == order_f.size();
           // The run skips rely on ascending values; NaN fails <= too.
           bool sorted = true;
-          size_t kept = FilterFeature(
-              order_f, has_values ? presorted.values[f].data() : nullptr,
-              ws->member.data(), m, rows_f, values_f, &sorted);
+          size_t kept = filter_feature(
+              order_f.data(), order_f.size(),
+              has_values ? presorted.values[f].data() : nullptr,
+              ws->node_of.data(), num_rows, m, rows_f, values_f, &sorted);
           if (kept != m) return 1;
           if (!has_values) {
             for (size_t i = 0; i < m; ++i) {
@@ -377,11 +288,11 @@ Status RegressionTree::FitPresorted(const Matrix& x,
           for (int parent : ws->split_parents) {
             const Node& node = nodes_[static_cast<size_t>(parent)];
             size_t offset = ws->seg_begin[static_cast<size_t>(parent)];
-            PartitionSegment(from_rows + offset, from_values + offset,
-                             ws->seg_size[static_cast<size_t>(parent)],
-                             ws->seg_size[static_cast<size_t>(node.left)],
-                             ws->node_of.data(), node.right, rows_f + offset,
-                             values_f + offset);
+            partition_segment(from_rows + offset, from_values + offset,
+                              ws->seg_size[static_cast<size_t>(parent)],
+                              ws->seg_size[static_cast<size_t>(node.left)],
+                              ws->node_of.data(), node.right, rows_f + offset,
+                              values_f + offset);
           }
         }
         TreeFitWorkspace::SplitCandidate* best_f =
@@ -452,9 +363,11 @@ Status RegressionTree::FitPresorted(const Matrix& x,
       if (node < 0) continue;
       const Node& parent = nodes_[static_cast<size_t>(node)];
       if (parent.is_leaf) continue;
-      int child = x.Row(index)[parent.feature] < parent.threshold
-                      ? parent.left
-                      : parent.right;
+      // PredictOne's `<` routing as an add (right == left + 1): the
+      // compiler emits a plain select here as a branch, which mispredicts
+      // on about half the rows.
+      bool go_right = !(x.Row(index)[parent.feature] < parent.threshold);
+      int child = parent.left + static_cast<int>(go_right);
       size_t child_id = static_cast<size_t>(child);
       ws->node_of[index] = child;
       ws->g_total[child_id] += grad[index];
@@ -484,7 +397,8 @@ double RegressionTree::PredictOne(const double* row) const {
   int node = 0;
   while (!nodes_[static_cast<size_t>(node)].is_leaf) {
     const Node& n = nodes_[static_cast<size_t>(node)];
-    node = row[n.feature] < n.threshold ? n.left : n.right;
+    // right == left + 1: an add instead of a mispredicting branch.
+    node = n.left + static_cast<int>(!(row[n.feature] < n.threshold));
   }
   return nodes_[static_cast<size_t>(node)].value;
 }

@@ -27,8 +27,8 @@ struct RegressionTreeOptions {
 /// one presort per fold across the whole hyperparameter grid.
 struct PresortedFeatures {
   /// order[f] = row ids sorted ascending by feature f. Compute() emits all
-  /// rows of the matrix; FilterInto() emits a subset in the same relative
-  /// order. Row ids are 32-bit, which halves the presort's id bytes.
+  /// rows of the matrix; a hand-built presort may list only a subset.
+  /// Row ids are 32-bit, which halves the presort's id bytes.
   std::vector<std::vector<uint32_t>> order;
   /// values[f][i] = feature f of row order[f][i], kept in lockstep with
   /// `order` so the split search streams feature values sequentially
@@ -37,17 +37,6 @@ struct PresortedFeatures {
   std::vector<std::vector<double>> values;
 
   static PresortedFeatures Compute(const Matrix& x);
-
-  /// Stable membership filter: out->order[f] keeps exactly the rows with
-  /// member[row] != 0, preserving this order's relative order, so the
-  /// scan sequence equals scanning the full order and skipping
-  /// non-members. `values` (when present) is filtered in lockstep.
-  /// member_count must be the exact number of kept rows (checked). Reuses
-  /// out's buffers across calls; column-parallel when a fold pool is
-  /// available (per-feature outputs are independent, so scheduling cannot
-  /// affect the result).
-  void FilterInto(const std::vector<char>& member, size_t member_count,
-                  PresortedFeatures* out) const;
 };
 
 /// Reusable scratch for FitPresorted, hoisted out of the per-round hot loop
@@ -63,11 +52,17 @@ class TreeFitWorkspace {
     double threshold = 0.0;
   };
 
+  /// After a successful fit: the leaf holding sampled row `row`, or -1 for
+  /// a row outside the sample. The fit routes rows with PredictOne's `<`
+  /// comparison, so the leaf's value is what PredictOne returns for it.
+  int leaf_of(size_t row) const { return node_of[row]; }
+
  private:
   friend class RegressionTree;
 
-  std::vector<char> member;      // per absolute row: 1 if sampled
-  std::vector<int> node_of;      // per absolute row: current node id or -1
+  // Per absolute row: current node id, or -1 outside the sample. One extra
+  // -1 entry past the last row backs the kernels' clamped lookups.
+  std::vector<int> node_of;
   std::vector<double> gh;        // interleaved [grad, hess] per absolute row
   std::vector<double> g_total;   // per node
   std::vector<double> h_total;   // per node
@@ -80,8 +75,8 @@ class TreeFitWorkspace {
   std::vector<SplitCandidate> best;           // per frontier slot
   std::vector<SplitCandidate> feature_best;   // [feature * width + slot]
   // Two copies of the sample's presort, each one stride of m + 1 slots per
-  // feature (the branchless filter writes one slot past the last kept
-  // row), laid out as contiguous per-node segments. Level 0 compacts the
+  // feature (the level-0 filter writes one slot past the last kept row),
+  // laid out as contiguous per-node segments. Level 0 compacts the
   // presort into copy 0; every later level partitions the previous
   // level's copy into the other one.
   std::vector<uint32_t> rows[2];
@@ -101,12 +96,13 @@ class RegressionTree {
              const RegressionTreeOptions& options);
 
   /// Like Fit, but reuses a precomputed feature presort. `presorted` may
-  /// hold all rows of the matrix or only the sample rows (e.g. a
-  /// FilterInto view); either way the sample rows are first compacted
-  /// into the workspace, so each level costs O(sample size) per feature.
-  /// Sample indices must be distinct rows of `x`, and the presort must
-  /// list every sample row with values that ascend and hold no NaN;
-  /// anything else is rejected with InvalidArgument.
+  /// hold all rows of the matrix or any superset of the sample rows;
+  /// either way the sample rows are first compacted into the workspace, so
+  /// each level costs O(sample size) per feature. Sample indices must be
+  /// distinct rows of `x`, and the presort must list every sample row
+  /// with values that ascend and hold no NaN; anything else is rejected
+  /// with InvalidArgument. Presort row ids past the matrix count as rows
+  /// outside the sample.
   Status FitPresorted(const Matrix& x, const std::vector<double>& grad,
                       const std::vector<double>& hess,
                       const std::vector<size_t>& sample_indices,

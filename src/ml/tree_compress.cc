@@ -1,0 +1,298 @@
+#include "ml/tree_compress.h"
+
+#include <algorithm>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define FAIRCLEAN_X86_COMPRESS_KERNELS 1
+#endif
+
+namespace fairclean {
+namespace tree_compress {
+
+namespace {
+
+// Cursor of a filter pass, shared by the scalar loop and the vector loop
+// it finishes, so a vector pass hands over mid-stream without a seam.
+struct FilterCursor {
+  size_t i = 0;
+  size_t count = 0;
+  bool ascending = true;
+};
+
+// Branchless scalar filter from cursor->i on: every entry is written, but
+// the cursor advances only for kept rows, so the kept rows stay in presort
+// order without a mispredicted branch per row (membership is effectively
+// random). The unconditional write after the last kept row is why the
+// outputs need slot `limit`.
+void FilterFrom(const uint32_t* order, size_t size, const double* values,
+                const int32_t* node_of, uint32_t num_rows, size_t limit,
+                uint32_t* out_rows, double* out_values,
+                FilterCursor* cursor) {
+  size_t i = cursor->i;
+  size_t count = cursor->count;
+  if (values != nullptr) {
+    bool ascending = cursor->ascending;
+    double previous = size > 0 ? values[i > 0 ? i - 1 : 0] : 0.0;
+    for (; i < size && count <= limit; ++i) {
+      uint32_t row = order[i];
+      double value = values[i];
+      out_rows[count] = row;
+      out_values[count] = value;
+      ascending &= previous <= value;
+      previous = value;
+      count += static_cast<size_t>(node_of[std::min(row, num_rows)] >= 0);
+    }
+    cursor->ascending = ascending;
+  } else {
+    for (; i < size && count <= limit; ++i) {
+      uint32_t row = order[i];
+      out_rows[count] = row;
+      count += static_cast<size_t>(node_of[std::min(row, num_rows)] >= 0);
+    }
+  }
+  cursor->i = i;
+  cursor->count = count;
+}
+
+// First slot of the run of the segment's largest value.
+size_t TrailingRunStart(const double* values, size_t size) {
+  double largest = values[size - 1];
+  size_t trailing = size - 1;
+  while (trailing > 0 && values[trailing - 1] == largest) --trailing;
+  return trailing;
+}
+
+// Branchless scalar partition of entries [begin, end): one write per
+// entry, to a slot picked by mask arithmetic, so the loop has no
+// data-dependent branch.
+void PartitionRange(const uint32_t* rows, const double* values, size_t begin,
+                    size_t end, const int32_t* node_of, int32_t right,
+                    uint32_t* out_rows, double* out_values, size_t* left_slot,
+                    size_t* right_slot) {
+  size_t left = *left_slot;
+  size_t right_at = *right_slot;
+  for (size_t i = begin; i < end; ++i) {
+    uint32_t row = rows[i];
+    size_t to_right = static_cast<size_t>(node_of[row] == right);
+    size_t mask = 0 - to_right;
+    size_t slot = (right_at & mask) | (left & ~mask);
+    out_rows[slot] = row;
+    out_values[slot] = values[i];
+    left += 1 - to_right;
+    right_at += to_right;
+  }
+  *left_slot = left;
+  *right_slot = right_at;
+}
+
+// Gives each child's share of the trailing run its value.
+void FillTrailingRun(double largest, size_t left_slot, size_t left_size,
+                     size_t right_slot, size_t size, double* out_values) {
+  std::fill(out_values + left_slot, out_values + left_size, largest);
+  std::fill(out_values + right_slot, out_values + size, largest);
+}
+
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+
+#define FAIRCLEAN_AVX512_TARGET \
+  __attribute__((target("avx512f,avx512vl,avx512dq,popcnt")))
+
+// Stores the lanes of a 16-row block selected by `keep` to consecutive
+// slots of out_rows/out_values: 16 row ids and 2 x 8 values, each a
+// zero-masked compress. With `full`, each is one full-width store: the
+// lanes past the kept ones write zeros into slots that a later store or the
+// scalar tail overwrites, so the caller guarantees that 16 slots fit in the
+// destination. Otherwise each store is masked to the kept lanes, which is
+// slower but writes nothing past them. Returns the kept count.
+FAIRCLEAN_AVX512_TARGET size_t CompressBlock(__mmask16 keep, __m512i rows,
+                                             __m512d lo, __m512d hi,
+                                             bool full, uint32_t* out_rows,
+                                             double* out_values) {
+  __mmask8 keep_lo = static_cast<__mmask8>(keep);
+  __mmask8 keep_hi = static_cast<__mmask8>(keep >> 8);
+  unsigned kept_lo = static_cast<unsigned>(__builtin_popcount(keep_lo));
+  unsigned kept_hi = static_cast<unsigned>(__builtin_popcount(keep_hi));
+  __m512i packed_rows = _mm512_maskz_compress_epi32(keep, rows);
+  __m512d packed_lo = _mm512_maskz_compress_pd(keep_lo, lo);
+  __m512d packed_hi = _mm512_maskz_compress_pd(keep_hi, hi);
+  if (full) {
+    _mm512_storeu_si512(out_rows, packed_rows);
+    _mm512_storeu_pd(out_values, packed_lo);
+    _mm512_storeu_pd(out_values + kept_lo, packed_hi);
+  } else {
+    _mm512_mask_storeu_epi32(
+        out_rows, static_cast<__mmask16>((1u << (kept_lo + kept_hi)) - 1),
+        packed_rows);
+    _mm512_mask_storeu_pd(out_values, static_cast<__mmask8>((1u << kept_lo) - 1),
+                          packed_lo);
+    _mm512_mask_storeu_pd(out_values + kept_lo,
+                          static_cast<__mmask8>((1u << kept_hi) - 1),
+                          packed_hi);
+  }
+  return kept_lo + kept_hi;
+}
+
+// The node ids of 16 rows whose ids are at most num_rows. The all-lanes
+// masked forms here and below compile to the same instructions as the
+// unmasked ones, whose undefined pass-through operand trips GCC 12's
+// -Wmaybe-uninitialized inside <immintrin.h>.
+FAIRCLEAN_AVX512_TARGET __m512i GatherNodes(__m512i rows,
+                                            const int32_t* node_of) {
+  return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xFFFF, rows,
+                                     node_of, 4);
+}
+
+// values[i - 1 .. i + 6] given the block's first 8 values and the previous
+// block's last 8: a lane shift instead of a second, misaligned load.
+FAIRCLEAN_AVX512_TARGET __m512d ShiftInPrevious(__m512d current,
+                                                __m512d previous) {
+  return _mm512_castsi512_pd(_mm512_maskz_alignr_epi64(
+      0xFF, _mm512_castpd_si512(current), _mm512_castpd_si512(previous), 7));
+}
+
+// The vector filter for a presort that carries values; the value-less
+// presorts of hand-built tests take the scalar loop.
+FAIRCLEAN_AVX512_TARGET size_t FilterVector(
+    const uint32_t* order, size_t size, const double* values,
+    const int32_t* node_of, uint32_t num_rows, size_t limit,
+    uint32_t* out_rows, double* out_values, bool* sorted) {
+  const __m512i bound = _mm512_set1_epi32(static_cast<int32_t>(num_rows));
+  const __m512i zero = _mm512_setzero_si512();
+  // The first entry compares with itself, as in the scalar loop, so a NaN
+  // there is caught too.
+  __m512d carry = _mm512_set1_pd(size > 0 ? values[0] : 0.0);
+  __mmask8 unordered = 0;
+  size_t i = 0;
+  size_t count = 0;
+  // Every full-width store lands in [count, count + 16), inside the
+  // limit + 1 output slots.
+  for (; i + 16 <= size && count + 16 <= limit + 1; i += 16) {
+    __m512i rows = _mm512_loadu_si512(order + i);
+    __m512i nodes =
+        GatherNodes(_mm512_maskz_min_epu32(0xFFFF, rows, bound), node_of);
+    __mmask16 keep = _mm512_cmpge_epi32_mask(nodes, zero);
+    __m512d lo = _mm512_loadu_pd(values + i);
+    __m512d hi = _mm512_loadu_pd(values + i + 8);
+    // NLE_UQ is true where previous > value or either is NaN: exactly where
+    // the scalar `previous <= value` is false.
+    unordered |=
+        _mm512_cmp_pd_mask(ShiftInPrevious(lo, carry), lo, _CMP_NLE_UQ);
+    unordered |= _mm512_cmp_pd_mask(ShiftInPrevious(hi, lo), hi, _CMP_NLE_UQ);
+    carry = hi;
+    count += CompressBlock(keep, rows, lo, hi, /*full=*/true,
+                           out_rows + count, out_values + count);
+  }
+  FilterCursor cursor;
+  cursor.i = i;
+  cursor.count = count;
+  cursor.ascending = unordered == 0;
+  FilterFrom(order, size, values, node_of, num_rows, limit, out_rows,
+             out_values, &cursor);
+  *sorted = cursor.ascending;
+  return cursor.count;
+}
+
+FAIRCLEAN_AVX512_TARGET void PartitionVector(
+    const uint32_t* rows, const double* values, size_t size, size_t left_size,
+    const int32_t* node_of, int32_t right, uint32_t* out_rows,
+    double* out_values) {
+  if (size == 0) return;
+  size_t trailing = TrailingRunStart(values, size);
+  const __m512i right_id = _mm512_set1_epi32(right);
+  size_t left_slot = 0;
+  size_t right_slot = left_size;
+  size_t i = 0;
+  // A side's full-width stores stay inside it, [0, left_size) or
+  // [left_size, size); within 16 slots of its end it switches to masked
+  // stores rather than handing the rest of the segment to the scalar loop,
+  // because an uneven split reaches that edge early on its small side.
+  for (; i + 16 <= trailing; i += 16) {
+    __m512i block = _mm512_loadu_si512(rows + i);
+    __mmask16 to_right =
+        _mm512_cmpeq_epi32_mask(GatherNodes(block, node_of), right_id);
+    __m512d lo = _mm512_loadu_pd(values + i);
+    __m512d hi = _mm512_loadu_pd(values + i + 8);
+    left_slot += CompressBlock(static_cast<__mmask16>(~to_right), block, lo,
+                               hi, left_slot + 16 <= left_size,
+                               out_rows + left_slot, out_values + left_slot);
+    right_slot += CompressBlock(to_right, block, lo, hi,
+                                right_slot + 16 <= size,
+                                out_rows + right_slot,
+                                out_values + right_slot);
+  }
+  PartitionRange(rows, values, i, trailing, node_of, right, out_rows,
+                 out_values, &left_slot, &right_slot);
+  FillTrailingRun(values[size - 1], left_slot, left_size, right_slot, size,
+                  out_values);
+}
+
+#undef FAIRCLEAN_AVX512_TARGET
+
+#endif  // FAIRCLEAN_X86_COMPRESS_KERNELS
+
+}  // namespace
+
+bool CpuHasAvx512() {
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+  static const bool has_avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+                                 __builtin_cpu_supports("avx512vl") != 0 &&
+                                 __builtin_cpu_supports("avx512dq") != 0;
+  return has_avx512;
+#else
+  return false;
+#endif
+}
+
+size_t FilterFeature(const uint32_t* order, size_t size, const double* values,
+                     const int32_t* node_of, uint32_t num_rows, size_t limit,
+                     uint32_t* out_rows, double* out_values, bool* sorted) {
+  FilterCursor cursor;
+  FilterFrom(order, size, values, node_of, num_rows, limit, out_rows,
+             out_values, &cursor);
+  if (values != nullptr) *sorted = cursor.ascending;
+  return cursor.count;
+}
+
+size_t FilterFeatureAvx512(const uint32_t* order, size_t size,
+                           const double* values, const int32_t* node_of,
+                           uint32_t num_rows, size_t limit, uint32_t* out_rows,
+                           double* out_values, bool* sorted) {
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+  if (values != nullptr) {
+    return FilterVector(order, size, values, node_of, num_rows, limit,
+                        out_rows, out_values, sorted);
+  }
+#endif
+  return FilterFeature(order, size, values, node_of, num_rows, limit,
+                       out_rows, out_values, sorted);
+}
+
+void PartitionSegment(const uint32_t* rows, const double* values, size_t size,
+                      size_t left_size, const int32_t* node_of, int32_t right,
+                      uint32_t* out_rows, double* out_values) {
+  if (size == 0) return;
+  size_t trailing = TrailingRunStart(values, size);
+  size_t left_slot = 0;
+  size_t right_slot = left_size;
+  PartitionRange(rows, values, 0, trailing, node_of, right, out_rows,
+                 out_values, &left_slot, &right_slot);
+  FillTrailingRun(values[size - 1], left_slot, left_size, right_slot, size,
+                  out_values);
+}
+
+void PartitionSegmentAvx512(const uint32_t* rows, const double* values,
+                            size_t size, size_t left_size,
+                            const int32_t* node_of, int32_t right,
+                            uint32_t* out_rows, double* out_values) {
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+  PartitionVector(rows, values, size, left_size, node_of, right, out_rows,
+                  out_values);
+#else
+  PartitionSegment(rows, values, size, left_size, node_of, right, out_rows,
+                   out_values);
+#endif
+}
+
+}  // namespace tree_compress
+}  // namespace fairclean

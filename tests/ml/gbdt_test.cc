@@ -1,5 +1,11 @@
 #include "ml/gbdt.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ml/metrics.h"
@@ -49,6 +55,120 @@ TEST(GbdtTest, TrainingLossDecreasesMonotonically) {
   ASSERT_EQ(curve.size(), static_cast<size_t>(options.num_rounds));
   for (size_t i = 1; i < curve.size(); ++i) {
     EXPECT_LE(curve[i], curve[i - 1] + 1e-9);
+  }
+}
+
+// Reference boosting loop: GradientBoostedTrees::Fit with the margins
+// updated by walking every training row through PredictOne, as Fit did
+// before it read sampled rows' leaves off the tree fit. Same rng draws,
+// same presort, a fresh workspace per tree.
+double ReferenceSigmoid(double z) {
+  if (z >= 0.0) {
+    double e = std::exp(-z);
+    return 1.0 / (1.0 + e);
+  }
+  double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
+std::vector<RegressionTree> ReferenceBoost(const Matrix& x,
+                                           const std::vector<int>& y,
+                                           const GbdtOptions& options,
+                                           Rng* rng) {
+  size_t n = x.rows();
+  double positives = 0.0;
+  for (int label : y) positives += label;
+  double rate = std::min(1.0 - 1e-6, std::max(1e-6, positives / n));
+  double base = std::log(rate / (1.0 - rate));
+  RegressionTreeOptions tree_options = options.tree;
+  tree_options.max_depth = options.max_depth;
+  PresortedFeatures presorted = PresortedFeatures::Compute(x);
+  std::vector<double> margin(n, base);
+  std::vector<double> grad(n);
+  std::vector<double> hess(n);
+  std::vector<RegressionTree> trees;
+  for (int round = 0; round < options.num_rounds; ++round) {
+    for (size_t i = 0; i < n; ++i) {
+      double p = ReferenceSigmoid(margin[i]);
+      grad[i] = p - static_cast<double>(y[i]);
+      hess[i] = std::max(1e-10, p * (1.0 - p));
+    }
+    std::vector<size_t> sample;
+    if (options.subsample < 1.0) {
+      size_t k = std::max<size_t>(
+          1, static_cast<size_t>(options.subsample * static_cast<double>(n)));
+      sample = rng->SampleWithoutReplacement(n, k);
+    } else {
+      sample.resize(n);
+      for (size_t i = 0; i < n; ++i) sample[i] = i;
+    }
+    RegressionTree tree;
+    EXPECT_TRUE(tree.FitPresorted(x, grad, hess, sample, presorted,
+                                  tree_options)
+                    .ok());
+    for (size_t i = 0; i < n; ++i) {
+      margin[i] += options.learning_rate * tree.PredictOne(x.Row(i));
+    }
+    trees.push_back(std::move(tree));
+  }
+  return trees;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectSameTrees(const std::vector<RegressionTree>& expected,
+                     const std::vector<RegressionTree>& actual) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t t = 0; t < expected.size(); ++t) {
+    const std::vector<RegressionTree::Node>& want = expected[t].nodes();
+    const std::vector<RegressionTree::Node>& got = actual[t].nodes();
+    ASSERT_EQ(got.size(), want.size()) << "tree " << t;
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("tree " + std::to_string(t) + " node " + std::to_string(i));
+      EXPECT_EQ(got[i].is_leaf, want[i].is_leaf);
+      EXPECT_EQ(got[i].feature, want[i].feature);
+      EXPECT_EQ(got[i].left, want[i].left);
+      EXPECT_EQ(got[i].right, want[i].right);
+      EXPECT_TRUE(SameBits(got[i].threshold, want[i].threshold));
+      EXPECT_TRUE(SameBits(got[i].value, want[i].value));
+    }
+  }
+}
+
+TEST(GbdtTest, LeafMarginsMatchPredictOneReference) {
+  test::BlobData data = test::MakeBlobs(260, 4, 5.0, 21);
+  // A one-hot-like column gives ties and long runs.
+  for (size_t i = 0; i < data.x.rows(); ++i) {
+    data.x(i, 3) = data.x(i, 3) > 0.3 ? 1.0 : 0.0;
+  }
+  for (double subsample : {0.8, 1.0}) {
+    for (int depth = 0; depth <= 6; ++depth) {
+      SCOPED_TRACE("subsample " + std::to_string(subsample) + " depth " +
+                   std::to_string(depth));
+      GbdtOptions options;
+      options.num_rounds = 20;
+      options.max_depth = depth;
+      options.subsample = subsample;
+      // As the margins grow the hessians shrink, so after a few rounds no
+      // child can reach this weight and the tree stays a single leaf.
+      options.tree.min_child_weight = 12.0;
+      GradientBoostedTrees model(options);
+      Rng fit_rng(31);
+      ASSERT_TRUE(model.Fit(data.x, data.y, &fit_rng).ok());
+      Rng reference_rng(31);
+      std::vector<RegressionTree> expected =
+          ReferenceBoost(data.x, data.y, options, &reference_rng);
+      ExpectSameTrees(expected, model.trees());
+      if (depth > 0) {
+        // Both kinds of round occur: split trees and split-less ones.
+        size_t leaf_only = 0;
+        for (const RegressionTree& tree : model.trees()) {
+          leaf_only += tree.num_nodes() == 1;
+        }
+        EXPECT_GT(leaf_only, 0u);
+        EXPECT_LT(leaf_only, model.trees().size());
+      }
+    }
   }
 }
 

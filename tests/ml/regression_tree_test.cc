@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "tests/ml/test_data.h"
 
 namespace fairclean {
 namespace {
@@ -125,56 +126,9 @@ TEST(RegressionTreeTest, FitsOnSubsetOnly) {
   EXPECT_DOUBLE_EQ(tree.PredictOne(&left_row), -5.0);
 }
 
-TEST(PresortedFeaturesTest, FilterIntoPreservesRelativeOrder) {
-  Rng rng(3);
-  Matrix x(40, 2);
-  for (size_t i = 0; i < 40; ++i) {
-    for (size_t d = 0; d < 2; ++d) x(i, d) = rng.Normal(0, 1);
-  }
-  PresortedFeatures full = PresortedFeatures::Compute(x);
-  std::vector<char> member(40, 0);
-  size_t member_count = 0;
-  for (size_t i = 0; i < 40; i += 3) {
-    member[i] = 1;
-    ++member_count;
-  }
-  PresortedFeatures filtered;
-  full.FilterInto(member, member_count, &filtered);
-  ASSERT_EQ(filtered.order.size(), full.order.size());
-  for (size_t f = 0; f < full.order.size(); ++f) {
-    // The filtered order must be exactly the full order with non-members
-    // dropped — same rows, same relative positions.
-    std::vector<uint32_t> expected;
-    for (uint32_t row : full.order[f]) {
-      if (member[row]) expected.push_back(row);
-    }
-    EXPECT_EQ(filtered.order[f], expected) << "feature " << f;
-    // The streamed values stay in lockstep with the filtered order.
-    ASSERT_EQ(filtered.values[f].size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(filtered.values[f][i], x(expected[i], f))
-          << "feature " << f << " pos " << i;
-    }
-  }
-}
-
-TEST(PresortedFeaturesTest, FilterIntoReusesOutputBuffers) {
-  Matrix x(6, 1);
-  for (size_t i = 0; i < 6; ++i) x(i, 0) = static_cast<double>(i);
-  PresortedFeatures full = PresortedFeatures::Compute(x);
-  PresortedFeatures filtered;
-  std::vector<char> member = {1, 0, 1, 0, 1, 0};
-  full.FilterInto(member, 3, &filtered);
-  EXPECT_EQ(filtered.order[0], (std::vector<uint32_t>{0, 2, 4}));
-  // Second filter into the same object must fully replace the first.
-  member = {0, 1, 0, 1, 0, 1};
-  full.FilterInto(member, 3, &filtered);
-  EXPECT_EQ(filtered.order[0], (std::vector<uint32_t>{1, 3, 5}));
-}
-
 TEST(RegressionTreeTest, FilteredPresortMatchesGlobalPresort) {
   // Fitting on a subsample must give bit-identical trees whether the scan
-  // skips non-members of the global presort or walks a FilterInto view.
+  // skips non-members of the global presort or walks a sample-only one.
   Rng rng(9);
   Matrix x(120, 3);
   std::vector<double> grad(120);
@@ -190,8 +144,7 @@ TEST(RegressionTreeTest, FilteredPresortMatchesGlobalPresort) {
     member[i] = 1;
   }
   PresortedFeatures full = PresortedFeatures::Compute(x);
-  PresortedFeatures filtered;
-  full.FilterInto(member, sample.size(), &filtered);
+  PresortedFeatures filtered = test::SampleOnlyPresort(full, member);
   RegressionTreeOptions options;
   options.max_depth = 4;
   RegressionTree from_full;

@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "ml/gbdt.h"
 #include "ml/regression_tree.h"
+#include "tests/ml/test_data.h"
 
 namespace fairclean {
 namespace {
@@ -217,9 +218,7 @@ PresortedFeatures MakePresort(const Matrix& x,
   }
   std::vector<char> member(x.rows(), 0);
   for (size_t index : sample) member[index] = 1;
-  PresortedFeatures filtered;
-  full.FilterInto(member, sample.size(), &filtered);
-  return filtered;
+  return test::SampleOnlyPresort(full, member);
 }
 
 struct OptionCase {
@@ -331,8 +330,7 @@ TEST(SplitSearchOracleTest, RejectsNaNAndMalformedSamples) {
   // A presort that lacks a sample row cannot be scanned exactly.
   std::vector<char> member(40, 0);
   member[3] = 1;
-  PresortedFeatures only_three;
-  presorted.FilterInto(member, 1, &only_three);
+  PresortedFeatures only_three = test::SampleOnlyPresort(presorted, member);
   EXPECT_EQ(tree.FitPresorted(clean.x, clean.grad, clean.hess, {3, 5},
                               only_three, options)
                 .code(),
