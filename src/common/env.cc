@@ -7,26 +7,6 @@
 
 namespace fairclean {
 
-int64_t GetEnvInt64(const char* name, int64_t default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
-  char* end = nullptr;
-  long long parsed = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0') return default_value;
-  return static_cast<int64_t>(parsed);
-}
-
-double GetEnvDouble(const char* name, double default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
-  char* end = nullptr;
-  double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !std::isfinite(parsed)) {
-    return default_value;
-  }
-  return parsed;
-}
-
 std::string GetEnvString(const char* name, const std::string& default_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return default_value;

@@ -8,28 +8,18 @@
 
 namespace fairclean {
 
-/// Reads an integer knob from the environment, falling back to
-/// `default_value` when unset or unparsable (FAIRCLEAN_THREADS,
-/// FAIRCLEAN_FAULT_SEED). Scale knobs use the strict GetEnvCount.
-int64_t GetEnvInt64(const char* name, int64_t default_value);
-
-/// Reads a floating-point knob from the environment (e.g.
-/// FAIRCLEAN_TIME_BUDGET_S), falling back to `default_value` when unset,
-/// unparsable, or non-finite.
-double GetEnvDouble(const char* name, double default_value);
-
 /// Reads a string knob from the environment.
 std::string GetEnvString(const char* name, const std::string& default_value);
 
-/// Strict variant for count knobs (FAIRCLEAN_MAX_RETRIES, FAIRCLEAN_SAMPLE,
-/// queue depths): unset/empty yields `default_value`, anything else must be
-/// a non-negative decimal integer with no trailing garbage. Unlike
-/// GetEnvInt64, a typo'd knob is a hard InvalidArgument instead of a silent
-/// fallback — a misread scale or retry budget invalidates a run without
-/// anyone noticing.
+/// Reads a count knob (FAIRCLEAN_SAMPLE, FAIRCLEAN_MAX_RETRIES,
+/// FAIRCLEAN_THREADS, FAIRCLEAN_FAULT_SEED, queue depths): unset/empty
+/// yields `default_value`, anything else must be a non-negative decimal
+/// integer with no trailing garbage. A typo'd knob is a hard
+/// InvalidArgument instead of a silent fallback — a misread scale or retry
+/// budget invalidates a run without anyone noticing.
 Result<int64_t> GetEnvCount(const char* name, int64_t default_value);
 
-/// Strict variant for budget/duration knobs (FAIRCLEAN_TIME_BUDGET_S,
+/// Reads a budget/duration knob (FAIRCLEAN_TIME_BUDGET_S,
 /// FAIRCLEAN_SERVE_DEADLINE_S): unset/empty yields `default_value`,
 /// anything else must be a finite non-negative double with no trailing
 /// garbage ("3.5x", "nan", "inf" and "-1" are all InvalidArgument).

@@ -94,9 +94,8 @@ Status FaultInjector::Configure(const std::string& spec, uint64_t seed) {
 
 Status FaultInjector::ConfigureFromEnv() {
   std::string spec = GetEnvString("FAIRCLEAN_FAULTS", "");
-  uint64_t seed =
-      static_cast<uint64_t>(GetEnvInt64("FAIRCLEAN_FAULT_SEED", 42));
-  return Configure(spec, seed);
+  FC_ASSIGN_OR_RETURN(int64_t seed, GetEnvCount("FAIRCLEAN_FAULT_SEED", 42));
+  return Configure(spec, static_cast<uint64_t>(seed));
 }
 
 void FaultInjector::Reset() {

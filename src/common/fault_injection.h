@@ -54,8 +54,9 @@ class FaultInjector {
   /// outside [0, 1], an empty site name, or a site not in KnownSites().
   Status Configure(const std::string& spec, uint64_t seed);
 
-  /// Arms from FAIRCLEAN_FAULTS / FAIRCLEAN_FAULT_SEED (default seed 42).
-  /// Aborts start-up by returning the parse error when the spec is bad —
+  /// Arms from FAIRCLEAN_FAULTS / FAIRCLEAN_FAULT_SEED (default seed 42; a
+  /// non-negative integer, parsed strictly by GetEnvCount). Aborts
+  /// start-up by returning the parse error when the spec or seed is bad —
   /// silently ignoring a typo'd fault plan would invalidate a robustness
   /// test without anyone noticing.
   Status ConfigureFromEnv();

@@ -147,8 +147,10 @@ std::string AppendChecksumFooter(const std::string& body) {
 
 bool HasChecksumFooter(const std::string& content) {
   const std::string_view prefix = kChecksumFooterPrefix;
+  std::string line_start = "\n";
+  line_start += prefix;
   return content.compare(0, prefix.size(), prefix) == 0 ||
-         content.find("\n" + std::string(prefix)) != std::string::npos;
+         content.find(line_start) != std::string::npos;
 }
 
 Result<std::string> VerifyChecksumFooter(const std::string& content) {

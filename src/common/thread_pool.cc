@@ -5,6 +5,7 @@
 #include <exception>
 #include <string>
 
+#include "common/check.h"
 #include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -91,8 +92,11 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 bool ThreadPool::OnWorkerThread() { return t_on_worker_thread; }
 
 size_t ThreadPool::DefaultThreadCount() {
-  int64_t configured = GetEnvInt64("FAIRCLEAN_THREADS", 0);
-  if (configured > 0) return static_cast<size_t>(configured);
+  // run_suite and advisor_server reject a malformed value first (through
+  // TrySuiteOptionsFromEnv); the check guards every other caller.
+  Result<int64_t> configured = GetEnvCount("FAIRCLEAN_THREADS", 0);
+  FC_CHECK_MSG(configured.ok(), configured.status().ToString().c_str());
+  if (*configured > 0) return static_cast<size_t>(*configured);
   unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<size_t>(hardware);
 }

@@ -6,7 +6,7 @@ namespace fairclean {
 
 Result<std::vector<CleaningRecommendation>> SelectFairCleaning(
     const CleaningExperimentResult& result, const std::string& group_key,
-    FairnessMetric metric, double alpha, SelectionObjective objective) {
+    FairnessMetric metric, double alpha) {
   std::vector<CleaningRecommendation> recommendations;
   for (const auto& [method, series] : result.repaired) {
     CleaningRecommendation rec;
@@ -21,20 +21,13 @@ Result<std::vector<CleaningRecommendation>> SelectFairCleaning(
 
   std::stable_sort(
       recommendations.begin(), recommendations.end(),
-      [objective](const CleaningRecommendation& a,
-                  const CleaningRecommendation& b) {
+      [](const CleaningRecommendation& a, const CleaningRecommendation& b) {
         if (a.admissible != b.admissible) return a.admissible;
-        if (objective == SelectionObjective::kMaxFairnessGain) {
-          // More negative unfairness delta = larger fairness gain.
-          if (a.impact.unfairness_delta != b.impact.unfairness_delta) {
-            return a.impact.unfairness_delta < b.impact.unfairness_delta;
-          }
-          return a.impact.accuracy_delta > b.impact.accuracy_delta;
+        // More negative unfairness delta = larger fairness gain.
+        if (a.impact.unfairness_delta != b.impact.unfairness_delta) {
+          return a.impact.unfairness_delta < b.impact.unfairness_delta;
         }
-        if (a.impact.accuracy_delta != b.impact.accuracy_delta) {
-          return a.impact.accuracy_delta > b.impact.accuracy_delta;
-        }
-        return a.impact.unfairness_delta < b.impact.unfairness_delta;
+        return a.impact.accuracy_delta > b.impact.accuracy_delta;
       });
   return recommendations;
 }

@@ -17,27 +17,20 @@ struct CleaningRecommendation {
   bool admissible = false;
 };
 
-/// Policy for choosing among admissible cleaning methods.
-enum class SelectionObjective {
-  /// Largest reduction of |fairness gap|.
-  kMaxFairnessGain,
-  /// Largest accuracy gain among methods that do not worsen fairness.
-  kMaxAccuracyGain,
-};
-
 /// Fairness-aware cleaning selection — a working prototype of the paper's
 /// Section VII vision ("a principled methodology for selecting an
 /// appropriate cleaning procedure"): rank the cleaning methods evaluated in
 /// `result` for one (group, fairness metric) target, admit only methods
 /// whose accuracy AND fairness impacts are not significantly worse than the
-/// dirty baseline, and order them by the chosen objective. Returns all
+/// dirty baseline, and order them by fairness gain (largest reduction of
+/// |fairness gap| first, ties broken by accuracy gain). Returns all
 /// methods (admissible first); the first admissible entry is the
 /// recommendation, and an empty admissible set reproduces the paper's
-/// "3 of 40 cases have no safe cleaning technique" situation.
+/// "3 of 40 cases have no safe cleaning technique" situation. The advisor
+/// server's `analyze` op ranks through this call.
 Result<std::vector<CleaningRecommendation>> SelectFairCleaning(
     const CleaningExperimentResult& result, const std::string& group_key,
-    FairnessMetric metric, double alpha,
-    SelectionObjective objective = SelectionObjective::kMaxFairnessGain);
+    FairnessMetric metric, double alpha);
 
 }  // namespace fairclean
 

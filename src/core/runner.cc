@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/strings.h"
 #include "data/split.h"
@@ -132,29 +131,6 @@ void RecordOutcome(const std::string& prefix, const EvalOutcome& outcome,
 }
 
 }  // namespace
-
-Result<StudyOptions> StudyOptionsFromEnv() {
-  StudyOptions options;
-  FC_ASSIGN_OR_RETURN(
-      int64_t sample,
-      GetEnvCount("FAIRCLEAN_SAMPLE",
-                  static_cast<int64_t>(options.sample_size)));
-  options.sample_size = static_cast<size_t>(sample);
-  FC_ASSIGN_OR_RETURN(
-      int64_t repeats,
-      GetEnvCount("FAIRCLEAN_REPEATS",
-                  static_cast<int64_t>(options.num_repeats)));
-  options.num_repeats = static_cast<size_t>(repeats);
-  FC_ASSIGN_OR_RETURN(
-      int64_t folds,
-      GetEnvCount("FAIRCLEAN_FOLDS", static_cast<int64_t>(options.cv_folds)));
-  options.cv_folds = static_cast<size_t>(folds);
-  FC_ASSIGN_OR_RETURN(
-      int64_t seed,
-      GetEnvCount("FAIRCLEAN_SEED", static_cast<int64_t>(options.seed)));
-  options.seed = static_cast<uint64_t>(seed);
-  return options;
-}
 
 std::vector<GroupDefinition> GroupDefinitionsFor(const DatasetSpec& spec) {
   std::vector<GroupDefinition> groups;

@@ -16,9 +16,9 @@ namespace fairclean {
 
 /// Scale knobs of the empirical study. The paper samples 15,000 records and
 /// evaluates 100 models per configuration; the defaults here are scaled so
-/// the full table suite regenerates in minutes (see DESIGN.md), and every
-/// knob can be raised via the FAIRCLEAN_* environment variables (see
-/// StudyOptionsFromEnv).
+/// one experiment runs in seconds (see DESIGN.md). run_suite resolves its
+/// own, larger defaults and the FAIRCLEAN_* overrides in
+/// sched::TrySuiteOptionsFromEnv.
 struct StudyOptions {
   /// Records sampled from the dataset per repeat.
   size_t sample_size = 2000;
@@ -34,13 +34,6 @@ struct StudyOptions {
   /// Significance level before Bonferroni adjustment.
   double alpha = 0.05;
 };
-
-/// Reads StudyOptions from the environment (FAIRCLEAN_SAMPLE,
-/// FAIRCLEAN_REPEATS, FAIRCLEAN_FOLDS, FAIRCLEAN_SEED), falling back to the
-/// defaults above when a knob is unset or empty. Each set knob must be a
-/// non-negative decimal integer (GetEnvCount); anything else is an
-/// InvalidArgument naming the knob.
-Result<StudyOptions> StudyOptionsFromEnv();
 
 /// A group definition the runner evaluates: either one sensitive attribute
 /// ("sex") or the intersectional combination of the first two
@@ -94,6 +87,11 @@ struct CleaningExperimentResult {
 /// classifier on each, and score accuracy and group-wise confusion
 /// matrices on the corresponding test sets. Deterministic given
 /// options.seed.
+///
+/// This is the unsliced reference: every repeat in one call, with no
+/// cache, retry or scheduler in between. runner_test, pipeline_test,
+/// tools/calibrate and the quickstart example use it; run_suite goes
+/// through the StudyDriver, whose slices reproduce it exactly.
 Result<CleaningExperimentResult> RunCleaningExperiment(
     const GeneratedDataset& dataset, const std::string& error_type,
     const TunedModelFamily& family, const StudyOptions& options);

@@ -32,6 +32,13 @@ std::string JsonEscape(std::string_view text) {
   return out;
 }
 
+std::string JsonQuote(std::string_view text) {
+  std::string out = "\"";
+  out += JsonEscape(text);
+  out += '"';
+  return out;
+}
+
 namespace {
 
 // Recursive-descent parser over a string_view with an explicit cursor.

@@ -14,6 +14,10 @@ namespace obs {
 /// writers so every emitted file is parseable JSON.
 std::string JsonEscape(std::string_view text);
 
+/// `text` as a complete JSON string literal: JsonEscape inside double
+/// quotes. The one quoter of the report, record and reply writers.
+std::string JsonQuote(std::string_view text);
+
 /// A parsed JSON value. Deliberately tiny: enough to validate the files
 /// this repo emits (trace-event JSON, metrics JSONL) and to aggregate them
 /// in tools/obs_tool — not a general-purpose JSON library.

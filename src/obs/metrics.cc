@@ -374,7 +374,11 @@ std::string PrometheusName(const std::string& name) {
                     (c >= '0' && c <= '9') || c == '_';
     if (!ok) c = '_';
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
+  if (!out.empty() && out[0] >= '0' && out[0] <= '9') {
+    std::string prefixed = "_";
+    prefixed += out;
+    return prefixed;
+  }
   return out;
 }
 

@@ -14,10 +14,6 @@ namespace {
 
 constexpr char kFormat[] = "fairclean.figure";
 
-std::string Quoted(const std::string& text) {
-  return StrFormat("\"%s\"", obs::JsonEscape(text).c_str());
-}
-
 // "%a" prints the exact binary value; strtod reads it back unchanged.
 std::string Hexfloat(double value) { return StrFormat("\"%a\"", value); }
 
@@ -108,8 +104,8 @@ std::string EncodeFigureRecord(const std::string& dataset,
   std::string body = StrFormat(
       "{\"format\":%s,\"version\":%d,\"dataset\":%s,\"intersectional\":%s,"
       "\"rows\":[",
-      Quoted(kFormat).c_str(), kFigureRecordVersion, Quoted(dataset).c_str(),
-      intersectional ? "true" : "false");
+      obs::JsonQuote(kFormat).c_str(), kFigureRecordVersion,
+      obs::JsonQuote(dataset).c_str(), intersectional ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const DisparityRow& row = rows[i];
     body += StrFormat(
@@ -118,8 +114,9 @@ std::string EncodeFigureRecord(const std::string& dataset,
         "\"disadvantaged_total\":%zu,\"privileged_flagged\":%zu,"
         "\"disadvantaged_flagged\":%zu,\"g2\":%s,\"p\":%s,"
         "\"significant\":%s}",
-        i ? "," : "", Quoted(row.dataset).c_str(),
-        Quoted(row.detector).c_str(), Quoted(row.group_key).c_str(),
+        i ? "," : "", obs::JsonQuote(row.dataset).c_str(),
+        obs::JsonQuote(row.detector).c_str(),
+        obs::JsonQuote(row.group_key).c_str(),
         row.intersectional ? "true" : "false", row.privileged_total,
         row.disadvantaged_total, row.privileged_flagged,
         row.disadvantaged_flagged, Hexfloat(row.g2.statistic).c_str(),

@@ -26,10 +26,6 @@ namespace sched {
 
 namespace {
 
-std::string JsonString(const std::string& text) {
-  return "\"" + obs::JsonEscape(text) + "\"";
-}
-
 constexpr char kMergeClaimKey[] = "__merge__";
 
 /// Backoff between claim scans when every remaining cell of a wave is held
@@ -231,10 +227,10 @@ Status SuiteScheduler::WritePartialReport(
     cells += StrFormat(
         "%s{\"id\":%s,\"cache_file\":%s,\"sha256\":%s,\"class\":%s,"
         "\"repeats\":%zu}",
-        first ? "" : ",", JsonString(graph.nodes()[id].label).c_str(),
-        JsonString(artifact->cache_file).c_str(),
-        JsonString(artifact->sha256).c_str(),
-        JsonString(CellClassName(artifact->cell_class)).c_str(),
+        first ? "" : ",", obs::JsonQuote(graph.nodes()[id].label).c_str(),
+        obs::JsonQuote(artifact->cache_file).c_str(),
+        obs::JsonQuote(artifact->sha256).c_str(),
+        obs::JsonQuote(CellClassName(artifact->cell_class)).c_str(),
         artifact->result.dirty.accuracy.size());
     first = false;
   }
@@ -249,11 +245,11 @@ Status SuiteScheduler::WritePartialReport(
   std::string out = "{";
   out += StrFormat(
       "\"shard\":{\"mode\":%s,\"index\":%zu,\"count\":%zu,\"label\":%s}",
-      JsonString(ShardModeName(options_.shard.mode)).c_str(),
+      obs::JsonQuote(ShardModeName(options_.shard.mode)).c_str(),
       options_.shard.index + 1, options_.shard.count,
-      JsonString(options_.shard.Label()).c_str());
-  out += ",\"suite\":" + JsonString(spec.name);
-  out += ",\"filter\":" + JsonString(filter_text);
+      obs::JsonQuote(options_.shard.Label()).c_str());
+  out += ",\"suite\":" + obs::JsonQuote(spec.name);
+  out += ",\"filter\":" + obs::JsonQuote(filter_text);
   out += StrFormat(
       ",\"counters\":{\"produced\":%llu,\"steals\":%llu,"
       "\"claim_conflicts\":%llu,\"cache_skips\":%llu,"

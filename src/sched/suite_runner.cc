@@ -1001,10 +1001,6 @@ Status SuiteScheduler::RenderUnitBody(const SuiteSpec& spec,
 
 namespace {
 
-std::string JsonString(const std::string& text) {
-  return "\"" + obs::JsonEscape(text) + "\"";
-}
-
 std::string JsonDouble(double value) { return StrFormat("%.17g", value); }
 
 }  // namespace
@@ -1025,8 +1021,8 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
   }
 
   std::string out = "{";
-  out += "\"suite\":" + JsonString(spec.name);
-  out += ",\"filter\":" + JsonString(filter_text);
+  out += "\"suite\":" + obs::JsonQuote(spec.name);
+  out += ",\"filter\":" + obs::JsonQuote(filter_text);
   out += StrFormat(
       ",\"options\":{\"sample_size\":%zu,\"test_fraction\":%s,"
       "\"num_repeats\":%zu,\"cv_folds\":%zu,\"seed\":%llu,\"alpha\":%s,"
@@ -1103,10 +1099,10 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
     out += StrFormat(
         "%s{\"id\":%s,\"cache_file\":%s,\"sha256\":%s,\"class\":%s,"
         "\"repeats\":%zu}",
-        first ? "" : ",", JsonString(node.label).c_str(),
-        JsonString(artifact->cache_file).c_str(),
-        JsonString(artifact->sha256).c_str(),
-        JsonString(CellClassName(artifact->cell_class)).c_str(),
+        first ? "" : ",", obs::JsonQuote(node.label).c_str(),
+        obs::JsonQuote(artifact->cache_file).c_str(),
+        obs::JsonQuote(artifact->sha256).c_str(),
+        obs::JsonQuote(CellClassName(artifact->cell_class)).c_str(),
         artifact->result.dirty.accuracy.size());
     first = false;
   }
@@ -1119,7 +1115,7 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
     auto value =
         std::static_pointer_cast<const FigureValue>(node_values_[node.id]);
     out += StrFormat("%s{\"id\":%s,\"skipped\":%s,\"rows\":[",
-                     first ? "" : ",", JsonString(node.label).c_str(),
+                     first ? "" : ",", obs::JsonQuote(node.label).c_str(),
                      value->skipped ? "true" : "false");
     first = false;
     if (!value->skipped) {
@@ -1130,8 +1126,8 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
             "\"privileged_total\":%zu,\"disadvantaged_flagged\":%zu,"
             "\"disadvantaged_total\":%zu,\"g2\":%s,\"p\":%s,"
             "\"significant\":%s}",
-            first_row ? "" : ",", JsonString(row.detector).c_str(),
-            JsonString(row.group_key).c_str(), row.privileged_flagged,
+            first_row ? "" : ",", obs::JsonQuote(row.detector).c_str(),
+            obs::JsonQuote(row.group_key).c_str(), row.privileged_flagged,
             row.privileged_total, row.disadvantaged_flagged,
             row.disadvantaged_total, JsonDouble(row.g2.statistic).c_str(),
             JsonDouble(row.g2.p_value).c_str(),
@@ -1152,7 +1148,7 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
     auto value =
         std::static_pointer_cast<const TableValue>(node_values_[node.id]);
     out += StrFormat("%s{\"id\":%s,\"skipped\":%s", first ? "" : ",",
-                     JsonString(node.label).c_str(),
+                     obs::JsonQuote(node.label).c_str(),
                      value->skipped ? "true" : "false");
     first = false;
     if (!value->skipped) {
@@ -1205,7 +1201,7 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
     auto value = std::static_pointer_cast<const ModelTableValue>(
         node_values_[node.id]);
     out += StrFormat("%s{\"id\":%s,\"skipped\":%s,\"models\":[",
-                     first ? "" : ",", JsonString(node.label).c_str(),
+                     first ? "" : ",", obs::JsonQuote(node.label).c_str(),
                      value->skipped ? "true" : "false");
     first = false;
     if (!value->skipped) {
@@ -1217,7 +1213,7 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
         out += StrFormat(
             "%s{\"model\":%s,\"total\":%lld,\"fairness_worse\":%lld,"
             "\"fairness_better\":%lld,\"both_better\":%lld}",
-            first_model ? "" : ",", JsonString(paper.model).c_str(),
+            first_model ? "" : ",", obs::JsonQuote(paper.model).c_str(),
             static_cast<long long>(tally.total),
             static_cast<long long>(tally.fairness_worse),
             static_cast<long long>(tally.fairness_better),

@@ -33,7 +33,7 @@ namespace sched {
 constexpr int kExitResumable = 75;
 
 /// Suite-wide options: study scale, the driver's fault-tolerance knobs, and
-/// the suite-level fan-out width. Resolved ONCE (SuiteOptionsFromEnv) and
+/// the suite-level fan-out width. Resolved ONCE (TrySuiteOptionsFromEnv) and
 /// threaded through every cell, so a mid-run environment change cannot
 /// split one suite across inconsistent knobs.
 struct SuiteOptions {
@@ -74,9 +74,10 @@ struct SuiteOptions {
 /// fallback to the default.
 Result<SuiteOptions> TrySuiteOptionsFromEnv();
 
-/// TrySuiteOptionsFromEnv for contexts without an error channel (tools,
-/// tests): a malformed knob aborts the process with the parse error, which
-/// beats silently running the whole suite at an unintended scale.
+/// TrySuiteOptionsFromEnv for the grid benchmark's traced replay
+/// (gridbench/grid_trace.cc), which has no error channel: a malformed knob
+/// aborts the process with the parse error. run_suite and advisor_server
+/// call TrySuiteOptionsFromEnv and exit 2 instead.
 SuiteOptions SuiteOptionsFromEnv();
 
 /// One produced experiment-cell artifact: the driver result plus the byte

@@ -15,10 +15,6 @@ namespace serve {
 
 namespace {
 
-std::string JsonString(const std::string& text) {
-  return "\"" + obs::JsonEscape(text) + "\"";
-}
-
 std::string JsonDouble(double value) { return StrFormat("%.17g", value); }
 
 Result<AdvisorRequest::Op> OpByName(const std::string& name) {
@@ -138,18 +134,18 @@ const char* StatusCodeToken(StatusCode code) {
 std::string RenderAnalysis(const std::string& id,
                            const AdvisorAnalysis& analysis) {
   std::string out = "{";
-  out += "\"id\":" + JsonString(id);
+  out += "\"id\":" + obs::JsonQuote(id);
   out += ",\"status\":\"ok\"";
   if (!analysis.trace_id.empty()) {
-    out += ",\"trace\":" + JsonString(analysis.trace_id);
+    out += ",\"trace\":" + obs::JsonQuote(analysis.trace_id);
   }
-  out += ",\"cell\":" + JsonString(analysis.cell_id);
-  out += ",\"cache_file\":" + JsonString(analysis.cache_file);
-  out += ",\"sha256\":" + JsonString(analysis.sha256);
+  out += ",\"cell\":" + obs::JsonQuote(analysis.cell_id);
+  out += ",\"cache_file\":" + obs::JsonQuote(analysis.cache_file);
+  out += ",\"sha256\":" + obs::JsonQuote(analysis.sha256);
   out += StrFormat(",\"repeats\":%zu", analysis.repeats);
   out += StrFormat(",\"cache_hit\":%s", analysis.cache_hit ? "true" : "false");
-  out += ",\"group\":" + JsonString(analysis.group);
-  out += ",\"metric\":" + JsonString(analysis.metric);
+  out += ",\"group\":" + obs::JsonQuote(analysis.group);
+  out += ",\"metric\":" + obs::JsonQuote(analysis.metric);
   out += ",\"alpha\":" + JsonDouble(analysis.alpha);
   out += ",\"methods\":[";
   bool first = true;
@@ -157,16 +153,16 @@ std::string RenderAnalysis(const std::string& id,
     out += StrFormat(
         "%s{\"method\":%s,\"fairness\":%s,\"accuracy\":%s,"
         "\"unfairness_delta\":%s,\"accuracy_delta\":%s,\"admissible\":%s}",
-        first ? "" : ",", JsonString(method.method).c_str(),
-        JsonString(ImpactName(method.impact.fairness)).c_str(),
-        JsonString(ImpactName(method.impact.accuracy)).c_str(),
+        first ? "" : ",", obs::JsonQuote(method.method).c_str(),
+        obs::JsonQuote(ImpactName(method.impact.fairness)).c_str(),
+        obs::JsonQuote(ImpactName(method.impact.accuracy)).c_str(),
         JsonDouble(method.impact.unfairness_delta).c_str(),
         JsonDouble(method.impact.accuracy_delta).c_str(),
         method.admissible ? "true" : "false");
     first = false;
   }
   out += "]";
-  out += ",\"recommendation\":" + JsonString(analysis.recommendation);
+  out += ",\"recommendation\":" + obs::JsonQuote(analysis.recommendation);
   out += "}\n";
   return out;
 }
@@ -174,9 +170,9 @@ std::string RenderAnalysis(const std::string& id,
 std::string RenderError(const std::string& id, const Status& status,
                         int retry_after_ms) {
   std::string out = "{";
-  out += "\"id\":" + JsonString(id);
+  out += "\"id\":" + obs::JsonQuote(id);
   out += std::string(",\"status\":\"") + StatusCodeToken(status.code()) + "\"";
-  out += ",\"error\":" + JsonString(status.message());
+  out += ",\"error\":" + obs::JsonQuote(status.message());
   if (retry_after_ms > 0) {
     out += StrFormat(",\"retry_after_ms\":%d", retry_after_ms);
   }
@@ -190,7 +186,8 @@ std::string RenderError(const std::string& id, const Status& status,
 }
 
 std::string RenderPong(const std::string& id) {
-  return "{\"id\":" + JsonString(id) + ",\"status\":\"ok\",\"pong\":true}\n";
+  return "{\"id\":" + obs::JsonQuote(id) +
+         ",\"status\":\"ok\",\"pong\":true}\n";
 }
 
 std::string RenderStats(const std::string& id, const ServerStats& stats) {
@@ -198,7 +195,7 @@ std::string RenderStats(const std::string& id, const ServerStats& stats) {
       "{\"id\":%s,\"status\":\"ok\",\"accepted\":%llu,\"shed\":%llu,"
       "\"ok\":%llu,\"failed\":%llu,\"deadline_exceeded\":%llu,"
       "\"queue_depth\":%llu,\"connections\":%llu,\"paused\":%s}\n",
-      JsonString(id).c_str(),
+      obs::JsonQuote(id).c_str(),
       static_cast<unsigned long long>(stats.accepted),
       static_cast<unsigned long long>(stats.shed),
       static_cast<unsigned long long>(stats.ok),
@@ -210,16 +207,16 @@ std::string RenderStats(const std::string& id, const ServerStats& stats) {
 }
 
 std::string RenderAck(const std::string& id, const char* op) {
-  return "{\"id\":" + JsonString(id) + ",\"status\":\"ok\",\"op\":\"" + op +
-         "\"}\n";
+  return "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\",\"op\":\"" +
+         op + "\"}\n";
 }
 
 std::string RenderMetrics(const std::string& id, const std::string& format,
                           const std::string& payload) {
-  std::string out = "{\"id\":" + JsonString(id) + ",\"status\":\"ok\"";
-  out += ",\"format\":" + JsonString(format);
+  std::string out = "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\"";
+  out += ",\"format\":" + obs::JsonQuote(format);
   if (format == "prometheus") {
-    out += ",\"exposition\":" + JsonString(payload);
+    out += ",\"exposition\":" + obs::JsonQuote(payload);
   } else {
     // The payload is the registry's ToJsonArray output: already JSON.
     out += ",\"metrics\":" + payload;
@@ -230,16 +227,16 @@ std::string RenderMetrics(const std::string& id, const std::string& format,
 
 std::string RenderTrace(const std::string& id, const std::string& trace_id,
                         const std::vector<TraceSpanView>& spans) {
-  std::string out = "{\"id\":" + JsonString(id) + ",\"status\":\"ok\"";
-  out += ",\"trace\":" + JsonString(trace_id);
+  std::string out = "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\"";
+  out += ",\"trace\":" + obs::JsonQuote(trace_id);
   out += ",\"spans\":[";
   bool first = true;
   for (const TraceSpanView& span : spans) {
     out += StrFormat(
         "%s{\"name\":%s,\"cat\":%s,\"ph\":\"%c\",\"tid\":%u,"
         "\"depth\":%u,\"ts_us\":%lld,\"dur_us\":%lld}",
-        first ? "" : ",", JsonString(span.name).c_str(),
-        JsonString(span.category).c_str(), span.phase,
+        first ? "" : ",", obs::JsonQuote(span.name).c_str(),
+        obs::JsonQuote(span.category).c_str(), span.phase,
         static_cast<unsigned>(span.tid), static_cast<unsigned>(span.depth),
         static_cast<long long>(span.ts_us),
         static_cast<long long>(span.dur_us));
@@ -251,18 +248,19 @@ std::string RenderTrace(const std::string& id, const std::string& trace_id,
 
 std::string RenderTraceList(const std::string& id,
                             const std::vector<std::string>& trace_ids) {
-  std::string out = "{\"id\":" + JsonString(id) + ",\"status\":\"ok\"";
+  std::string out = "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\"";
   out += ",\"traces\":[";
   for (size_t i = 0; i < trace_ids.size(); ++i) {
-    out += (i == 0 ? "" : ",") + JsonString(trace_ids[i]);
+    if (i > 0) out += ',';
+    out += obs::JsonQuote(trace_ids[i]);
   }
   out += "]}\n";
   return out;
 }
 
 std::string RenderFlight(const std::string& id, const std::string& path) {
-  return "{\"id\":" + JsonString(id) +
-         ",\"status\":\"ok\",\"flight\":" + JsonString(path) + "}\n";
+  return "{\"id\":" + obs::JsonQuote(id) +
+         ",\"status\":\"ok\",\"flight\":" + obs::JsonQuote(path) + "}\n";
 }
 
 }  // namespace serve

@@ -501,28 +501,33 @@ void AdvisorServer::Execute(PendingRequest pending) {
     return;
   }
 
-  obs::TraceSpan span("serve", [&] {
-    return StrFormat("request %s/%s/%s", pending.request.dataset.c_str(),
-                     pending.request.error_type.c_str(),
-                     pending.request.model.c_str());
-  });
-  Result<AdvisorAnalysis> analysis =
-      service_->Analyze(pending.request, pending.deadline);
-  if (analysis.ok()) {
-    ++ok_;
-    LifecycleCounter("serve.requests_ok")->Increment();
-    analysis->trace_id = obs::TraceIdHex(pending.trace_id);
-    WriteResponse(pending.conn, RenderAnalysis(id, *analysis));
-  } else if (analysis.status().code() == StatusCode::kDeadlineExceeded) {
-    ++deadline_exceeded_;
-    LifecycleCounter("serve.deadline_exceeded")->Increment();
-    WriteResponse(pending.conn, RenderError(id, analysis.status(),
-                                            options_.retry_after_ms));
-  } else {
-    ++failed_;
-    LifecycleCounter("serve.requests_failed")->Increment();
-    WriteResponse(pending.conn, RenderError(id, analysis.status()));
+  std::string reply;
+  {
+    obs::TraceSpan span("serve", [&] {
+      return StrFormat("request %s/%s/%s", pending.request.dataset.c_str(),
+                       pending.request.error_type.c_str(),
+                       pending.request.model.c_str());
+    });
+    Result<AdvisorAnalysis> analysis =
+        service_->Analyze(pending.request, pending.deadline);
+    if (analysis.ok()) {
+      ++ok_;
+      LifecycleCounter("serve.requests_ok")->Increment();
+      analysis->trace_id = obs::TraceIdHex(pending.trace_id);
+      reply = RenderAnalysis(id, *analysis);
+    } else if (analysis.status().code() == StatusCode::kDeadlineExceeded) {
+      ++deadline_exceeded_;
+      LifecycleCounter("serve.deadline_exceeded")->Increment();
+      reply = RenderError(id, analysis.status(), options_.retry_after_ms);
+    } else {
+      ++failed_;
+      LifecycleCounter("serve.requests_failed")->Increment();
+      reply = RenderError(id, analysis.status());
+    }
   }
+  // A span is stored when it closes: the root span closes before the reply
+  // goes out, so a client that asks for this trace next gets the whole tree.
+  WriteResponse(pending.conn, reply);
   observe_latency();
 }
 

@@ -154,6 +154,15 @@ TEST_F(FaultInjectionTest, ConfigureFromEnvReadsKnobs) {
 
   setenv("FAIRCLEAN_FAULTS", "csv_parse:nope", 1);
   EXPECT_FALSE(FaultInjector::Global().ConfigureFromEnv().ok());
+
+  // A typo'd seed is rejected, not replaced by the default 42.
+  setenv("FAIRCLEAN_FAULTS", "csv_parse:1", 1);
+  setenv("FAIRCLEAN_FAULT_SEED", "9x", 1);
+  Status bad_seed = FaultInjector::Global().ConfigureFromEnv();
+  EXPECT_EQ(bad_seed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_seed.message().find("FAIRCLEAN_FAULT_SEED"),
+            std::string::npos)
+      << bad_seed.ToString();
   unsetenv("FAIRCLEAN_FAULTS");
   unsetenv("FAIRCLEAN_FAULT_SEED");
 }

@@ -127,6 +127,16 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
   EXPECT_EQ(ThreadPool::DefaultThreadCount(), 3u);
   ASSERT_EQ(unsetenv("FAIRCLEAN_THREADS"), 0);
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
+  // A malformed count is not silently replaced by the hardware default.
+  // The threadsafe style re-executes the binary instead of forking a
+  // process that may already run pool threads.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        setenv("FAIRCLEAN_THREADS", "four", 1);
+        ThreadPool::DefaultThreadCount();
+      },
+      "FAIRCLEAN_THREADS must be a non-negative integer");
 }
 
 TEST(InvokeWithStatusCaptureTest, PassesStatusesAndCapturesExceptions) {

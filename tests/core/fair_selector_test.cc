@@ -71,18 +71,6 @@ TEST(FairSelectorTest, NoChangeMethodIsAdmissibleButRankedBelowGains) {
   EXPECT_EQ(ranked[pos_c].impact.fairness, Impact::kInsignificant);
 }
 
-TEST(FairSelectorTest, AccuracyObjectivePrefersAccuracyGains) {
-  CleaningExperimentResult experiment = MakeExperiment();
-  // Add an admissible accuracy-improver.
-  experiment.repaired["method_e"] = MakeSeries(0.82, 0.18);
-  std::vector<CleaningRecommendation> ranked =
-      SelectFairCleaning(experiment, "sex",
-                         FairnessMetric::kPredictiveParity, 0.05,
-                         SelectionObjective::kMaxAccuracyGain)
-          .ValueOrDie();
-  EXPECT_EQ(ranked[0].method, "method_e");
-}
-
 TEST(FairSelectorTest, AllMethodsHarmfulYieldsNoAdmissible) {
   // Reproduces the paper's "no safe cleaning technique" cases (3 of 40).
   CleaningExperimentResult experiment;

@@ -1,7 +1,6 @@
 #include "core/runner.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -44,73 +43,6 @@ TEST(UnfairnessKeyTest, Format) {
             "sex/PP");
   EXPECT_EQ(UnfairnessKey("sex*age", FairnessMetric::kEqualOpportunity),
             "sex*age/EO");
-}
-
-TEST(StudyOptionsTest, EnvOverrides) {
-  setenv("FAIRCLEAN_SAMPLE", "777", 1);
-  setenv("FAIRCLEAN_REPEATS", "9", 1);
-  Result<StudyOptions> options = StudyOptionsFromEnv();
-  ASSERT_TRUE(options.ok()) << options.status().ToString();
-  EXPECT_EQ(options->sample_size, 777u);
-  EXPECT_EQ(options->num_repeats, 9u);
-  unsetenv("FAIRCLEAN_SAMPLE");
-  unsetenv("FAIRCLEAN_REPEATS");
-  Result<StudyOptions> defaults = StudyOptionsFromEnv();
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_EQ(defaults->sample_size, StudyOptions{}.sample_size);
-}
-
-// Each scale knob parses strictly: a negative value must not wrap to a
-// huge count, and a typo must not fall back to the default unnoticed.
-void ExpectKnobParsesStrictly(const char* knob,
-                              uint64_t (*read)(const StudyOptions&),
-                              uint64_t fallback) {
-  SCOPED_TRACE(knob);
-  ASSERT_EQ(setenv(knob, "5", 1), 0);
-  Result<StudyOptions> options = StudyOptionsFromEnv();
-  ASSERT_TRUE(options.ok()) << options.status().ToString();
-  EXPECT_EQ(read(*options), 5u);
-  for (const char* bad : {"-1", "15k", "nan", "3.5"}) {
-    ASSERT_EQ(setenv(knob, bad, 1), 0);
-    Result<StudyOptions> rejected = StudyOptionsFromEnv();
-    ASSERT_FALSE(rejected.ok()) << bad;
-    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
-    EXPECT_NE(rejected.status().ToString().find(knob), std::string::npos)
-        << rejected.status().ToString();
-  }
-  ASSERT_EQ(setenv(knob, "", 1), 0);
-  options = StudyOptionsFromEnv();
-  ASSERT_TRUE(options.ok());
-  EXPECT_EQ(read(*options), fallback);
-  ASSERT_EQ(unsetenv(knob), 0);
-}
-
-TEST(StudyOptionsTest, SampleKnobParsesStrictly) {
-  ExpectKnobParsesStrictly(
-      "FAIRCLEAN_SAMPLE",
-      [](const StudyOptions& o) -> uint64_t { return o.sample_size; },
-      StudyOptions{}.sample_size);
-}
-
-TEST(StudyOptionsTest, RepeatsKnobParsesStrictly) {
-  ExpectKnobParsesStrictly(
-      "FAIRCLEAN_REPEATS",
-      [](const StudyOptions& o) -> uint64_t { return o.num_repeats; },
-      StudyOptions{}.num_repeats);
-}
-
-TEST(StudyOptionsTest, FoldsKnobParsesStrictly) {
-  ExpectKnobParsesStrictly(
-      "FAIRCLEAN_FOLDS",
-      [](const StudyOptions& o) -> uint64_t { return o.cv_folds; },
-      StudyOptions{}.cv_folds);
-}
-
-TEST(StudyOptionsTest, SeedKnobParsesStrictly) {
-  ExpectKnobParsesStrictly(
-      "FAIRCLEAN_SEED",
-      [](const StudyOptions& o) -> uint64_t { return o.seed; },
-      StudyOptions{}.seed);
 }
 
 class RunnerTest : public testing::Test {

@@ -1,9 +1,8 @@
 // Golden byte-identity tests for the kernel layer (DESIGN.md §8).
 //
-// These tests pin the exact bit patterns of TuneAndFit / FairTuneAndFit /
-// GBDT / KNN / MislabelDetector outputs for fixed seeds. The values were
-// captured from the sequential reference implementation and must never
-// drift: any kernel change that reorders floating-point accumulation, a
+// These tests pin the exact bit patterns of TuneAndFit / GBDT / KNN /
+// MislabelDetector outputs for fixed seeds. The values were captured from
+// the sequential reference implementation and must never drift: any kernel change that reorders floating-point accumulation, a
 // random draw, or a tie-break will flip at least one bit here.
 //
 // The binary is registered three times in tests/CMakeLists.txt with
@@ -18,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/fair_tuning.h"
 #include "data/dataframe.h"
 #include "detect/mislabel_detector.h"
 #include "ml/gbdt.h"
@@ -79,56 +77,6 @@ TEST(KernelIdentityTest, TuneAndFitGolden) {
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_EQ(outcome->best_param, golden.param);
     EXPECT_EQ(outcome->best_cv_accuracy, golden.cv_accuracy);
-    ExpectBitEqual(outcome->model->PredictProba(data.x), golden.proba);
-  }
-}
-
-struct FairTuneGolden {
-  std::string family;
-  double param;
-  double cv_accuracy;
-  double cv_unfairness;
-  bool within_budget;
-  std::vector<double> proba;
-};
-
-TEST(KernelIdentityTest, FairTuneAndFitGolden) {
-  const std::vector<FairTuneGolden> goldens = {
-      {"xgboost",
-       0x1p+2,
-       0x1.a222222222223p-1,
-       0x1.7f57f57f57f58p-4,
-       true,
-       {0x1.eee9c974ad137p-1, 0x1.fcb71ca988dbap-1, 0x1.07e6102620dc5p-5,
-        0x1.fd778325d5da2p-1, 0x1.fa4fd9691bee5p-1, 0x1.fe8a0cc1dfb09p-1,
-        0x1.f7412305c7849p-1, 0x1.838ac3070db0dp-7}},
-      {"log-reg",
-       0x1.999999999999ap-4,
-       0x1.b111111111111p-1,
-       0x1.77d77d77d77d8p-4,
-       true,
-       {0x1.cca57a1f84967p-1, 0x1.f972c04bc51ecp-1, 0x1.7988340491971p-5,
-        0x1.ce70550801b09p-1, 0x1.eb6fe38cfb8f7p-1, 0x1.c4895b0a1969dp-1,
-        0x1.fe3db5181652bp-1, 0x1.433668afdadbep-4}},
-  };
-  for (const FairTuneGolden& golden : goldens) {
-    SCOPED_TRACE(golden.family);
-    test::BlobData data = test::MakeBlobs(240, 4, 2.0, 33);
-    std::vector<int> membership(data.y.size());
-    for (size_t i = 0; i < membership.size(); ++i) {
-      membership[i] = i % 3 == 0 ? 1 : (i % 3 == 1 ? -1 : 0);
-    }
-    Result<TunedModelFamily> family = ModelFamilyByName(golden.family);
-    ASSERT_TRUE(family.ok());
-    FairTuneOptions options;
-    Rng rng(13);
-    Result<FairTuneOutcome> outcome =
-        FairTuneAndFit(*family, data.x, data.y, membership, options, &rng);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome->best_param, golden.param);
-    EXPECT_EQ(outcome->best_cv_accuracy, golden.cv_accuracy);
-    EXPECT_EQ(outcome->best_cv_unfairness, golden.cv_unfairness);
-    EXPECT_EQ(outcome->within_budget, golden.within_budget);
     ExpectBitEqual(outcome->model->PredictProba(data.x), golden.proba);
   }
 }

@@ -2,7 +2,7 @@
 // regression guard — ids assigned before a dependency lookup that appends a
 // node once corrupted the value slots), dataset/cell deduplication across
 // units, wave consistency, filter semantics, and the resolve-once contract
-// of SuiteOptionsFromEnv.
+// of TrySuiteOptionsFromEnv.
 
 #include <cstdlib>
 #include <map>
@@ -161,27 +161,29 @@ TEST(ExperimentGraph, CellTokenNarrowsItsUnit) {
   }
 }
 
-// Satellite contract: suite options are resolved from the environment
-// exactly once, at the SuiteOptionsFromEnv call — a later environment
-// change must not leak into an already-resolved options struct, and a new
-// call must observe it.
+// Suite options are resolved from the environment exactly once, at the
+// TrySuiteOptionsFromEnv call — a later environment change must not leak
+// into an already-resolved options struct, and a new call must observe it.
 TEST(SuiteOptions, EnvironmentIsResolvedOnceAtTheCall) {
   ASSERT_EQ(::setenv("FAIRCLEAN_SAMPLE", "777", 1), 0);
   ASSERT_EQ(::setenv("FAIRCLEAN_MAX_RETRIES", "5", 1), 0);
-  SuiteOptions first = SuiteOptionsFromEnv();
-  EXPECT_EQ(first.study.sample_size, 777u);
-  EXPECT_EQ(first.max_retries, 5u);
+  Result<SuiteOptions> first = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->study.sample_size, 777u);
+  EXPECT_EQ(first->max_retries, 5u);
 
   ASSERT_EQ(::setenv("FAIRCLEAN_SAMPLE", "888", 1), 0);
-  EXPECT_EQ(first.study.sample_size, 777u);
-  SuiteOptions second = SuiteOptionsFromEnv();
-  EXPECT_EQ(second.study.sample_size, 888u);
+  EXPECT_EQ(first->study.sample_size, 777u);
+  Result<SuiteOptions> second = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->study.sample_size, 888u);
 
   ASSERT_EQ(::unsetenv("FAIRCLEAN_SAMPLE"), 0);
   ASSERT_EQ(::unsetenv("FAIRCLEAN_MAX_RETRIES"), 0);
-  SuiteOptions defaults = SuiteOptionsFromEnv();
-  EXPECT_EQ(defaults.study.sample_size, 3500u);
-  EXPECT_EQ(defaults.max_retries, 2u);
+  Result<SuiteOptions> defaults = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  EXPECT_EQ(defaults->study.sample_size, 3500u);
+  EXPECT_EQ(defaults->max_retries, 2u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // including a forked multi-process single-winner race — and the
 // classification plumbing (names, counts, report blocks). Claims must
 // never leak into the artifact plane: the lease directory is the only
-// place a claim byte lives.
+// place a claim byte lives. The strict parse of every scale knob that
+// TrySuiteOptionsFromEnv resolves is tested here too.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -380,24 +381,79 @@ TEST(ShardOptionsTest, LeaseSecondsKnobParsesStrictly) {
   EXPECT_DOUBLE_EQ(options->shard_lease_s, 30.0);
 }
 
-// A mistyped seed must fail loudly: a lenient parse would run, report and
-// cache the whole suite under the default seed 42.
-TEST(ShardOptionsTest, SeedKnobParsesStrictly) {
-  ASSERT_EQ(setenv("FAIRCLEAN_SEED", "7", 1), 0);
+TEST(SuiteOptionsTest, EnvOverrides) {
+  ASSERT_EQ(setenv("FAIRCLEAN_SAMPLE", "777", 1), 0);
+  ASSERT_EQ(setenv("FAIRCLEAN_REPEATS", "9", 1), 0);
   Result<SuiteOptions> options = TrySuiteOptionsFromEnv();
   ASSERT_TRUE(options.ok()) << options.status().ToString();
-  EXPECT_EQ(options->study.seed, 7u);
+  EXPECT_EQ(options->study.sample_size, 777u);
+  EXPECT_EQ(options->study.num_repeats, 9u);
+  ASSERT_EQ(unsetenv("FAIRCLEAN_SAMPLE"), 0);
+  ASSERT_EQ(unsetenv("FAIRCLEAN_REPEATS"), 0);
+  Result<SuiteOptions> defaults = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(defaults->study.sample_size, 3500u);
+  EXPECT_EQ(defaults->study.num_repeats, 16u);
+}
 
-  for (const char* bad : {"7x", "-1", "nan"}) {
-    ASSERT_EQ(setenv("FAIRCLEAN_SEED", bad, 1), 0);
+// Each count knob parses strictly: a negative value must not wrap to a
+// huge count, and a typo must not fall back to the default unnoticed.
+void ExpectKnobParsesStrictly(const char* knob,
+                              uint64_t (*read)(const SuiteOptions&),
+                              uint64_t fallback) {
+  SCOPED_TRACE(knob);
+  ASSERT_EQ(setenv(knob, "5", 1), 0);
+  Result<SuiteOptions> options = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(read(*options), 5u);
+  for (const char* bad : {"-1", "15k", "7x", "four", "nan", "3.5"}) {
+    ASSERT_EQ(setenv(knob, bad, 1), 0);
     Result<SuiteOptions> rejected = TrySuiteOptionsFromEnv();
     ASSERT_FALSE(rejected.ok()) << bad;
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(rejected.status().ToString().find(knob), std::string::npos)
+        << rejected.status().ToString();
   }
-  ASSERT_EQ(unsetenv("FAIRCLEAN_SEED"), 0);
+  ASSERT_EQ(setenv(knob, "", 1), 0);
   options = TrySuiteOptionsFromEnv();
   ASSERT_TRUE(options.ok());
-  EXPECT_EQ(options->study.seed, 42u);
+  EXPECT_EQ(read(*options), fallback);
+  ASSERT_EQ(unsetenv(knob), 0);
+}
+
+TEST(SuiteOptionsTest, SampleKnobParsesStrictly) {
+  ExpectKnobParsesStrictly(
+      "FAIRCLEAN_SAMPLE",
+      [](const SuiteOptions& o) -> uint64_t { return o.study.sample_size; },
+      3500);
+}
+
+TEST(SuiteOptionsTest, RepeatsKnobParsesStrictly) {
+  ExpectKnobParsesStrictly(
+      "FAIRCLEAN_REPEATS",
+      [](const SuiteOptions& o) -> uint64_t { return o.study.num_repeats; },
+      16);
+}
+
+TEST(SuiteOptionsTest, FoldsKnobParsesStrictly) {
+  ExpectKnobParsesStrictly(
+      "FAIRCLEAN_FOLDS",
+      [](const SuiteOptions& o) -> uint64_t { return o.study.cv_folds; },
+      3);
+}
+
+TEST(SuiteOptionsTest, ThreadsKnobParsesStrictly) {
+  ExpectKnobParsesStrictly(
+      "FAIRCLEAN_THREADS",
+      [](const SuiteOptions& o) -> uint64_t { return o.threads; }, 0);
+}
+
+// A mistyped seed must fail loudly: a lenient parse would run, report and
+// cache the whole suite under the default seed 42.
+TEST(ShardOptionsTest, SeedKnobParsesStrictly) {
+  ExpectKnobParsesStrictly(
+      "FAIRCLEAN_SEED",
+      [](const SuiteOptions& o) -> uint64_t { return o.study.seed; }, 42);
 }
 
 }  // namespace

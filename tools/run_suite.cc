@@ -30,7 +30,8 @@
 // The run is resumable: the per-cell StudyDriver cache and repeat slices
 // survive a kill, and re-running the same command resumes mid-suite. Exit
 // codes: 0 success, 75 (EX_TEMPFAIL) time budget exhausted with resumable
-// state, 1 failure. Scale knobs (FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
+// state, 2 usage error (a bad flag or a malformed knob, reported before
+// any work), 1 failure. Scale knobs (FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
 // FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / ...) are resolved once at startup so
 // a mid-run environment change cannot split the suite.
 
@@ -82,14 +83,14 @@ int Run(int argc, char** argv) {
       if (!parsed.ok()) {
         std::fprintf(stderr, "bad --shard-claim: %s\n",
                      parsed.status().ToString().c_str());
-        return 1;
+        return 2;
       }
       shard = *parsed;
     } else {
       std::fprintf(stderr,
                    "usage: run_suite [--filter a,b,c] [--report path] "
                    "[--list] [--shard-claim i/N]\n");
-      return 1;
+      return 2;
     }
   }
 
@@ -97,10 +98,15 @@ int Run(int argc, char** argv) {
   if (!faults.ok()) {
     std::fprintf(stderr, "bad FAIRCLEAN_FAULTS: %s\n",
                  faults.ToString().c_str());
-    return 1;
+    return 2;
   }
 
-  SuiteOptions options = SuiteOptionsFromEnv();
+  Result<SuiteOptions> resolved = TrySuiteOptionsFromEnv();
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
+    return 2;
+  }
+  SuiteOptions options = *std::move(resolved);
   if (!report_path.empty()) options.report_path = report_path;
   if (options.report_path.empty()) {
     options.report_path = "fairclean_suite_report.json";
