@@ -249,7 +249,10 @@ void AdvisorServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
   obs::Tracer::SetCurrentThreadName("serve-conn");
   std::string buffer;
   char chunk[4096];
-  while (!stopping_.load() && conn->open.load()) {
+  // Not gated on stopping_: Shutdown answers the queued requests on this
+  // connection before it closes it, so the reader must keep the fd open
+  // until that CloseConnection (or the peer) ends the loop.
+  while (conn->open.load()) {
     // Deterministic network-failure site: an armed socket_read models the
     // peer (or the network) dying mid-request.
     if (FaultInjector::Global().ShouldFire("socket_read")) {

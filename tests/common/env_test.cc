@@ -7,9 +7,15 @@
 namespace fairclean {
 namespace {
 
-TEST(EnvTest, ReadsString) {
+TEST(EnvTest, UnsetReturnsDefault) {
   unsetenv("FAIRCLEAN_TEST_KNOB");
   EXPECT_EQ(GetEnvString("FAIRCLEAN_TEST_KNOB", "dflt"), "dflt");
+  EXPECT_EQ(GetEnvCount("FAIRCLEAN_TEST_KNOB", 42).ValueOrDie(), 42);
+  EXPECT_DOUBLE_EQ(GetEnvBudgetSeconds("FAIRCLEAN_TEST_KNOB", 9.0).ValueOrDie(),
+                   9.0);
+}
+
+TEST(EnvTest, ReadsString) {
   setenv("FAIRCLEAN_TEST_KNOB", "value", 1);
   EXPECT_EQ(GetEnvString("FAIRCLEAN_TEST_KNOB", "dflt"), "value");
   unsetenv("FAIRCLEAN_TEST_KNOB");

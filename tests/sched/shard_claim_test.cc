@@ -381,7 +381,9 @@ TEST(ShardOptionsTest, LeaseSecondsKnobParsesStrictly) {
   EXPECT_DOUBLE_EQ(options->shard_lease_s, 30.0);
 }
 
-TEST(SuiteOptionsTest, EnvOverrides) {
+// StudyOptionsTest: the study half of SuiteOptions (sample, repeats, folds,
+// seed), which TrySuiteOptionsFromEnv is the one reader of.
+TEST(StudyOptionsTest, EnvOverrides) {
   ASSERT_EQ(setenv("FAIRCLEAN_SAMPLE", "777", 1), 0);
   ASSERT_EQ(setenv("FAIRCLEAN_REPEATS", "9", 1), 0);
   Result<SuiteOptions> options = TrySuiteOptionsFromEnv();
@@ -421,21 +423,21 @@ void ExpectKnobParsesStrictly(const char* knob,
   ASSERT_EQ(unsetenv(knob), 0);
 }
 
-TEST(SuiteOptionsTest, SampleKnobParsesStrictly) {
+TEST(StudyOptionsTest, SampleKnobParsesStrictly) {
   ExpectKnobParsesStrictly(
       "FAIRCLEAN_SAMPLE",
       [](const SuiteOptions& o) -> uint64_t { return o.study.sample_size; },
       3500);
 }
 
-TEST(SuiteOptionsTest, RepeatsKnobParsesStrictly) {
+TEST(StudyOptionsTest, RepeatsKnobParsesStrictly) {
   ExpectKnobParsesStrictly(
       "FAIRCLEAN_REPEATS",
       [](const SuiteOptions& o) -> uint64_t { return o.study.num_repeats; },
       16);
 }
 
-TEST(SuiteOptionsTest, FoldsKnobParsesStrictly) {
+TEST(StudyOptionsTest, FoldsKnobParsesStrictly) {
   ExpectKnobParsesStrictly(
       "FAIRCLEAN_FOLDS",
       [](const SuiteOptions& o) -> uint64_t { return o.study.cv_folds; },
@@ -450,10 +452,30 @@ TEST(SuiteOptionsTest, ThreadsKnobParsesStrictly) {
 
 // A mistyped seed must fail loudly: a lenient parse would run, report and
 // cache the whole suite under the default seed 42.
-TEST(ShardOptionsTest, SeedKnobParsesStrictly) {
+TEST(StudyOptionsTest, SeedKnobParsesStrictly) {
   ExpectKnobParsesStrictly(
       "FAIRCLEAN_SEED",
       [](const SuiteOptions& o) -> uint64_t { return o.study.seed; }, 42);
+}
+
+// Every shard of a claim run must resolve the same seed, so an unset seed
+// falls back to 42 in each of them rather than to anything per-process.
+TEST(ShardOptionsTest, SeedKnobParsesStrictly) {
+  ASSERT_EQ(setenv("FAIRCLEAN_SEED", "7", 1), 0);
+  Result<SuiteOptions> options = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->study.seed, 7u);
+
+  for (const char* bad : {"7x", "-1", "nan"}) {
+    ASSERT_EQ(setenv("FAIRCLEAN_SEED", bad, 1), 0);
+    Result<SuiteOptions> rejected = TrySuiteOptionsFromEnv();
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ASSERT_EQ(unsetenv("FAIRCLEAN_SEED"), 0);
+  options = TrySuiteOptionsFromEnv();
+  ASSERT_TRUE(options.ok());
+  EXPECT_EQ(options->study.seed, 42u);
 }
 
 }  // namespace
