@@ -95,7 +95,14 @@ Status FaultInjector::Configure(const std::string& spec, uint64_t seed) {
 Status FaultInjector::ConfigureFromEnv() {
   std::string spec = GetEnvString("FAIRCLEAN_FAULTS", "");
   FC_ASSIGN_OR_RETURN(int64_t seed, GetEnvCount("FAIRCLEAN_FAULT_SEED", 42));
-  return Configure(spec, static_cast<uint64_t>(seed));
+  // The seed error above already names its knob; a spec error names the
+  // spec's, so each message points at exactly one variable.
+  Status configured = Configure(spec, static_cast<uint64_t>(seed));
+  if (!configured.ok()) {
+    return Status::InvalidArgument("FAIRCLEAN_FAULTS: " +
+                                   configured.message());
+  }
+  return configured;
 }
 
 void FaultInjector::Reset() {

@@ -56,7 +56,9 @@ class FaultInjector {
 
   /// Arms from FAIRCLEAN_FAULTS / FAIRCLEAN_FAULT_SEED (default seed 42; a
   /// non-negative integer, parsed strictly by GetEnvCount). Aborts
-  /// start-up by returning the parse error when the spec or seed is bad —
+  /// start-up by returning the parse error when the spec or seed is bad,
+  /// naming the one knob at fault ("FAIRCLEAN_FAULTS: ..." for a spec
+  /// error, the seed reader's own message for a seed error) —
   /// silently ignoring a typo'd fault plan would invalidate a robustness
   /// test without anyone noticing.
   Status ConfigureFromEnv();

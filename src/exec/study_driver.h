@@ -39,10 +39,8 @@ struct StudyDriverOptions {
   /// Both limits are enforced; whichever trips first returns
   /// DeadlineExceeded at the next repeat boundary.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Invoked after each successful slice write (never on failure). The
-  /// shard claim layer refreshes its cell lease here, so a lease outlives
-  /// any cell whose repeats keep making progress; tests also use it as a
-  /// deterministic mid-cell crash point.
+  /// Invoked after each successful slice write (never on failure). Tests
+  /// use it as a deterministic mid-cell crash point.
   std::function<void()> checkpoint_hook;
 };
 

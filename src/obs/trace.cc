@@ -81,7 +81,6 @@ struct Tracer::Impl {
   std::vector<Event> drained;
   std::atomic<uint32_t> next_tid{1};
   bool atexit_registered = false;
-  std::string process_label;
 
   ThreadBuffer* BufferForThisThread() {
     if (t_buffer == nullptr) {
@@ -198,12 +197,6 @@ uint32_t Tracer::CurrentThreadTid() {
   return Global().impl_->BufferForThisThread()->tid;
 }
 
-void Tracer::SetProcessLabel(const std::string& label) {
-  Impl* impl = Global().impl_;
-  std::lock_guard<std::mutex> lock(impl->mutex);
-  impl->process_label = label;
-}
-
 std::string Tracer::path() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->path;
@@ -236,12 +229,6 @@ void Tracer::Flush() {
   const long long pid = static_cast<long long>(::getpid());
   out << "{\"traceEvents\":[";
   bool first = true;
-  if (!impl_->process_label.empty()) {
-    out << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":\""
-        << JsonEscape(impl_->process_label) << "\"}}";
-    first = false;
-  }
   for (const auto& [tid, name] : thread_names) {
     out << (first ? "" : ",") << "\n{\"name\":\"thread_name\",\"ph\":\"M\","
         << "\"pid\":" << pid << ",\"tid\":" << tid

@@ -98,12 +98,6 @@ class Tracer {
   /// traced). Exposed for tests.
   static uint32_t CurrentThreadTid();
 
-  /// Labels this whole process in the trace ("shard-2/4") via a
-  /// process_name metadata event, so merged multi-process traces attribute
-  /// every span to the shard that executed it. Cheap and safe whether or
-  /// not tracing is enabled; the last label set before a flush wins.
-  static void SetProcessLabel(const std::string& label);
-
   std::string path() const;
 
  private:

@@ -1,52 +1,9 @@
 #include "sched/shard.h"
 
-#include <cstdio>
-
 #include "common/strings.h"
 
 namespace fairclean {
 namespace sched {
-
-const char* ShardModeName(ShardMode mode) {
-  switch (mode) {
-    case ShardMode::kNone:
-      return "none";
-    case ShardMode::kClaim:
-      return "claim";
-  }
-  return "unknown";
-}
-
-std::string ShardSpec::Label() const {
-  return StrFormat("shard-%zu/%zu", index + 1, count);
-}
-
-Result<ShardSpec> ParseShardSpec(ShardMode mode, const std::string& text) {
-  // Digits and one '/' only: sscanf's %llu would silently wrap a negative
-  // component instead of rejecting it.
-  for (char c : text) {
-    if (c != '/' && (c < '0' || c > '9')) {
-      return Status::InvalidArgument(
-          "shard spec must be \"i/N\" with 1 <= i <= N, got \"" + text +
-          "\"");
-    }
-  }
-  unsigned long long i = 0;
-  unsigned long long n = 0;
-  char trailing = '\0';
-  int fields = std::sscanf(text.c_str(), "%llu/%llu%c", &i, &n, &trailing);
-  if (fields != 2 || i < 1 || n < 1 || i > n) {
-    return Status::InvalidArgument(
-        "shard spec must be \"i/N\" with 1 <= i <= N, got \"" + text + "\"");
-  }
-  ShardSpec spec;
-  spec.mode = mode;
-  spec.index = static_cast<size_t>(i - 1);
-  spec.count = static_cast<size_t>(n);
-  return spec;
-}
-
-std::string ClaimKeyFor(const CellKey& cell) { return "claim:" + cell.Id(); }
 
 std::string ClassKeyFor(const std::string& cache_key) {
   return "class:" + cache_key;

@@ -46,13 +46,6 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   FC_ASSIGN_OR_RETURN(int64_t threads, GetEnvCount("FAIRCLEAN_THREADS", 0));
   options.threads = static_cast<size_t>(threads);
   options.report_path = GetEnvString("FAIRCLEAN_SUITE_REPORT", "");
-  FC_ASSIGN_OR_RETURN(options.shard_lease_s,
-                      GetEnvBudgetSeconds("FAIRCLEAN_SHARD_LEASE_S",
-                                          options.shard_lease_s));
-  if (options.shard_lease_s <= 0.0) {
-    return Status::InvalidArgument(
-        "FAIRCLEAN_SHARD_LEASE_S must be positive");
-  }
   return options;
 }
 
@@ -201,6 +194,46 @@ Status FoldDeepDive(const ScopeResults& results, const StudyScope& scope,
       });
 }
 
+namespace {
+
+/// The qualitative shape check against the paper: the share of
+/// configurations whose fairness got worse vs better, in percent, for the
+/// paper's table and the measured one, and whether the same direction
+/// dominates in both. The printed tables and the report's "shape_match"
+/// both read it.
+struct ShapeCheck {
+  double paper_worse = 0.0;
+  double paper_better = 0.0;
+  double measured_worse = 0.0;
+  double measured_better = 0.0;
+
+  bool paper_worse_dominates() const { return paper_worse > paper_better; }
+  bool measured_worse_dominates() const {
+    return measured_worse > measured_better;
+  }
+  bool match() const {
+    return paper_worse_dominates() == measured_worse_dominates();
+  }
+};
+
+ShapeCheck CheckShape(const ImpactTable& measured,
+                      const PaperTable& reference) {
+  ShapeCheck shape;
+  shape.paper_worse = reference.cells[0][0] + reference.cells[0][1] +
+                      reference.cells[0][2];
+  shape.paper_better = reference.cells[2][0] + reference.cells[2][1] +
+                       reference.cells[2][2];
+  int64_t total = measured.Total();
+  if (total) {
+    shape.measured_worse = 100.0 * measured.RowTotal(Impact::kWorse) / total;
+    shape.measured_better =
+        100.0 * measured.RowTotal(Impact::kBetter) / total;
+  }
+  return shape;
+}
+
+}  // namespace
+
 void PrintTableWithReference(const ImpactTable& measured,
                              const PaperTable& reference,
                              const std::string& title) {
@@ -216,26 +249,16 @@ void PrintTableWithReference(const ImpactTable& measured,
     std::printf("\n");
   }
 
-  // Qualitative shape checks against the paper.
-  double paper_worse = reference.cells[0][0] + reference.cells[0][1] +
-                       reference.cells[0][2];
-  double paper_better = reference.cells[2][0] + reference.cells[2][1] +
-                        reference.cells[2][2];
-  int64_t total = measured.Total();
-  double measured_worse =
-      total ? 100.0 * measured.RowTotal(Impact::kWorse) / total : 0.0;
-  double measured_better =
-      total ? 100.0 * measured.RowTotal(Impact::kBetter) / total : 0.0;
-  bool paper_direction = paper_worse > paper_better;
-  bool measured_direction = measured_worse > measured_better;
+  const ShapeCheck shape = CheckShape(measured, reference);
   std::printf(
       "shape check: fairness worse vs better — paper %.1f%% / %.1f%% (%s), "
       "measured %.1f%% / %.1f%% (%s) -> %s\n\n",
-      paper_worse, paper_better,
-      paper_direction ? "worse dominates" : "better dominates",
-      measured_worse, measured_better,
-      measured_direction ? "worse dominates" : "better dominates",
-      paper_direction == measured_direction ? "MATCH" : "MISMATCH");
+      shape.paper_worse, shape.paper_better,
+      shape.paper_worse_dominates() ? "worse dominates" : "better dominates",
+      shape.measured_worse, shape.measured_better,
+      shape.measured_worse_dominates() ? "worse dominates"
+                                       : "better dominates",
+      shape.match() ? "MATCH" : "MISMATCH");
 }
 
 int CellCostRank(const CellKey& cell) {
@@ -398,16 +421,7 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
                       Dataset(cell.dataset));
   FC_ASSIGN_OR_RETURN(exec::StudyDriverOptions driver_options,
                       CellDriverOptions());
-  if (options_.shard.mode == ShardMode::kClaim || cell_checkpoint_hook_) {
-    // Each successful slice write proves the cell is making repeat
-    // progress: extend its claim lease so a live shard is never stolen
-    // from mid-cell (and give tests their deterministic crash point).
-    CellKey hooked = cell;
-    driver_options.checkpoint_hook = [this, hooked] {
-      if (options_.shard.mode == ShardMode::kClaim) RefreshCellLease(hooked);
-      if (cell_checkpoint_hook_) cell_checkpoint_hook_(hooked);
-    };
-  }
+  driver_options.checkpoint_hook = cell_checkpoint_hook_;
   exec::RunDiagnostics diagnostics;
   Result<CellArtifact> artifact =
       ProduceCellArtifact(*dataset, cell, driver_options, &diagnostics);
@@ -419,7 +433,9 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
       // state. A later attempt that completes the cell overwrites it, so
       // final-success reports stay byte-identical to fresh runs.
       store_
-          .Write(ClassKeyFor(CellCacheKey(cell)),
+          .Write(ClassKeyFor(exec::StudyDriver::CacheKey(
+                     driver_options, cell.dataset, cell.error_type,
+                     cell.model)),
                  std::string(CellClassName(CellClass::kBudgetExceeded)) + "\n")
           .ok();
     }
@@ -460,7 +476,6 @@ CellClass SuiteScheduler::ClassifyProducedCell(
   } else if (diag.retries > 0) {
     cls = CellClass::kDegenerateRetry;
   }
-  if (IsStolenCell(cell)) cls = CellClass::kStolen;
   if (blob != nullptr) {
     Status written =
         blob->Write(ClassKeyFor(cache_key),
@@ -1173,21 +1188,10 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
         }
         out += "]";
       }
-      double paper_worse = table.reference.cells[0][0] +
-                           table.reference.cells[0][1] +
-                           table.reference.cells[0][2];
-      double paper_better = table.reference.cells[2][0] +
-                            table.reference.cells[2][1] +
-                            table.reference.cells[2][2];
-      int64_t total = value->table.Total();
-      double measured_worse =
-          total ? 100.0 * value->table.RowTotal(Impact::kWorse) / total : 0.0;
-      double measured_better =
-          total ? 100.0 * value->table.RowTotal(Impact::kBetter) / total : 0.0;
-      bool shape_match = (paper_worse > paper_better) ==
-                         (measured_worse > measured_better);
-      out += StrFormat("],\"shape_match\":%s",
-                       shape_match ? "true" : "false");
+      out += StrFormat(
+          "],\"shape_match\":%s",
+          CheckShape(value->table, table.reference).match() ? "true"
+                                                            : "false");
     }
     out += "}";
   }

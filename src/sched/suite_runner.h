@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "sched/experiment_graph.h"
 #include "sched/shard.h"
 #include "sched/suite_spec.h"
-#include "sched/lease.h"
 #include "store/blob_store.h"
 
 namespace fairclean {
@@ -53,21 +51,13 @@ struct SuiteOptions {
   /// Where RunSuite writes the merged JSON report ("" keeps it in memory
   /// only; see SuiteScheduler::report_json()).
   std::string report_path;
-  /// This process's slice of a multi-process run (--shard-claim; inactive
-  /// by default). Sharding requires a non-empty cache_dir: the
-  /// shared cache IS the coordination plane.
-  ShardSpec shard;
-  /// Claim-lease duration in seconds (FAIRCLEAN_SHARD_LEASE_S). A claim
-  /// whose owner neither finishes nor refreshes (each slice write
-  /// refreshes) within this window becomes stealable.
-  double shard_lease_s = 30.0;
 };
 
 /// The suite-scale defaults (sample 3500, 16 repeats, 3 folds, holdout
 /// 0.3, seed 42) overridable via FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
 /// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_CACHE_DIR /
 /// FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S / FAIRCLEAN_THREADS /
-/// FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_SHARD_LEASE_S.
+/// FAIRCLEAN_SUITE_REPORT.
 /// Reads the environment exactly once, at the call. Count and budget knobs
 /// parse strictly (GetEnvCount / GetEnvBudgetSeconds): trailing garbage,
 /// NaN/inf, or a negative value is an InvalidArgument instead of a silent
@@ -90,8 +80,8 @@ struct CellArtifact {
   std::string cache_file;
   std::string sha256;
   /// Mass-run classification (persisted as a class: record next to the
-  /// cache record, read back on cache hits — so fresh, warm, resumed, and
-  /// merged runs report the same class).
+  /// cache record, read back on cache hits — so fresh, warm and resumed
+  /// runs report the same class).
   CellClass cell_class = CellClass::kPass;
 };
 
@@ -188,8 +178,8 @@ int CellCostRank(const CellKey& cell);
 /// thread width, and the merged report is byte-identical between
 /// sequential, parallel, and killed-and-resumed runs.
 ///
-/// RunSuite / RunSuiteShard / RunSuiteMerge must be called from one thread
-/// at a time; internal fan-out is the scheduler's own concern.
+/// RunSuite must be called from one thread at a time; internal fan-out is
+/// the scheduler's own concern.
 class SuiteScheduler {
  public:
   explicit SuiteScheduler(SuiteOptions options);
@@ -204,32 +194,11 @@ class SuiteScheduler {
   /// options.report_path when set).
   Status RunSuite(const SuiteSpec& spec, const SuiteFilter& filter);
 
-  /// Runs this process's shard of the suite (options.shard must be
-  /// active): produces cell artifacts only, work-stealing cells through
-  /// lease records under <cache_dir>/claims, then writes a partial report
-  /// next to options.report_path. The last finishing shard wins a
-  /// __merge__ lease election and assembles the merged report itself
-  /// (DESIGN.md Section 16).
-  Status RunSuiteShard(const SuiteSpec& spec, const SuiteFilter& filter);
-
-  /// Merge step of a sharded run, run by the election winner: validates every partial report found
-  /// next to options.report_path (each listed cell's sha256 must match the
-  /// shared cache's actual bytes), then executes the full graph over the
-  /// warm cache — every cell is a cache hit — so the merged report is
-  /// byte-identical to a single-process run by the fresh==warm identity
-  /// contract. Partial reports are never stitched.
-  Status RunSuiteMerge(const SuiteSpec& spec, const SuiteFilter& filter);
-
-  /// Partial-report path of one shard: "<report_path>.shard<i>of<N>"
-  /// (1-based i).
-  static std::string PartialReportPath(const std::string& report_path,
-                                       const ShardSpec& shard);
-
-  /// Invoked (with the cell) after every successful slice write of a cell
-  /// driver, in addition to the claim-lease refresh the shard layer
-  /// performs there. The shard soak test uses it as a deterministic
-  /// mid-cell crash point (raise SIGKILL after the first checkpoint).
-  void set_cell_checkpoint_hook(std::function<void(const CellKey&)> hook) {
+  /// Invoked after every successful slice write of a cell driver (the
+  /// driver's checkpoint_hook). The suite soak test uses it as a
+  /// deterministic mid-cell crash point (raise SIGKILL after the first
+  /// durable slice).
+  void set_cell_checkpoint_hook(std::function<void()> hook) {
     cell_checkpoint_hook_ = std::move(hook);
   }
 
@@ -327,29 +296,6 @@ class SuiteScheduler {
                                  const store::FlatFileStore* blob,
                                  const std::string& cache_key);
 
-  /// Shard helpers (shard_runner.cc).
-  struct ShardCounters {
-    uint64_t produced = 0;
-    uint64_t steals = 0;
-    uint64_t claim_conflicts = 0;
-    uint64_t cache_skips = 0;
-    uint64_t lease_refreshes = 0;
-    uint64_t lease_lost = 0;
-  };
-  /// Cache key of one cell under this suite's scale (pure; no store I/O).
-  std::string CellCacheKey(const CellKey& cell) const;
-  Status RunClaimWave(const SuiteSpec& spec, const ExperimentGraph& graph,
-                      size_t wave_index, const std::vector<size_t>& cell_ids,
-                      std::vector<size_t>* produced_ids);
-  Status WritePartialReport(const SuiteSpec& spec,
-                            const ExperimentGraph& graph,
-                            const SuiteFilter& filter,
-                            const std::vector<size_t>& produced_ids) const;
-  /// True when this cell's claim was stolen by this process.
-  bool IsStolenCell(const CellKey& cell) const;
-  /// Lease refresh driven by the cell driver's slice writes.
-  void RefreshCellLease(const CellKey& cell);
-
   /// Executes the graph wave by wave: dataset/cell/figure nodes fan out
   /// across the pool, aggregation nodes run inline; node results land in
   /// node_values_. On failure returns the failed node with the smallest id
@@ -357,7 +303,6 @@ class SuiteScheduler {
   Status ExecuteGraph(const SuiteSpec& spec, const ExperimentGraph& graph);
   /// Runs the nodes `ids` of wave `wave_index` across the pool, longest
   /// first (CellCostRank), and returns the failure of the smallest node id.
-  /// The one fan-out of ExecuteGraph and of the claim-mode shard waves.
   Status FanOut(const SuiteSpec& spec, const ExperimentGraph& graph,
                 size_t wave_index, std::vector<size_t> ids);
   Status RunNode(const SuiteSpec& spec, const ExperimentGraph& graph,
@@ -407,15 +352,7 @@ class SuiteScheduler {
 
   store::FlatFileStore store_;
 
-  /// Claim coordination state of a sharded run (null/empty otherwise).
-  /// shard_mutex_ guards the token map, stolen set, and counters — the
-  /// checkpoint hook touches them from pool workers.
-  std::unique_ptr<LeaseStore> lease_store_;
-  mutable std::mutex shard_mutex_;
-  std::map<std::string, LeaseToken> claim_tokens_;  ///< by cell id
-  std::set<std::string> stolen_cells_;                     ///< cell ids
-  ShardCounters shard_counters_;
-  std::function<void(const CellKey&)> cell_checkpoint_hook_;
+  std::function<void()> cell_checkpoint_hook_;
 
   /// Node results of the last ExecuteGraph, indexed by node id. Holds
   /// CellArtifact / DatasetHandle / FigureValue / TableValue /

@@ -152,8 +152,12 @@ TEST_F(FaultInjectionTest, ConfigureFromEnvReadsKnobs) {
   EXPECT_TRUE(FaultInjector::Global().ConfigureFromEnv().ok());
   EXPECT_TRUE(FaultInjector::Global().ShouldFire("csv_parse"));
 
+  // Each error names exactly the knob at fault.
   setenv("FAIRCLEAN_FAULTS", "csv_parse:nope", 1);
-  EXPECT_FALSE(FaultInjector::Global().ConfigureFromEnv().ok());
+  Status bad_spec = FaultInjector::Global().ConfigureFromEnv();
+  EXPECT_EQ(bad_spec.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_spec.message().rfind("FAIRCLEAN_FAULTS: ", 0), 0u)
+      << bad_spec.ToString();
 
   // A typo'd seed is rejected, not replaced by the default 42.
   setenv("FAIRCLEAN_FAULTS", "csv_parse:1", 1);
@@ -162,6 +166,8 @@ TEST_F(FaultInjectionTest, ConfigureFromEnvReadsKnobs) {
   EXPECT_EQ(bad_seed.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_seed.message().find("FAIRCLEAN_FAULT_SEED"),
             std::string::npos)
+      << bad_seed.ToString();
+  EXPECT_EQ(bad_seed.message().find("FAIRCLEAN_FAULTS"), std::string::npos)
       << bad_seed.ToString();
   unsetenv("FAIRCLEAN_FAULTS");
   unsetenv("FAIRCLEAN_FAULT_SEED");

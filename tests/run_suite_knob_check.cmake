@@ -17,6 +17,7 @@ set(problems "")
 
 # run_case(<label> <expected exit> <stderr regex> <env assignment or "">
 #          <run_suite args...>)
+# Set `forbidden` to a regex stderr must not match (cleared after each case).
 function(run_case label expected pattern assignment)
   set(command "${RUN_SUITE}" ${ARGN})
   if(assignment)
@@ -31,6 +32,8 @@ function(run_case label expected pattern assignment)
     list(APPEND problems "${label}: exit ${code}, want ${expected}\n    stderr: ${err}")
   elseif(pattern AND NOT err MATCHES "${pattern}")
     list(APPEND problems "${label}: stderr does not match ${pattern}: ${err}")
+  elseif(forbidden AND err MATCHES "${forbidden}")
+    list(APPEND problems "${label}: stderr matches ${forbidden}: ${err}")
   endif()
   set(problems "${problems}" PARENT_SCOPE)
 endfunction()
@@ -40,6 +43,13 @@ run_case("sample 15k" 2 "FAIRCLEAN_SAMPLE" "FAIRCLEAN_SAMPLE=15k" --list)
 run_case("threads four" 2 "FAIRCLEAN_THREADS" "FAIRCLEAN_THREADS=four" --list)
 run_case("fault seed 9x" 2 "FAIRCLEAN_FAULT_SEED" "FAIRCLEAN_FAULT_SEED=9x"
          --list)
+run_case("fault spec oops" 2 "FAIRCLEAN_FAULTS: " "FAIRCLEAN_FAULTS=numeric:oops"
+         --list)
+# A bad seed names the seed knob only, not the fault spec's.
+set(forbidden "FAIRCLEAN_FAULTS")
+run_case("fault seed -3" 2 "FAIRCLEAN_FAULT_SEED" "FAIRCLEAN_FAULT_SEED=-3"
+         --list)
+unset(forbidden)
 run_case("unknown flag" 2 "usage: run_suite" "" --bogus)
 
 if(problems)

@@ -59,8 +59,7 @@ int Run(int argc, char** argv) {
 
   Status faults = FaultInjector::Global().ConfigureFromEnv();
   if (!faults.ok()) {
-    std::fprintf(stderr, "bad FAIRCLEAN_FAULTS: %s\n",
-                 faults.ToString().c_str());
+    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
     return 2;
   }
 

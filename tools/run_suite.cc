@@ -8,7 +8,6 @@
 // a single artifact.
 //
 // Usage: run_suite [--filter a,b,c] [--report path] [--list]
-//                  [--shard-claim i/N]
 //
 //   --filter  comma-separated substring filter over unit names and cell
 //             ids: "tables_missing" runs one unit (units: fig1, fig2,
@@ -18,14 +17,6 @@
 //   --report  merged report path (default: FAIRCLEAN_SUITE_REPORT or
 //             fairclean_suite_report.json).
 //   --list    print the selected units and cells, then exit.
-//   --shard-claim i/N  N cooperating processes work-steal cells through
-//             lease records under <cache_dir>/claims (lease length:
-//             FAIRCLEAN_SHARD_LEASE_S, refreshed at every slice write;
-//             expired or dead owners are stolen from and their finished
-//             repeat slices reused). Each writes a partial report
-//             "<report>.shard<i>of<N>"; the last finishing shard
-//             validates them against the shared cache and assembles the
-//             merged report, byte-identical to a single-process run.
 //
 // The run is resumable: the per-cell StudyDriver cache and repeat slices
 // survive a kill, and re-running the same command resumes mid-suite. Exit
@@ -69,7 +60,6 @@ int Run(int argc, char** argv) {
   std::string filter_text;
   std::string report_path;
   bool list_only = false;
-  ShardSpec shard;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
       filter_text = argv[++i];
@@ -77,27 +67,17 @@ int Run(int argc, char** argv) {
       report_path = argv[++i];
     } else if (std::strcmp(argv[i], "--list") == 0) {
       list_only = true;
-    } else if (std::strcmp(argv[i], "--shard-claim") == 0 && i + 1 < argc) {
-      Result<ShardSpec> parsed = ParseShardSpec(ShardMode::kClaim,
-                                                argv[++i]);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --shard-claim: %s\n",
-                     parsed.status().ToString().c_str());
-        return 2;
-      }
-      shard = *parsed;
     } else {
       std::fprintf(stderr,
                    "usage: run_suite [--filter a,b,c] [--report path] "
-                   "[--list] [--shard-claim i/N]\n");
+                   "[--list]\n");
       return 2;
     }
   }
 
   Status faults = FaultInjector::Global().ConfigureFromEnv();
   if (!faults.ok()) {
-    std::fprintf(stderr, "bad FAIRCLEAN_FAULTS: %s\n",
-                 faults.ToString().c_str());
+    std::fprintf(stderr, "%s\n", faults.ToString().c_str());
     return 2;
   }
 
@@ -111,33 +91,12 @@ int Run(int argc, char** argv) {
   if (options.report_path.empty()) {
     options.report_path = "fairclean_suite_report.json";
   }
-  options.shard = shard;
 
   SuiteSpec spec = PaperSuite();
   SuiteFilter filter = SuiteFilter::Parse(filter_text);
   if (list_only) return ListSuite(spec, filter);
 
   SuiteScheduler scheduler(options);
-
-  if (shard.active()) {
-    std::printf(
-        "== fairclean suite shard: %s %s (%s mode)%s%s ==\n"
-        "scale: sample=%zu repeats=%zu folds=%zu seed=%llu threads=%zu\n\n",
-        spec.name.c_str(), shard.Label().c_str(),
-        ShardModeName(shard.mode), filter.Empty() ? "" : ", filter ",
-        filter.Empty() ? "" : filter_text.c_str(),
-        options.study.sample_size, options.study.num_repeats,
-        options.study.cv_folds,
-        static_cast<unsigned long long>(options.study.seed),
-        scheduler.width());
-    Status status = scheduler.RunSuiteShard(spec, filter);
-    if (!status.ok()) return scheduler.ReportFailure(status);
-    scheduler.PrintRunSummary();
-    std::printf("shard partial report: %s\n",
-                SuiteScheduler::PartialReportPath(options.report_path, shard)
-                    .c_str());
-    return 0;
-  }
 
   Status status = scheduler.RunSuite(spec, filter);
   if (!status.ok()) return scheduler.ReportFailure(status);
