@@ -1,15 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "obs/json_lite.h"
 #include "obs/log.h"
@@ -26,17 +23,6 @@ Counter* DroppedSamplesCounter() {
       MetricsRegistry::Global().GetCounter("obs.dropped_samples");
   return counter;
 }
-
-/// Background thread rewriting the export file every interval. Start/Stop
-/// are called from the owning thread (process entry points), never
-/// concurrently, so the struct needs no lock beyond the stop handshake.
-struct PeriodicExporter {
-  std::thread thread;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool stop = false;
-  double interval_s = 1.0;
-};
 
 }  // namespace internal
 
@@ -121,14 +107,33 @@ std::vector<uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
+double PercentileFromBuckets(const std::vector<double>& bounds,
+                             const std::vector<uint64_t>& bucket_counts,
+                             uint64_t count, double min, double max,
+                             double p) {
+  if (count == 0) return 0.0;
+  if (p <= 0.0) return min;
+  if (p >= 100.0) return max;
+  // Rank of the target observation (1-based, ceil).
+  uint64_t rank = static_cast<uint64_t>(p / 100.0 * count);
+  if (rank == 0) rank = 1;
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
+    cumulative += bucket_counts[i];
+    if (cumulative >= rank) {
+      const double upper = i < bounds.size() ? bounds[i] : max;
+      return std::clamp(upper, min, max);
+    }
+  }
+  return max;
+}
+
 double Histogram::Percentile(double p) const {
   return PercentileFromBuckets(bounds_, bucket_counts(), count(), min(),
                                max(), p);
 }
 
 MetricsRegistry::MetricsRegistry(MetricsRegistry* parent) : parent_(parent) {}
-
-MetricsRegistry::~MetricsRegistry() { StopPeriodicExport(); }
 
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked for the same reason as Tracer: instruments must outlive any
@@ -137,17 +142,7 @@ MetricsRegistry& MetricsRegistry::Global() {
     auto* instance = new MetricsRegistry();
     g_global_instance = instance;
     const char* path = std::getenv("FAIRCLEAN_METRICS");
-    if (path != nullptr && path[0] != '\0') {
-      instance->EnableExport(path);
-      const char* interval = std::getenv("FAIRCLEAN_METRICS_INTERVAL_S");
-      if (interval != nullptr && interval[0] != '\0') {
-        char* end = nullptr;
-        const double parsed = std::strtod(interval, &end);
-        if (end != interval && std::isfinite(parsed) && parsed > 0.0) {
-          instance->StartPeriodicExport(parsed);
-        }
-      }
-    }
+    if (path != nullptr && path[0] != '\0') instance->EnableExport(path);
     return instance;
   }();
   return *registry;
@@ -186,54 +181,10 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-SlidingWindowHistogram* MetricsRegistry::GetWindowHistogram(
-    const std::string& name, const std::vector<double>& bounds,
-    double window_s) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<SlidingWindowHistogram>& slot = windows_[name];
-  if (slot == nullptr) {
-    slot.reset(new SlidingWindowHistogram(
-        bounds,
-        window_s > 0.0 ? window_s : DefaultMetricsWindowSeconds()));
-  }
-  return slot.get();
-}
-
-void MetricsRegistry::StartPeriodicExport(double interval_s) {
-  StopPeriodicExport();
-  if (!(interval_s > 0.0)) return;
-  auto exporter = std::make_unique<internal::PeriodicExporter>();
-  exporter->interval_s = interval_s;
-  internal::PeriodicExporter* raw = exporter.get();
-  exporter_ = std::move(exporter);
-  exporter_->thread = std::thread([this, raw] {
-    std::unique_lock<std::mutex> lock(raw->mutex);
-    while (!raw->stop) {
-      raw->cv.wait_for(lock, std::chrono::duration<double>(raw->interval_s),
-                       [raw] { return raw->stop; });
-      if (raw->stop) break;
-      lock.unlock();
-      FlushExport();
-      lock.lock();
-    }
-  });
-}
-
-void MetricsRegistry::StopPeriodicExport() {
-  if (exporter_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(exporter_->mutex);
-    exporter_->stop = true;
-  }
-  exporter_->cv.notify_all();
-  if (exporter_->thread.joinable()) exporter_->thread.join();
-  exporter_.reset();
-}
-
 bool MetricsRegistry::FlushExport() {
   const std::string path = export_path();
   if (path.empty()) return false;
-  // Temp file + rename so a scraper (or a kill mid-write) never reads a
+  // Temp file + rename so a reader (or a kill mid-write) never sees a
   // half-written snapshot.
   const std::string tmp = path + ".tmp";
   if (!WriteJsonlFile(tmp)) return false;
@@ -300,24 +251,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     snapshot.bucket_counts = histogram->bucket_counts();
     out.push_back(std::move(snapshot));
   }
-  for (const auto& [name, window] : windows_) {
-    SlidingWindowHistogram::WindowSnapshot view = window->Snapshot();
-    MetricSnapshot snapshot;
-    snapshot.kind = MetricSnapshot::Kind::kHistogram;
-    snapshot.name = name;
-    snapshot.windowed = true;
-    snapshot.window_s = view.window_s;
-    snapshot.count = view.count;
-    snapshot.sum = view.sum;
-    snapshot.min = view.min;
-    snapshot.max = view.max;
-    snapshot.p50 = view.p50;
-    snapshot.p95 = view.p95;
-    snapshot.p99 = view.p99;
-    snapshot.bounds = window->bounds();
-    snapshot.bucket_counts = std::move(view.bucket_counts);
-    out.push_back(std::move(snapshot));
-  }
   std::sort(out.begin(), out.end(),
             [](const MetricSnapshot& a, const MetricSnapshot& b) {
               return a.name < b.name;
@@ -348,9 +281,6 @@ void AppendMetricJson(std::ostringstream& out,
           << ",\"p50\":" << FormatDouble(snapshot.p50)
           << ",\"p95\":" << FormatDouble(snapshot.p95)
           << ",\"p99\":" << FormatDouble(snapshot.p99);
-      if (snapshot.windowed) {
-        out << ",\"window_s\":" << FormatDouble(snapshot.window_s);
-      }
       out << ",\"bounds\":[";
       for (size_t i = 0; i < snapshot.bounds.size(); ++i) {
         out << (i == 0 ? "" : ",") << FormatDouble(snapshot.bounds[i]);
@@ -364,22 +294,6 @@ void AppendMetricJson(std::ostringstream& out,
     }
   }
   out << "}";
-}
-
-// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
-std::string PrometheusName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    if (!ok) c = '_';
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') {
-    std::string prefixed = "_";
-    prefixed += out;
-    return prefixed;
-  }
-  return out;
 }
 
 }  // namespace
@@ -403,56 +317,6 @@ std::string MetricsRegistry::ToJsonArray() const {
     first = false;
   }
   out << "]";
-  return out.str();
-}
-
-std::string MetricsRegistry::ToPrometheus() const {
-  std::ostringstream out;
-  for (const MetricSnapshot& snapshot : Snapshot()) {
-    const std::string name = PrometheusName(snapshot.name);
-    switch (snapshot.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        out << "# TYPE " << name << " counter\n"
-            << name << " " << static_cast<uint64_t>(snapshot.value) << "\n";
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        out << "# TYPE " << name << " gauge\n"
-            << name << " " << FormatDouble(snapshot.value) << "\n";
-        break;
-      case MetricSnapshot::Kind::kHistogram: {
-        if (snapshot.windowed) {
-          // Windowed histograms scrape as summaries: the quantiles are the
-          // point of a window, and cumulative buckets over a sliding span
-          // would be misleading.
-          out << "# TYPE " << name << " summary\n"
-              << name << "{quantile=\"0.5\"} " << FormatDouble(snapshot.p50)
-              << "\n"
-              << name << "{quantile=\"0.95\"} "
-              << FormatDouble(snapshot.p95) << "\n"
-              << name << "{quantile=\"0.99\"} "
-              << FormatDouble(snapshot.p99) << "\n"
-              << name << "_sum " << FormatDouble(snapshot.sum) << "\n"
-              << name << "_count " << snapshot.count << "\n";
-          break;
-        }
-        out << "# TYPE " << name << " histogram\n";
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i < snapshot.bucket_counts.size(); ++i) {
-          cumulative += snapshot.bucket_counts[i];
-          if (i < snapshot.bounds.size()) {
-            out << name << "_bucket{le=\""
-                << FormatDouble(snapshot.bounds[i]) << "\"} " << cumulative
-                << "\n";
-          } else {
-            out << name << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-          }
-        }
-        out << name << "_sum " << FormatDouble(snapshot.sum) << "\n"
-            << name << "_count " << snapshot.count << "\n";
-        break;
-      }
-    }
-  }
   return out.str();
 }
 

@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/window.h"
-
 namespace fairclean {
 namespace obs {
 
@@ -19,12 +17,9 @@ class Counter;
 namespace internal {
 extern std::atomic<bool> g_metrics_export_enabled;
 
-/// Process-wide obs.dropped_samples counter (non-finite observations,
-/// observations older than a sliding window). Lives in the global
-/// registry; created on first drop.
+/// Process-wide obs.dropped_samples counter (non-finite observations).
+/// Lives in the global registry; created on first drop.
 Counter* DroppedSamplesCounter();
-
-struct PeriodicExporter;
 }  // namespace internal
 
 /// True when the global registry will be exported at exit
@@ -115,8 +110,6 @@ struct MetricSnapshot {
   double p50 = 0.0;       // histogram
   double p95 = 0.0;       // histogram
   double p99 = 0.0;       // histogram
-  bool windowed = false;  // true for sliding-window histograms
-  double window_s = 0.0;  // seconds the snapshot covers (windowed only)
   std::vector<double> bounds;          // histogram
   std::vector<uint64_t> bucket_counts; // histogram, bounds.size() + 1
 };
@@ -133,10 +126,8 @@ struct MetricSnapshot {
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(MetricsRegistry* parent = nullptr);
-  ~MetricsRegistry();
 
-  /// Process-wide sink (reads FAIRCLEAN_METRICS on first use, and
-  /// FAIRCLEAN_METRICS_INTERVAL_S to start the periodic exporter).
+  /// Process-wide sink (reads FAIRCLEAN_METRICS on first use).
   static MetricsRegistry& Global();
 
   Counter* GetCounter(const std::string& name);
@@ -144,27 +135,14 @@ class MetricsRegistry {
   /// `bounds` are ascending upper bounds; used only on first creation.
   Histogram* GetHistogram(const std::string& name,
                           const std::vector<double>& bounds);
-  /// Sliding-window histogram covering the last `window_s` seconds
-  /// (<= 0 picks the FAIRCLEAN_METRICS_WINDOW_S default). Window
-  /// instruments do not forward to a parent registry: they live where
-  /// scrapes happen (the serving layer uses Global()).
-  SlidingWindowHistogram* GetWindowHistogram(
-      const std::string& name, const std::vector<double>& bounds,
-      double window_s = 0.0);
 
   /// Starts exporting this registry as JSONL to `path` at process exit.
   void EnableExport(const std::string& path);
   void DisableExport();
   std::string export_path() const;
 
-  /// Spawns a background thread rewriting the export file every
-  /// `interval_s` seconds (atomically, via temp file + rename), so a
-  /// resident server leaves fresh snapshots behind even when it is later
-  /// killed. Replaces nothing: the at-exit export still runs.
-  void StartPeriodicExport(double interval_s);
-  void StopPeriodicExport();
-
-  /// Writes the export file immediately (SIGTERM / server shutdown path).
+  /// Writes the export file immediately (atomically, via temp file +
+  /// rename) on the SIGTERM / server shutdown path.
   /// Returns false when no export path is configured or the write fails.
   bool FlushExport();
 
@@ -178,12 +156,6 @@ class MetricsRegistry {
   /// The same objects as ToJsonl, as one JSON array (the server's
   /// `metrics` op payload).
   std::string ToJsonArray() const;
-
-  /// Prometheus-style text exposition: counters/gauges as single samples,
-  /// histograms as cumulative le-labelled buckets + _sum/_count, windowed
-  /// histograms as quantile-labelled summaries. Metric names are
-  /// sanitized (non-alphanumerics become '_').
-  std::string ToPrometheus() const;
 
   /// Writes ToJsonl() to `path`. Returns false on IO failure.
   bool WriteJsonlFile(const std::string& path) const;
@@ -201,11 +173,17 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<SlidingWindowHistogram>> windows_;
   std::string export_path_;
   bool atexit_registered_ = false;
-  std::unique_ptr<internal::PeriodicExporter> exporter_;
 };
+
+/// Percentile estimate from a bucket distribution: the upper bound of the
+/// bucket holding the p-th observation, clamped to [min, max]. Backs
+/// Histogram::Percentile.
+double PercentileFromBuckets(const std::vector<double>& bounds,
+                             const std::vector<uint64_t>& bucket_counts,
+                             uint64_t count, double min, double max,
+                             double p);
 
 }  // namespace obs
 }  // namespace fairclean

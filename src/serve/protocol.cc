@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/env.h"
 #include "common/strings.h"
 #include "core/cleaning.h"
 #include "datasets/generator.h"
@@ -48,6 +49,16 @@ Status ValidateName(const std::string& value,
 
 }  // namespace
 
+Result<uint16_t> ParsePort(const char* name, const char* text) {
+  FC_ASSIGN_OR_RETURN(int64_t port, ParseCount(name, text));
+  if (port > 65535) {
+    return Status::InvalidArgument(StrFormat("%s must be <= 65535, got %lld",
+                                             name,
+                                             static_cast<long long>(port)));
+  }
+  return static_cast<uint16_t>(port);
+}
+
 Result<AdvisorRequest> ParseRequest(const std::string& line) {
   obs::JsonValue value;
   std::string error;
@@ -61,15 +72,6 @@ Result<AdvisorRequest> ParseRequest(const std::string& line) {
   AdvisorRequest request;
   request.id = value.StringOr("id", "");
   FC_ASSIGN_OR_RETURN(request.op, OpByName(value.StringOr("op", "analyze")));
-  if (request.op == AdvisorRequest::Op::kMetrics) {
-    request.format = value.StringOr("format", "json");
-    if (request.format != "json" && request.format != "prometheus") {
-      return Status::InvalidArgument(
-          "metrics format must be \"json\" or \"prometheus\", got \"" +
-          request.format + "\"");
-    }
-    return request;
-  }
   if (request.op == AdvisorRequest::Op::kTrace) {
     request.trace_id = value.StringOr("trace_id", "");
     return request;
@@ -211,18 +213,10 @@ std::string RenderAck(const std::string& id, const char* op) {
          op + "\"}\n";
 }
 
-std::string RenderMetrics(const std::string& id, const std::string& format,
-                          const std::string& payload) {
-  std::string out = "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\"";
-  out += ",\"format\":" + obs::JsonQuote(format);
-  if (format == "prometheus") {
-    out += ",\"exposition\":" + obs::JsonQuote(payload);
-  } else {
-    // The payload is the registry's ToJsonArray output: already JSON.
-    out += ",\"metrics\":" + payload;
-  }
-  out += "}\n";
-  return out;
+std::string RenderMetrics(const std::string& id, const std::string& payload) {
+  // The payload is the registry's ToJsonArray output: already JSON.
+  return "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\",\"metrics\":" +
+         payload + "}\n";
 }
 
 std::string RenderTrace(const std::string& id, const std::string& trace_id,

@@ -29,8 +29,7 @@ namespace serve {
 /// overload tests); shutdown asks the server to exit gracefully.
 ///
 /// Telemetry ops (DESIGN.md §14):
-///   {"op":"metrics","id":...,"format":"json"|"prometheus"} — live scrape
-///     of the global registry (sliding-window latencies included);
+///   {"op":"metrics","id":...} — live JSON scrape of the global registry;
 ///   {"op":"trace","id":...,"trace_id":"<hex>"} — span tree of a completed
 ///     request; without trace_id, the list of retained trace ids;
 ///   {"op":"flight","id":...,"path":...} — dump the flight recorder rings
@@ -57,9 +56,12 @@ struct AdvisorRequest {
   std::string metric;      ///< "" = predictive parity
   double deadline_s = 0.0; ///< per-request override; 0 = server default
   std::string trace_id;    ///< trace op: hex id to look up ("" = list)
-  std::string format;      ///< metrics op: "json" (default) | "prometheus"
   std::string path;        ///< flight op: dump path override
 };
+
+/// Parses a TCP port (the tools' --port flag, FAIRCLEAN_SERVE_PORT): a
+/// count as ParseCount reads it, at most 65535. `name` labels the error.
+Result<uint16_t> ParsePort(const char* name, const char* text);
 
 /// Parses and validates one request line. Validation happens here, before
 /// a worker is consumed: unknown op, missing/unknown dataset, error type,
@@ -122,12 +124,9 @@ std::string RenderStats(const std::string& id, const ServerStats& stats);
 /// Ack for pause/resume/shutdown: {"id","status":"ok","op":"<name>"}.
 std::string RenderAck(const std::string& id, const char* op);
 
-/// Metrics scrape: {"id","status":"ok","format",...}. JSON format carries
-/// {"metrics":[...]} (the registry's ToJsonArray output, verbatim);
-/// Prometheus format carries the exposition as an escaped string under
-/// {"exposition":...}.
-std::string RenderMetrics(const std::string& id, const std::string& format,
-                          const std::string& payload);
+/// Metrics scrape: {"id","status":"ok","metrics":[...]}, where the array
+/// is the registry's ToJsonArray output, verbatim.
+std::string RenderMetrics(const std::string& id, const std::string& payload);
 
 /// Span tree of one retained trace:
 /// {"id","status":"ok","trace":"<hex>","spans":[{"name","cat","ph","tid",

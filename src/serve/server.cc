@@ -48,35 +48,8 @@ obs::Counter* LifecycleCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-// Sliding-window twins of the lifetime instruments, so a scrape reflects
-// the last FAIRCLEAN_METRICS_WINDOW_S seconds instead of the whole
-// process (DESIGN.md §14). Counting instruments observe 1.0 per event:
-// count / window_s is the rate.
-obs::SlidingWindowHistogram* WindowLatency() {
-  static obs::SlidingWindowHistogram* window =
-      obs::MetricsRegistry::Global().GetWindowHistogram(
-          "serve.window.request_latency_s",
-          obs::MetricsRegistry::DefaultLatencyBounds());
-  return window;
-}
-
-obs::SlidingWindowHistogram* WindowRequests() {
-  static obs::SlidingWindowHistogram* window =
-      obs::MetricsRegistry::Global().GetWindowHistogram(
-          "serve.window.requests", {1.0});
-  return window;
-}
-
-obs::SlidingWindowHistogram* WindowSheds() {
-  static obs::SlidingWindowHistogram* window =
-      obs::MetricsRegistry::Global().GetWindowHistogram(
-          "serve.window.sheds", {1.0});
-  return window;
-}
-
 void RecordShed() {
   LifecycleCounter("serve.requests_shed")->Increment();
-  WindowSheds()->Observe(1.0);
   if (obs::FlightEnabled()) {
     static const uint16_t site =
         obs::FlightRecorder::Site(std::string("serve.shed"));
@@ -104,13 +77,11 @@ Status SendAll(int fd, const std::string& bytes) {
 
 Result<ServeOptions> ServeOptionsFromEnv() {
   ServeOptions options;
-  FC_ASSIGN_OR_RETURN(int64_t port, GetEnvCount("FAIRCLEAN_SERVE_PORT", 7433));
-  if (port > 65535) {
-    return Status::InvalidArgument(
-        StrFormat("FAIRCLEAN_SERVE_PORT must be <= 65535, got %lld",
-                  static_cast<long long>(port)));
+  const std::string port = GetEnvString("FAIRCLEAN_SERVE_PORT", "");
+  if (!port.empty()) {
+    FC_ASSIGN_OR_RETURN(options.port,
+                        ParsePort("FAIRCLEAN_SERVE_PORT", port.c_str()));
   }
-  options.port = static_cast<uint16_t>(port);
   FC_ASSIGN_OR_RETURN(
       int64_t queue,
       GetEnvCount("FAIRCLEAN_SERVE_QUEUE",
@@ -334,13 +305,9 @@ void AdvisorServer::Dispatch(const AdvisorRequest& request,
     case AdvisorRequest::Op::kMetrics: {
       // Scrapes answer inline from the reader thread: they must work even
       // when every worker is wedged — that is when you need them.
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      const std::string format =
-          request.format.empty() ? "json" : request.format;
-      const std::string payload = format == "prometheus"
-                                      ? registry.ToPrometheus()
-                                      : registry.ToJsonArray();
-      WriteResponse(conn, RenderMetrics(request.id, format, payload));
+      WriteResponse(conn,
+                    RenderMetrics(request.id,
+                                  obs::MetricsRegistry::Global().ToJsonArray()));
       return;
     }
     case AdvisorRequest::Op::kTrace: {
@@ -432,7 +399,6 @@ void AdvisorServer::Admit(const AdvisorRequest& request,
   if (admitted) {
     ++accepted_;
     LifecycleCounter("serve.requests_accepted")->Increment();
-    WindowRequests()->Observe(1.0);
     QueueDepthGauge()->Set(static_cast<double>(depth));
     queue_cv_.notify_one();
     return;
@@ -485,7 +451,6 @@ void AdvisorServer::Execute(PendingRequest pending) {
                                       pending.admitted)
             .count();
     LatencyHistogram()->Observe(latency_s);
-    WindowLatency()->Observe(latency_s);
   };
 
   if (pending.deadline.has_value() &&
@@ -645,8 +610,8 @@ void AdvisorServer::Shutdown() {
     wait_cv_.notify_all();
   }
 
-  // Final export so the last window of metrics survives a graceful stop
-  // (the periodic exporter only runs between intervals).
+  // Final export at the graceful stop, so the snapshot on disk is current
+  // even if the process is killed before its at-exit export runs.
   obs::MetricsRegistry::Global().FlushExport();
 }
 

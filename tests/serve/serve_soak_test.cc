@@ -73,12 +73,11 @@ ServerProc SpawnServer(const std::string& cache_dir,
     setenv("FAIRCLEAN_FOLDS", "2", 1);
     setenv("FAIRCLEAN_CACHE_DIR", cache_dir.c_str(), 1);
     setenv("FAIRCLEAN_SERVE_QUEUE", "32", 1);
-    // Telemetry plane under soak: periodic JSONL export plus an armed
+    // Telemetry plane under soak: JSONL metrics export plus an armed
     // flight recorder. A graceful stop must flush a final metrics
     // snapshot; a SIGKILL must leave either no dump or a decodable one.
     const std::string metrics_path = cache_dir + "/metrics.jsonl";
     setenv("FAIRCLEAN_METRICS", metrics_path.c_str(), 1);
-    setenv("FAIRCLEAN_METRICS_INTERVAL_S", "0.2", 1);
     const std::string flight_path = cache_dir + "/fairclean.flight";
     setenv("FAIRCLEAN_FLIGHT", flight_path.c_str(), 1);
     if (faults.empty()) {
@@ -168,8 +167,8 @@ std::string FreshDir(const std::string& name) {
 }
 
 // A gracefully stopped server must leave a final flushed metrics snapshot:
-// valid JSONL, the accepted counter covering every analyze, and the serve
-// latency window present.
+// valid JSONL, with the accepted counter and the serve latency histogram
+// both covering every analyze.
 void ExpectFinalMetricsSnapshot(const std::string& cache_dir,
                                 double min_accepted) {
   const std::string path = cache_dir + "/metrics.jsonl";
@@ -177,7 +176,7 @@ void ExpectFinalMetricsSnapshot(const std::string& cache_dir,
   ASSERT_TRUE(text.ok()) << path << ": " << text.status().ToString();
   ASSERT_FALSE(text->empty()) << path;
   double accepted = -1.0;
-  bool saw_latency_window = false;
+  double latency_count = -1.0;
   size_t start = 0, line_no = 0;
   while (start < text->size()) {
     size_t end = text->find('\n', start);
@@ -194,13 +193,13 @@ void ExpectFinalMetricsSnapshot(const std::string& cache_dir,
     // Each flush replaces the file wholesale, so this is the final state.
     if (name == "serve.requests_accepted") {
       accepted = value.NumberOr("value", -1.0);
-    } else if (name == "serve.window.request_latency_s") {
-      saw_latency_window = true;
-      EXPECT_GT(value.NumberOr("window_s", 0.0), 0.0);
+    } else if (name == "serve.request_latency_s") {
+      EXPECT_EQ(value.StringOr("type", ""), "histogram");
+      latency_count = value.NumberOr("count", -1.0);
     }
   }
   EXPECT_GE(accepted, min_accepted) << path;
-  EXPECT_TRUE(saw_latency_window) << path;
+  EXPECT_GE(latency_count, min_accepted) << path;
 }
 
 // After a SIGKILL the flight dump on disk is either absent (the kill beat

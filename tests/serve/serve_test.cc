@@ -664,21 +664,10 @@ TEST_F(ServeTest, ShutdownShedsQueuedRequestsHonestly) {
 }
 
 TEST(ServeProtocolTest, ParsesTelemetryOps) {
-  Result<AdvisorRequest> metrics = ParseRequest(
-      "{\"op\":\"metrics\",\"id\":\"m\",\"format\":\"prometheus\"}");
+  Result<AdvisorRequest> metrics =
+      ParseRequest("{\"op\":\"metrics\",\"id\":\"m\"}");
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->op, AdvisorRequest::Op::kMetrics);
-  EXPECT_EQ(metrics->format, "prometheus");
-  // Format defaults to json and anything else is rejected at parse time,
-  // before a scrape is rendered.
-  Result<AdvisorRequest> defaulted =
-      ParseRequest("{\"op\":\"metrics\",\"id\":\"m\"}");
-  ASSERT_TRUE(defaulted.ok());
-  EXPECT_EQ(defaulted->format, "json");
-  Result<AdvisorRequest> bad_format =
-      ParseRequest("{\"op\":\"metrics\",\"id\":\"m\",\"format\":\"xml\"}");
-  ASSERT_FALSE(bad_format.ok());
-  EXPECT_EQ(bad_format.status().code(), StatusCode::kInvalidArgument);
 
   Result<AdvisorRequest> trace = ParseRequest(
       "{\"op\":\"trace\",\"id\":\"t\",\"trace_id\":\"00deadbeef000001\"}");
@@ -693,31 +682,29 @@ TEST(ServeProtocolTest, ParsesTelemetryOps) {
   EXPECT_EQ(flight->path, "/tmp/x.flight");
 }
 
-TEST_F(ServeTest, MetricsOpScrapesJsonAndPrometheus) {
+TEST_F(ServeTest, MetricsOpScrapesJson) {
   StartServer("metrics", 8);
   AdvisorClient client("127.0.0.1", server_->port());
   ASSERT_TRUE(client.Call(AnalyzeLine("warm"))->ok());
 
-  // JSON scrape: an array of typed entries; the serve windows must be
-  // present, windowed, and already holding this request.
+  // JSON scrape: an array of typed entries; the serve latency histogram
+  // must be present and already holding this request.
   Result<AdvisorResponse> json =
-      client.Call("{\"op\":\"metrics\",\"id\":\"m1\",\"format\":\"json\"}");
+      client.Call("{\"op\":\"metrics\",\"id\":\"m1\"}");
   ASSERT_TRUE(json.ok()) << json.status().ToString();
   ASSERT_TRUE(json->ok()) << json->raw;
-  EXPECT_EQ(json->json.StringOr("format", ""), "json");
   const obs::JsonValue* metrics = json->json.Find("metrics");
   ASSERT_NE(metrics, nullptr);
   ASSERT_TRUE(metrics->is_array());
-  bool saw_latency_window = false, saw_requests_counter = false;
+  bool saw_latency = false, saw_requests_counter = false;
   for (const obs::JsonValue& entry : metrics->array_items) {
     ASSERT_TRUE(entry.is_object());
     EXPECT_NE(entry.Find("metric"), nullptr);
     EXPECT_NE(entry.Find("type"), nullptr);
     const std::string name = entry.StringOr("metric", "");
-    if (name == "serve.window.request_latency_s") {
-      saw_latency_window = true;
+    if (name == "serve.request_latency_s") {
+      saw_latency = true;
       EXPECT_EQ(entry.StringOr("type", ""), "histogram");
-      EXPECT_GT(entry.NumberOr("window_s", 0.0), 0.0);
       EXPECT_GE(entry.NumberOr("count", 0.0), 1.0);
     } else if (name == "serve.requests_accepted") {
       saw_requests_counter = true;
@@ -725,21 +712,8 @@ TEST_F(ServeTest, MetricsOpScrapesJsonAndPrometheus) {
       EXPECT_GE(entry.NumberOr("value", 0.0), 1.0);
     }
   }
-  EXPECT_TRUE(saw_latency_window);
+  EXPECT_TRUE(saw_latency);
   EXPECT_TRUE(saw_requests_counter);
-
-  // Prometheus scrape: the exposition text rides in one escaped string,
-  // windows rendered as quantile summaries.
-  Result<AdvisorResponse> prom = client.Call(
-      "{\"op\":\"metrics\",\"id\":\"m2\",\"format\":\"prometheus\"}");
-  ASSERT_TRUE(prom.ok() && prom->ok()) << prom->raw;
-  EXPECT_EQ(prom->json.StringOr("format", ""), "prometheus");
-  const std::string exposition = prom->json.StringOr("exposition", "");
-  EXPECT_NE(exposition.find(
-                "# TYPE serve_window_request_latency_s summary"),
-            std::string::npos)
-      << exposition.substr(0, 400);
-  EXPECT_NE(exposition.find("quantile=\"0.99\""), std::string::npos);
 
   // The scrape is served inline by the reader thread: it must answer even
   // when every worker is wedged behind the pause gate.

@@ -1,6 +1,8 @@
 #include "stats/distributions.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +98,61 @@ TEST(StudentTTest, ZeroAndInfinity) {
   EXPECT_DOUBLE_EQ(
       StudentTTwoSidedPValue(std::numeric_limits<double>::infinity(), 5.0),
       0.0);
+}
+
+// Closed-form oracles at one and two degrees of freedom, swept across the
+// ranges impact verdicts reach (deep tails included). Every form below is
+// free of cancellation, so a relative bound holds even where the p-value
+// is tiny.
+
+// Log-spaced points from `lo` to `hi`, both included.
+std::vector<double> LogSweep(double lo, double hi, int points) {
+  std::vector<double> out;
+  const double step = std::log(hi / lo) / (points - 1);
+  for (int i = 0; i < points; ++i) out.push_back(lo * std::exp(step * i));
+  return out;
+}
+
+constexpr double kClosedFormRelTol = 1e-9;
+
+TEST(ChiSquareTest, OneDegreeMatchesErfcClosedForm) {
+  for (double x : LogSweep(1e-6, 200.0, 401)) {
+    const double want = std::erfc(std::sqrt(x / 2.0));
+    EXPECT_NEAR(ChiSquareSurvival(x, 1.0), want, kClosedFormRelTol * want)
+        << "x=" << x;
+  }
+}
+
+TEST(ChiSquareTest, TwoDegreesMatchesExpClosedForm) {
+  for (double x : LogSweep(1e-6, 200.0, 401)) {
+    const double want = std::exp(-x / 2.0);
+    EXPECT_NEAR(ChiSquareSurvival(x, 2.0), want, kClosedFormRelTol * want)
+        << "x=" << x;
+  }
+}
+
+TEST(StudentTTest, OneDegreeMatchesCauchyClosedForm) {
+  for (double magnitude : LogSweep(1e-6, 1e6, 481)) {
+    const double want = 2.0 * std::atan(1.0 / magnitude) / std::acos(-1.0);
+    for (double t : {magnitude, -magnitude}) {
+      EXPECT_NEAR(StudentTTwoSidedPValue(t, 1.0), want,
+                  kClosedFormRelTol * want)
+          << "t=" << t;
+    }
+  }
+}
+
+TEST(StudentTTest, TwoDegreesMatchesClosedForm) {
+  for (double magnitude : LogSweep(1e-6, 1e6, 481)) {
+    // 1 - |t|/s with s = sqrt(2 + t^2), rewritten to avoid cancellation.
+    const double s = std::sqrt(2.0 + magnitude * magnitude);
+    const double want = 2.0 / (s * (s + magnitude));
+    for (double t : {magnitude, -magnitude}) {
+      EXPECT_NEAR(StudentTTwoSidedPValue(t, 2.0), want,
+                  kClosedFormRelTol * want)
+          << "t=" << t;
+    }
+  }
 }
 
 TEST(NormalCdfTest, KnownValues) {

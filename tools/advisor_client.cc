@@ -1,19 +1,14 @@
-// Command-line client and load generator for the cleaning-advisor server.
-//
-// Single-request mode (prints the raw response line):
-//   advisor_client --port P --op ping|stats|shutdown
+// Command-line client for the cleaning-advisor server. Sends one request
+// and prints the raw response line:
+//   advisor_client --port P --op ping|stats|shutdown|metrics|trace|flight
 //   advisor_client --port P --dataset german --error-type missing_values
 //       --model log-reg [--group sex] [--metric PP] [--deadline-s 5]
-//
-// Load mode (prints one JSON report measured client-side):
-//   advisor_client --port P --load --clients 4 --requests 8
-//       --dataset german --error-type missing_values --model log-reg
 //
 // Retries are jittered exponential backoff honoring the server's
 // retry_after_ms shed hints; --seed makes the whole retry schedule
 // reproducible. Exit codes: 0 response ok, 1 transport/parse failure,
-// 3 server answered with an error status (load mode: any request failed
-// after retries).
+// 2 usage error (an unknown flag, or a --port that is not a decimal in
+// [1, 65535]), 3 server answered with an error status.
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +18,7 @@
 #include "common/strings.h"
 #include "obs/json_lite.h"
 #include "serve/client.h"
-#include "serve/load_gen.h"
+#include "serve/protocol.h"
 
 namespace {
 
@@ -36,9 +31,8 @@ int Usage() {
       "         (--op ping|stats|shutdown|metrics|trace|flight |\n"
       "          --dataset D --error-type E --model M [--group G]\n"
       "          [--metric F] [--deadline-s X])\n"
-      "         [--format json|prometheus] [--trace-id HEX] [--path FILE]\n"
-      "         [--load --clients C --requests N] [--no-retry]\n");
-  return 1;
+      "         [--trace-id HEX] [--path FILE] [--no-retry]\n");
+  return 2;
 }
 
 std::string BuildAnalyzeLine(const std::string& id, const std::string& dataset,
@@ -65,15 +59,13 @@ std::string BuildAnalyzeLine(const std::string& id, const std::string& dataset,
 
 int Run(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = -1;
+  uint16_t port = 0;
   uint64_t seed = 42;
   std::string op;
   std::string dataset, error_type, model, group, metric;
-  std::string format, trace_id, path;
+  std::string trace_id, path;
   double deadline_s = 0.0;
-  bool load = false;
   bool no_retry = false;
-  size_t clients = 1, requests = 8;
 
   for (int i = 1; i < argc; ++i) {
     auto value = [&](const char* flag) -> const char* {
@@ -83,7 +75,12 @@ int Run(int argc, char** argv) {
     if (const char* v = value("--host")) {
       host = v;
     } else if (const char* v = value("--port")) {
-      port = std::atoi(v);
+      Result<uint16_t> parsed = serve::ParsePort("--port", v);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+        return Usage();
+      }
+      port = *parsed;
     } else if (const char* v = value("--seed")) {
       seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
     } else if (const char* v = value("--op")) {
@@ -98,34 +95,23 @@ int Run(int argc, char** argv) {
       group = v;
     } else if (const char* v = value("--metric")) {
       metric = v;
-    } else if (const char* v = value("--format")) {
-      format = v;
     } else if (const char* v = value("--trace-id")) {
       trace_id = v;
     } else if (const char* v = value("--path")) {
       path = v;
     } else if (const char* v = value("--deadline-s")) {
       deadline_s = std::atof(v);
-    } else if (const char* v = value("--clients")) {
-      clients = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--requests")) {
-      requests = static_cast<size_t>(std::atoll(v));
-    } else if (std::strcmp(argv[i], "--load") == 0) {
-      load = true;
     } else if (std::strcmp(argv[i], "--no-retry") == 0) {
       no_retry = true;
     } else {
       return Usage();
     }
   }
-  if (port <= 0 || port > 65535) return Usage();
+  if (port == 0) return Usage();
 
   std::string line;
   if (!op.empty()) {
     line = "{\"op\":\"" + obs::JsonEscape(op) + "\",\"id\":\"cli\"";
-    if (!format.empty()) {
-      line += ",\"format\":\"" + obs::JsonEscape(format) + "\"";
-    }
     if (!trace_id.empty()) {
       line += ",\"trace_id\":\"" + obs::JsonEscape(trace_id) + "\"";
     }
@@ -140,25 +126,7 @@ int Run(int argc, char** argv) {
     return Usage();
   }
 
-  if (load) {
-    serve::LoadOptions options;
-    options.host = host;
-    options.port = static_cast<uint16_t>(port);
-    options.clients = clients;
-    options.requests_per_client = requests;
-    options.request_line = line;
-    options.seed = seed;
-    Result<serve::LoadReport> report = serve::RunLoad(options);
-    if (!report.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", report->ToJson().c_str());
-    return report->failed == 0 ? 0 : 3;
-  }
-
-  serve::AdvisorClient client(host, static_cast<uint16_t>(port), seed);
+  serve::AdvisorClient client(host, port, seed);
   Result<serve::AdvisorResponse> response =
       no_retry ? client.Call(line) : client.CallWithRetry(line);
   if (!response.ok()) {

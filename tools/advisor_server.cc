@@ -4,6 +4,9 @@
 //
 // Usage: advisor_server [--port P]
 //
+// --port (a decimal in [0, 65535]; 0 binds an ephemeral port) overrides
+// FAIRCLEAN_SERVE_PORT. A malformed port or an unknown flag exits 2.
+//
 // Configuration is environment-first, like every other binary here:
 // FAIRCLEAN_SERVE_PORT / FAIRCLEAN_SERVE_QUEUE / FAIRCLEAN_SERVE_DEADLINE_S
 // for the serving layer, the usual FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
@@ -21,12 +24,14 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/fault_injection.h"
 #include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 
 namespace {
@@ -40,6 +45,11 @@ volatile std::sig_atomic_t g_terminate = 0;
 
 void HandleTerminate(int) { g_terminate = 1; }
 
+int Usage() {
+  std::fprintf(stderr, "usage: advisor_server [--port P]\n");
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   obs::InitLogLevelFromEnv(obs::LogLevel::kInfo);
   obs::InitTraceFromEnv();
@@ -47,13 +57,17 @@ int Run(int argc, char** argv) {
   // crash leaves a decodable fairclean.flight next to the server.
   obs::FlightRecorder::InstallCrashHandler();
 
-  int port_override = -1;
+  std::optional<uint16_t> port_override;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port_override = std::atoi(argv[++i]);
+      Result<uint16_t> port = serve::ParsePort("--port", argv[++i]);
+      if (!port.ok()) {
+        std::fprintf(stderr, "%s\n", port.status().ToString().c_str());
+        return Usage();
+      }
+      port_override = *port;
     } else {
-      std::fprintf(stderr, "usage: advisor_server [--port P]\n");
-      return 1;
+      return Usage();
     }
   }
 
@@ -69,9 +83,7 @@ int Run(int argc, char** argv) {
                  options.status().ToString().c_str());
     return 2;
   }
-  if (port_override >= 0 && port_override <= 65535) {
-    options->port = static_cast<uint16_t>(port_override);
-  }
+  if (port_override.has_value()) options->port = *port_override;
 
   serve::AdvisorServer server(std::move(*options));
   Status started = server.Start();
