@@ -36,26 +36,30 @@ Result<int64_t> GetEnvCount(const char* name, int64_t default_value) {
   return ParseCount(name, raw);
 }
 
-Result<double> GetEnvBudgetSeconds(const char* name, double default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
+Result<double> ParseSeconds(const char* name, const char* text) {
   char* end = nullptr;
-  double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') {
+  double parsed = std::strtod(text, &end);
+  if (end == text || *end != '\0') {
     return Status::InvalidArgument(std::string(name) +
                                    " must be a number of seconds, got \"" +
-                                   raw + "\"");
+                                   text + "\"");
   }
   if (!std::isfinite(parsed)) {
     return Status::InvalidArgument(std::string(name) +
-                                   " must be finite, got \"" + raw + "\"");
+                                   " must be finite, got \"" + text + "\"");
   }
   if (parsed < 0.0) {
     return Status::InvalidArgument(std::string(name) +
-                                   " must be non-negative, got \"" + raw +
+                                   " must be non-negative, got \"" + text +
                                    "\"");
   }
   return parsed;
+}
+
+Result<double> GetEnvBudgetSeconds(const char* name, double default_value) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return default_value;
+  return ParseSeconds(name, raw);
 }
 
 }  // namespace fairclean

@@ -22,10 +22,14 @@ Result<int64_t> ParseCount(const char* name, const char* text);
 /// misread scale or retry budget invalidates a run without anyone noticing.
 Result<int64_t> GetEnvCount(const char* name, int64_t default_value);
 
+/// Parses `text` as a duration in seconds: a finite non-negative double
+/// with no trailing garbage ("3.5x", "nan", "inf" and "-1" are all
+/// InvalidArgument). `name` (a knob or a flag) labels the error.
+Result<double> ParseSeconds(const char* name, const char* text);
+
 /// Reads a budget/duration knob (FAIRCLEAN_TIME_BUDGET_S,
 /// FAIRCLEAN_SERVE_DEADLINE_S): unset/empty yields `default_value`,
-/// anything else must be a finite non-negative double with no trailing
-/// garbage ("3.5x", "nan", "inf" and "-1" are all InvalidArgument).
+/// anything else must parse with ParseSeconds.
 Result<double> GetEnvBudgetSeconds(const char* name, double default_value);
 
 }  // namespace fairclean

@@ -7,7 +7,6 @@
 
 #include "common/env.h"
 #include "common/strings.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -133,15 +132,10 @@ bool FaultInjector::ShouldFire(const std::string& site) {
   }
   if (fire) {
     ++armed.fires;
-    // Fires show up in the trace timeline as instant events (file sink and
-    // per-trace store both), so injected failures line up visually with
-    // the retries they cause and the `trace` op shows them per request.
-    if (obs::SpanCaptureEnabled()) {
+    // Fires show up in the trace timeline as instant events, so injected
+    // failures line up visually with the retries they cause.
+    if (obs::TraceEnabled()) {
       obs::Tracer::Global().RecordInstant("fault", "fault:" + site);
-    }
-    if (obs::FlightEnabled()) {
-      obs::FlightRecorder::Record(obs::FlightEventType::kFault,
-                                  obs::FlightRecorder::Site(site));
     }
     obs::MetricsRegistry::Global().GetCounter("fault.fires." + site)
         ->Increment();

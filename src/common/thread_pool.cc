@@ -9,7 +9,6 @@
 #include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 
 namespace fairclean {
 
@@ -28,12 +27,6 @@ void ObserveQueueWait(int64_t enqueue_us) {
           obs::MetricsRegistry::DefaultLatencyBounds());
   int64_t waited_us = obs::Tracer::Global().NowMicros() - enqueue_us;
   histogram->Observe(static_cast<double>(waited_us) * 1e-6);
-}
-
-uint64_t SubmitTraceId() { return obs::CurrentTraceId(); }
-
-uint64_t SwapTraceId(uint64_t trace_id) {
-  return obs::SwapCurrentTraceId(trace_id);
 }
 
 }  // namespace internal

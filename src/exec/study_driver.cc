@@ -12,7 +12,6 @@
 #include "common/safe_io.h"
 #include "common/strings.h"
 #include "core/cleaning.h"
-#include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
@@ -433,7 +432,7 @@ std::optional<ResultStore> StudyDriver::LoadSlice(
 }
 
 void StudyDriver::WriteSlice(const std::string& key,
-                             const ResultStore& records, size_t slot) {
+                             const ResultStore& records) {
   StageScope stage(StageWall("checkpoint"), "checkpoint");
   Status written = store_.Write(key, AppendChecksumFooter(records.ToJson()));
   if (!written.ok()) {
@@ -443,12 +442,6 @@ void StudyDriver::WriteSlice(const std::string& key,
     return;
   }
   Count("driver.checkpoints")->Increment();
-  if (obs::FlightEnabled()) {
-    obs::FlightRecorder::Record(
-        obs::FlightEventType::kCheckpoint,
-        obs::FlightRecorder::SiteForCategory("driver.checkpoint"),
-        static_cast<uint32_t>(slot));
-  }
   if (options_.checkpoint_hook) options_.checkpoint_hook();
 }
 
@@ -577,7 +570,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     }
     Count("driver.repeats_run")->Increment();
     records.MergeFrom(slice->records);
-    if (persist) WriteSlice(slice_key, slice->records, slot);
+    if (persist) WriteSlice(slice_key, slice->records);
   }
   records.Put(kMetaNextRepeat, static_cast<double>(num_repeats));
 

@@ -176,8 +176,7 @@ class StudyDriver {
 
   /// Persists one computed slot's records as its slice, then fires the
   /// checkpoint hook. A failed write only costs a recompute on resume.
-  void WriteSlice(const std::string& key, const ResultStore& records,
-                  size_t slot);
+  void WriteSlice(const std::string& key, const ResultStore& records);
 
   /// Named instrument shorthand on the driver's local registry.
   obs::Counter* Count(const char* name);

@@ -10,25 +10,15 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "obs/log.h"
-#include "obs/trace_context.h"
 
 namespace fairclean {
 namespace obs {
 
 namespace internal {
 
-std::atomic<uint32_t> g_capture_mask{0};
-
-void SetCaptureBit(uint32_t bit, bool on) {
-  if (on) {
-    g_capture_mask.fetch_or(bit, std::memory_order_relaxed);
-  } else {
-    g_capture_mask.fetch_and(~bit, std::memory_order_relaxed);
-  }
-}
+std::atomic<bool> g_trace_enabled{false};
 
 }  // namespace internal
 
@@ -41,7 +31,6 @@ struct Event {
   uint32_t tid;
   int64_t ts_us;
   int64_t dur_us;
-  uint64_t trace_id;  // 0 = no request context
 };
 
 // One per thread that ever traced. Owned jointly by the thread (via a
@@ -58,10 +47,6 @@ struct ThreadBuffer {
 // is callable while tracing is disabled).
 thread_local std::string t_pending_thread_name;
 thread_local std::shared_ptr<ThreadBuffer> t_buffer;
-
-// Span-nesting depth on this thread, maintained by TraceSpan Begin/End so
-// the trace store can render span trees without timestamp heuristics.
-thread_local uint32_t t_span_depth = 0;
 
 // Immutable trace epoch, fixed the first time anyone asks (the singleton's
 // construction). A function-local static keeps it data-race free without
@@ -106,9 +91,6 @@ Tracer& Tracer::Global() {
     Tracer* instance = new Tracer();
     const char* path = std::getenv("FAIRCLEAN_TRACE");
     if (path != nullptr && path[0] != '\0') instance->Enable(path);
-    // The flight recorder is armed from the same entry points that arm
-    // tracing, so every instrumented binary records by default.
-    FlightRecorder::Init();
     return instance;
   }();
   return *tracer;
@@ -121,12 +103,12 @@ void Tracer::Enable(const std::string& path) {
     impl_->atexit_registered = true;
     std::atexit([] { Tracer::Global().Flush(); });
   }
-  internal::SetCaptureBit(internal::kCaptureFile, true);
+  internal::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
 void Tracer::Disable() {
   Flush();
-  internal::SetCaptureBit(internal::kCaptureFile, false);
+  internal::g_trace_enabled.store(false, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->drained.clear();
   impl_->path.clear();
@@ -139,50 +121,19 @@ int64_t Tracer::NowMicros() const {
 }
 
 void Tracer::RecordComplete(const char* category, std::string name,
-                            int64_t ts_us, int64_t dur_us, uint32_t depth) {
-  const uint32_t mask = CaptureMask();
-  const uint64_t trace_id = CurrentTraceId();
+                            int64_t ts_us, int64_t dur_us) {
   ThreadBuffer* buffer = impl_->BufferForThisThread();
-  if ((mask & internal::kCaptureStore) != 0 && trace_id != 0) {
-    StoredSpan span;
-    span.name = name;
-    span.category = category;
-    span.phase = 'X';
-    span.tid = buffer->tid;
-    span.depth = depth;
-    span.ts_us = ts_us;
-    span.dur_us = dur_us;
-    internal::TraceStoreRecord(trace_id, std::move(span));
-  }
-  if ((mask & internal::kCaptureFile) != 0) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    buffer->events.push_back(Event{std::move(name), category, 'X',
-                                   buffer->tid, ts_us, dur_us, trace_id});
-  }
+  std::lock_guard<std::mutex> lock(buffer->mutex);
+  buffer->events.push_back(
+      Event{std::move(name), category, 'X', buffer->tid, ts_us, dur_us});
 }
 
 void Tracer::RecordInstant(const char* category, std::string name) {
-  const uint32_t mask = CaptureMask();
-  const uint64_t trace_id = CurrentTraceId();
   const int64_t ts_us = NowMicros();
   ThreadBuffer* buffer = impl_->BufferForThisThread();
-  if ((mask & internal::kCaptureStore) != 0 && trace_id != 0) {
-    StoredSpan span;
-    span.name = name;
-    span.category = category;
-    span.phase = 'i';
-    span.tid = buffer->tid;
-    span.depth = t_span_depth;
-    span.ts_us = ts_us;
-    span.dur_us = 0;
-    internal::TraceStoreRecord(trace_id, std::move(span));
-  }
-  if ((mask & internal::kCaptureFile) != 0) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    buffer->events.push_back(
-        Event{std::move(name), category, 'i', buffer->tid, ts_us, 0,
-              trace_id});
-  }
+  std::lock_guard<std::mutex> lock(buffer->mutex);
+  buffer->events.push_back(
+      Event{std::move(name), category, 'i', buffer->tid, ts_us, 0});
 }
 
 void Tracer::SetCurrentThreadName(const std::string& name) {
@@ -245,52 +196,26 @@ void Tracer::Flush() {
     } else if (event.phase == 'i') {
       out << ",\"s\":\"t\"";
     }
-    if (event.trace_id != 0) {
-      out << ",\"args\":{\"trace\":\"" << TraceIdHex(event.trace_id)
-          << "\"}";
-    }
     out << "}";
     first = false;
   }
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-void TraceSpan::Begin(uint32_t mask, const char* category,
-                      std::string name) {
+void TraceSpan::Begin(const char* category, std::string name) {
   active_ = true;
-  mask_ = mask;
   category_ = category;
   name_ = std::move(name);
-  depth_ = t_span_depth++;
-  if ((mask & internal::kCaptureFlight) != 0) {
-    flight_site_ = FlightRecorder::SiteForCategory(category);
-    FlightRecorder::Record(FlightEventType::kSpanBegin, flight_site_,
-                           depth_);
-  }
   start_us_ = Tracer::Global().NowMicros();
 }
 
 void TraceSpan::End() {
-  // Sinks may have toggled mid-span (tests); RecordComplete re-checks the
-  // live mask, so a span that began under one mask records only into the
-  // sinks still active at scope exit.
+  // Tracing may have been disabled mid-span (tests); such a span is
+  // dropped rather than recorded into a buffer no flush will drain.
+  if (!TraceEnabled()) return;
   Tracer& tracer = Tracer::Global();
-  const int64_t end_us = tracer.NowMicros();
-  const int64_t dur_us = end_us - start_us_;
-  t_span_depth = depth_;
-  if ((mask_ & internal::kCaptureFlight) != 0) {
-    const uint64_t clamped =
-        dur_us < 0 ? 0u : static_cast<uint64_t>(dur_us);
-    FlightRecorder::Record(
-        FlightEventType::kSpanEnd, flight_site_,
-        clamped > 0xffffffffULL ? 0xffffffffu
-                                : static_cast<uint32_t>(clamped));
-  }
-  if ((CaptureMask() &
-       (internal::kCaptureFile | internal::kCaptureStore)) != 0) {
-    tracer.RecordComplete(category_, std::move(name_), start_us_, dur_us,
-                          depth_);
-  }
+  const int64_t dur_us = tracer.NowMicros() - start_us_;
+  tracer.RecordComplete(category_, std::move(name_), start_us_, dur_us);
 }
 
 }  // namespace obs

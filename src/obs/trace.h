@@ -11,31 +11,15 @@ namespace fairclean {
 namespace obs {
 
 namespace internal {
-/// Bitmask of active span sinks. Instrumentation points read it with one
-/// relaxed load; a zero mask is the whole cost of disabled tracing.
-extern std::atomic<uint32_t> g_capture_mask;
-
-constexpr uint32_t kCaptureFile = 1u;    ///< FAIRCLEAN_TRACE Chrome JSON file
-constexpr uint32_t kCaptureStore = 2u;   ///< in-memory per-trace span store
-constexpr uint32_t kCaptureFlight = 4u;  ///< crash flight recorder rings
-
-void SetCaptureBit(uint32_t bit, bool on);
+/// True while the trace file sink is on. Instrumentation points read it
+/// with one relaxed load; false is the whole cost of disabled tracing.
+extern std::atomic<bool> g_trace_enabled;
 }  // namespace internal
 
-/// The sink bitmask as of now.
-inline uint32_t CaptureMask() {
-  return internal::g_capture_mask.load(std::memory_order_relaxed);
-}
-
-/// True when the trace *file* sink is active (FAIRCLEAN_TRACE / Enable()).
-/// Callers that format work only for the trace file key off this; the
-/// flight recorder and trace store have their own bits.
+/// True when the trace file sink is active (FAIRCLEAN_TRACE / Enable()).
 inline bool TraceEnabled() {
-  return (CaptureMask() & internal::kCaptureFile) != 0;
+  return internal::g_trace_enabled.load(std::memory_order_relaxed);
 }
-
-/// True when any span sink (file, trace store, flight recorder) is active.
-inline bool SpanCaptureEnabled() { return CaptureMask() != 0; }
 
 /// Span-based tracer emitting Chrome trace-event JSON (the format Perfetto
 /// and chrome://tracing load). Activated by FAIRCLEAN_TRACE=<path> at
@@ -52,15 +36,9 @@ inline bool SpanCaptureEnabled() { return CaptureMask() != 0; }
 /// no control flow, and writes only to its own file, so scores, cell and
 /// slice records are byte-identical with tracing on or off (enforced by
 /// tests/exec/observability_test.cc).
-///
-/// Spans recorded while a TraceContextScope (trace_context.h) is active on
-/// the thread are tagged with that request's trace id — in the trace file
-/// as "args":{"trace":"<hex>"} and, when the trace store sink is on, as
-/// retained StoredSpans answering the server's `trace` op.
 class Tracer {
  public:
-  /// Process-wide tracer (constructed on first use; reads FAIRCLEAN_TRACE
-  /// and arms the flight recorder from FAIRCLEAN_FLIGHT).
+  /// Process-wide tracer (constructed on first use; reads FAIRCLEAN_TRACE).
   static Tracer& Global();
 
   /// Starts tracing into `path` and registers an at-exit flush. Idempotent
@@ -77,15 +55,11 @@ class Tracer {
   /// Microseconds since the trace epoch (first Enable).
   int64_t NowMicros() const;
 
-  /// Records a complete ("ph":"X") event: into the calling thread's file
-  /// buffer when the file sink is on, and into the per-trace store when
-  /// that sink is on and a trace id is active. `depth` is the span-nesting
-  /// depth used to render stored span trees.
+  /// Records a complete ("ph":"X") event into the calling thread's buffer.
   void RecordComplete(const char* category, std::string name, int64_t ts_us,
-                      int64_t dur_us, uint32_t depth = 0);
+                      int64_t dur_us);
 
   /// Records an instant ("ph":"i") event, e.g. a fault-injection fire.
-  /// Routed to the same sinks as RecordComplete.
   void RecordInstant(const char* category, std::string name);
 
   /// Names the calling thread in the trace ("worker-2"). Cheap and safe to
@@ -109,32 +83,23 @@ class Tracer {
 };
 
 /// RAII span: measures from construction to destruction and records into
-/// every active sink on the owning thread. When all sinks are disabled the
-/// constructor is a single branch and the name is never materialized; when
-/// only the flight recorder is on, dynamic names are likewise skipped —
-/// the flight ring keys events by category site, not name.
+/// the trace file buffer of the owning thread. When tracing is disabled the
+/// constructor is a single branch and the name is never materialized.
 class TraceSpan {
  public:
   /// Static-name span: FC_TRACE_SPAN("ml", "TuneAndFit").
   TraceSpan(const char* category, const char* name) {
-    uint32_t mask = CaptureMask();
-    if (mask != 0) Begin(mask, category, name);
+    if (TraceEnabled()) Begin(category, name);
   }
 
   /// Dynamic-name span; the callable (returning std::string) runs only
-  /// when a name-carrying sink (file or store) is enabled:
+  /// when tracing is enabled:
   ///   TraceSpan span("exec", [&] { return StrFormat("repeat r%zu", r); });
   template <typename NameFn,
             typename = std::enable_if_t<
                 std::is_invocable_r_v<std::string, NameFn>>>
   TraceSpan(const char* category, NameFn&& name_fn) {
-    uint32_t mask = CaptureMask();
-    if (mask != 0) {
-      Begin(mask, category,
-            (mask & (internal::kCaptureFile | internal::kCaptureStore)) != 0
-                ? std::forward<NameFn>(name_fn)()
-                : std::string());
-    }
+    if (TraceEnabled()) Begin(category, std::forward<NameFn>(name_fn)());
   }
 
   ~TraceSpan() {
@@ -145,31 +110,24 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  void Begin(uint32_t mask, const char* category, std::string name);
+  void Begin(const char* category, std::string name);
   void End();
 
   bool active_ = false;
-  uint32_t mask_ = 0;       // sinks active at Begin
-  uint32_t depth_ = 0;      // nesting depth on the owning thread
-  uint16_t flight_site_ = 0;
   const char* category_ = nullptr;
   std::string name_;
   int64_t start_us_ = 0;
 };
 
-/// Forces the tracer's one-time FAIRCLEAN_TRACE env read and arms the
-/// flight recorder. Instrumentation points are pure atomic-load no-ops
-/// until the first Tracer::Global() touch, so process entry points (the
-/// study driver constructor, bench start-up) call this to guarantee the
-/// very first spans are captured.
+/// Forces the tracer's one-time FAIRCLEAN_TRACE env read. Instrumentation
+/// points are pure atomic-load no-ops until the first Tracer::Global()
+/// touch, so process entry points (the study driver constructor, bench
+/// start-up) call this to guarantee the very first spans are captured.
 inline void InitTraceFromEnv() { Tracer::Global(); }
 
 /// Instant event helper with the same disabled-path guarantee as TraceSpan.
 inline void TraceInstant(const char* category, const char* name) {
-  if ((CaptureMask() &
-       (internal::kCaptureFile | internal::kCaptureStore)) != 0) {
-    Tracer::Global().RecordInstant(category, name);
-  }
+  if (TraceEnabled()) Tracer::Global().RecordInstant(category, name);
 }
 
 }  // namespace obs

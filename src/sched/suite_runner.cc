@@ -10,7 +10,6 @@
 #include "common/safe_io.h"
 #include "common/strings.h"
 #include "core/cleaning.h"
-#include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -347,17 +346,6 @@ int SuiteScheduler::ReportFailure(const Status& status) const {
   std::fprintf(stderr, "suite run failed: %s\n", status.ToString().c_str());
   std::fprintf(stderr, "%s", AggregateDiagnostics().Format().c_str());
   if (status.code() == StatusCode::kDeadlineExceeded) {
-    // Deadline overruns are exactly what the flight recorder exists for:
-    // dump the rings so the stall is reconstructible post-mortem.
-    if (obs::FlightEnabled()) {
-      std::string flight_error;
-      const std::string flight_path = obs::FlightRecorder::DefaultPath();
-      if (obs::FlightRecorder::Dump(flight_path, obs::kFlightReasonDeadline,
-                                    &flight_error)) {
-        std::fprintf(stderr, "flight recorder dumped to %s\n",
-                     flight_path.c_str());
-      }
-    }
     std::fprintf(stderr,
                  "completed repeats are checkpointed in %s — re-run to "
                  "resume where this run stopped\n",

@@ -26,8 +26,6 @@ Result<AdvisorRequest::Op> OpByName(const std::string& name) {
   if (name == "resume") return AdvisorRequest::Op::kResume;
   if (name == "shutdown") return AdvisorRequest::Op::kShutdown;
   if (name == "metrics") return AdvisorRequest::Op::kMetrics;
-  if (name == "trace") return AdvisorRequest::Op::kTrace;
-  if (name == "flight") return AdvisorRequest::Op::kFlight;
   return Status::InvalidArgument("unknown op \"" + name + "\"");
 }
 
@@ -72,14 +70,6 @@ Result<AdvisorRequest> ParseRequest(const std::string& line) {
   AdvisorRequest request;
   request.id = value.StringOr("id", "");
   FC_ASSIGN_OR_RETURN(request.op, OpByName(value.StringOr("op", "analyze")));
-  if (request.op == AdvisorRequest::Op::kTrace) {
-    request.trace_id = value.StringOr("trace_id", "");
-    return request;
-  }
-  if (request.op == AdvisorRequest::Op::kFlight) {
-    request.path = value.StringOr("path", "");
-    return request;
-  }
   if (request.op != AdvisorRequest::Op::kAnalyze) return request;
 
   request.dataset = value.StringOr("dataset", "");
@@ -138,9 +128,6 @@ std::string RenderAnalysis(const std::string& id,
   std::string out = "{";
   out += "\"id\":" + obs::JsonQuote(id);
   out += ",\"status\":\"ok\"";
-  if (!analysis.trace_id.empty()) {
-    out += ",\"trace\":" + obs::JsonQuote(analysis.trace_id);
-  }
   out += ",\"cell\":" + obs::JsonQuote(analysis.cell_id);
   out += ",\"cache_file\":" + obs::JsonQuote(analysis.cache_file);
   out += ",\"sha256\":" + obs::JsonQuote(analysis.sha256);
@@ -217,44 +204,6 @@ std::string RenderMetrics(const std::string& id, const std::string& payload) {
   // The payload is the registry's ToJsonArray output: already JSON.
   return "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\",\"metrics\":" +
          payload + "}\n";
-}
-
-std::string RenderTrace(const std::string& id, const std::string& trace_id,
-                        const std::vector<TraceSpanView>& spans) {
-  std::string out = "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\"";
-  out += ",\"trace\":" + obs::JsonQuote(trace_id);
-  out += ",\"spans\":[";
-  bool first = true;
-  for (const TraceSpanView& span : spans) {
-    out += StrFormat(
-        "%s{\"name\":%s,\"cat\":%s,\"ph\":\"%c\",\"tid\":%u,"
-        "\"depth\":%u,\"ts_us\":%lld,\"dur_us\":%lld}",
-        first ? "" : ",", obs::JsonQuote(span.name).c_str(),
-        obs::JsonQuote(span.category).c_str(), span.phase,
-        static_cast<unsigned>(span.tid), static_cast<unsigned>(span.depth),
-        static_cast<long long>(span.ts_us),
-        static_cast<long long>(span.dur_us));
-    first = false;
-  }
-  out += "]}\n";
-  return out;
-}
-
-std::string RenderTraceList(const std::string& id,
-                            const std::vector<std::string>& trace_ids) {
-  std::string out = "{\"id\":" + obs::JsonQuote(id) + ",\"status\":\"ok\"";
-  out += ",\"traces\":[";
-  for (size_t i = 0; i < trace_ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += obs::JsonQuote(trace_ids[i]);
-  }
-  out += "]}\n";
-  return out;
-}
-
-std::string RenderFlight(const std::string& id, const std::string& path) {
-  return "{\"id\":" + obs::JsonQuote(id) +
-         ",\"status\":\"ok\",\"flight\":" + obs::JsonQuote(path) + "}\n";
 }
 
 }  // namespace serve

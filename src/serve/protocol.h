@@ -28,12 +28,8 @@ namespace serve {
 /// pause/resume gate the worker dequeue loop (used by the deterministic
 /// overload tests); shutdown asks the server to exit gracefully.
 ///
-/// Telemetry ops (DESIGN.md §14):
-///   {"op":"metrics","id":...} — live JSON scrape of the global registry;
-///   {"op":"trace","id":...,"trace_id":"<hex>"} — span tree of a completed
-///     request; without trace_id, the list of retained trace ids;
-///   {"op":"flight","id":...,"path":...} — dump the flight recorder rings
-///     (default path when "path" is omitted).
+/// Telemetry op (DESIGN.md §14): {"op":"metrics","id":...} — live JSON
+/// scrape of the global registry.
 struct AdvisorRequest {
   enum class Op {
     kAnalyze,
@@ -42,9 +38,7 @@ struct AdvisorRequest {
     kPause,
     kResume,
     kShutdown,
-    kMetrics,
-    kTrace,
-    kFlight
+    kMetrics
   };
 
   Op op = Op::kAnalyze;
@@ -55,8 +49,6 @@ struct AdvisorRequest {
   std::string group;       ///< "" = dataset's first single-attribute group
   std::string metric;      ///< "" = predictive parity
   double deadline_s = 0.0; ///< per-request override; 0 = server default
-  std::string trace_id;    ///< trace op: hex id to look up ("" = list)
-  std::string path;        ///< flight op: dump path override
 };
 
 /// Parses a TCP port (the tools' --port flag, FAIRCLEAN_SERVE_PORT): a
@@ -82,7 +74,6 @@ struct MethodImpact {
 /// fairness-aware recommendation ("" = keep the dirty data; no cleaning
 /// method is admissible).
 struct AdvisorAnalysis {
-  std::string trace_id;    ///< hex trace id minted at admission ("" = none)
   std::string cell_id;     ///< "dataset/error_type/model"
   std::string cache_file;  ///< cache record basename ("" = uncached run)
   std::string sha256;      ///< byte identity of the cache record
@@ -127,29 +118,6 @@ std::string RenderAck(const std::string& id, const char* op);
 /// Metrics scrape: {"id","status":"ok","metrics":[...]}, where the array
 /// is the registry's ToJsonArray output, verbatim.
 std::string RenderMetrics(const std::string& id, const std::string& payload);
-
-/// Span tree of one retained trace:
-/// {"id","status":"ok","trace":"<hex>","spans":[{"name","cat","ph","tid",
-///  "depth","ts_us","dur_us"},...]}. Spans arrive sorted by (ts, depth).
-struct TraceSpanView {
-  std::string name;
-  std::string category;
-  char phase = 'X';
-  uint32_t tid = 0;
-  uint32_t depth = 0;
-  int64_t ts_us = 0;
-  int64_t dur_us = 0;
-};
-std::string RenderTrace(const std::string& id, const std::string& trace_id,
-                        const std::vector<TraceSpanView>& spans);
-
-/// Retained trace ids (trace op without trace_id), most recent last:
-/// {"id","status":"ok","traces":["<hex>",...]}.
-std::string RenderTraceList(const std::string& id,
-                            const std::vector<std::string>& trace_ids);
-
-/// Flight-dump ack: {"id","status":"ok","flight":"<path>"}.
-std::string RenderFlight(const std::string& id, const std::string& path);
 
 }  // namespace serve
 }  // namespace fairclean

@@ -15,11 +15,9 @@
 #include "common/fault_injection.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 
 namespace fairclean {
 namespace serve {
@@ -48,14 +46,7 @@ obs::Counter* LifecycleCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-void RecordShed() {
-  LifecycleCounter("serve.requests_shed")->Increment();
-  if (obs::FlightEnabled()) {
-    static const uint16_t site =
-        obs::FlightRecorder::Site(std::string("serve.shed"));
-    obs::FlightRecorder::Record(obs::FlightEventType::kShed, site);
-  }
-}
+void RecordShed() { LifecycleCounter("serve.requests_shed")->Increment(); }
 
 // Writes every byte or fails; MSG_NOSIGNAL turns a dead peer into EPIPE
 // instead of SIGPIPE.
@@ -121,10 +112,7 @@ Status AdvisorServer::Start() {
   // connection, not kill the process.
   std::signal(SIGPIPE, SIG_IGN);
 
-  // Arm the telemetry plane: the flight recorder (via the tracer's env
-  // read) and per-trace span retention backing the `trace` op.
   obs::InitTraceFromEnv();
-  obs::EnableTraceStore();
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -310,56 +298,6 @@ void AdvisorServer::Dispatch(const AdvisorRequest& request,
                                   obs::MetricsRegistry::Global().ToJsonArray()));
       return;
     }
-    case AdvisorRequest::Op::kTrace: {
-      if (request.trace_id.empty()) {
-        std::vector<std::string> hex_ids;
-        for (uint64_t trace_id : obs::TraceStoreIds()) {
-          hex_ids.push_back(obs::TraceIdHex(trace_id));
-        }
-        WriteResponse(conn, RenderTraceList(request.id, hex_ids));
-        return;
-      }
-      const uint64_t trace_id = obs::ParseTraceIdHex(request.trace_id);
-      std::optional<std::vector<obs::StoredSpan>> spans =
-          trace_id != 0 ? obs::TraceStoreGet(trace_id) : std::nullopt;
-      if (!spans.has_value()) {
-        WriteResponse(conn,
-                      RenderError(request.id,
-                                  Status::NotFound(StrFormat(
-                                      "trace \"%s\" not retained (evicted, "
-                                      "malformed, or never recorded)",
-                                      request.trace_id.c_str()))));
-        return;
-      }
-      std::vector<TraceSpanView> views;
-      views.reserve(spans->size());
-      for (obs::StoredSpan& span : *spans) {
-        TraceSpanView view;
-        view.name = std::move(span.name);
-        view.category = std::move(span.category);
-        view.phase = span.phase;
-        view.tid = span.tid;
-        view.depth = span.depth;
-        view.ts_us = span.ts_us;
-        view.dur_us = span.dur_us;
-        views.push_back(std::move(view));
-      }
-      WriteResponse(conn, RenderTrace(request.id, request.trace_id, views));
-      return;
-    }
-    case AdvisorRequest::Op::kFlight: {
-      const std::string path = request.path.empty()
-                                   ? obs::FlightRecorder::DefaultPath()
-                                   : request.path;
-      std::string error;
-      if (!obs::FlightRecorder::Dump(path, obs::kFlightReasonExplicit,
-                                     &error)) {
-        WriteResponse(conn, RenderError(request.id, Status::IoError(error)));
-        return;
-      }
-      WriteResponse(conn, RenderFlight(request.id, path));
-      return;
-    }
     case AdvisorRequest::Op::kAnalyze:
       Admit(request, conn);
       return;
@@ -372,9 +310,6 @@ void AdvisorServer::Admit(const AdvisorRequest& request,
   pending.request = request;
   pending.conn = conn;
   pending.admitted = std::chrono::steady_clock::now();
-  // Minted at admission so queue wait, execution, and every store span
-  // below share one id — the `trace` op keys on it.
-  pending.trace_id = obs::MintTraceId();
   double deadline_s = request.deadline_s > 0.0 ? request.deadline_s
                                                : options_.default_deadline_s;
   if (deadline_s > 0.0) {
@@ -442,9 +377,6 @@ void AdvisorServer::WorkerLoop(size_t index) {
 
 void AdvisorServer::Execute(PendingRequest pending) {
   const std::string& id = pending.request.id;
-  // Every span and fault instant below this frame inherits the request's
-  // trace id (the worker thread's ambient context).
-  obs::TraceContextScope trace_scope(pending.trace_id);
   auto observe_latency = [&pending] {
     const double latency_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -481,7 +413,6 @@ void AdvisorServer::Execute(PendingRequest pending) {
     if (analysis.ok()) {
       ++ok_;
       LifecycleCounter("serve.requests_ok")->Increment();
-      analysis->trace_id = obs::TraceIdHex(pending.trace_id);
       reply = RenderAnalysis(id, *analysis);
     } else if (analysis.status().code() == StatusCode::kDeadlineExceeded) {
       ++deadline_exceeded_;
@@ -493,8 +424,6 @@ void AdvisorServer::Execute(PendingRequest pending) {
       reply = RenderError(id, analysis.status());
     }
   }
-  // A span is stored when it closes: the root span closes before the reply
-  // goes out, so a client that asks for this trace next gets the whole tree.
   WriteResponse(pending.conn, reply);
   observe_latency();
 }

@@ -115,7 +115,6 @@ class AdvisorServer {
     std::shared_ptr<Connection> conn;
     std::chrono::steady_clock::time_point admitted;
     std::optional<std::chrono::steady_clock::time_point> deadline;
-    uint64_t trace_id = 0;  ///< minted at admission; tags every span below
   };
 
   void AcceptLoop();

@@ -1,9 +1,13 @@
 // Metamorphic properties of the group fairness metrics: swapping the groups
 // negates every signed gap, a perfect classifier has zero EO/PP gaps, and
 // duplicating every row leaves all gaps unchanged (gaps are differences of
-// rates, and rates are invariant under exact count doubling).
+// rates, and rates are invariant under exact count doubling). A per-row
+// brute-force oracle pins every signed gap to the last bit.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,6 +185,136 @@ TEST(FairnessProperties, RowsInNeitherGroupAreIgnored) {
     EXPECT_DOUBLE_EQ(FairnessGap(metric, *confusion),
                      FairnessGap(metric, *extended_confusion));
   }
+}
+
+// ---------------------------------------------------- brute-force oracle --
+
+// Signed gaps (privileged minus disadvantaged) computed row by row, with
+// no ConfusionMatrix, GroupConfusion or FairnessGap in sight. A rate whose
+// denominator is zero takes the documented convention of the library:
+// precision, recall, positive rate and accuracy read 0 (ConfusionMatrix),
+// the false-positive rate is NaN (FairnessGap marks the repeat degenerate).
+struct OracleGaps {
+  double pp, eo, dp, fpr, ap;
+
+  double For(FairnessMetric metric) const {
+    switch (metric) {
+      case FairnessMetric::kPredictiveParity:
+        return pp;
+      case FairnessMetric::kEqualOpportunity:
+        return eo;
+      case FairnessMetric::kDemographicParity:
+        return dp;
+      case FairnessMetric::kFalsePositiveRateParity:
+        return fpr;
+      case FairnessMetric::kAccuracyParity:
+        return ap;
+    }
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+};
+
+double OracleRate(int64_t numerator, int64_t denominator,
+                  double undefined) {
+  if (denominator == 0) return undefined;
+  return static_cast<double>(numerator) / static_cast<double>(denominator);
+}
+
+OracleGaps BruteForceGaps(const Population& population) {
+  // counts[group][label][prediction]; group 0 = privileged, 1 =
+  // disadvantaged. A row in neither group is skipped.
+  int64_t counts[2][2][2] = {};
+  for (size_t i = 0; i < population.y_true.size(); ++i) {
+    int group;
+    if (population.groups.privileged[i]) {
+      group = 0;
+    } else if (population.groups.disadvantaged[i]) {
+      group = 1;
+    } else {
+      continue;
+    }
+    ++counts[group][population.y_true[i]][population.y_pred[i]];
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double pp[2], eo[2], dp[2], fpr[2], ap[2];
+  for (int g = 0; g < 2; ++g) {
+    const int64_t tp = counts[g][1][1];
+    const int64_t fn = counts[g][1][0];
+    const int64_t fp = counts[g][0][1];
+    const int64_t tn = counts[g][0][0];
+    const int64_t n = tp + fn + fp + tn;
+    pp[g] = OracleRate(tp, tp + fp, 0.0);
+    eo[g] = OracleRate(tp, tp + fn, 0.0);
+    dp[g] = OracleRate(tp + fp, n, 0.0);
+    fpr[g] = OracleRate(fp, fp + tn, nan);
+    ap[g] = OracleRate(tp + tn, n, 0.0);
+  }
+  return OracleGaps{pp[0] - pp[1], eo[0] - eo[1], dp[0] - dp[1],
+                    fpr[0] - fpr[1], ap[0] - ap[1]};
+}
+
+// Random labels, predictions and three-way membership (privileged,
+// disadvantaged, neither). Small sizes and skewed rates make empty groups
+// and zero denominators common.
+Population RandomOraclePopulation(Rng* rng) {
+  const size_t n = static_cast<size_t>(
+      rng->Bernoulli(0.5) ? rng->UniformInt(0, 8) : rng->UniformInt(9, 300));
+  const std::vector<double> membership = {rng->Uniform(), rng->Uniform(),
+                                          rng->Uniform()};
+  const double p_label = rng->Uniform();
+  const double p_prediction = rng->Uniform();
+  Population population;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t group = rng->Categorical(membership);
+    population.groups.privileged.push_back(group == 0);
+    population.groups.disadvantaged.push_back(group == 1);
+    population.y_true.push_back(rng->Bernoulli(p_label) ? 1 : 0);
+    population.y_pred.push_back(rng->Bernoulli(p_prediction) ? 1 : 0);
+  }
+  return population;
+}
+
+TEST(FairnessOracle, EverySignedGapMatchesPerRowBruteForceToTheLastBit) {
+  Rng rng(20231);
+  size_t fpr_nan = 0, pp_undefined = 0, neither_rows = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const Population population = RandomOraclePopulation(&rng);
+    Result<GroupConfusion> confusion = ComputeGroupConfusion(
+        population.y_true, population.y_pred, population.groups);
+    ASSERT_TRUE(confusion.ok()) << confusion.status().ToString();
+    const OracleGaps expected = BruteForceGaps(population);
+    for (FairnessMetric metric : kAllMetrics) {
+      const double want = expected.For(metric);
+      const double got = FairnessGap(metric, *confusion);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got))
+            << FairnessMetricName(metric) << " trial " << trial;
+        EXPECT_TRUE(std::isnan(AbsoluteFairnessGap(metric, *confusion)));
+        continue;
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << FairnessMetricName(metric) << " trial " << trial << ": " << got
+          << " vs oracle " << want;
+      const double abs_got = AbsoluteFairnessGap(metric, *confusion);
+      EXPECT_EQ(std::bit_cast<uint64_t>(abs_got),
+                std::bit_cast<uint64_t>(std::fabs(want)))
+          << FairnessMetricName(metric) << " trial " << trial;
+    }
+    fpr_nan += std::isnan(expected.fpr) ? 1 : 0;
+    const ConfusionMatrix& priv = confusion->privileged;
+    const ConfusionMatrix& dis = confusion->disadvantaged;
+    pp_undefined += (priv.tp + priv.fp == 0 || dis.tp + dis.fp == 0) ? 1 : 0;
+    for (size_t i = 0; i < population.y_true.size(); ++i) {
+      if (!population.groups.privileged[i] &&
+          !population.groups.disadvantaged[i]) {
+        ++neither_rows;
+      }
+    }
+  }
+  // The draw must reach the edge cases the oracle exists for.
+  EXPECT_GT(fpr_nan, 100u);
+  EXPECT_GT(pp_undefined, 100u);
+  EXPECT_GT(neither_rows, 1000u);
 }
 
 }  // namespace

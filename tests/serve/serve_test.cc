@@ -28,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
-#include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
 #include "serve/advisor_service.h"
@@ -669,17 +668,17 @@ TEST(ServeProtocolTest, ParsesTelemetryOps) {
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->op, AdvisorRequest::Op::kMetrics);
 
-  Result<AdvisorRequest> trace = ParseRequest(
-      "{\"op\":\"trace\",\"id\":\"t\",\"trace_id\":\"00deadbeef000001\"}");
-  ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(trace->op, AdvisorRequest::Op::kTrace);
-  EXPECT_EQ(trace->trace_id, "00deadbeef000001");
-
-  Result<AdvisorRequest> flight = ParseRequest(
-      "{\"op\":\"flight\",\"id\":\"f\",\"path\":\"/tmp/x.flight\"}");
-  ASSERT_TRUE(flight.ok());
-  EXPECT_EQ(flight->op, AdvisorRequest::Op::kFlight);
-  EXPECT_EQ(flight->path, "/tmp/x.flight");
+  // `trace` and `flight` name no op: they are rejected like any other
+  // unknown op name.
+  for (const char* retired : {"trace", "flight"}) {
+    Result<AdvisorRequest> request = ParseRequest(
+        std::string("{\"op\":\"") + retired + "\",\"id\":\"t\"}");
+    ASSERT_FALSE(request.ok()) << retired;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(request.status().message().find("unknown op"),
+              std::string::npos)
+        << request.status().ToString();
+  }
 }
 
 TEST_F(ServeTest, MetricsOpScrapesJson) {
@@ -726,89 +725,6 @@ TEST_F(ServeTest, MetricsOpScrapesJson) {
   ASSERT_TRUE(paused.ok() && paused->ok());
   ASSERT_TRUE(conn.Send("{\"op\":\"resume\",\"id\":\"r\"}"));
   ASSERT_TRUE(ParseResponse(conn.ReadLine()).ok());
-}
-
-TEST_F(ServeTest, TraceOpReturnsTheSpanTreeOfACompletedRequest) {
-  StartServer("traceop", 8);
-  AdvisorClient client("127.0.0.1", server_->port());
-  Result<AdvisorResponse> analyzed = client.Call(AnalyzeLine("t1"));
-  ASSERT_TRUE(analyzed.ok() && analyzed->ok()) << analyzed->raw;
-  const std::string trace_id = analyzed->json.StringOr("trace", "");
-  ASSERT_EQ(trace_id.size(), 16u) << analyzed->raw;
-
-  // Listing retains the id the analyze response advertised.
-  Result<AdvisorResponse> listed =
-      client.Call("{\"op\":\"trace\",\"id\":\"l\"}");
-  ASSERT_TRUE(listed.ok() && listed->ok()) << listed->raw;
-  const obs::JsonValue* traces = listed->json.Find("traces");
-  ASSERT_NE(traces, nullptr);
-  bool retained = false;
-  for (const obs::JsonValue& entry : traces->array_items) {
-    if (entry.string_value == trace_id) retained = true;
-  }
-  EXPECT_TRUE(retained);
-
-  // The span tree for that id covers the request across layers: a serve
-  // root span plus nested work, every span shaped for the tree renderer.
-  Result<AdvisorResponse> fetched = client.Call(
-      "{\"op\":\"trace\",\"id\":\"t\",\"trace_id\":\"" + trace_id + "\"}");
-  ASSERT_TRUE(fetched.ok() && fetched->ok()) << fetched->raw;
-  EXPECT_EQ(fetched->json.StringOr("trace", ""), trace_id);
-  const obs::JsonValue* spans = fetched->json.Find("spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_FALSE(spans->array_items.empty());
-  bool saw_root = false;
-  for (const obs::JsonValue& span : spans->array_items) {
-    EXPECT_NE(span.Find("name"), nullptr);
-    EXPECT_NE(span.Find("cat"), nullptr);
-    EXPECT_GE(span.NumberOr("dur_us", -1.0), 0.0);
-    if (span.NumberOr("depth", -1.0) == 0.0) saw_root = true;
-  }
-  EXPECT_TRUE(saw_root);
-
-  // Unknown and malformed ids both answer not_found without a worker.
-  Result<AdvisorResponse> unknown = client.Call(
-      "{\"op\":\"trace\",\"id\":\"u\",\"trace_id\":\"ffffffffffffffff\"}");
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_FALSE(unknown->ok());
-  EXPECT_NE(unknown->error.find("not retained"), std::string::npos);
-  Result<AdvisorResponse> malformed = client.Call(
-      "{\"op\":\"trace\",\"id\":\"b\",\"trace_id\":\"zz\"}");
-  ASSERT_TRUE(malformed.ok());
-  EXPECT_FALSE(malformed->ok());
-}
-
-TEST_F(ServeTest, FlightOpWritesADecodableDump) {
-  StartServer("flightop", 8);
-  obs::FlightRecorder::Enable(/*capacity=*/4096);
-  AdvisorClient client("127.0.0.1", server_->port());
-  ASSERT_TRUE(client.Call(AnalyzeLine("f1"))->ok());
-
-  const std::string path = FreshDir("flight") + "/op.flight";
-  Result<AdvisorResponse> dumped = client.Call(
-      "{\"op\":\"flight\",\"id\":\"f\",\"path\":\"" + path + "\"}");
-  ASSERT_TRUE(dumped.ok() && dumped->ok()) << dumped->raw;
-  EXPECT_EQ(dumped->json.StringOr("flight", ""), path);
-
-  obs::FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(obs::DecodeFlightFile(path, &dump, &error)) << error;
-  EXPECT_EQ(dump.reason, obs::kFlightReasonExplicit);
-  EXPECT_GT(dump.TotalEvents(), 0u);
-  // The request left span begin/end pairs behind in some worker's ring.
-  size_t span_events = 0;
-  for (const obs::FlightDump::Thread& thread : dump.threads) {
-    for (const obs::FlightEntry& entry : thread.events) {
-      if (entry.type ==
-              static_cast<uint8_t>(obs::FlightEventType::kSpanBegin) ||
-          entry.type ==
-              static_cast<uint8_t>(obs::FlightEventType::kSpanEnd)) {
-        ++span_events;
-      }
-    }
-  }
-  EXPECT_GT(span_events, 0u);
-  obs::FlightRecorder::Disable();
 }
 
 }  // namespace

@@ -1,20 +1,22 @@
 // Command-line client for the cleaning-advisor server. Sends one request
 // and prints the raw response line:
-//   advisor_client --port P --op ping|stats|shutdown|metrics|trace|flight
+//   advisor_client --port P --op ping|stats|shutdown|metrics
 //   advisor_client --port P --dataset german --error-type missing_values
 //       --model log-reg [--group sex] [--metric PP] [--deadline-s 5]
 //
 // Retries are jittered exponential backoff honoring the server's
 // retry_after_ms shed hints; --seed makes the whole retry schedule
 // reproducible. Exit codes: 0 response ok, 1 transport/parse failure,
-// 2 usage error (an unknown flag, or a --port that is not a decimal in
-// [1, 65535]), 3 server answered with an error status.
+// 2 usage error (an unknown flag, a --port that is not a decimal in
+// [1, 65535], a --seed that is not a non-negative decimal, or a
+// --deadline-s that is not a finite non-negative number), 3 server
+// answered with an error status.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/env.h"
 #include "common/strings.h"
 #include "obs/json_lite.h"
 #include "serve/client.h"
@@ -28,10 +30,10 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: advisor_client --port P [--host H] [--seed S]\n"
-      "         (--op ping|stats|shutdown|metrics|trace|flight |\n"
+      "         (--op ping|stats|shutdown|metrics |\n"
       "          --dataset D --error-type E --model M [--group G]\n"
       "          [--metric F] [--deadline-s X])\n"
-      "         [--trace-id HEX] [--path FILE] [--no-retry]\n");
+      "         [--no-retry]\n");
   return 2;
 }
 
@@ -63,7 +65,6 @@ int Run(int argc, char** argv) {
   uint64_t seed = 42;
   std::string op;
   std::string dataset, error_type, model, group, metric;
-  std::string trace_id, path;
   double deadline_s = 0.0;
   bool no_retry = false;
 
@@ -72,17 +73,21 @@ int Run(int argc, char** argv) {
       if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
       return nullptr;
     };
+    // Prints a malformed flag's error; the caller then exits with usage.
+    auto bad = [](const Status& status) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return Usage();
+    };
     if (const char* v = value("--host")) {
       host = v;
     } else if (const char* v = value("--port")) {
       Result<uint16_t> parsed = serve::ParsePort("--port", v);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        return Usage();
-      }
+      if (!parsed.ok()) return bad(parsed.status());
       port = *parsed;
     } else if (const char* v = value("--seed")) {
-      seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
+      Result<int64_t> parsed = ParseCount("--seed", v);
+      if (!parsed.ok()) return bad(parsed.status());
+      seed = static_cast<uint64_t>(*parsed);
     } else if (const char* v = value("--op")) {
       op = v;
     } else if (const char* v = value("--dataset")) {
@@ -95,12 +100,10 @@ int Run(int argc, char** argv) {
       group = v;
     } else if (const char* v = value("--metric")) {
       metric = v;
-    } else if (const char* v = value("--trace-id")) {
-      trace_id = v;
-    } else if (const char* v = value("--path")) {
-      path = v;
     } else if (const char* v = value("--deadline-s")) {
-      deadline_s = std::atof(v);
+      Result<double> parsed = ParseSeconds("--deadline-s", v);
+      if (!parsed.ok()) return bad(parsed.status());
+      deadline_s = *parsed;
     } else if (std::strcmp(argv[i], "--no-retry") == 0) {
       no_retry = true;
     } else {
@@ -111,14 +114,7 @@ int Run(int argc, char** argv) {
 
   std::string line;
   if (!op.empty()) {
-    line = "{\"op\":\"" + obs::JsonEscape(op) + "\",\"id\":\"cli\"";
-    if (!trace_id.empty()) {
-      line += ",\"trace_id\":\"" + obs::JsonEscape(trace_id) + "\"";
-    }
-    if (!path.empty()) {
-      line += ",\"path\":\"" + obs::JsonEscape(path) + "\"";
-    }
-    line += "}";
+    line = "{\"op\":\"" + obs::JsonEscape(op) + "\",\"id\":\"cli\"}";
   } else if (!dataset.empty()) {
     line = BuildAnalyzeLine("cli", dataset, error_type, model, group, metric,
                             deadline_s);

@@ -28,7 +28,6 @@
 #include <string>
 
 #include "common/fault_injection.h"
-#include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -53,9 +52,6 @@ int Usage() {
 int Run(int argc, char** argv) {
   obs::InitLogLevelFromEnv(obs::LogLevel::kInfo);
   obs::InitTraceFromEnv();
-  // Fatal signals dump the flight recorder rings before re-raising, so a
-  // crash leaves a decodable fairclean.flight next to the server.
-  obs::FlightRecorder::InstallCrashHandler();
 
   std::optional<uint16_t> port_override;
   for (int i = 1; i < argc; ++i) {

@@ -2,19 +2,14 @@
 // (DESIGN.md §14):
 //   obs_tool trace <trace.json> [--filter S]  # FAIRCLEAN_TRACE output
 //   obs_tool metrics <metrics.jsonl>          # FAIRCLEAN_METRICS output
-//   obs_tool flight <fairclean.flight>        # crash/deadline/explicit dump
 // The trace digest aggregates complete events into a per-site latency
 // table (count, total, mean, p50, p95, max). Span names are normalized by
 // collapsing every digit run to '#', so per-item spans ("tune fold 3
 // log-reg", "slot adult/missing_values/knn r12") fold into one row per call
 // site; instant events are tallied by name. Scheduler cell spans are
 // wave-tagged ("cell w3 adult/missing_values/knn") and fold into a
-// per-wave breakdown, and spans carrying a trace id fold into per-request
-// digests. `--filter` narrows the site table to categories/sites
-// containing S (e.g. `--filter sched`).
-// The flight digest prints the dump header, per-thread ring occupancy,
-// per-site event counts, and the newest events last (the crash is at the
-// bottom, where eyes land).
+// per-wave breakdown. `--filter` narrows the site table to
+// categories/sites containing S (e.g. `--filter sched`).
 
 #include <algorithm>
 #include <cctype>
@@ -27,7 +22,6 @@
 #include <vector>
 
 #include "common/safe_io.h"
-#include "obs/flight.h"
 #include "obs/json_lite.h"
 
 namespace {
@@ -37,8 +31,7 @@ using namespace fairclean;  // NOLINT
 int Usage() {
   std::fprintf(stderr,
                "usage: obs_tool trace <trace.json> [--filter S]\n"
-               "       obs_tool metrics <metrics.jsonl>\n"
-               "       obs_tool flight <fairclean.flight>\n");
+               "       obs_tool metrics <metrics.jsonl>\n");
   return 2;
 }
 
@@ -61,17 +54,6 @@ std::string NormalizeName(const std::string& name) {
   }
   return out;
 }
-
-/// One request's digest, grouped by the trace id spans are tagged with.
-struct TraceStats {
-  size_t spans = 0;
-  size_t instants = 0;          ///< fault fires and sheds in this request
-  double busy_us = 0.0;         ///< sum of span durations (overlaps count)
-  double first_ts_us = 1e300;   ///< earliest span start
-  double last_end_us = 0.0;     ///< latest span end
-  double slowest_us = 0.0;
-  std::string slowest;          ///< name of the longest span
-};
 
 /// One Kahn wave's cell compute (sched "cell w<k> ..." spans).
 struct WaveStats {
@@ -143,17 +125,10 @@ int DigestTrace(const std::string& path, const std::string& filter) {
   std::map<std::string, std::vector<double>> sites;
   std::map<std::string, int64_t> instants;
   std::map<double, std::string> thread_names;
-  // Request digests, keyed by the trace id the server stamps into each
-  // span's args.trace at admission.
-  std::map<std::string, TraceStats> traces;
   std::map<size_t, WaveStats> waves;
   size_t complete_events = 0;
   for (const obs::JsonValue& event : events->array_items) {
     std::string phase = event.StringOr("ph", "");
-    std::string trace_id;
-    if (const obs::JsonValue* args = event.Find("args")) {
-      trace_id = args->StringOr("trace", "");
-    }
     if (phase == "X") {
       ++complete_events;
       std::string name = event.StringOr("name", "?");
@@ -171,21 +146,8 @@ int DigestTrace(const std::string& path, const std::string& filter) {
           stats.slowest_cell = cell;
         }
       }
-      if (!trace_id.empty()) {
-        TraceStats& stats = traces[trace_id];
-        ++stats.spans;
-        stats.busy_us += dur_us;
-        double ts = event.NumberOr("ts", 0.0);
-        stats.first_ts_us = std::min(stats.first_ts_us, ts);
-        stats.last_end_us = std::max(stats.last_end_us, ts + dur_us);
-        if (dur_us > stats.slowest_us) {
-          stats.slowest_us = dur_us;
-          stats.slowest = name;
-        }
-      }
     } else if (phase == "i" || phase == "I") {
       ++instants[event.StringOr("name", "?")];
-      if (!trace_id.empty()) ++traces[trace_id].instants;
     } else if (phase == "M" &&
                event.StringOr("name", "") == "thread_name") {
       const obs::JsonValue* args = event.Find("args");
@@ -252,19 +214,6 @@ int DigestTrace(const std::string& path, const std::string& filter) {
       std::printf("  tid %-4.0f %s\n", tid, name.c_str());
     }
   }
-  if (!traces.empty()) {
-    std::printf("\nper-request digests (%zu traces):\n", traces.size());
-    std::printf("  %-18s %6s %6s %10s %10s  %s\n", "trace", "spans",
-                "inst", "wall_ms", "busy_ms", "slowest span");
-    for (const auto& [trace_id, stats] : traces) {
-      double wall_us =
-          stats.spans > 0 ? stats.last_end_us - stats.first_ts_us : 0.0;
-      std::printf("  %-18s %6zu %6zu %10.3f %10.3f  %s (%.3f ms)\n",
-                  trace_id.c_str(), stats.spans, stats.instants,
-                  wall_us / 1e3, stats.busy_us / 1e3,
-                  stats.slowest.c_str(), stats.slowest_us / 1e3);
-    }
-  }
   return 0;
 }
 
@@ -310,61 +259,6 @@ int DigestMetricsJsonl(const std::string& path) {
   return 0;
 }
 
-// -------------------------------------------------------------- flight --
-
-const char* FlightReasonName(uint32_t reason) {
-  if (reason == obs::kFlightReasonExplicit) return "explicit";
-  if (reason == obs::kFlightReasonDeadline) return "deadline";
-  return "signal";  // reason carries the signal number
-}
-
-int DecodeFlight(const std::string& path) {
-  obs::FlightDump dump;
-  std::string error;
-  if (!obs::DecodeFlightFile(path, &dump, &error)) {
-    std::fprintf(stderr, "cannot decode %s: %s\n", path.c_str(),
-                 error.c_str());
-    return 1;
-  }
-  std::printf("%s: version %u, reason %s", path.c_str(), dump.version,
-              FlightReasonName(dump.reason));
-  if (dump.reason != obs::kFlightReasonExplicit &&
-      dump.reason != obs::kFlightReasonDeadline) {
-    std::printf(" (%u)", dump.reason);
-  }
-  std::printf(", %zu sites, %zu threads, %zu events\n", dump.sites.size(),
-              dump.threads.size(), dump.TotalEvents());
-
-  std::map<std::string, uint64_t> by_site;
-  for (const obs::FlightDump::Thread& thread : dump.threads) {
-    std::printf("  tid %u: %zu events retained (%llu recorded)\n",
-                thread.tid, thread.events.size(),
-                static_cast<unsigned long long>(thread.recorded));
-    for (const obs::FlightEntry& entry : thread.events) {
-      ++by_site[dump.sites[entry.site]];
-    }
-  }
-  std::printf("\nevents by site:\n");
-  for (const auto& [site, count] : by_site) {
-    std::printf("  %-44s %8llu\n", site.c_str(),
-                static_cast<unsigned long long>(count));
-  }
-  std::printf("\nper-thread tails (newest last):\n");
-  for (const obs::FlightDump::Thread& thread : dump.threads) {
-    std::printf("  tid %u:\n", thread.tid);
-    size_t begin =
-        thread.events.size() > 16 ? thread.events.size() - 16 : 0;
-    for (size_t i = begin; i < thread.events.size(); ++i) {
-      const obs::FlightEntry& entry = thread.events[i];
-      std::printf("    %12llu us  %-10s %-40s arg=%u\n",
-                  static_cast<unsigned long long>(entry.ts_us),
-                  obs::FlightEventTypeName(entry.type),
-                  dump.sites[entry.site].c_str(), entry.arg);
-    }
-  }
-  return 0;
-}
-
 int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string mode = argv[1];
@@ -386,10 +280,6 @@ int Run(int argc, char** argv) {
   if (mode == "metrics") {
     if (argc != 3) return Usage();
     return DigestMetricsJsonl(argv[2]);
-  }
-  if (mode == "flight") {
-    if (argc != 3) return Usage();
-    return DecodeFlight(argv[2]);
   }
   return Usage();
 }
