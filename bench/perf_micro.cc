@@ -270,6 +270,27 @@ std::vector<ForkedCase> KernelCases() {
       (void)out;
     });
   }});
+  // TuneAndFit at the suite's fold scale on a one-hot encoded frame: most
+  // columns hold only 0 and 1, which the two-valued split search and the
+  // zero-skipping IRLS are for.
+  cases.push_back({"BM_GbdtTuneOneHot/700", [] {
+    auto data = std::make_shared<EncodedData>(EncodeAdult(700));
+    return std::function<void()>([data] {
+      Rng rng(37);
+      Result<TuneOutcome> outcome = TuneAndFit(
+          GbdtFamily(), data->x, data->y, /*num_folds=*/3, &rng);
+      (void)outcome;
+    });
+  }});
+  cases.push_back({"BM_LogRegTuneOneHot/700", [] {
+    auto data = std::make_shared<EncodedData>(EncodeAdult(700));
+    return std::function<void()>([data] {
+      Rng rng(37);
+      Result<TuneOutcome> outcome = TuneAndFit(
+          LogRegFamily(), data->x, data->y, /*num_folds=*/3, &rng);
+      (void)outcome;
+    });
+  }});
   cases.push_back({"BM_TuningFoldDataShared/4000", [] {
     // TuneAndFit's fold-data cache: one materialization serves the whole
     // grid.

@@ -28,6 +28,23 @@ size_t FeatureChunks(ThreadPool* pool, size_t num_features) {
   return std::min(num_features, pool->num_threads());
 }
 
+// Gain of splitting a node with sums (g_total, h_total) into a left child
+// with sums (g_left, h_left), or 0 when either child's hessian sum falls
+// under min_child_weight. Both split searches evaluate every candidate
+// through this one expression.
+double SplitGain(double g_left, double h_left, double g_total, double h_total,
+                 double parent_score, const RegressionTreeOptions& options) {
+  double g_right = g_total - g_left;
+  double h_right = h_total - h_left;
+  if (!(h_left >= options.min_child_weight &&
+        h_right >= options.min_child_weight)) {
+    return 0.0;
+  }
+  return 0.5 * (ScoreHalf(g_left, h_left, options.lambda) +
+                ScoreHalf(g_right, h_right, options.lambda) - parent_score) -
+         options.gamma;
+}
+
 // Exact greedy split search over one node segment sorted ascending by
 // value. A candidate split exists only where the value changes, at the
 // sums of everything before the change, so:
@@ -46,25 +63,16 @@ TreeFitWorkspace::SplitCandidate ScanSegment(
   double first = values[0];
   double largest = values[size - 1];
   if (first == largest) return best;
-  const double lambda = options.lambda;
-  const double min_child_weight = options.min_child_weight;
-  const double gamma = options.gamma;
   double best_gain = 0.0;
   double best_threshold = 0.0;
   double g_left = 0.0;
   double h_left = 0.0;
   auto candidate = [&](double last, double value) {
-    double g_right = g_total - g_left;
-    double h_right = h_total - h_left;
-    if (h_left >= min_child_weight && h_right >= min_child_weight) {
-      double gain = 0.5 * (ScoreHalf(g_left, h_left, lambda) +
-                           ScoreHalf(g_right, h_right, lambda) -
-                           parent_score) -
-                    gamma;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_threshold = 0.5 * (last + value);
-      }
+    double gain =
+        SplitGain(g_left, h_left, g_total, h_total, parent_score, options);
+    if (gain > best_gain) {
+      best_gain = gain;
+      best_threshold = 0.5 * (last + value);
     }
   };
   // Both runs are bounded by the other end's differing value.
@@ -93,6 +101,63 @@ TreeFitWorkspace::SplitCandidate ScanSegment(
   return best;
 }
 
+// Length of the run of the smaller value when the ascending `values` hold
+// exactly two values a < b (±0.0 count as one), else 0. NaN is neither.
+size_t TwoValuedLowRun(const std::vector<double>& values) {
+  if (values.empty() || !(values.front() < values.back())) return 0;
+  size_t run = 0;
+  while (values[run] == values.front()) ++run;
+  for (size_t i = run; i < values.size(); ++i) {
+    if (values[i] != values.back()) return 0;
+  }
+  return run;
+}
+
+// Column f's low run when the presort marks it two-valued and its values
+// agree at the run's edges, else 0: the column takes the general path.
+size_t UsableLowRun(const PresortedFeatures& presorted, size_t f) {
+  if (presorted.low_run.size() != presorted.order.size()) return 0;
+  size_t run = presorted.low_run[f];
+  size_t size = presorted.order[f].size();
+  if (run == 0 || run >= size || f >= presorted.values.size() ||
+      presorted.values[f].size() != size) {
+    return 0;
+  }
+  const std::vector<double>& values = presorted.values[f];
+  bool agree = values[0] == values[run - 1] && values[run - 1] < values[run] &&
+               values[run] == values[size - 1];
+  return agree ? run : 0;
+}
+
+// Rows of `order` inside the sample.
+size_t CountSampled(const uint32_t* order, size_t size, const int32_t* node_of,
+                    uint32_t num_rows) {
+  size_t count = 0;
+  for (size_t i = 0; i < size; ++i) {
+    count += static_cast<size_t>(node_of[std::min(order[i], num_rows)] >= 0);
+  }
+  return count;
+}
+
+// The split search of a two-valued column for one node whose `count` rows
+// of the low run sum to (g_left, h_left). A node holding both values has
+// exactly one candidate, between the runs, and ScanSegment evaluates it
+// from these very sums: its leading run is the node's low rows in presort
+// order, which is the order the lane kernel adds them in. 0.5 * (a + b)
+// takes the same bits for any representatives of a and b, ±0.0 included,
+// because at most one of them is zero.
+TreeFitWorkspace::SplitCandidate TwoValuedCandidate(
+    double g_left, double h_left, size_t count, size_t node_size,
+    double g_total, double h_total, double parent_score, size_t feature,
+    double threshold, const RegressionTreeOptions& options) {
+  TreeFitWorkspace::SplitCandidate best;
+  if (count == 0 || count == node_size) return best;
+  double gain =
+      SplitGain(g_left, h_left, g_total, h_total, parent_score, options);
+  if (gain > 0.0) best = {gain, feature, threshold};
+  return best;
+}
+
 }  // namespace
 
 PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
@@ -102,6 +167,7 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
   for (size_t i = 0; i < x.rows(); ++i) base[i] = static_cast<uint32_t>(i);
   presorted.order.assign(x.cols(), base);
   presorted.values.resize(x.cols());
+  presorted.low_run.assign(x.cols(), 0);
   for (size_t f = 0; f < x.cols(); ++f) {
     std::sort(presorted.order[f].begin(), presorted.order[f].end(),
               [&x, f](uint32_t a, uint32_t b) {
@@ -112,6 +178,7 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
     for (size_t i = 0; i < x.rows(); ++i) {
       vals[i] = x.Row(presorted.order[f][i])[f];
     }
+    presorted.low_run[f] = TwoValuedLowRun(vals);
   }
   return presorted;
 }
@@ -214,11 +281,14 @@ Status RegressionTree::FitPresorted(const Matrix& x,
   // Interleave gradient and hessian so each scan entry touches one cache
   // line instead of two. Same doubles, added in the same places — the
   // split sums cannot change.
-  ws->gh.resize(2 * x.rows());
+  // One more pair, never added, backs the lane kernel's clamped row ids.
+  ws->gh.resize(2 * (x.rows() + 1));
   for (size_t i = 0; i < x.rows(); ++i) {
     ws->gh[2 * i] = grad[i];
     ws->gh[2 * i + 1] = hess[i];
   }
+  ws->gh[2 * x.rows()] = 0.0;
+  ws->gh[2 * x.rows() + 1] = 0.0;
 
   // Per-node statistics and segments, indexed by node id.
   ws->g_total.assign(1, g_root);
@@ -231,9 +301,14 @@ Status RegressionTree::FitPresorted(const Matrix& x,
     ws->rows[copy].resize(num_features * stride);
     ws->values[copy].resize(num_features * stride);
   }
+  ws->low_runs.resize(num_features);
+  ws->low_run_features.resize(num_features);
+  ws->high_sampled.resize(num_features);
+  ws->lane_sums.resize(num_features);
 
   ThreadPool* pool = ThreadPool::SharedForFolds();
   size_t num_chunks = FeatureChunks(pool, num_features);
+  ws->lane_scratch.resize(num_chunks);
   // The vector kernels gather node_of with signed 32-bit indices.
   bool vector = tree_compress::CpuHasAvx512() &&
                 x.rows() <= static_cast<size_t>(INT32_MAX);
@@ -241,6 +316,8 @@ Status RegressionTree::FitPresorted(const Matrix& x,
                                 : tree_compress::FilterFeature;
   auto* partition_segment = vector ? tree_compress::PartitionSegmentAvx512
                                    : tree_compress::PartitionSegment;
+  auto* sum_low_runs = vector ? tree_compress::SumLowRunsAvx512
+                              : tree_compress::SumLowRuns;
   uint32_t num_rows = static_cast<uint32_t>(x.rows());
 
   for (int depth = 0; depth < options.max_depth && !ws->frontier.empty();
@@ -260,7 +337,25 @@ Status RegressionTree::FitPresorted(const Matrix& x,
     std::vector<int> errors = RunIndexed(pool, num_chunks, [&](size_t chunk) {
       size_t begin = num_features * chunk / num_chunks;
       size_t end = num_features * (chunk + 1) / num_chunks;
+      // The chunk's two-valued columns skip the filter, the partition and
+      // the scan; their low runs are summed per node after the loop.
+      tree_compress::LowRun* runs = ws->low_runs.data() + begin;
+      size_t* run_features = ws->low_run_features.data() + begin;
+      size_t* high_sampled = ws->high_sampled.data() + begin;
+      size_t num_runs = 0;
       for (size_t f = begin; f < end; ++f) {
+        if (size_t low = UsableLowRun(presorted, f); low > 0) {
+          const std::vector<uint32_t>& order_f = presorted.order[f];
+          runs[num_runs] = {order_f.data(), low};
+          run_features[num_runs] = f;
+          if (depth == 0) {
+            high_sampled[num_runs] =
+                CountSampled(order_f.data() + low, order_f.size() - low,
+                             ws->node_of.data(), num_rows);
+          }
+          ++num_runs;
+          continue;
+        }
         uint32_t* rows_f = ws->rows[copy].data() + f * stride;
         double* values_f = ws->values[copy].data() + f * stride;
         if (depth == 0) {
@@ -304,6 +399,35 @@ Status RegressionTree::FitPresorted(const Matrix& x,
               rows_f + offset, values_f + offset, ws->seg_size[node],
               ws->gh.data(), ws->g_total[node], ws->h_total[node],
               ws->parent_score[slot], f, options);
+        }
+      }
+      // The frontier's node ids are consecutive (each split appends its
+      // two children), so a pass's lane k is frontier slot pass + k.
+      tree_compress::LaneSums* sums = ws->lane_sums.data() + begin;
+      for (size_t pass = 0; num_runs > 0 && pass < width;
+           pass += tree_compress::kMaxLanes) {
+        size_t lanes = std::min(tree_compress::kMaxLanes, width - pass);
+        sum_low_runs(runs, num_runs, ws->node_of.data(), num_rows,
+                     ws->gh.data(), ws->frontier[pass], lanes,
+                     &ws->lane_scratch[chunk], sums);
+        for (size_t k = 0; k < num_runs; ++k) {
+          if (depth == 0 && sums[k].rows(0) + high_sampled[k] != m) {
+            return 1;
+          }
+          size_t f = run_features[k];
+          size_t low = runs[k].size;
+          const std::vector<double>& values_f = presorted.values[f];
+          double threshold = 0.5 * (values_f[low - 1] + values_f[low]);
+          TreeFitWorkspace::SplitCandidate* best_f =
+              ws->feature_best.data() + f * width;
+          for (size_t lane = 0; lane < lanes; ++lane) {
+            size_t slot = pass + lane;
+            size_t node = static_cast<size_t>(ws->frontier[slot]);
+            best_f[slot] = TwoValuedCandidate(
+                sums[k].g(lane), sums[k].h(lane), sums[k].rows(lane),
+                ws->seg_size[node], ws->g_total[node], ws->h_total[node],
+                ws->parent_score[slot], f, threshold, options);
+          }
         }
       }
       return 0;

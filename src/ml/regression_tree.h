@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "ml/matrix.h"
+#include "ml/tree_compress.h"
 
 namespace fairclean {
 
@@ -35,6 +36,13 @@ struct PresortedFeatures {
   /// instead of gathering one cache line per row. May be empty (e.g. a
   /// hand-built presort), in which case the fit gathers from the matrix.
   std::vector<std::vector<double>> values;
+  /// low_run[f] > 0 marks a column that takes exactly two values a < b
+  /// over its whole order (a one-hot column): values[f][0, low_run[f]) are
+  /// a, the rest b. The split search then sums that run per node instead
+  /// of partitioning the column (DESIGN.md §8). Compute() fills it with 0
+  /// for every other column; a hand-built presort leaves it empty, and a
+  /// caller that edits `order` or `values` afterwards must clear it.
+  std::vector<size_t> low_run;
 
   static PresortedFeatures Compute(const Matrix& x);
 };
@@ -63,7 +71,9 @@ class TreeFitWorkspace {
   // Per absolute row: current node id, or -1 outside the sample. One extra
   // -1 entry past the last row backs the kernels' clamped lookups.
   std::vector<int> node_of;
-  std::vector<double> gh;        // interleaved [grad, hess] per absolute row
+  // Interleaved [grad, hess] per absolute row, plus a zero pair past the
+  // last row.
+  std::vector<double> gh;
   std::vector<double> g_total;   // per node
   std::vector<double> h_total;   // per node
   std::vector<size_t> seg_begin;  // per node: first slot of its segment
@@ -74,6 +84,14 @@ class TreeFitWorkspace {
   std::vector<double> parent_score;           // per frontier slot
   std::vector<SplitCandidate> best;           // per frontier slot
   std::vector<SplitCandidate> feature_best;   // [feature * width + slot]
+  // Per feature slot, used by its chunk in order: the low runs of the
+  // chunk's two-valued columns, their features, their sampled rows past
+  // the run (level 0 only) and their lane sums.
+  std::vector<tree_compress::LowRun> low_runs;
+  std::vector<size_t> low_run_features;
+  std::vector<size_t> high_sampled;
+  std::vector<tree_compress::LaneSums> lane_sums;
+  std::vector<tree_compress::LaneScratch> lane_scratch;  // per chunk
   // Two copies of the sample's presort, each one stride of m + 1 slots per
   // feature (the level-0 filter writes one slot past the last kept row),
   // laid out as contiguous per-node segments. Level 0 compacts the
@@ -98,7 +116,8 @@ class RegressionTree {
   /// Like Fit, but reuses a precomputed feature presort. `presorted` may
   /// hold all rows of the matrix or any superset of the sample rows;
   /// either way the sample rows are first compacted into the workspace, so
-  /// each level costs O(sample size) per feature. Sample indices must be
+  /// each level costs O(sample size) per feature. A column marked in
+  /// `low_run` instead costs its low run per level, with no compaction. Sample indices must be
   /// distinct rows of `x`, and the presort must list every sample row
   /// with values that ascend and hold no NaN; anything else is rejected
   /// with InvalidArgument. Presort row ids past the matrix count as rows

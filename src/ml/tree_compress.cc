@@ -1,6 +1,7 @@
 #include "ml/tree_compress.h"
 
 #include <algorithm>
+#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -227,6 +228,164 @@ FAIRCLEAN_AVX512_TARGET void PartitionVector(
                   out_values);
 }
 
+// What every entry of the lane kernel reads: the per-row lane masks and
+// the gradient pairs, 16 bytes per row. masks[2 row] holds bits 2k and
+// 2k + 1 for lane k < 4 and masks[2 row + 1] the same for lane k - 4 >= 0;
+// a row outside the lanes, and the sentinel row num_rows that larger ids
+// clamp to, has none.
+struct LaneTable {
+  const uint8_t* masks;
+  uint32_t num_rows;
+  const char* gh_bytes;
+};
+
+// A low run being summed, and where its sums go.
+struct RunCursor {
+  const uint32_t* order;
+  size_t size;
+  LaneSums* sums;
+};
+
+// Per-lane sums of one run in registers: the pair slots and row counts of
+// lanes 0-3 (low) and 4-7 (high).
+struct LaneRegisters {
+  __m512d low;
+  __m512d high;
+  __m256i low_counts;
+  __m256i high_counts;
+};
+
+// A lane mask loaded straight into a mask register: the compiler would
+// route it through a general register, which costs a shuffle-port uop.
+FAIRCLEAN_AVX512_TARGET inline __attribute__((always_inline)) __mmask8
+LoadMask(const uint8_t* mask) {
+  __mmask8 k;
+  asm("kmovb %1, %0" : "=Yk"(k) : "m"(*mask));
+  return k;
+}
+
+// min(row, num_rows) with a compare and a conditional move: the compiler
+// would route it through a vector register and back.
+FAIRCLEAN_AVX512_TARGET inline __attribute__((always_inline)) uint32_t
+ClampRow(uint32_t row, uint32_t num_rows) {
+  asm("cmpl %1, %0\n\tcmovae %1, %0" : "+r"(row) : "r"(num_rows) : "cc");
+  return row;
+}
+
+// Adds one entry: its pair is broadcast and merge-masked into the two pair
+// slots of its lane, so every other slot keeps its bits, and its lane's
+// row count goes up by one.
+template <bool kWide>
+FAIRCLEAN_AVX512_TARGET inline __attribute__((always_inline)) void AddEntry(
+    const LaneTable& table, uint32_t row_id, LaneRegisters* lanes) {
+  uint32_t row = ClampRow(row_id, table.num_rows);
+  __m512d pair = _mm512_mask_broadcast_f64x2(
+      _mm512_setzero_pd(), 0xFF,
+      _mm_loadu_pd(reinterpret_cast<const double*>(table.gh_bytes +
+                                                   (size_t{row} << 4))));
+  const __m256i one = _mm256_set1_epi32(1);
+  __mmask8 low = LoadMask(table.masks + 2 * size_t{row});
+  lanes->low = _mm512_mask_add_pd(lanes->low, low, lanes->low, pair);
+  lanes->low_counts =
+      _mm256_mask_add_epi32(lanes->low_counts, low, lanes->low_counts, one);
+  if (kWide) {
+    __mmask8 high = LoadMask(table.masks + 2 * size_t{row} + 1);
+    lanes->high = _mm512_mask_add_pd(lanes->high, high, lanes->high, pair);
+    lanes->high_counts = _mm256_mask_add_epi32(lanes->high_counts, high,
+                                               lanes->high_counts, one);
+  }
+}
+
+// Continues K runs from entry `from` up to the end of the shortest, one
+// entry of each in turn. Each run's adds form one dependency chain, so K
+// runs keep K chains in flight.
+template <size_t K, bool kWide>
+FAIRCLEAN_AVX512_TARGET size_t SumInterleaved(const LaneTable& table,
+                                              const RunCursor* cursors,
+                                              size_t from) {
+  LaneRegisters lanes[K];
+  size_t stop = cursors[0].size;
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+    const LaneSums* sums = cursors[k].sums;
+    lanes[k].low = _mm512_loadu_pd(sums->gh);
+    lanes[k].high = _mm512_loadu_pd(sums->gh + 8);
+    lanes[k].low_counts = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(sums->count));
+    lanes[k].high_counts = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(sums->count + 8));
+    stop = std::min(stop, cursors[k].size);
+  }
+  for (size_t e = from; e < stop; ++e) {
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) {
+      AddEntry<kWide>(table, cursors[k].order[e], &lanes[k]);
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t k = 0; k < K; ++k) {
+    LaneSums* sums = cursors[k].sums;
+    _mm512_storeu_pd(sums->gh, lanes[k].low);
+    _mm512_storeu_pd(sums->gh + 8, lanes[k].high);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums->count),
+                        lanes[k].low_counts);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums->count + 8),
+                        lanes[k].high_counts);
+  }
+  return stop;
+}
+
+// Sums up to kGroup runs side by side: when the shortest ends, the others
+// go on with one chain fewer.
+constexpr size_t kGroup = 4;
+
+template <bool kWide>
+FAIRCLEAN_AVX512_TARGET void SumGroup(const LaneTable& table,
+                                      RunCursor* cursors, size_t live) {
+  size_t from = 0;
+  while (live > 0) {
+    switch (live) {
+      case 1: from = SumInterleaved<1, kWide>(table, cursors, from); break;
+      case 2: from = SumInterleaved<2, kWide>(table, cursors, from); break;
+      case 3: from = SumInterleaved<3, kWide>(table, cursors, from); break;
+      default: from = SumInterleaved<4, kWide>(table, cursors, from); break;
+    }
+    size_t kept = 0;
+    for (size_t k = 0; k < live; ++k) {
+      if (cursors[k].size > from) cursors[kept++] = cursors[k];
+    }
+    live = kept;
+  }
+}
+
+template <bool kWide>
+FAIRCLEAN_AVX512_TARGET void SumLowRunsVector(
+    const LowRun* runs, size_t num_runs, const int32_t* node_of,
+    uint32_t num_rows, const double* gh, int32_t first, size_t width,
+    LaneScratch* scratch, LaneSums* sums) {
+  // Unsigned: a node before `first` or -1 wraps past every lane.
+  uint32_t base = static_cast<uint32_t>(first);
+  scratch->masks.resize(size_t{num_rows} + 1);
+  uint16_t* masks = scratch->masks.data();
+  for (size_t row = 0; row <= num_rows; ++row) {
+    uint32_t lane = static_cast<uint32_t>(node_of[row]) - base;
+    masks[row] = static_cast<uint16_t>(lane < width ? 3u << (2 * lane) : 0u);
+  }
+  for (size_t r = 0; r < num_runs; ++r) sums[r] = LaneSums{};
+  // Little-endian: byte 2 row holds lanes 0-3, byte 2 row + 1 lanes 4-7.
+  LaneTable table{reinterpret_cast<const uint8_t*>(masks), num_rows,
+                  reinterpret_cast<const char*>(gh)};
+  for (size_t begin = 0; begin < num_runs; begin += kGroup) {
+    RunCursor cursors[kGroup];
+    size_t live = 0;
+    for (size_t r = begin; r < std::min(num_runs, begin + kGroup); ++r) {
+      if (runs[r].size > 0) cursors[live++] = {runs[r].order, runs[r].size,
+                                               &sums[r]};
+    }
+    SumGroup<kWide>(table, cursors, live);
+  }
+}
+
 #undef FAIRCLEAN_AVX512_TARGET
 
 #endif  // FAIRCLEAN_X86_COMPRESS_KERNELS
@@ -291,6 +450,42 @@ void PartitionSegmentAvx512(const uint32_t* rows, const double* values,
 #else
   PartitionSegment(rows, values, size, left_size, node_of, right, out_rows,
                    out_values);
+#endif
+}
+
+void SumLowRuns(const LowRun* runs, size_t num_runs, const int32_t* node_of,
+                uint32_t num_rows, const double* gh, int32_t first,
+                size_t width, LaneScratch* scratch, LaneSums* sums) {
+  (void)scratch;
+  // Unsigned: a node before `first` or -1 wraps past every lane.
+  uint32_t base = static_cast<uint32_t>(first);
+  for (size_t r = 0; r < num_runs; ++r) {
+    LaneSums lanes = {};
+    for (size_t i = 0; i < runs[r].size; ++i) {
+      uint32_t row = runs[r].order[i];
+      uint32_t lane =
+          static_cast<uint32_t>(node_of[std::min(row, num_rows)]) - base;
+      if (lane >= width) continue;
+      lanes.gh[2 * lane] += gh[2 * static_cast<size_t>(row)];
+      lanes.gh[2 * lane + 1] += gh[2 * static_cast<size_t>(row) + 1];
+      ++lanes.count[2 * lane];
+      ++lanes.count[2 * lane + 1];
+    }
+    sums[r] = lanes;
+  }
+}
+
+void SumLowRunsAvx512(const LowRun* runs, size_t num_runs,
+                      const int32_t* node_of, uint32_t num_rows,
+                      const double* gh, int32_t first, size_t width,
+                      LaneScratch* scratch, LaneSums* sums) {
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+  auto* kernel = width > kMaxLanes / 2 ? SumLowRunsVector<true>
+                                       : SumLowRunsVector<false>;
+  kernel(runs, num_runs, node_of, num_rows, gh, first, width, scratch, sums);
+#else
+  SumLowRuns(runs, num_runs, node_of, num_rows, gh, first, width, scratch,
+             sums);
 #endif
 }
 

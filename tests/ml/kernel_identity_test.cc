@@ -18,7 +18,9 @@
 
 #include "common/random.h"
 #include "data/dataframe.h"
+#include "datasets/generator.h"
 #include "detect/mislabel_detector.h"
+#include "ml/encoder.h"
 #include "ml/gbdt.h"
 #include "ml/isolation_forest.h"
 #include "ml/knn.h"
@@ -79,6 +81,90 @@ TEST(KernelIdentityTest, TuneAndFitGolden) {
     EXPECT_EQ(outcome->best_cv_accuracy, golden.cv_accuracy);
     ExpectBitEqual(outcome->model->PredictProba(data.x), golden.proba);
   }
+}
+
+// The suite's feature matrix: an adult frame's complete rows, numeric
+// columns standardized and categorical columns one-hot encoded. Most of
+// its columns hold only 0 and 1, so it reaches the two-valued split search
+// and the zero-skipping IRLS, which the continuous blobs above never do.
+struct EncodedAdult {
+  DataFrame frame;
+  std::vector<std::string> features;
+  std::string label;
+  Matrix x;
+  std::vector<int> y;
+};
+
+EncodedAdult MakeEncodedAdult(size_t rows) {
+  Rng rng(1234);
+  GeneratedDataset dataset = MakeDataset("adult", rows, &rng).ValueOrDie();
+  EncodedAdult data;
+  std::vector<bool> keep(dataset.frame.num_rows(), true);
+  for (size_t row : dataset.frame.RowsWithMissing()) keep[row] = false;
+  data.frame = dataset.frame.FilterRows(keep);
+  data.features = dataset.spec.FeatureColumns(data.frame);
+  data.label = dataset.spec.label;
+  FeatureEncoder encoder;
+  EXPECT_TRUE(encoder.Fit(data.frame, data.features).ok());
+  data.x = encoder.Transform(data.frame).ValueOrDie();
+  data.y = ExtractBinaryLabels(data.frame, data.label).ValueOrDie();
+  return data;
+}
+
+TEST(KernelIdentityTest, OneHotTuneAndFitGolden) {
+  const std::vector<TuneGolden> goldens = {
+      {"log-reg",
+       0x1.999999999999ap-4,
+       0x1.6234bf6295443p-1,
+       {0x1.4d745f5abd5c2p-2, 0x1.1a52cfc215248p-1, 0x1.e66ffbd44d614p-3,
+        0x1.e73ab6f168048p-2, 0x1.a6fbb8ab11927p-2, 0x1.e5903755667fap-1,
+        0x1.2e7d9857dab01p-2, 0x1.834c6b6f03eaap-2, 0x1.c959420f93285p-4,
+        0x1.f0f45961f4dfcp-2}},
+      {"xgboost",
+       0x1p+1,
+       0x1.60648a3e155d5p-1,
+       {0x1.7bb18b97bf231p-3, 0x1.43bb342044324p-1, 0x1.63f8d1454d501p-2,
+        0x1.28e73f1b93f5cp-1, 0x1.fd512113da9b3p-2, 0x1.52e6ad45a2982p-1,
+        0x1.9f1f0f8c5e3ccp-3, 0x1.4098f1f090bb6p-1, 0x1.1cf6854b791d7p-4,
+        0x1.252c0b2d171b2p-1}},
+  };
+  EncodedAdult data = MakeEncodedAdult(500);
+  for (const TuneGolden& golden : goldens) {
+    SCOPED_TRACE(golden.family);
+    Result<TunedModelFamily> family = ModelFamilyByName(golden.family);
+    ASSERT_TRUE(family.ok());
+    Rng rng(8);
+    Result<TuneOutcome> outcome = TuneAndFit(*family, data.x, data.y, 3, &rng);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->best_param, golden.param);
+    EXPECT_EQ(outcome->best_cv_accuracy, golden.cv_accuracy);
+    ExpectBitEqual(outcome->model->PredictProba(data.x), golden.proba);
+  }
+}
+
+TEST(KernelIdentityTest, OneHotMislabelDetectGolden) {
+  EncodedAdult data = MakeEncodedAdult(500);
+  DetectionContext context;
+  context.inspect_columns = data.features;
+  context.label_column = data.label;
+  MislabelDetector detector;
+  Rng rng(20);
+  Result<ErrorMask> mask = detector.Detect(data.frame, context, &rng);
+  ASSERT_TRUE(mask.ok()) << mask.status().ToString();
+  std::vector<size_t> flagged;
+  for (size_t i = 0; i < mask->num_rows(); ++i) {
+    if (mask->RowFlagged(i)) flagged.push_back(i);
+  }
+  EXPECT_EQ(flagged,
+            (std::vector<size_t>{
+                1,   2,   15,  23,  24,  25,  29,  31,  33,  37,  39,  41,
+                48,  54,  57,  58,  59,  62,  64,  65,  68,  75,  81,  82,
+                83,  85,  86,  92,  95,  96,  97,  98,  101, 104, 111, 112,
+                113, 116, 120, 121, 126, 130, 134, 139, 141, 142, 146, 147,
+                148, 149, 158, 162, 177, 178, 181, 183, 184, 190, 191, 195,
+                197, 203, 207, 217, 219, 223, 225, 229, 230, 242, 243, 250,
+                253, 259, 263, 266, 267, 269, 271, 272, 273, 278, 280, 281,
+                283, 284, 285, 289}));
 }
 
 TEST(KernelIdentityTest, GbdtFitGolden) {

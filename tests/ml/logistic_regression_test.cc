@@ -1,9 +1,14 @@
 #include "ml/logistic_regression.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ml/linalg.h"
 #include "ml/metrics.h"
 #include "tests/ml/test_data.h"
 
@@ -141,6 +146,165 @@ TEST(LogisticRegressionTest, FitRowsMatchesFitOnCopiedRows) {
   EXPECT_EQ(indexed.coefficients(), copied.coefficients());
   EXPECT_EQ(indexed.intercept(), copied.intercept());
   EXPECT_FALSE(indexed.FitRows(data.x, {0, 120}, data.y).ok());
+}
+
+// IRLS as FitImpl ran it before it skipped zero products: every row's
+// z, gradient and Hessian loop over all d columns. Returns beta (the
+// intercept last), or the solver's error.
+Result<std::vector<double>> ReferenceIrls(const Matrix& x,
+                                          const std::vector<size_t>& rows,
+                                          const std::vector<int>& labels,
+                                          const LogisticRegressionOptions& o) {
+  auto sigmoid = [](double z) {
+    if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
+    double e = std::exp(z);
+    return e / (1.0 + e);
+  };
+  size_t n = rows.size();
+  size_t d = x.cols();
+  size_t dim = d + 1;
+  double lambda = 1.0 / o.c;
+  std::vector<double> beta(dim, 0.0);
+  std::vector<double> proba(n, 0.5);
+  for (int iter = 0; iter < o.max_iterations; ++iter) {
+    std::vector<double> grad(dim, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = x.Row(rows[i]);
+      double z = beta[d];
+      for (size_t j = 0; j < d; ++j) z += beta[j] * row[j];
+      double p = sigmoid(z);
+      proba[i] = p;
+      double r = p - static_cast<double>(labels[rows[i]]);
+      for (size_t j = 0; j < d; ++j) grad[j] += r * row[j];
+      grad[d] += r;
+    }
+    for (size_t j = 0; j < d; ++j) grad[j] += lambda * beta[j];
+    std::vector<double> hess(dim * dim, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = x.Row(rows[i]);
+      double s = proba[i] * (1.0 - proba[i]);
+      if (s < 1e-10) s = 1e-10;
+      for (size_t j = 0; j < d; ++j) {
+        double sj = s * row[j];
+        for (size_t k = 0; k <= j; ++k) hess[j * dim + k] += sj * row[k];
+        hess[d * dim + j] += sj;
+      }
+      hess[d * dim + d] += s;
+    }
+    for (size_t j = 0; j < d; ++j) hess[j * dim + j] += lambda;
+    for (size_t j = 0; j < dim; ++j) {
+      for (size_t k = j + 1; k < dim; ++k) hess[j * dim + k] = hess[k * dim + j];
+    }
+    Result<std::vector<double>> step =
+        SolveCholeskyWithJitter(std::move(hess), grad, dim);
+    if (!step.ok()) return step.status();
+    double max_update = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      beta[j] -= (*step)[j];
+      max_update = std::max(max_update, std::abs((*step)[j]));
+    }
+    if (max_update < o.tolerance) break;
+  }
+  return beta;
+}
+
+// A one-hot style matrix: two categorical blocks (one of them sometimes
+// all-zero, a missing category), a 0/1 column holding -0.0 for its zeros
+// on some rows, an all-zero column, and two continuous columns.
+Matrix MakeOneHotMatrix(size_t n, uint64_t seed, std::vector<int>* labels) {
+  Rng rng(seed);
+  Matrix x(n, 11);
+  labels->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    int a = static_cast<int>(rng.UniformInt(0, 3));
+    for (int k = 0; k < 3; ++k) x(i, static_cast<size_t>(k)) = a == k;
+    int b = static_cast<int>(rng.UniformInt(0, 2));
+    for (int k = 0; k < 3; ++k) x(i, 3 + static_cast<size_t>(k)) = b == k;
+    x(i, 6) = rng.Bernoulli(0.5) ? 1.0 : (rng.Bernoulli(0.5) ? -0.0 : 0.0);
+    x(i, 7) = 0.0;
+    x(i, 8) = rng.Normal(0.0, 1.0);
+    x(i, 9) = rng.Bernoulli(0.3) ? 0.0 : rng.Normal(1.0, 2.0);
+    x(i, 10) = rng.Bernoulli(0.5) ? -0.0 : 1.0;
+    double logit = 0.8 * x(i, 0) - 0.6 * x(i, 4) + 0.5 * x(i, 8) - 0.2;
+    (*labels)[i] = rng.Bernoulli(1.0 / (1.0 + std::exp(-logit))) ? 1 : 0;
+  }
+  return x;
+}
+
+bool SameBitsOrBothNaN(double expected, double actual) {
+  if (std::isnan(expected)) return std::isnan(actual);
+  return std::memcmp(&expected, &actual, sizeof expected) == 0;
+}
+
+// The fit against the dense reference: the same status, and coefficients
+// and intercept bit for bit (NaN where the reference is NaN).
+void ExpectMatchesReference(const Matrix& x, const std::vector<size_t>& rows,
+                            const std::vector<int>& labels, double c) {
+  LogisticRegressionOptions options;
+  options.c = c;
+  Result<std::vector<double>> expected =
+      ReferenceIrls(x, rows, labels, options);
+  LogisticRegression model(options);
+  Status status = model.FitRows(x, rows, labels);
+  ASSERT_EQ(status.ok(), expected.ok()) << status.ToString();
+  if (!status.ok()) return;
+  ASSERT_EQ(model.coefficients().size(), x.cols());
+  for (size_t j = 0; j < x.cols(); ++j) {
+    EXPECT_TRUE(SameBitsOrBothNaN((*expected)[j], model.coefficients()[j]))
+        << "coefficient " << j << ": " << model.coefficients()[j] << " vs "
+        << (*expected)[j];
+  }
+  EXPECT_TRUE(SameBitsOrBothNaN(expected->back(), model.intercept()))
+      << model.intercept() << " vs " << expected->back();
+}
+
+TEST(LogisticRegressionTest, ZeroSkippingMatchesDenseReference) {
+  std::vector<int> labels;
+  Matrix x = MakeOneHotMatrix(240, 21, &labels);
+  std::vector<size_t> all(x.rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  // FitRows subsets: a fold-like subset and a reversed, strided one.
+  std::vector<size_t> fold;
+  for (size_t i = 0; i < x.rows(); ++i) {
+    if (i % 3 != 1) fold.push_back(i);
+  }
+  std::vector<size_t> strided;
+  for (size_t i = x.rows(); i >= 5; i -= 5) strided.push_back(i - 1);
+  for (double c : {0.1, 1.0, 10.0}) {
+    for (const std::vector<size_t>* rows : {&all, &fold, &strided}) {
+      SCOPED_TRACE("C " + std::to_string(c) + " rows " +
+                   std::to_string(rows->size()));
+      ExpectMatchesReference(x, *rows, labels, c);
+    }
+  }
+  // Fit over the whole matrix takes the same path as FitRows over all rows.
+  LogisticRegression whole;
+  Rng rng(1);
+  ASSERT_TRUE(whole.Fit(x, labels, &rng).ok());
+  LogisticRegression indexed;
+  ASSERT_TRUE(indexed.FitRows(x, all, labels).ok());
+  EXPECT_EQ(whole.coefficients(), indexed.coefficients());
+}
+
+// An inf or a NaN entry makes inf * 0 or NaN * 0 a NaN, so rows holding
+// one must keep the dense loops, and a non-finite beta must too.
+TEST(LogisticRegressionTest, NonFiniteEntriesMatchDenseReference) {
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<int> labels;
+    Matrix x = MakeOneHotMatrix(90, 22, &labels);
+    x(17, 9) = bad;
+    std::vector<size_t> all(x.rows());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    // Without the row, only the rows the fit reads count.
+    std::vector<size_t> without(all);
+    without.erase(without.begin() + 17);
+    for (double c : {0.1, 1.0, 10.0}) {
+      SCOPED_TRACE(std::to_string(bad) + " C " + std::to_string(c));
+      ExpectMatchesReference(x, all, labels, c);
+      ExpectMatchesReference(x, without, labels, c);
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 //
 // Registered at FAIRCLEAN_THREADS 1 and 4 (tests/CMakeLists.txt), since the
 // kernel's column fan-out is sized from the shared fold pool.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -269,6 +270,149 @@ TEST(SplitSearchOracleTest, PartitionedKernelMatchesLevelScan) {
       }
     }
   }
+}
+
+// One-hot style columns, which Compute() marks two-valued so the fit sums
+// their low runs per node instead of partitioning them: a {0, 1} one-hot
+// block, {-0.0, +0.0, 1}, {a < 0, ±0}, {a < 0 < b}, a one-hot column that
+// is 0 on every row (constant), and a {0, 1} column whose 1s sit only on
+// rows outside the sample. Two continuous columns keep the general path
+// in the same fit.
+Problem MakeTwoValuedProblem(size_t n, uint64_t seed,
+                             const std::vector<char>& member) {
+  Rng rng(seed);
+  Problem p;
+  p.x = Matrix(n, 11);
+  p.grad.resize(n);
+  p.hess.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    int hot = static_cast<int>(rng.UniformInt(0, 3));
+    for (int k = 0; k < 4; ++k) p.x(i, static_cast<size_t>(k)) = hot == k;
+    int zero = static_cast<int>(rng.UniformInt(0, 2));
+    p.x(i, 4) = zero == 0 ? -0.0 : (zero == 1 ? 0.0 : 1.0);
+    p.x(i, 5) = rng.Bernoulli(0.4) ? -2.5 : (rng.Bernoulli(0.5) ? 0.0 : -0.0);
+    p.x(i, 6) = rng.Bernoulli(0.7) ? -1.5 : 3.0;
+    p.x(i, 7) = 0.0;
+    p.x(i, 8) = member[i] == 0 && rng.Bernoulli(0.5) ? 1.0 : 0.0;
+    p.x(i, 9) = rng.Normal(0.0, 1.0);
+    p.x(i, 10) = std::round(rng.Normal(0.0, 2.0));
+    double prob = rng.Uniform(0.05, 0.95);
+    int label = rng.Bernoulli(0.2 + 0.3 * p.x(i, 1) + 0.2 * (p.x(i, 6) > 0) +
+                              0.2 * (p.x(i, 9) > 0));
+    p.grad[i] = prob - label;
+    p.hess[i] = prob * (1.0 - prob);
+  }
+  return p;
+}
+
+TEST(SplitSearchOracleTest, TwoValuedColumnsMatchLevelScan) {
+  const OptionCase option_cases[] = {
+      {"defaults", 1.0, 0.0, 1.0},
+      {"loose", 0.0, 0.0, 0.0},
+      {"gamma", 1.0, 0.05, 0.5},
+      {"min_child_weight_blocks_all", 1.0, 0.0, 1e9},
+  };
+  TreeFitWorkspace workspace;
+  for (uint64_t seed : {3u, 4u}) {
+    size_t n = seed == 3 ? 600 : 83;
+    Rng sample_rng(seed + 100);
+    std::vector<size_t> sample =
+        sample_rng.SampleWithoutReplacement(n, n * 7 / 10);
+    std::vector<char> member(n, 0);
+    for (size_t index : sample) member[index] = 1;
+    Problem p = MakeTwoValuedProblem(n, seed, member);
+    for (PresortKind kind :
+         {PresortKind::kSampleExact, PresortKind::kFullWithNonMembers,
+          PresortKind::kValueless}) {
+      PresortedFeatures presorted = MakePresort(p.x, sample, kind);
+      if (kind == PresortKind::kFullWithNonMembers) {
+        // Every column but the constant and the continuous ones is
+        // two-valued over the full presort.
+        ASSERT_EQ(presorted.low_run.size(), p.x.cols());
+        for (size_t f = 0; f < p.x.cols(); ++f) {
+          bool two_valued = f <= 6 || f == 8;
+          EXPECT_EQ(presorted.low_run[f] > 0, two_valued) << "feature " << f;
+        }
+      } else {
+        // Hand-built and value-less presorts take the general path.
+        EXPECT_TRUE(presorted.low_run.empty() || presorted.values.empty());
+      }
+      for (const OptionCase& option_case : option_cases) {
+        for (int depth = 0; depth <= 6; ++depth) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " presort " +
+                       std::to_string(static_cast<int>(kind)) + " " +
+                       option_case.name + " depth " + std::to_string(depth));
+          RegressionTreeOptions options;
+          options.max_depth = depth;
+          options.lambda = option_case.lambda;
+          options.gamma = option_case.gamma;
+          options.min_child_weight = option_case.min_child_weight;
+          std::vector<Node> expected = ReferenceFitPresorted(
+              p.x, p.grad, p.hess, sample, presorted, options);
+          RegressionTree tree;
+          ASSERT_TRUE(tree.FitPresorted(p.x, p.grad, p.hess, sample,
+                                        presorted, options, &workspace)
+                          .ok());
+          ExpectSameTree(expected, tree.nodes());
+        }
+      }
+    }
+  }
+  // The deep fits above must reach frontiers wider than one lane pass.
+  Rng sample_rng(103);
+  std::vector<size_t> sample = sample_rng.SampleWithoutReplacement(600, 420);
+  std::vector<char> member(600, 0);
+  for (size_t index : sample) member[index] = 1;
+  Problem p = MakeTwoValuedProblem(600, 3, member);
+  RegressionTreeOptions options;
+  options.max_depth = 6;
+  options.lambda = 0.0;
+  options.min_child_weight = 0.0;
+  RegressionTree tree;
+  ASSERT_TRUE(tree.FitPresorted(p.x, p.grad, p.hess, sample,
+                                PresortedFeatures::Compute(p.x), options)
+                  .ok());
+  size_t widest = 0;
+  for (size_t first = 1, width = 2; first < tree.num_nodes();) {
+    widest = std::max(widest, width);
+    size_t next = 0;
+    for (size_t i = first; i < first + width; ++i) {
+      next += tree.nodes()[i].is_leaf ? 0 : 2;
+    }
+    first += width;
+    width = next;
+    if (width == 0) break;
+  }
+  EXPECT_GT(widest, 8u);
+}
+
+// A presort edited after Compute() must have its low runs cleared; one
+// whose values no longer bracket the run at its edges falls back to the
+// general path, which checks everything.
+TEST(SplitSearchOracleTest, EditedPresortFallsBackToGeneralPath) {
+  size_t n = 120;
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  Problem p = MakeTwoValuedProblem(n, 5, std::vector<char>(n, 1));
+  PresortedFeatures presorted = PresortedFeatures::Compute(p.x);
+  ASSERT_GT(presorted.low_run[0], 0u);
+  RegressionTreeOptions options;
+  RegressionTree tree;
+  // A NaN at the run's edge: the general path rejects it.
+  PresortedFeatures poisoned = presorted;
+  poisoned.values[0][presorted.low_run[0]] =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(tree.FitPresorted(p.x, p.grad, p.hess, all, poisoned, options)
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A presort that misses a sample row is rejected on the two-valued path
+  // too.
+  PresortedFeatures short_order = presorted;
+  short_order.order[0].pop_back();
+  short_order.values[0].pop_back();
+  EXPECT_EQ(tree.FitPresorted(p.x, p.grad, p.hess, all, short_order, options)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Deep trees over a few distinct values drive most segments down to a

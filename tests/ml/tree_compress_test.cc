@@ -23,8 +23,14 @@ namespace {
 
 using tree_compress::FilterFeature;
 using tree_compress::FilterFeatureAvx512;
+using tree_compress::kMaxLanes;
+using tree_compress::LaneScratch;
+using tree_compress::LaneSums;
+using tree_compress::LowRun;
 using tree_compress::PartitionSegment;
 using tree_compress::PartitionSegmentAvx512;
+using tree_compress::SumLowRuns;
+using tree_compress::SumLowRunsAvx512;
 
 constexpr size_t kGuard = 24;
 constexpr uint32_t kRowFill = 0xA5A5A5A5u;
@@ -384,6 +390,138 @@ TEST(TreeCompressTest, VectorPartitionMatchesScalar) {
         EXPECT_TRUE(SameBytes(expected.out_rows() + c.left_size,
                               actual.out_rows() + c.left_size,
                               c.right_leading * sizeof(uint32_t)));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lane kernel.
+
+constexpr int32_t kFirstLane = 9;
+
+// Rows whose nodes cover every case of a lane pass: outside the sample
+// (-1), an earlier leaf (below kFirstLane), one of the pass's kMaxLanes
+// nodes, and a node past them. Runs list rows in a shuffled order, some
+// of them past the matrix, with lengths 0 to kMaxSize and a few of equal
+// length, so the vector kernel's groups and their tails both run. The
+// gradient pairs include ±0.0 and ±inf.
+struct LaneCase {
+  uint32_t num_rows = 0;
+  std::vector<int32_t> node_of;  // num_rows + 1 entries, -1 past the end
+  std::vector<double> gh;        // num_rows + 1 pairs
+  std::vector<std::vector<uint32_t>> orders;
+  std::vector<LowRun> runs;
+};
+
+LaneCase MakeLaneCase(size_t num_runs, Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  LaneCase c;
+  c.num_rows = 90;
+  c.node_of.assign(c.num_rows + 1, -1);
+  c.gh.assign(2 * (c.num_rows + 1), 0.0);
+  for (uint32_t row = 0; row < c.num_rows; ++row) {
+    int kind = static_cast<int>(rng->UniformInt(0, 9));
+    if (kind == 0) {
+      c.node_of[row] = -1;
+    } else if (kind == 1) {
+      c.node_of[row] = static_cast<int32_t>(rng->UniformInt(0, kFirstLane - 1));
+    } else if (kind == 2) {
+      c.node_of[row] = kFirstLane + static_cast<int32_t>(kMaxLanes) +
+                       static_cast<int32_t>(rng->UniformInt(0, 3));
+    } else {
+      c.node_of[row] =
+          kFirstLane + static_cast<int32_t>(rng->UniformInt(0, kMaxLanes - 1));
+    }
+    static const double kSpecial[] = {0.0, -0.0, inf, -inf};
+    for (int k = 0; k < 2; ++k) {
+      c.gh[2 * row + k] = rng->Bernoulli(0.05)
+                              ? kSpecial[rng->UniformInt(0, 3)]
+                              : rng->Normal(0.0, 1.0);
+    }
+  }
+  for (size_t r = 0; r < num_runs; ++r) {
+    size_t size = r % 3 == 2 ? c.orders[r - 1].size()
+                             : rng->UniformInt(0, kMaxSize);
+    std::vector<uint32_t> order(size);
+    for (uint32_t& row : order) {
+      row = rng->Bernoulli(0.1) ? c.num_rows + static_cast<uint32_t>(
+                                                   rng->UniformInt(0, 40))
+                                : static_cast<uint32_t>(
+                                      rng->UniformInt(0, c.num_rows - 1));
+    }
+    c.orders.push_back(std::move(order));
+  }
+  for (const std::vector<uint32_t>& order : c.orders) {
+    c.runs.push_back({order.data(), order.size()});
+  }
+  return c;
+}
+
+template <typename Kernel>
+std::vector<LaneSums> RunLanes(Kernel kernel, const LaneCase& c,
+                               size_t width, LaneScratch* scratch) {
+  std::vector<LaneSums> sums(c.runs.size());
+  // Poison, so a slot the kernel leaves unwritten shows.
+  if (!sums.empty()) {
+    std::memset(sums.data(), 0xA5, sums.size() * sizeof(LaneSums));
+  }
+  kernel(c.runs.data(), c.runs.size(), c.node_of.data(), c.num_rows,
+         c.gh.data(), kFirstLane, width, scratch, sums.data());
+  return sums;
+}
+
+TEST(TreeCompressTest, ScalarLaneSumsMatchReference) {
+  Rng rng(7);
+  LaneScratch scratch;
+  for (size_t num_runs : {0u, 1u, 3u, 6u}) {
+    LaneCase c = MakeLaneCase(num_runs, &rng);
+    for (size_t width = 1; width <= kMaxLanes; ++width) {
+      SCOPED_TRACE("runs " + std::to_string(num_runs) + " width " +
+                   std::to_string(width));
+      std::vector<LaneSums> sums = RunLanes(SumLowRuns, c, width, &scratch);
+      for (size_t r = 0; r < num_runs; ++r) {
+        for (size_t lane = 0; lane < kMaxLanes; ++lane) {
+          // Each lane is a plain in-order sum of its node's rows.
+          double g = 0.0;
+          double h = 0.0;
+          uint32_t rows = 0;
+          for (uint32_t row : c.orders[r]) {
+            if (lane >= width || row >= c.num_rows ||
+                c.node_of[row] != kFirstLane + static_cast<int32_t>(lane)) {
+              continue;
+            }
+            g += c.gh[2 * row];
+            h += c.gh[2 * row + 1];
+            ++rows;
+          }
+          EXPECT_TRUE(SameBytes(&sums[r].gh[2 * lane], &g, sizeof g));
+          EXPECT_TRUE(SameBytes(&sums[r].gh[2 * lane + 1], &h, sizeof h));
+          EXPECT_EQ(sums[r].rows(lane), rows);
+          EXPECT_EQ(sums[r].count[2 * lane + 1], rows);
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeCompressTest, VectorLaneSumsMatchScalar) {
+  if (!tree_compress::CpuHasAvx512()) GTEST_SKIP() << kNoAvx512;
+  Rng rng(8);
+  LaneScratch scratch;  // shared, so stale masks would show
+  for (int trial = 0; trial < 6; ++trial) {
+    for (size_t num_runs : {0u, 1u, 2u, 4u, 5u, 9u}) {
+      LaneCase c = MakeLaneCase(num_runs, &rng);
+      for (size_t width = 1; width <= kMaxLanes; ++width) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " runs " +
+                     std::to_string(num_runs) + " width " +
+                     std::to_string(width));
+        std::vector<LaneSums> expected =
+            RunLanes(SumLowRuns, c, width, &scratch);
+        std::vector<LaneSums> actual =
+            RunLanes(SumLowRunsAvx512, c, width, &scratch);
+        EXPECT_TRUE(SameBytes(expected.data(), actual.data(),
+                              expected.size() * sizeof(LaneSums)));
       }
     }
   }
