@@ -113,6 +113,13 @@ Status GradientBoostedTrees::Fit(const Matrix& x, const std::vector<int>& y,
     }
     trees_.push_back(std::move(tree));
   }
+  // Added once per fit, so the hot loop touches no shared counter.
+  static obs::Counter* const split_bounded =
+      obs::MetricsRegistry::Global().GetCounter("ml.gbdt.split.bounded");
+  static obs::Counter* const split_verified =
+      obs::MetricsRegistry::Global().GetCounter("ml.gbdt.split.verified");
+  split_bounded->Increment(workspace.split_bounded());
+  split_verified->Increment(workspace.split_verified());
   fitted_ = true;
   return Status::OK();
 }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "ml/tree_compress.h"
 
 namespace fairclean {
@@ -20,14 +20,6 @@ double ScoreHalf(double g, double h, double lambda) {
   return g * g / (h + lambda);
 }
 
-// Feature ranges are chunked so the column-parallel scans submit at most
-// one task per pool worker per level; the chunk boundaries never affect
-// results because every feature writes only its own slice.
-size_t FeatureChunks(ThreadPool* pool, size_t num_features) {
-  if (pool == nullptr) return num_features == 0 ? 0 : 1;
-  return std::min(num_features, pool->num_threads());
-}
-
 // Gain of splitting a node with sums (g_total, h_total) into a left child
 // with sums (g_left, h_left), or 0 when either child's hessian sum falls
 // under min_child_weight. Both split searches evaluate every candidate
@@ -40,9 +32,10 @@ double SplitGain(double g_left, double h_left, double g_total, double h_total,
         h_right >= options.min_child_weight)) {
     return 0.0;
   }
-  return 0.5 * (ScoreHalf(g_left, h_left, options.lambda) +
-                ScoreHalf(g_right, h_right, options.lambda) - parent_score) -
-         options.gamma;
+  return tree_compress::GainOfHalves(
+      ScoreHalf(g_left, h_left, options.lambda),
+      ScoreHalf(g_right, h_right, options.lambda), parent_score,
+      options.gamma);
 }
 
 // Exact greedy split search over one node segment sorted ascending by
@@ -101,42 +94,52 @@ TreeFitWorkspace::SplitCandidate ScanSegment(
   return best;
 }
 
-// Length of the run of the smaller value when the ascending `values` hold
-// exactly two values a < b (±0.0 count as one), else 0. NaN is neither.
-size_t TwoValuedLowRun(const std::vector<double>& values) {
-  if (values.empty() || !(values.front() < values.back())) return 0;
+// Length of the run of the smallest value when the ascending `values` hold
+// at most two values a < b (±0.0 count as one), which is all of them for a
+// constant column; else 0. NaN equals nothing, so a column holding one is
+// never marked.
+size_t LowRunLength(const std::vector<double>& values) {
   size_t run = 0;
-  while (values[run] == values.front()) ++run;
+  while (run < values.size() && values[run] == values.front()) ++run;
+  if (run == values.size()) return run;
+  if (!(values.front() < values.back())) return 0;
   for (size_t i = run; i < values.size(); ++i) {
     if (values[i] != values.back()) return 0;
   }
   return run;
 }
 
-// Column f's low run when the presort marks it two-valued and its values
-// agree at the run's edges, else 0: the column takes the general path.
-size_t UsableLowRun(const PresortedFeatures& presorted, size_t f) {
+// True when `order` lists each of the rows [0, num_rows) exactly once.
+// `seen` holds num_rows stamps, none of them equal to `stamp`.
+bool IsPermutation(const std::vector<uint32_t>& order, size_t num_rows,
+                   uint32_t stamp, std::vector<uint32_t>* seen) {
+  if (order.size() != num_rows) return false;
+  for (uint32_t row : order) {
+    if (row >= num_rows || (*seen)[row] == stamp) return false;
+    (*seen)[row] = stamp;
+  }
+  return true;
+}
+
+// Column f's low run when the presort marks it, lists one entry per
+// matrix row (Compute() checked that they are a permutation of the rows)
+// and its values agree at the run's edges; else 0, and the column takes
+// the general path, which checks everything. A result of num_rows marks a
+// constant column.
+size_t UsableLowRun(const PresortedFeatures& presorted, size_t f,
+                    size_t num_rows) {
   if (presorted.low_run.size() != presorted.order.size()) return 0;
   size_t run = presorted.low_run[f];
   size_t size = presorted.order[f].size();
-  if (run == 0 || run >= size || f >= presorted.values.size() ||
-      presorted.values[f].size() != size) {
+  if (run == 0 || run > size || size != num_rows ||
+      f >= presorted.values.size() || presorted.values[f].size() != size) {
     return 0;
   }
   const std::vector<double>& values = presorted.values[f];
+  if (run == size) return values[0] == values[size - 1] ? run : 0;
   bool agree = values[0] == values[run - 1] && values[run - 1] < values[run] &&
                values[run] == values[size - 1];
   return agree ? run : 0;
-}
-
-// Rows of `order` inside the sample.
-size_t CountSampled(const uint32_t* order, size_t size, const int32_t* node_of,
-                    uint32_t num_rows) {
-  size_t count = 0;
-  for (size_t i = 0; i < size; ++i) {
-    count += static_cast<size_t>(node_of[std::min(order[i], num_rows)] >= 0);
-  }
-  return count;
 }
 
 // The split search of a two-valued column for one node whose `count` rows
@@ -158,6 +161,36 @@ TreeFitWorkspace::SplitCandidate TwoValuedCandidate(
   return best;
 }
 
+// Keeps the larger gain, and of equal gains the lower feature: the
+// candidate that a walk over the columns in ascending order with a strict
+// > keeps, in whatever order the candidates arrive. A gain of 0 is no
+// candidate and never replaces anything.
+void Offer(const TreeFitWorkspace::SplitCandidate& candidate,
+           TreeFitWorkspace::SplitCandidate* best) {
+  if (candidate.gain > best->gain ||
+      (candidate.gain == best->gain && candidate.gain > 0.0 &&
+       candidate.feature < best->feature)) {
+    *best = candidate;
+  }
+}
+
+// Radius around fl(total - high-run sum) that holds a node's low-run sum
+// as the lane kernel adds it (DESIGN.md §8), for a node of `rows` rows
+// whose values are at most `max_abs` in magnitude: the three sums and the
+// subtraction each err by at most about rows * u * rows * max_abs. +inf
+// when rows * max_abs is too large (or not finite) for every partial sum
+// to stay finite.
+double SumSlack(size_t rows, double max_abs) {
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+  double n = static_cast<double>(rows);
+  double abs_sum = n * max_abs;
+  if (!(abs_sum <= std::numeric_limits<double>::max() / 8)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return (4.0 * n + 8.0) * abs_sum * kUnitRoundoff +
+         std::numeric_limits<double>::min();
+}
+
 }  // namespace
 
 PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
@@ -168,6 +201,7 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
   presorted.order.assign(x.cols(), base);
   presorted.values.resize(x.cols());
   presorted.low_run.assign(x.cols(), 0);
+  std::vector<uint32_t> seen(x.rows(), 0);
   for (size_t f = 0; f < x.cols(); ++f) {
     std::sort(presorted.order[f].begin(), presorted.order[f].end(),
               [&x, f](uint32_t a, uint32_t b) {
@@ -178,7 +212,13 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
     for (size_t i = 0; i < x.rows(); ++i) {
       vals[i] = x.Row(presorted.order[f][i])[f];
     }
-    presorted.low_run[f] = TwoValuedLowRun(vals);
+    // The split search trusts a marked column to hold every row once, so
+    // it never counts the rows of its long run.
+    size_t run = LowRunLength(vals);
+    if (run > 0 && IsPermutation(presorted.order[f], x.rows(),
+                                 static_cast<uint32_t>(f + 1), &seen)) {
+      presorted.low_run[f] = run;
+    }
   }
   return presorted;
 }
@@ -219,18 +259,21 @@ Status RegressionTree::FitPresorted(const Matrix& x,
 }
 
 // Level-order exact greedy construction over node-partitioned presorts
-// (DESIGN.md §8). Level 0 compacts each feature's sample rows into one
-// segment; every later level first stably partitions the segments of the
-// nodes split at the previous level into their children's segments, then
-// scans the current frontier's segments. A level costs O(num_features *
-// sample) with no per-row node lookups in the scan.
+// (DESIGN.md §8). Level 0 compacts each general-path feature's sample rows
+// into one segment; every later level first stably partitions the segments
+// of the nodes split at the previous level into their children's segments,
+// then scans the current frontier's segments. A level costs
+// O(num_features * sample) with no per-row node lookups in the scan.
+// Two-valued columns sum a run per node instead, and constant columns are
+// skipped.
 //
-// Determinism contract: the work is parallel over feature chunks, but
-// every feature scans its own segments into its own candidate slice in
-// presort order, and the per-level reduction walks features in ascending
-// index with a strict > comparison, reproducing the sequential scan's
-// float sums and tie-breaks (lowest feature, then earliest scan position)
-// bit for bit at any thread count.
+// Determinism contract: every level runs on the calling thread. Each
+// feature scans its own segments in presort order, and the per-level
+// reduction keeps the largest gain and, of equal gains, the lowest feature,
+// reproducing the sequential scan's float sums and tie-breaks (lowest
+// feature, then earliest scan position) bit for bit. A two-valued column
+// whose short-run bound proves it cannot win a node is left out of that
+// node's reduction, which cannot change the winner.
 Status RegressionTree::FitPresorted(const Matrix& x,
                                     const std::vector<double>& grad,
                                     const std::vector<double>& hess,
@@ -266,6 +309,8 @@ Status RegressionTree::FitPresorted(const Matrix& x,
   ws->node_of.assign(x.rows() + 1, -1);
   double g_root = 0.0;
   double h_root = 0.0;
+  double g_max_abs = 0.0;
+  double h_max_abs = 0.0;
   for (size_t index : sample_indices) {
     if (index >= x.rows() || ws->node_of[index] == 0) {
       return Status::InvalidArgument(
@@ -274,6 +319,8 @@ Status RegressionTree::FitPresorted(const Matrix& x,
     ws->node_of[index] = 0;
     g_root += grad[index];
     h_root += hess[index];
+    g_max_abs = std::max(g_max_abs, std::fabs(grad[index]));
+    h_max_abs = std::max(h_max_abs, std::fabs(hess[index]));
   }
   nodes_.emplace_back();
   nodes_[0].value = LeafWeight(g_root, h_root, options.lambda);
@@ -297,28 +344,73 @@ Status RegressionTree::FitPresorted(const Matrix& x,
   ws->seg_size.assign(1, m);
   ws->frontier.assign(1, 0);
   ws->split_parents.clear();
-  for (int copy = 0; copy < 2; ++copy) {
-    ws->rows[copy].resize(num_features * stride);
-    ws->values[copy].resize(num_features * stride);
-  }
-  ws->low_runs.resize(num_features);
-  ws->low_run_features.resize(num_features);
-  ws->high_sampled.resize(num_features);
-  ws->lane_sums.resize(num_features);
 
-  ThreadPool* pool = ThreadPool::SharedForFolds();
-  size_t num_chunks = FeatureChunks(pool, num_features);
-  ws->lane_scratch.resize(num_chunks);
+  // The column plan. A constant column has one value in every node, so no
+  // level can find it a candidate; a two-valued one sums a run per node.
+  ws->general.clear();
+  ws->two_valued.clear();
+  for (size_t f = 0; f < num_features; ++f) {
+    size_t low = UsableLowRun(presorted, f, x.rows());
+    if (low == 0) {
+      ws->general.push_back(f);
+      continue;
+    }
+    if (low == x.rows()) continue;
+    const std::vector<uint32_t>& order_f = presorted.order[f];
+    const std::vector<double>& values_f = presorted.values[f];
+    TreeFitWorkspace::TwoValued column;
+    column.feature = f;
+    column.low = {order_f.data(), low};
+    column.high = {order_f.data() + low, order_f.size() - low};
+    column.threshold = 0.5 * (values_f[low - 1] + values_f[low]);
+    column.bounded = column.high.size < column.low.size;
+    ws->two_valued.push_back(column);
+  }
+  // Bounded columns first, so their short-run sums are one block for the
+  // gain bound. Reordering the columns changes no result: each sums into
+  // its own lanes, and Offer's choice is order-free.
+  auto first_exact = std::stable_partition(
+      ws->two_valued.begin(), ws->two_valued.end(),
+      [](const TreeFitWorkspace::TwoValued& column) { return column.bounded; });
+  size_t num_general = ws->general.size();
+  size_t num_two_valued = ws->two_valued.size();
+  size_t num_bounded =
+      static_cast<size_t>(first_exact - ws->two_valued.begin());
+  tree_compress::GainOptions gain_options;
+  gain_options.lambda = options.lambda;
+  gain_options.gamma = options.gamma;
+  gain_options.min_child_weight = options.min_child_weight;
+  for (int copy = 0; copy < 2; ++copy) {
+    ws->rows[copy].resize(num_general * stride);
+    ws->values[copy].resize(num_general * stride);
+  }
+  ws->short_runs.resize(num_two_valued);
+  for (size_t k = 0; k < num_two_valued; ++k) {
+    const TreeFitWorkspace::TwoValued& column = ws->two_valued[k];
+    ws->short_runs[k] = column.bounded ? column.high : column.low;
+  }
+  ws->short_sums.resize(num_two_valued);
+  ws->long_runs.resize(num_two_valued);
+  ws->long_columns.resize(num_two_valued);
+  ws->long_sums.resize(num_two_valued);
+  ws->gain_upper.resize(num_bounded * tree_compress::kMaxLanes);
+  uint64_t bounded = 0;
+  uint64_t verified = 0;
+
   // The vector kernels gather node_of with signed 32-bit indices.
-  bool vector = tree_compress::CpuHasAvx512() &&
+  bool vector = !ws->scalar_kernels_ && tree_compress::CpuHasAvx512() &&
                 x.rows() <= static_cast<size_t>(INT32_MAX);
   auto* filter_feature = vector ? tree_compress::FilterFeatureAvx512
                                 : tree_compress::FilterFeature;
   auto* partition_segment = vector ? tree_compress::PartitionSegmentAvx512
                                    : tree_compress::PartitionSegment;
-  auto* sum_low_runs = vector ? tree_compress::SumLowRunsAvx512
-                              : tree_compress::SumLowRuns;
+  auto* sum_runs =
+      vector ? tree_compress::SumRunsAvx512 : tree_compress::SumRuns;
+  auto* bound_gains =
+      vector ? tree_compress::BoundGainsAvx512 : tree_compress::BoundGains;
   uint32_t num_rows = static_cast<uint32_t>(x.rows());
+  const int32_t* node_of = ws->node_of.data();
+  const double* gh = ws->gh.data();
 
   for (int depth = 0; depth < options.max_depth && !ws->frontier.empty();
        ++depth) {
@@ -329,130 +421,142 @@ Status RegressionTree::FitPresorted(const Matrix& x,
       ws->parent_score[slot] =
           ScoreHalf(ws->g_total[node], ws->h_total[node], options.lambda);
     }
-    ws->feature_best.resize(num_features * width);
+    ws->best.assign(width, {});
 
-    // Column-parallel: feature f touches only its own segment stride and
-    // its own [f * width, (f + 1) * width) candidate slice.
+    // General-path columns: filter or partition, then scan. Column g owns
+    // the g-th segment stride of each copy.
     int copy = depth & 1;
-    std::vector<int> errors = RunIndexed(pool, num_chunks, [&](size_t chunk) {
-      size_t begin = num_features * chunk / num_chunks;
-      size_t end = num_features * (chunk + 1) / num_chunks;
-      // The chunk's two-valued columns skip the filter, the partition and
-      // the scan; their low runs are summed per node after the loop.
-      tree_compress::LowRun* runs = ws->low_runs.data() + begin;
-      size_t* run_features = ws->low_run_features.data() + begin;
-      size_t* high_sampled = ws->high_sampled.data() + begin;
-      size_t num_runs = 0;
-      for (size_t f = begin; f < end; ++f) {
-        if (size_t low = UsableLowRun(presorted, f); low > 0) {
-          const std::vector<uint32_t>& order_f = presorted.order[f];
-          runs[num_runs] = {order_f.data(), low};
-          run_features[num_runs] = f;
-          if (depth == 0) {
-            high_sampled[num_runs] =
-                CountSampled(order_f.data() + low, order_f.size() - low,
-                             ws->node_of.data(), num_rows);
-          }
-          ++num_runs;
-          continue;
+    for (size_t g = 0; g < num_general; ++g) {
+      size_t f = ws->general[g];
+      uint32_t* rows_f = ws->rows[copy].data() + g * stride;
+      double* values_f = ws->values[copy].data() + g * stride;
+      if (depth == 0) {
+        const std::vector<uint32_t>& order_f = presorted.order[f];
+        bool has_values = f < presorted.values.size() &&
+                          presorted.values[f].size() == order_f.size();
+        // The run skips rely on ascending values; NaN fails <= too.
+        bool sorted = true;
+        size_t kept = filter_feature(
+            order_f.data(), order_f.size(),
+            has_values ? presorted.values[f].data() : nullptr, node_of,
+            num_rows, m, rows_f, values_f, &sorted);
+        if (kept != m) {
+          return Status::InvalidArgument("presort misses sample rows");
         }
-        uint32_t* rows_f = ws->rows[copy].data() + f * stride;
-        double* values_f = ws->values[copy].data() + f * stride;
-        if (depth == 0) {
-          const std::vector<uint32_t>& order_f = presorted.order[f];
-          bool has_values = f < presorted.values.size() &&
-                            presorted.values[f].size() == order_f.size();
-          // The run skips rely on ascending values; NaN fails <= too.
-          bool sorted = true;
-          size_t kept = filter_feature(
-              order_f.data(), order_f.size(),
-              has_values ? presorted.values[f].data() : nullptr,
-              ws->node_of.data(), num_rows, m, rows_f, values_f, &sorted);
-          if (kept != m) return 1;
-          if (!has_values) {
-            for (size_t i = 0; i < m; ++i) {
-              values_f[i] = x.Row(rows_f[i])[f];
-              sorted &= i == 0 || values_f[i - 1] <= values_f[i];
-            }
-          }
-          if (!sorted) return 2;
-        } else {
-          const uint32_t* from_rows = ws->rows[copy ^ 1].data() + f * stride;
-          const double* from_values =
-              ws->values[copy ^ 1].data() + f * stride;
-          for (int parent : ws->split_parents) {
-            const Node& node = nodes_[static_cast<size_t>(parent)];
-            size_t offset = ws->seg_begin[static_cast<size_t>(parent)];
-            partition_segment(from_rows + offset, from_values + offset,
-                              ws->seg_size[static_cast<size_t>(parent)],
-                              ws->seg_size[static_cast<size_t>(node.left)],
-                              ws->node_of.data(), node.right, rows_f + offset,
-                              values_f + offset);
+        if (!has_values) {
+          for (size_t i = 0; i < m; ++i) {
+            values_f[i] = x.Row(rows_f[i])[f];
+            sorted &= i == 0 || values_f[i - 1] <= values_f[i];
           }
         }
-        TreeFitWorkspace::SplitCandidate* best_f =
-            ws->feature_best.data() + f * width;
-        for (size_t slot = 0; slot < width; ++slot) {
-          size_t node = static_cast<size_t>(ws->frontier[slot]);
-          size_t offset = ws->seg_begin[node];
-          best_f[slot] = ScanSegment(
-              rows_f + offset, values_f + offset, ws->seg_size[node],
-              ws->gh.data(), ws->g_total[node], ws->h_total[node],
-              ws->parent_score[slot], f, options);
+        if (!sorted) {
+          return Status::InvalidArgument(
+              "presort values must be ascending and not NaN");
+        }
+      } else {
+        const uint32_t* from_rows = ws->rows[copy ^ 1].data() + g * stride;
+        const double* from_values = ws->values[copy ^ 1].data() + g * stride;
+        for (int parent : ws->split_parents) {
+          const Node& node = nodes_[static_cast<size_t>(parent)];
+          size_t offset = ws->seg_begin[static_cast<size_t>(parent)];
+          partition_segment(from_rows + offset, from_values + offset,
+                            ws->seg_size[static_cast<size_t>(parent)],
+                            ws->seg_size[static_cast<size_t>(node.left)],
+                            node_of, node.right, rows_f + offset,
+                            values_f + offset);
         }
       }
-      // The frontier's node ids are consecutive (each split appends its
-      // two children), so a pass's lane k is frontier slot pass + k.
-      tree_compress::LaneSums* sums = ws->lane_sums.data() + begin;
-      for (size_t pass = 0; num_runs > 0 && pass < width;
-           pass += tree_compress::kMaxLanes) {
-        size_t lanes = std::min(tree_compress::kMaxLanes, width - pass);
-        sum_low_runs(runs, num_runs, ws->node_of.data(), num_rows,
-                     ws->gh.data(), ws->frontier[pass], lanes,
-                     &ws->lane_scratch[chunk], sums);
-        for (size_t k = 0; k < num_runs; ++k) {
-          if (depth == 0 && sums[k].rows(0) + high_sampled[k] != m) {
-            return 1;
-          }
-          size_t f = run_features[k];
-          size_t low = runs[k].size;
-          const std::vector<double>& values_f = presorted.values[f];
-          double threshold = 0.5 * (values_f[low - 1] + values_f[low]);
-          TreeFitWorkspace::SplitCandidate* best_f =
-              ws->feature_best.data() + f * width;
-          for (size_t lane = 0; lane < lanes; ++lane) {
-            size_t slot = pass + lane;
-            size_t node = static_cast<size_t>(ws->frontier[slot]);
-            best_f[slot] = TwoValuedCandidate(
-                sums[k].g(lane), sums[k].h(lane), sums[k].rows(lane),
-                ws->seg_size[node], ws->g_total[node], ws->h_total[node],
-                ws->parent_score[slot], f, threshold, options);
-          }
-        }
-      }
-      return 0;
-    });
-    for (int error : errors) {
-      if (error == 1) {
-        return Status::InvalidArgument("presort misses sample rows");
-      }
-      if (error == 2) {
-        return Status::InvalidArgument(
-            "presort values must be ascending and not NaN");
+      for (size_t slot = 0; slot < width; ++slot) {
+        size_t node = static_cast<size_t>(ws->frontier[slot]);
+        size_t offset = ws->seg_begin[node];
+        Offer(ScanSegment(rows_f + offset, values_f + offset,
+                          ws->seg_size[node], gh, ws->g_total[node],
+                          ws->h_total[node], ws->parent_score[slot], f,
+                          options),
+              &ws->best[slot]);
       }
     }
 
-    // Reduce in fixed column order with a strict >, so ties keep the lowest
-    // feature — exactly what the sequential cross-feature scan produced.
-    ws->best.assign(width, {});
-    for (size_t f = 0; f < num_features; ++f) {
-      const TreeFitWorkspace::SplitCandidate* best_f =
-          ws->feature_best.data() + f * width;
-      for (size_t slot = 0; slot < width; ++slot) {
-        if (best_f[slot].gain > ws->best[slot].gain) {
-          ws->best[slot] = best_f[slot];
+    // Two-valued columns, a pass of up to kMaxLanes frontier nodes at a
+    // time. The frontier's node ids are consecutive (each split appends its
+    // two children), so a pass's lane k is frontier slot pass + k. Each
+    // column first sums its short run. Where that is its low run the
+    // candidate is exact. Otherwise the low run's sums are the node's
+    // totals minus the high run's, within a rounding slack, which bounds
+    // the column's gain; the column streams its low run exactly only when
+    // some lane's upper bound reaches the largest gain proven in that lane.
+    ws->verified.assign(num_bounded, 0);
+    for (size_t pass = 0; num_two_valued > 0 && pass < width;
+         pass += tree_compress::kMaxLanes) {
+      size_t lanes = std::min(tree_compress::kMaxLanes, width - pass);
+      ws->lane_pass.first = ws->frontier[pass];
+      ws->lane_pass.width = lanes;
+      if (vector) tree_compress::BuildLaneMasks(node_of, num_rows,
+                                                &ws->lane_pass);
+      sum_runs(ws->short_runs.data(), num_two_valued, node_of, num_rows, gh,
+               ws->lane_pass, ws->short_sums.data());
+      // Offers a column's exact candidate, from its low run's sums, in
+      // every lane of the pass.
+      auto offer_exact = [&](const TreeFitWorkspace::TwoValued& column,
+                             const tree_compress::LaneSums& sums) {
+        for (size_t lane = 0; lane < lanes; ++lane) {
+          size_t slot = pass + lane;
+          size_t node = static_cast<size_t>(ws->frontier[slot]);
+          Offer(TwoValuedCandidate(sums.g(lane), sums.h(lane),
+                                   sums.rows(lane), ws->seg_size[node],
+                                   ws->g_total[node], ws->h_total[node],
+                                   ws->parent_score[slot], column.feature,
+                                   column.threshold, options),
+                &ws->best[slot]);
         }
+      };
+      for (size_t k = num_bounded; k < num_two_valued; ++k) {
+        offer_exact(ws->two_valued[k], ws->short_sums[k]);
       }
+      // The largest gain proven per lane: every exact candidate so far,
+      // raised by every certified lower bound.
+      tree_compress::LaneNodes lane_nodes = {};
+      double proven[tree_compress::kMaxLanes] = {};
+      for (size_t lane = 0; lane < lanes; ++lane) {
+        size_t slot = pass + lane;
+        size_t node = static_cast<size_t>(ws->frontier[slot]);
+        size_t size = ws->seg_size[node];
+        lane_nodes.g_total[lane] = ws->g_total[node];
+        lane_nodes.h_total[lane] = ws->h_total[node];
+        lane_nodes.g_slack[lane] = SumSlack(size, g_max_abs);
+        lane_nodes.h_slack[lane] = SumSlack(size, h_max_abs);
+        lane_nodes.parent_score[lane] = ws->parent_score[slot];
+        lane_nodes.size[lane] = static_cast<double>(size);
+        proven[lane] = ws->best[slot].gain;
+      }
+      bound_gains(ws->short_sums.data(), num_bounded, lane_nodes,
+                  gain_options, proven, ws->gain_upper.data());
+      // A column stays out of a lane's reduction when its upper bound is at
+      // most 0 (a candidate needs gain > 0) or below the proven gain there;
+      // it streams its low run when any lane keeps it.
+      size_t num_long = 0;
+      for (size_t k = 0; k < num_bounded; ++k) {
+        const double* upper =
+            ws->gain_upper.data() + k * tree_compress::kMaxLanes;
+        bool needed = false;
+        for (size_t lane = 0; lane < lanes; ++lane) {
+          needed |= !(upper[lane] <= 0.0 || upper[lane] < proven[lane]);
+        }
+        if (!needed) continue;
+        ws->long_runs[num_long] = ws->two_valued[k].low;
+        ws->long_columns[num_long] = k;
+        ++num_long;
+        ws->verified[k] = 1;
+      }
+      sum_runs(ws->long_runs.data(), num_long, node_of, num_rows, gh,
+               ws->lane_pass, ws->long_sums.data());
+      for (size_t j = 0; j < num_long; ++j) {
+        offer_exact(ws->two_valued[ws->long_columns[j]], ws->long_sums[j]);
+      }
+    }
+    if (num_two_valued > 0) {
+      bounded += num_bounded;
+      for (size_t k = 0; k < num_bounded; ++k) verified += ws->verified[k];
     }
 
     // Materialize the accepted splits and re-assign samples to children.
@@ -513,6 +617,8 @@ Status RegressionTree::FitPresorted(const Matrix& x,
     }
     std::swap(ws->frontier, ws->next_frontier);
   }
+  ws->split_bounded_ += bounded;
+  ws->split_verified_ += verified;
   return Status::OK();
 }
 

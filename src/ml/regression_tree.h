@@ -36,11 +36,14 @@ struct PresortedFeatures {
   /// instead of gathering one cache line per row. May be empty (e.g. a
   /// hand-built presort), in which case the fit gathers from the matrix.
   std::vector<std::vector<double>> values;
-  /// low_run[f] > 0 marks a column that takes exactly two values a < b
-  /// over its whole order (a one-hot column): values[f][0, low_run[f]) are
-  /// a, the rest b. The split search then sums that run per node instead
-  /// of partitioning the column (DESIGN.md §8). Compute() fills it with 0
-  /// for every other column; a hand-built presort leaves it empty, and a
+  /// low_run[f] > 0 marks a column that takes at most two values over its
+  /// whole order: values[f][0, low_run[f]) hold its smallest value a and
+  /// the rest its other value b > a, if any. low_run[f] == order[f].size()
+  /// marks a constant column. Compute() sets it only after checking that
+  /// order[f] lists every row of the matrix exactly once, and fills 0 for
+  /// every other column. The split search then sums one run per node
+  /// instead of partitioning the column, or skips a constant column
+  /// outright (DESIGN.md §8). A hand-built presort leaves it empty, and a
   /// caller that edits `order` or `values` afterwards must clear it.
   std::vector<size_t> low_run;
 
@@ -65,8 +68,30 @@ class TreeFitWorkspace {
   /// comparison, so the leaf's value is what PredictOne returns for it.
   int leaf_of(size_t row) const { return node_of[row]; }
 
+  /// Two-valued column-levels whose split search went through the
+  /// short-run bound, and those of them that then needed the exact long
+  /// run, summed over every fit with this workspace (DESIGN.md §8).
+  uint64_t split_bounded() const { return split_bounded_; }
+  uint64_t split_verified() const { return split_verified_; }
+
+  /// Runs the portable scalar kernels even where the CPU has AVX-512, so
+  /// tests can check both forms through the whole fit.
+  void UseScalarKernels(bool scalar) { scalar_kernels_ = scalar; }
+
  private:
   friend class RegressionTree;
+
+  // A two-valued column: its feature, its low and high runs in presort
+  // order, the threshold between them, and whether its split sums are
+  // bounded from the high run (the shorter one) before the low run is
+  // streamed.
+  struct TwoValued {
+    size_t feature = 0;
+    tree_compress::Run low;
+    tree_compress::Run high;
+    double threshold = 0.0;
+    bool bounded = false;
+  };
 
   // Per absolute row: current node id, or -1 outside the sample. One extra
   // -1 entry past the last row backs the kernels' clamped lookups.
@@ -83,19 +108,27 @@ class TreeFitWorkspace {
   std::vector<int> split_parents;   // nodes split at the previous level
   std::vector<double> parent_score;           // per frontier slot
   std::vector<SplitCandidate> best;           // per frontier slot
-  std::vector<SplitCandidate> feature_best;   // [feature * width + slot]
-  // Per feature slot, used by its chunk in order: the low runs of the
-  // chunk's two-valued columns, their features, their sampled rows past
-  // the run (level 0 only) and their lane sums.
-  std::vector<tree_compress::LowRun> low_runs;
-  std::vector<size_t> low_run_features;
-  std::vector<size_t> high_sampled;
-  std::vector<tree_compress::LaneSums> lane_sums;
-  std::vector<tree_compress::LaneScratch> lane_scratch;  // per chunk
+  // The fit's column plan: general-path columns, and two-valued columns
+  // with their runs, the bounded ones first.
+  std::vector<size_t> general;
+  std::vector<TwoValued> two_valued;
+  std::vector<tree_compress::Run> short_runs;  // per two-valued column
+  std::vector<tree_compress::Run> long_runs;   // per verified column
+  std::vector<size_t> long_columns;            // two_valued index of each
+  std::vector<tree_compress::LaneSums> short_sums;
+  std::vector<tree_compress::LaneSums> long_sums;
+  // Upper bound of each bounded column's gain in each lane of a pass, at
+  // [two_valued index * kMaxLanes + lane]; +inf where none is certified.
+  std::vector<double> gain_upper;
+  std::vector<uint8_t> verified;  // per bounded column, this level
+  tree_compress::LanePass lane_pass;
+  uint64_t split_bounded_ = 0;
+  uint64_t split_verified_ = 0;
+  bool scalar_kernels_ = false;
   // Two copies of the sample's presort, each one stride of m + 1 slots per
-  // feature (the level-0 filter writes one slot past the last kept row),
-  // laid out as contiguous per-node segments. Level 0 compacts the
-  // presort into copy 0; every later level partitions the previous
+  // general-path column (the level-0 filter writes one slot past the last
+  // kept row), laid out as contiguous per-node segments. Level 0 compacts
+  // the presort into copy 0; every later level partitions the previous
   // level's copy into the other one.
   std::vector<uint32_t> rows[2];
   std::vector<double> values[2];
@@ -116,12 +149,22 @@ class RegressionTree {
   /// Like Fit, but reuses a precomputed feature presort. `presorted` may
   /// hold all rows of the matrix or any superset of the sample rows;
   /// either way the sample rows are first compacted into the workspace, so
-  /// each level costs O(sample size) per feature. A column marked in
-  /// `low_run` instead costs its low run per level, with no compaction. Sample indices must be
+  /// each level costs O(sample size) per feature. Sample indices must be
   /// distinct rows of `x`, and the presort must list every sample row
   /// with values that ascend and hold no NaN; anything else is rejected
   /// with InvalidArgument. Presort row ids past the matrix count as rows
   /// outside the sample.
+  ///
+  /// A column marked in `low_run` whose order has one entry per row of
+  /// `x` is trusted to list each row once (Compute() checked it) and is
+  /// never compacted. A constant one costs nothing. A two-valued one sums
+  /// its shorter run per level; when that is its high run, the column's
+  /// gain is bounded from the node totals within a certified rounding
+  /// slack, and its low run is streamed only where the bound cannot rule
+  /// the column out of a node or cannot be certified (non-finite sums, a
+  /// denominator range reaching 0, min_child_weight inside a hessian
+  /// range). A column left out can never have won the node, so the tree
+  /// is bit-identical to scanning every column exactly (DESIGN.md §8).
   Status FitPresorted(const Matrix& x, const std::vector<double>& grad,
                       const std::vector<double>& hess,
                       const std::vector<size_t>& sample_indices,

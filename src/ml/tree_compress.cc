@@ -1,6 +1,8 @@
 #include "ml/tree_compress.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -92,6 +94,71 @@ void FillTrailingRun(double largest, size_t left_slot, size_t left_size,
                      size_t right_slot, size_t size, double* out_values) {
   std::fill(out_values + left_slot, out_values + left_size, largest);
   std::fill(out_values + right_slot, out_values + size, largest);
+}
+
+// fl(x * x) over x in [lo, hi]: the square grows with |x|, and rounding to
+// nearest keeps that order.
+void SquareBounds(double lo, double hi, double* sq_lo, double* sq_hi) {
+  double a = lo * lo;
+  double b = hi * hi;
+  if (lo >= 0.0) {
+    *sq_lo = a;
+    *sq_hi = b;
+  } else if (hi <= 0.0) {
+    *sq_lo = b;
+    *sq_hi = a;
+  } else {
+    *sq_lo = 0.0;
+    *sq_hi = a > b ? a : b;
+  }
+}
+
+// One lane of BoundGains.
+void BoundLane(double g_high, double h_high, double high, size_t lane,
+               const LaneNodes& nodes, const GainOptions& options,
+               double* lower, double* upper) {
+  const double inf = std::numeric_limits<double>::infinity();
+  *lower = 0.0;
+  *upper = 0.0;
+  if (!(high > 0.0 && high < nodes.size[lane])) return;
+  double g_total = nodes.g_total[lane];
+  double h_total = nodes.h_total[lane];
+  double g_low = g_total - g_high;
+  double h_low = h_total - h_high;
+  double g_lo = g_low - nodes.g_slack[lane];
+  double g_hi = g_low + nodes.g_slack[lane];
+  double h_lo = h_low - nodes.h_slack[lane];
+  double h_hi = h_low + nodes.h_slack[lane];
+  *lower = -inf;
+  *upper = inf;
+  if (!(std::isfinite(g_total) && std::isfinite(h_total) &&
+        std::isfinite(g_lo) && std::isfinite(g_hi) && std::isfinite(h_lo) &&
+        std::isfinite(h_hi))) {
+    return;
+  }
+  double mcw = options.min_child_weight;
+  double hr_lo = h_total - h_hi;
+  double hr_hi = h_total - h_lo;
+  if (!(h_hi >= mcw && hr_hi >= mcw)) {
+    *lower = 0.0;
+    *upper = 0.0;
+    return;
+  }
+  if (!(h_lo >= mcw && hr_lo >= mcw)) return;
+  double dl_lo = h_lo + options.lambda;
+  double dl_hi = h_hi + options.lambda;
+  double dr_lo = hr_lo + options.lambda;
+  double dr_hi = hr_hi + options.lambda;
+  if (!(dl_lo > 0.0 && dr_lo > 0.0)) return;
+  double sl_lo, sl_hi, sr_lo, sr_hi;
+  SquareBounds(g_lo, g_hi, &sl_lo, &sl_hi);
+  SquareBounds(g_total - g_hi, g_total - g_lo, &sr_lo, &sr_hi);
+  double parent = nodes.parent_score[lane];
+  double lo = GainOfHalves(sl_lo / dl_hi, sr_lo / dr_hi, parent, options.gamma);
+  double hi = GainOfHalves(sl_hi / dl_lo, sr_hi / dr_lo, parent, options.gamma);
+  if (!(std::isfinite(lo) && std::isfinite(hi))) return;
+  *lower = lo;
+  *upper = hi;
 }
 
 #ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
@@ -239,7 +306,7 @@ struct LaneTable {
   const char* gh_bytes;
 };
 
-// A low run being summed, and where its sums go.
+// A run being summed, and where its sums go.
 struct RunCursor {
   const uint32_t* order;
   size_t size;
@@ -359,22 +426,15 @@ FAIRCLEAN_AVX512_TARGET void SumGroup(const LaneTable& table,
 }
 
 template <bool kWide>
-FAIRCLEAN_AVX512_TARGET void SumLowRunsVector(
-    const LowRun* runs, size_t num_runs, const int32_t* node_of,
-    uint32_t num_rows, const double* gh, int32_t first, size_t width,
-    LaneScratch* scratch, LaneSums* sums) {
-  // Unsigned: a node before `first` or -1 wraps past every lane.
-  uint32_t base = static_cast<uint32_t>(first);
-  scratch->masks.resize(size_t{num_rows} + 1);
-  uint16_t* masks = scratch->masks.data();
-  for (size_t row = 0; row <= num_rows; ++row) {
-    uint32_t lane = static_cast<uint32_t>(node_of[row]) - base;
-    masks[row] = static_cast<uint16_t>(lane < width ? 3u << (2 * lane) : 0u);
-  }
+FAIRCLEAN_AVX512_TARGET void SumRunsVector(const Run* runs, size_t num_runs,
+                                           uint32_t num_rows,
+                                           const double* gh,
+                                           const LanePass& pass,
+                                           LaneSums* sums) {
   for (size_t r = 0; r < num_runs; ++r) sums[r] = LaneSums{};
   // Little-endian: byte 2 row holds lanes 0-3, byte 2 row + 1 lanes 4-7.
-  LaneTable table{reinterpret_cast<const uint8_t*>(masks), num_rows,
-                  reinterpret_cast<const char*>(gh)};
+  LaneTable table{reinterpret_cast<const uint8_t*>(pass.masks.data()),
+                  num_rows, reinterpret_cast<const char*>(gh)};
   for (size_t begin = 0; begin < num_runs; begin += kGroup) {
     RunCursor cursors[kGroup];
     size_t live = 0;
@@ -384,6 +444,138 @@ FAIRCLEAN_AVX512_TARGET void SumLowRunsVector(
     }
     SumGroup<kWide>(table, cursors, live);
   }
+}
+
+// BuildLaneMasks, 16 rows per step.
+FAIRCLEAN_AVX512_TARGET size_t LaneMasksVector(const int32_t* node_of,
+                                               uint32_t num_rows,
+                                               LanePass* pass) {
+  const __m512i base = _mm512_set1_epi32(pass->first);
+  const __m512i width = _mm512_set1_epi32(static_cast<int32_t>(pass->width));
+  const __m512i three = _mm512_set1_epi32(3);
+  uint16_t* masks = pass->masks.data();
+  size_t row = 0;
+  for (; row + 16 <= size_t{num_rows} + 1; row += 16) {
+    __m512i lane = _mm512_sub_epi32(_mm512_loadu_si512(node_of + row), base);
+    __mmask16 in_pass = _mm512_cmplt_epu32_mask(lane, width);
+    __m512i bits = _mm512_maskz_sllv_epi32(in_pass, three,
+                                           _mm512_add_epi32(lane, lane));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(masks + row),
+                        _mm512_maskz_cvtepi32_epi16(0xFFFF, bits));
+  }
+  return row;
+}
+
+// SquareBounds on 8 lanes.
+FAIRCLEAN_AVX512_TARGET void SquareBoundsVector(__m512d lo, __m512d hi,
+                                                __m512d* sq_lo,
+                                                __m512d* sq_hi) {
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d a = _mm512_mul_pd(lo, lo);
+  __m512d b = _mm512_mul_pd(hi, hi);
+  __mmask8 nonnegative = _mm512_cmp_pd_mask(lo, zero, _CMP_GE_OQ);
+  __mmask8 nonpositive = _mm512_cmp_pd_mask(hi, zero, _CMP_LE_OQ);
+  *sq_lo =
+      _mm512_mask_mov_pd(_mm512_maskz_mov_pd(nonpositive, b), nonnegative, a);
+  *sq_hi = _mm512_mask_mov_pd(
+      _mm512_mask_mov_pd(_mm512_maskz_max_pd(0xFF, a, b), nonpositive, a), nonnegative, b);
+}
+
+// The gain bound of 8 lanes per operation: BoundLane's steps, in the same
+// order, with its branches turned into lane masks.
+FAIRCLEAN_AVX512_TARGET void BoundGainsVector(
+    const LaneSums* sums, size_t num_sums, const LaneNodes& nodes,
+    const GainOptions& options, double* proven, double* upper) {
+  // fpclass categories QNaN, +inf, -inf and SNaN: the lanes that are not
+  // finite.
+  constexpr int kNotFinite = 0x99;
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d inf =
+      _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  const __m512d minus_inf = _mm512_set1_pd(-std::numeric_limits<double>::infinity());
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d lambda = _mm512_set1_pd(options.lambda);
+  const __m512d gamma = _mm512_set1_pd(options.gamma);
+  const __m512d mcw = _mm512_set1_pd(options.min_child_weight);
+  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+  const __m512i low_word = _mm512_set1_epi64(0xFFFFFFFF);
+  const __m512d g_total = _mm512_loadu_pd(nodes.g_total);
+  const __m512d h_total = _mm512_loadu_pd(nodes.h_total);
+  const __m512d g_slack = _mm512_loadu_pd(nodes.g_slack);
+  const __m512d h_slack = _mm512_loadu_pd(nodes.h_slack);
+  const __m512d parent = _mm512_loadu_pd(nodes.parent_score);
+  const __m512d size = _mm512_loadu_pd(nodes.size);
+  const __mmask8 totals_finite = static_cast<__mmask8>(
+      ~(_mm512_fpclass_pd_mask(g_total, kNotFinite) |
+        _mm512_fpclass_pd_mask(h_total, kNotFinite)));
+  __m512d best = _mm512_loadu_pd(proven);
+  for (size_t r = 0; r < num_sums; ++r) {
+    __m512d pairs_lo = _mm512_loadu_pd(sums[r].gh);
+    __m512d pairs_hi = _mm512_loadu_pd(sums[r].gh + 8);
+    __m512d g_high = _mm512_permutex2var_pd(pairs_lo, even, pairs_hi);
+    __m512d h_high = _mm512_permutex2var_pd(pairs_lo, odd, pairs_hi);
+    __m512d high = _mm512_cvtepu64_pd(_mm512_and_si512(
+        _mm512_loadu_si512(sums[r].count), low_word));
+    __mmask8 split = _mm512_cmp_pd_mask(high, zero, _CMP_GT_OQ) &
+                     _mm512_cmp_pd_mask(high, size, _CMP_LT_OQ);
+    __m512d g_low = _mm512_sub_pd(g_total, g_high);
+    __m512d h_low = _mm512_sub_pd(h_total, h_high);
+    __m512d g_lo = _mm512_sub_pd(g_low, g_slack);
+    __m512d g_hi = _mm512_add_pd(g_low, g_slack);
+    __m512d h_lo = _mm512_sub_pd(h_low, h_slack);
+    __m512d h_hi = _mm512_add_pd(h_low, h_slack);
+    __mmask8 finite = totals_finite &
+                      static_cast<__mmask8>(~(
+                          _mm512_fpclass_pd_mask(g_lo, kNotFinite) |
+                          _mm512_fpclass_pd_mask(g_hi, kNotFinite) |
+                          _mm512_fpclass_pd_mask(h_lo, kNotFinite) |
+                          _mm512_fpclass_pd_mask(h_hi, kNotFinite)));
+    __m512d hr_lo = _mm512_sub_pd(h_total, h_hi);
+    __m512d hr_hi = _mm512_sub_pd(h_total, h_lo);
+    __mmask8 may_pass = _mm512_cmp_pd_mask(h_hi, mcw, _CMP_GE_OQ) &
+                        _mm512_cmp_pd_mask(hr_hi, mcw, _CMP_GE_OQ);
+    __mmask8 must_pass = _mm512_cmp_pd_mask(h_lo, mcw, _CMP_GE_OQ) &
+                         _mm512_cmp_pd_mask(hr_lo, mcw, _CMP_GE_OQ);
+    __m512d dl_lo = _mm512_add_pd(h_lo, lambda);
+    __m512d dl_hi = _mm512_add_pd(h_hi, lambda);
+    __m512d dr_lo = _mm512_add_pd(hr_lo, lambda);
+    __m512d dr_hi = _mm512_add_pd(hr_hi, lambda);
+    __mmask8 positive = _mm512_cmp_pd_mask(dl_lo, zero, _CMP_GT_OQ) &
+                        _mm512_cmp_pd_mask(dr_lo, zero, _CMP_GT_OQ);
+    __m512d sl_lo, sl_hi, sr_lo, sr_hi;
+    SquareBoundsVector(g_lo, g_hi, &sl_lo, &sl_hi);
+    SquareBoundsVector(_mm512_sub_pd(g_total, g_hi), _mm512_sub_pd(g_total, g_lo),
+                  &sr_lo, &sr_hi);
+    // GainOfHalves: 0.5 * (left + right - parent) - gamma.
+    __m512d lo = _mm512_sub_pd(
+        _mm512_mul_pd(half, _mm512_sub_pd(
+                                _mm512_add_pd(_mm512_div_pd(sl_lo, dl_hi),
+                                              _mm512_div_pd(sr_lo, dr_hi)),
+                                parent)),
+        gamma);
+    __m512d hi = _mm512_sub_pd(
+        _mm512_mul_pd(half, _mm512_sub_pd(
+                                _mm512_add_pd(_mm512_div_pd(sl_hi, dl_lo),
+                                              _mm512_div_pd(sr_hi, dr_lo)),
+                                parent)),
+        gamma);
+    __mmask8 bounded = split & finite & may_pass & must_pass & positive &
+                       static_cast<__mmask8>(
+                           ~(_mm512_fpclass_pd_mask(lo, kNotFinite) |
+                             _mm512_fpclass_pd_mask(hi, kNotFinite)));
+    __mmask8 no_candidate =
+        static_cast<__mmask8>(~split | (finite & ~may_pass));
+    lo = _mm512_mask_mov_pd(_mm512_mask_mov_pd(minus_inf, bounded, lo),
+                            no_candidate, zero);
+    hi = _mm512_mask_mov_pd(_mm512_mask_mov_pd(inf, bounded, hi),
+                            no_candidate, zero);
+    // max_pd keeps its second operand unless the first is greater, as
+    // BoundGains does.
+    best = _mm512_maskz_max_pd(0xFF, best, lo);
+    _mm512_storeu_pd(upper + r * kMaxLanes, hi);
+  }
+  _mm512_storeu_pd(proven, best);
 }
 
 #undef FAIRCLEAN_AVX512_TARGET
@@ -453,19 +645,35 @@ void PartitionSegmentAvx512(const uint32_t* rows, const double* values,
 #endif
 }
 
-void SumLowRuns(const LowRun* runs, size_t num_runs, const int32_t* node_of,
-                uint32_t num_rows, const double* gh, int32_t first,
-                size_t width, LaneScratch* scratch, LaneSums* sums) {
-  (void)scratch;
+void BuildLaneMasks(const int32_t* node_of, uint32_t num_rows,
+                    LanePass* pass) {
   // Unsigned: a node before `first` or -1 wraps past every lane.
-  uint32_t base = static_cast<uint32_t>(first);
+  uint32_t base = static_cast<uint32_t>(pass->first);
+  pass->masks.resize(size_t{num_rows} + 1);
+  uint16_t* masks = pass->masks.data();
+  size_t row = 0;
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+  if (CpuHasAvx512()) row = LaneMasksVector(node_of, num_rows, pass);
+#endif
+  for (; row <= num_rows; ++row) {
+    uint32_t lane = static_cast<uint32_t>(node_of[row]) - base;
+    masks[row] =
+        static_cast<uint16_t>(lane < pass->width ? 3u << (2 * lane) : 0u);
+  }
+}
+
+void SumRuns(const Run* runs, size_t num_runs, const int32_t* node_of,
+             uint32_t num_rows, const double* gh, const LanePass& pass,
+             LaneSums* sums) {
+  // Unsigned: a node before `first` or -1 wraps past every lane.
+  uint32_t base = static_cast<uint32_t>(pass.first);
   for (size_t r = 0; r < num_runs; ++r) {
     LaneSums lanes = {};
     for (size_t i = 0; i < runs[r].size; ++i) {
       uint32_t row = runs[r].order[i];
       uint32_t lane =
           static_cast<uint32_t>(node_of[std::min(row, num_rows)]) - base;
-      if (lane >= width) continue;
+      if (lane >= pass.width) continue;
       lanes.gh[2 * lane] += gh[2 * static_cast<size_t>(row)];
       lanes.gh[2 * lane + 1] += gh[2 * static_cast<size_t>(row) + 1];
       ++lanes.count[2 * lane];
@@ -475,17 +683,40 @@ void SumLowRuns(const LowRun* runs, size_t num_runs, const int32_t* node_of,
   }
 }
 
-void SumLowRunsAvx512(const LowRun* runs, size_t num_runs,
-                      const int32_t* node_of, uint32_t num_rows,
-                      const double* gh, int32_t first, size_t width,
-                      LaneScratch* scratch, LaneSums* sums) {
+void SumRunsAvx512(const Run* runs, size_t num_runs, const int32_t* node_of,
+                   uint32_t num_rows, const double* gh, const LanePass& pass,
+                   LaneSums* sums) {
 #ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
-  auto* kernel = width > kMaxLanes / 2 ? SumLowRunsVector<true>
-                                       : SumLowRunsVector<false>;
-  kernel(runs, num_runs, node_of, num_rows, gh, first, width, scratch, sums);
+  (void)node_of;
+  auto* kernel =
+      pass.width > kMaxLanes / 2 ? SumRunsVector<true> : SumRunsVector<false>;
+  kernel(runs, num_runs, num_rows, gh, pass, sums);
 #else
-  SumLowRuns(runs, num_runs, node_of, num_rows, gh, first, width, scratch,
-             sums);
+  SumRuns(runs, num_runs, node_of, num_rows, gh, pass, sums);
+#endif
+}
+
+void BoundGains(const LaneSums* sums, size_t num_sums, const LaneNodes& nodes,
+                const GainOptions& options, double* proven, double* upper) {
+  for (size_t r = 0; r < num_sums; ++r) {
+    for (size_t lane = 0; lane < kMaxLanes; ++lane) {
+      double lower;
+      BoundLane(sums[r].g(lane), sums[r].h(lane),
+                static_cast<double>(sums[r].rows(lane)), lane, nodes, options,
+                &lower, &upper[r * kMaxLanes + lane]);
+      // Keeps `lower` unless proven[lane] is greater, like _mm512_max_pd.
+      proven[lane] = proven[lane] > lower ? proven[lane] : lower;
+    }
+  }
+}
+
+void BoundGainsAvx512(const LaneSums* sums, size_t num_sums,
+                      const LaneNodes& nodes, const GainOptions& options,
+                      double* proven, double* upper) {
+#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
+  BoundGainsVector(sums, num_sums, nodes, options, proven, upper);
+#else
+  BoundGains(sums, num_sums, nodes, options, proven, upper);
 #endif
 }
 

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataframe.h"
+#include "ml/encoder.h"
 #include "ml/metrics.h"
+#include "obs/metrics.h"
 #include "tests/ml/test_data.h"
 
 namespace fairclean {
@@ -219,6 +222,57 @@ TEST(GbdtTest, SingleClassTrainingPredictsThatClass) {
   for (int prediction : model.Predict(x)) {
     EXPECT_EQ(prediction, 0);
   }
+}
+
+// On a one-hot encoded frame most columns hold only 0 and 1, and the split
+// search bounds those whose 1s are the shorter run before streaming their
+// 0s. Both counters move, once per fit, and only some column-levels need
+// the exact run.
+TEST(GbdtTest, SplitBoundCountersMoveOnEncodedFrame) {
+  Rng rng(16);
+  size_t n = 400;
+  std::vector<double> age(n);
+  std::vector<int32_t> job(n);
+  std::vector<int32_t> region(n);
+  std::vector<int> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    age[i] = rng.Normal(40.0, 10.0);
+    double u = rng.Uniform();
+    job[i] = u < 0.5 ? 0 : (u < 0.7 ? 1 : (u < 0.85 ? 2 : (u < 0.95 ? 3 : 4)));
+    region[i] = static_cast<int32_t>(rng.UniformInt(0, 2));
+    y[i] = rng.Bernoulli(0.2 + 0.5 * (job[i] == 2) + 0.2 * (age[i] > 45))
+               ? 1
+               : 0;
+  }
+  DataFrame frame;
+  ASSERT_TRUE(frame.AddColumn(Column::Numeric("age", age)).ok());
+  ASSERT_TRUE(frame
+                  .AddColumn(Column::Categorical(
+                      "job", job, {"a", "b", "c", "d", "e"}))
+                  .ok());
+  ASSERT_TRUE(frame
+                  .AddColumn(Column::Categorical("region", region,
+                                                 {"north", "south", "west"}))
+                  .ok());
+  FeatureEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(frame, {"age", "job", "region"}).ok());
+  Result<Matrix> x = encoder.Transform(frame);
+  ASSERT_TRUE(x.ok());
+
+  obs::Counter* bounded =
+      obs::MetricsRegistry::Global().GetCounter("ml.gbdt.split.bounded");
+  obs::Counter* verified =
+      obs::MetricsRegistry::Global().GetCounter("ml.gbdt.split.verified");
+  uint64_t bounded_before = bounded->value();
+  uint64_t verified_before = verified->value();
+  GradientBoostedTrees model;
+  Rng fit_rng(17);
+  ASSERT_TRUE(model.Fit(*x, y, &fit_rng).ok());
+  uint64_t bounded_delta = bounded->value() - bounded_before;
+  uint64_t verified_delta = verified->value() - verified_before;
+  EXPECT_GT(bounded_delta, 0u);
+  EXPECT_GT(verified_delta, 0u);
+  EXPECT_LT(verified_delta, bounded_delta);
 }
 
 TEST(GbdtTest, RejectsBadOptions) {

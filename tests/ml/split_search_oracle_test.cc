@@ -8,8 +8,9 @@
 // tree: every node's structure, feature, threshold and leaf value are
 // compared bit for bit.
 //
-// Registered at FAIRCLEAN_THREADS 1 and 4 (tests/CMakeLists.txt), since the
-// kernel's column fan-out is sized from the shared fold pool.
+// Registered at FAIRCLEAN_THREADS 1 and 4 (tests/CMakeLists.txt): the fit
+// runs every level on the calling thread, so the width of the shared fold
+// pool must not show in any tree.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -326,13 +327,15 @@ TEST(SplitSearchOracleTest, TwoValuedColumnsMatchLevelScan) {
           PresortKind::kValueless}) {
       PresortedFeatures presorted = MakePresort(p.x, sample, kind);
       if (kind == PresortKind::kFullWithNonMembers) {
-        // Every column but the constant and the continuous ones is
-        // two-valued over the full presort.
+        // Every column but the continuous ones is two-valued over the
+        // full presort, and the constant one's run is all of it.
         ASSERT_EQ(presorted.low_run.size(), p.x.cols());
         for (size_t f = 0; f < p.x.cols(); ++f) {
           bool two_valued = f <= 6 || f == 8;
-          EXPECT_EQ(presorted.low_run[f] > 0, two_valued) << "feature " << f;
+          EXPECT_EQ(presorted.low_run[f] > 0, two_valued || f == 7)
+              << "feature " << f;
         }
+        EXPECT_EQ(presorted.low_run[7], n);
       } else {
         // Hand-built and value-less presorts take the general path.
         EXPECT_TRUE(presorted.low_run.empty() || presorted.values.empty());
@@ -384,6 +387,280 @@ TEST(SplitSearchOracleTest, TwoValuedColumnsMatchLevelScan) {
     if (width == 0) break;
   }
   EXPECT_GT(widest, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// The short-run bound (DESIGN.md §8, "Two-valued columns"). A one-hot
+// column whose high run is the shorter one sums that run, bounds its gain
+// from the node totals and streams its low run only when the bound cannot
+// rule it out. Every case below must keep the reference's tree bit for bit
+// on both kernel forms and must leave some column-level out (the pruned
+// path); the ones built to defeat the bound must also send some column to
+// the exact fallback.
+
+// Columns: 0 continuous; 1-4 a one-hot block at 55/25/12/8%, so column 1
+// sums its low run exactly and 2-4 are bounded; 5 is 1 on 85% of rows (its
+// high run is the longer one); 6 takes {-1.5, 3} with 3 on 10% of rows.
+// Logistic statistics with a label driven by columns 2, 5 and 6.
+Problem MakeBoundedProblem(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Problem p;
+  p.x = Matrix(n, 7);
+  p.grad.resize(n);
+  p.hess.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    p.x(i, 0) = rng.Normal(0.0, 1.0);
+    double u = rng.Uniform();
+    int hot = u < 0.55 ? 0 : (u < 0.80 ? 1 : (u < 0.92 ? 2 : 3));
+    for (int k = 0; k < 4; ++k) p.x(i, 1 + static_cast<size_t>(k)) = hot == k;
+    p.x(i, 5) = rng.Bernoulli(0.85) ? 1.0 : 0.0;
+    p.x(i, 6) = rng.Bernoulli(0.1) ? 3.0 : -1.5;
+    double prob = rng.Uniform(0.05, 0.95);
+    int label = rng.Bernoulli(0.15 + 0.5 * p.x(i, 2) + 0.2 * (p.x(i, 6) > 0) +
+                              0.1 * p.x(i, 5));
+    p.grad[i] = prob - label;
+    p.hess[i] = prob * (1.0 - prob);
+  }
+  return p;
+}
+
+// `x` with `column` appended as its last column.
+Matrix WithColumn(const Matrix& x, const std::vector<double>& column) {
+  Matrix out(x.rows(), x.cols() + 1);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t f = 0; f < x.cols(); ++f) out(i, f) = x(i, f);
+    out(i, x.cols()) = column[i];
+  }
+  return out;
+}
+
+std::vector<double> Column(const Matrix& x, size_t f) {
+  std::vector<double> column(x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) column[i] = x(i, f);
+  return column;
+}
+
+struct BoundCase {
+  std::string name;
+  Problem problem;
+  std::vector<size_t> sample;
+  RegressionTreeOptions options;
+  bool defeats_bound = false;  // must send some column-level to the fallback
+};
+
+std::vector<size_t> SampleOf(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  return rng.SampleWithoutReplacement(n, n * 4 / 5);
+}
+
+std::vector<BoundCase> MakeBoundCases() {
+  const size_t n = 320;
+  std::vector<BoundCase> cases;
+  auto add = [&](std::string name, Problem p, RegressionTreeOptions options,
+                 bool defeats_bound) {
+    BoundCase c;
+    c.name = std::move(name);
+    c.sample = SampleOf(p.x.rows(), cases.size() + 40);
+    c.problem = std::move(p);
+    c.options = options;
+    c.defeats_bound = defeats_bound;
+    cases.push_back(std::move(c));
+  };
+  RegressionTreeOptions defaults;
+
+  // Exact ties. Column 7 is column 2's complement except on one row
+  // outside the sample that holds neither category, and every statistic is
+  // dyadic, so every sum is exact and the two columns' gains tie bit for
+  // bit: the lower feature, the bounded column 2, must win over the exact
+  // column 7 offered before it. Column 8 duplicates column 3.
+  {
+    Problem p = MakeBoundedProblem(n, 61);
+    Rng rng(62);
+    for (size_t i = 0; i < n; ++i) {
+      p.grad[i] = static_cast<double>(rng.UniformInt(-4, 4)) / 8.0;
+      p.hess[i] = static_cast<double>(rng.UniformInt(1, 4)) / 16.0;
+      if (p.x(i, 2) > 0) p.grad[i] = -0.75;
+    }
+    std::vector<char> member(n, 0);
+    for (size_t index : SampleOf(n, 40 + cases.size())) member[index] = 1;
+    std::vector<double> complement = Column(p.x, 2);
+    for (double& value : complement) value = 1.0 - value;
+    for (size_t i = 0; i < n; ++i) {
+      if (member[i] == 0 && p.x(i, 2) == 0.0) {
+        complement[i] = 0.0;  // holds neither category
+        break;
+      }
+    }
+    p.x = WithColumn(WithColumn(p.x, complement), Column(p.x, 3));
+    RegressionTreeOptions options = defaults;
+    options.min_child_weight = 0.0;
+    add("exact_ties", std::move(p), options, true);
+  }
+  // Gains equal to within 1e-12 relative: column 7 is column 2 plus one
+  // sampled row whose statistics are 1e-12.
+  {
+    Problem p = MakeBoundedProblem(n, 63);
+    std::vector<double> twin = Column(p.x, 2);
+    std::vector<size_t> sample = SampleOf(n, 40 + cases.size());
+    for (size_t index : sample) {
+      if (twin[index] == 0.0) {
+        twin[index] = 1.0;
+        p.grad[index] = 1e-12;
+        p.hess[index] = 1e-12;
+        break;
+      }
+    }
+    p.x = WithColumn(p.x, twin);
+    add("near_tie", std::move(p), defaults, true);
+  }
+  // Heavy cancellation: the low runs of column 2 hold huge gradients in
+  // opposite pairs, so a node's total is about its short-run sum.
+  {
+    Problem p = MakeBoundedProblem(n, 64);
+    double sign = 1.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (p.x(i, 2) > 0) continue;
+      p.grad[i] = sign * 1e9 + p.grad[i];
+      sign = -sign;
+    }
+    add("cancellation", std::move(p), defaults, true);
+  }
+  // min_child_weight at column 2's root h_right, and one ulp either side
+  // (its h_left is far above): h_left is summed over the low run's sampled
+  // rows in presort order, as the lane kernel adds it, and the root total
+  // in sample order. Column 2 carries the strongest signal and column 7, a
+  // bounded column that is 1 on 40% of rows, the next one, so a column 2
+  // that fails min_child_weight must hand the root to column 7.
+  for (int ulps : {-1, 0, 1}) {
+    Problem p = MakeBoundedProblem(n, 65);
+    Rng rng(73);
+    std::vector<double> runner_up(n);
+    for (size_t i = 0; i < n; ++i) {
+      runner_up[i] = rng.Bernoulli(0.4) ? 1.0 : 0.0;
+      p.grad[i] = (p.x(i, 2) > 0 ? -0.6 : 0.15) +
+                  (runner_up[i] > 0 ? -0.3 : 0.1) + rng.Normal(0.0, 0.05);
+    }
+    p.x = WithColumn(p.x, runner_up);
+    std::vector<size_t> sample = SampleOf(n, 40 + cases.size());
+    std::vector<char> member(n, 0);
+    for (size_t index : sample) member[index] = 1;
+    PresortedFeatures presorted = PresortedFeatures::Compute(p.x);
+    double h_left = 0.0;
+    for (size_t i = 0; i < presorted.low_run[2]; ++i) {
+      uint32_t row = presorted.order[2][i];
+      if (member[row] != 0) h_left += p.hess[row];
+    }
+    double h_total = 0.0;
+    for (size_t index : sample) h_total += p.hess[index];
+    double h_right = h_total - h_left;
+    RegressionTreeOptions options = defaults;
+    options.min_child_weight =
+        ulps == 0 ? h_right
+                  : std::nextafter(h_right, ulps < 0 ? 0.0 : 2.0 * h_right);
+    add("min_child_weight_ulp" + std::to_string(ulps), std::move(p), options,
+        true);
+  }
+  // lambda = 0 with most hessians at the boosting loop's 1e-10 floor.
+  {
+    Problem p = MakeBoundedProblem(n, 66);
+    Rng rng(67);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.7)) p.hess[i] = 1e-10;
+    }
+    RegressionTreeOptions options = defaults;
+    options.lambda = 0.0;
+    options.min_child_weight = 0.0;
+    add("lambda0_hess_floor", std::move(p), options, false);
+  }
+  {
+    RegressionTreeOptions options = defaults;
+    options.gamma = 0.4;
+    add("gamma", MakeBoundedProblem(n, 68), options, false);
+  }
+  {
+    RegressionTreeOptions options = defaults;
+    options.lambda = 0.5;
+    options.min_child_weight = 0.0;
+    add("wide_frontier", MakeBoundedProblem(n, 69), options, false);
+  }
+  // Column 5's high run is its longer one; let it carry the label.
+  {
+    Problem p = MakeBoundedProblem(n, 70);
+    for (size_t i = 0; i < n; ++i) p.grad[i] += p.x(i, 5) > 0 ? -0.3 : 0.6;
+    add("high_run_longer", std::move(p), defaults, false);
+  }
+  // Statistics no logistic loss produces: wide gradients, some huge, and
+  // hessians of either sign, some of them zero.
+  {
+    Problem p = MakeBoundedProblem(n, 71);
+    Rng rng(72);
+    for (size_t i = 0; i < n; ++i) {
+      p.grad[i] = rng.Normal(0.0, 50.0) * (rng.Bernoulli(0.02) ? 1e6 : 1.0);
+      int kind = static_cast<int>(rng.UniformInt(0, 9));
+      p.hess[i] = kind == 0 ? -rng.Uniform(0.0, 2.0)
+                            : (kind == 1 ? 0.0 : rng.Uniform(0.0, 3.0));
+    }
+    RegressionTreeOptions options = defaults;
+    options.lambda = 2.0;
+    options.min_child_weight = -1.0;
+    add("non_logistic", std::move(p), options, false);
+  }
+  return cases;
+}
+
+// The most nodes any level of `tree` holds: nodes are created level by
+// level, each split appending its two children.
+size_t WidestLevel(const RegressionTree& tree) {
+  size_t widest = 1;
+  for (size_t first = 1, width = 2; first < tree.num_nodes();) {
+    widest = std::max(widest, width);
+    size_t next = 0;
+    for (size_t i = first; i < first + width; ++i) {
+      next += tree.nodes()[i].is_leaf ? 0 : 2;
+    }
+    first += width;
+    width = next;
+    if (width == 0) break;
+  }
+  return widest;
+}
+
+TEST(SplitSearchOracleTest, ShortRunBoundKeepsEveryTree) {
+  const char* kernel_names[] = {"avx512", "scalar"};
+  for (const BoundCase& c : MakeBoundCases()) {
+    PresortedFeatures presorted = PresortedFeatures::Compute(c.problem.x);
+    for (int scalar = 0; scalar < 2; ++scalar) {
+      TreeFitWorkspace workspace;
+      workspace.UseScalarKernels(scalar == 1);
+      size_t widest = 0;
+      for (int depth : {1, 2, 4, 6}) {
+        SCOPED_TRACE(c.name + " " + kernel_names[scalar] + " depth " +
+                     std::to_string(depth));
+        RegressionTreeOptions options = c.options;
+        options.max_depth = depth;
+        std::vector<Node> expected =
+            ReferenceFitPresorted(c.problem.x, c.problem.grad, c.problem.hess,
+                                  c.sample, presorted, options);
+        RegressionTree tree;
+        ASSERT_TRUE(tree.FitPresorted(c.problem.x, c.problem.grad,
+                                      c.problem.hess, c.sample, presorted,
+                                      options, &workspace)
+                        .ok());
+        ExpectSameTree(expected, tree.nodes());
+        widest = std::max(widest, WidestLevel(tree));
+      }
+      SCOPED_TRACE(c.name + " " + kernel_names[scalar]);
+      // Some column-level was left out without its long run...
+      EXPECT_GT(workspace.split_bounded(), workspace.split_verified());
+      // ...and the cases built against the bound needed the fallback.
+      if (c.defeats_bound) {
+        EXPECT_GT(workspace.split_verified(), 0u);
+      }
+      if (c.name == "wide_frontier") {
+        EXPECT_GT(widest, 8u);
+      }
+    }
+  }
 }
 
 // A presort edited after Compute() must have its low runs cleared; one

@@ -21,16 +21,20 @@
 namespace fairclean {
 namespace {
 
+using tree_compress::BoundGains;
+using tree_compress::BoundGainsAvx512;
 using tree_compress::FilterFeature;
 using tree_compress::FilterFeatureAvx512;
+using tree_compress::GainOptions;
 using tree_compress::kMaxLanes;
-using tree_compress::LaneScratch;
+using tree_compress::LaneNodes;
+using tree_compress::LanePass;
 using tree_compress::LaneSums;
-using tree_compress::LowRun;
 using tree_compress::PartitionSegment;
 using tree_compress::PartitionSegmentAvx512;
-using tree_compress::SumLowRuns;
-using tree_compress::SumLowRunsAvx512;
+using tree_compress::Run;
+using tree_compress::SumRuns;
+using tree_compress::SumRunsAvx512;
 
 constexpr size_t kGuard = 24;
 constexpr uint32_t kRowFill = 0xA5A5A5A5u;
@@ -411,7 +415,7 @@ struct LaneCase {
   std::vector<int32_t> node_of;  // num_rows + 1 entries, -1 past the end
   std::vector<double> gh;        // num_rows + 1 pairs
   std::vector<std::vector<uint32_t>> orders;
-  std::vector<LowRun> runs;
+  std::vector<Run> runs;
 };
 
 LaneCase MakeLaneCase(size_t num_runs, Rng* rng) {
@@ -460,26 +464,29 @@ LaneCase MakeLaneCase(size_t num_runs, Rng* rng) {
 
 template <typename Kernel>
 std::vector<LaneSums> RunLanes(Kernel kernel, const LaneCase& c,
-                               size_t width, LaneScratch* scratch) {
+                               size_t width, LanePass* pass) {
   std::vector<LaneSums> sums(c.runs.size());
   // Poison, so a slot the kernel leaves unwritten shows.
   if (!sums.empty()) {
     std::memset(sums.data(), 0xA5, sums.size() * sizeof(LaneSums));
   }
+  pass->first = kFirstLane;
+  pass->width = width;
+  tree_compress::BuildLaneMasks(c.node_of.data(), c.num_rows, pass);
   kernel(c.runs.data(), c.runs.size(), c.node_of.data(), c.num_rows,
-         c.gh.data(), kFirstLane, width, scratch, sums.data());
+         c.gh.data(), *pass, sums.data());
   return sums;
 }
 
 TEST(TreeCompressTest, ScalarLaneSumsMatchReference) {
   Rng rng(7);
-  LaneScratch scratch;
+  LanePass pass;
   for (size_t num_runs : {0u, 1u, 3u, 6u}) {
     LaneCase c = MakeLaneCase(num_runs, &rng);
     for (size_t width = 1; width <= kMaxLanes; ++width) {
       SCOPED_TRACE("runs " + std::to_string(num_runs) + " width " +
                    std::to_string(width));
-      std::vector<LaneSums> sums = RunLanes(SumLowRuns, c, width, &scratch);
+      std::vector<LaneSums> sums = RunLanes(SumRuns, c, width, &pass);
       for (size_t r = 0; r < num_runs; ++r) {
         for (size_t lane = 0; lane < kMaxLanes; ++lane) {
           // Each lane is a plain in-order sum of its node's rows.
@@ -508,7 +515,7 @@ TEST(TreeCompressTest, ScalarLaneSumsMatchReference) {
 TEST(TreeCompressTest, VectorLaneSumsMatchScalar) {
   if (!tree_compress::CpuHasAvx512()) GTEST_SKIP() << kNoAvx512;
   Rng rng(8);
-  LaneScratch scratch;  // shared, so stale masks would show
+  LanePass pass;  // shared, so stale masks would show
   for (int trial = 0; trial < 6; ++trial) {
     for (size_t num_runs : {0u, 1u, 2u, 4u, 5u, 9u}) {
       LaneCase c = MakeLaneCase(num_runs, &rng);
@@ -517,13 +524,181 @@ TEST(TreeCompressTest, VectorLaneSumsMatchScalar) {
                      std::to_string(num_runs) + " width " +
                      std::to_string(width));
         std::vector<LaneSums> expected =
-            RunLanes(SumLowRuns, c, width, &scratch);
+            RunLanes(SumRuns, c, width, &pass);
         std::vector<LaneSums> actual =
-            RunLanes(SumLowRunsAvx512, c, width, &scratch);
+            RunLanes(SumRunsAvx512, c, width, &pass);
         EXPECT_TRUE(SameBytes(expected.data(), actual.data(),
                               expected.size() * sizeof(LaneSums)));
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Gain bound kernel.
+
+// The fit's SplitGain, written out: the expression the bounds must hold.
+double ReferenceGain(double g_left, double h_left, double g_total,
+                     double h_total, double parent, const GainOptions& o) {
+  double g_right = g_total - g_left;
+  double h_right = h_total - h_left;
+  if (!(h_left >= o.min_child_weight && h_right >= o.min_child_weight)) {
+    return 0.0;
+  }
+  return tree_compress::GainOfHalves(g_left * g_left / (h_left + o.lambda),
+                                     g_right * g_right / (h_right + o.lambda),
+                                     parent, o.gamma);
+}
+
+// A pass of random nodes and high-run sums. Most lanes are ordinary
+// logistic-scale nodes; some hold huge or tiny statistics, negative or
+// zero hessians, infinities or NaN, no high rows or only high rows, and
+// min_child_weight sits near some hessian sums.
+struct BoundCase {
+  LaneNodes nodes = {};
+  GainOptions options;
+  std::vector<LaneSums> sums;
+};
+
+BoundCase MakeBoundCase(size_t num_sums, Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  BoundCase c;
+  static const double kLambdas[] = {0.0, 1.0, 1e-9, 3.0};
+  c.options.lambda = kLambdas[rng->UniformInt(0, 3)];
+  c.options.gamma = rng->Bernoulli(0.5) ? 0.0 : rng->Uniform(0.0, 2.0);
+  c.options.min_child_weight =
+      rng->Bernoulli(0.3) ? 0.0 : rng->Uniform(0.0, 20.0);
+  for (size_t lane = 0; lane < kMaxLanes; ++lane) {
+    double size = static_cast<double>(rng->UniformInt(0, 400));
+    double scale = rng->Bernoulli(0.1) ? 1e150 : (rng->Bernoulli(0.1) ? 1e-150
+                                                                       : 1.0);
+    c.nodes.size[lane] = size;
+    c.nodes.g_total[lane] = rng->Normal(0.0, 0.3 * size + 1.0) * scale;
+    c.nodes.h_total[lane] = rng->Uniform(0.0, 0.25) * size * scale;
+    c.nodes.g_slack[lane] = (4 * size + 8) * size * scale * 1.2e-16;
+    c.nodes.h_slack[lane] = (4 * size + 8) * size * scale * 0.3e-16;
+    c.nodes.parent_score[lane] =
+        c.nodes.g_total[lane] * c.nodes.g_total[lane] /
+        (c.nodes.h_total[lane] + c.options.lambda);
+    int special = static_cast<int>(rng->UniformInt(0, 19));
+    if (special == 0) c.nodes.g_total[lane] = inf;
+    if (special == 1) c.nodes.h_total[lane] = nan;
+    if (special == 2) c.nodes.g_slack[lane] = inf;
+    if (special == 3) c.nodes.h_total[lane] = -rng->Uniform(0.0, 5.0);
+  }
+  for (size_t r = 0; r < num_sums; ++r) {
+    LaneSums sums = {};
+    for (size_t lane = 0; lane < kMaxLanes; ++lane) {
+      uint32_t size = static_cast<uint32_t>(c.nodes.size[lane]);
+      int kind = static_cast<int>(rng->UniformInt(0, 9));
+      uint32_t high = kind == 0 ? 0u
+                      : kind == 1
+                          ? size
+                          : static_cast<uint32_t>(rng->UniformInt(0, size));
+      double share = size == 0 ? 0.0 : static_cast<double>(high) / size;
+      sums.gh[2 * lane] =
+          c.nodes.g_total[lane] * share + rng->Normal(0.0, 1.0);
+      sums.gh[2 * lane + 1] = c.nodes.h_total[lane] * share;
+      if (kind == 2) {
+        // h_left or h_right right at min_child_weight.
+        sums.gh[2 * lane + 1] =
+            c.nodes.h_total[lane] - c.options.min_child_weight;
+      }
+      if (kind == 3) sums.gh[2 * lane + 1] = c.options.min_child_weight;
+      if (kind == 4 && rng->Bernoulli(0.2)) sums.gh[2 * lane] = -inf;
+      sums.count[2 * lane] = high;
+      sums.count[2 * lane + 1] = high;
+    }
+    c.sums.push_back(sums);
+  }
+  return c;
+}
+
+TEST(TreeCompressTest, ScalarGainBoundsHoldEveryGainInRange) {
+  Rng rng(11);
+  size_t certified = 0;
+  size_t no_candidate = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    BoundCase c = MakeBoundCase(4, &rng);
+    for (size_t r = 0; r < c.sums.size(); ++r) {
+      // One column at a time, so `proven` ends at its own lower bounds.
+      double lower[kMaxLanes];
+      double upper[kMaxLanes];
+      std::fill(lower, lower + kMaxLanes,
+                -std::numeric_limits<double>::infinity());
+      BoundGains(&c.sums[r], 1, c.nodes, c.options, lower, upper);
+      for (size_t lane = 0; lane < kMaxLanes; ++lane) {
+        double lo = lower[lane];
+        double hi = upper[lane];
+        if (std::isinf(hi)) continue;  // not certified
+        ASSERT_LE(lo, hi);
+        if (lo == 0.0 && hi == 0.0) {
+          ++no_candidate;
+        } else {
+          ++certified;
+        }
+        double g_total = c.nodes.g_total[lane];
+        double h_total = c.nodes.h_total[lane];
+        if (!(c.sums[r].rows(lane) > 0 &&
+              c.sums[r].rows(lane) < c.nodes.size[lane])) {
+          continue;  // one value in the node: no candidate, nothing to test
+        }
+        double g_low = g_total - c.sums[r].g(lane);
+        double h_low = h_total - c.sums[r].h(lane);
+        double g_ends[2] = {g_low - c.nodes.g_slack[lane],
+                            g_low + c.nodes.g_slack[lane]};
+        double h_ends[2] = {h_low - c.nodes.h_slack[lane],
+                            h_low + c.nodes.h_slack[lane]};
+        // The corners, points next to them, and random interior points.
+        for (int k = 0; k < 24; ++k) {
+          double g = g_ends[k & 1];
+          double h = h_ends[(k >> 1) & 1];
+          if (k >= 4 && k < 8) {
+            g = std::nextafter(g, g_low);
+            h = std::nextafter(h, h_low);
+          } else if (k >= 8) {
+            g = g_ends[0] + (g_ends[1] - g_ends[0]) * rng.Uniform();
+            h = h_ends[0] + (h_ends[1] - h_ends[0]) * rng.Uniform();
+            g = std::min(std::max(g, g_ends[0]), g_ends[1]);
+            h = std::min(std::max(h, h_ends[0]), h_ends[1]);
+          }
+          double gain = ReferenceGain(g, h, g_total, h_total,
+                                      c.nodes.parent_score[lane], c.options);
+          EXPECT_LE(lo, gain) << "trial " << trial << " lane " << lane;
+          EXPECT_LE(gain, hi) << "trial " << trial << " lane " << lane;
+        }
+      }
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(certified, 100u);
+  EXPECT_GT(no_candidate, 100u);
+}
+
+TEST(TreeCompressTest, VectorGainBoundsMatchScalar) {
+  if (!tree_compress::CpuHasAvx512()) GTEST_SKIP() << kNoAvx512;
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t num_sums = static_cast<size_t>(trial % 6);
+    BoundCase c = MakeBoundCase(num_sums, &rng);
+    double start[kMaxLanes];
+    for (double& value : start) value = rng.Normal(0.0, 1.0);
+    double expected_proven[kMaxLanes];
+    double actual_proven[kMaxLanes];
+    std::copy(start, start + kMaxLanes, expected_proven);
+    std::copy(start, start + kMaxLanes, actual_proven);
+    std::vector<double> expected_upper(num_sums * kMaxLanes, -1.0);
+    std::vector<double> actual_upper(num_sums * kMaxLanes, -2.0);
+    BoundGains(c.sums.data(), num_sums, c.nodes, c.options, expected_proven,
+               expected_upper.data());
+    BoundGainsAvx512(c.sums.data(), num_sums, c.nodes, c.options,
+                     actual_proven, actual_upper.data());
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_TRUE(SameBytes(expected_proven, actual_proven,
+                          sizeof expected_proven));
+    EXPECT_TRUE(SameBytes(expected_upper.data(), actual_upper.data(),
+                          expected_upper.size() * sizeof(double)));
   }
 }
 
