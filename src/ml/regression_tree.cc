@@ -109,23 +109,12 @@ size_t LowRunLength(const std::vector<double>& values) {
   return run;
 }
 
-// True when `order` lists each of the rows [0, num_rows) exactly once.
-// `seen` holds num_rows stamps, none of them equal to `stamp`.
-bool IsPermutation(const std::vector<uint32_t>& order, size_t num_rows,
-                   uint32_t stamp, std::vector<uint32_t>* seen) {
-  if (order.size() != num_rows) return false;
-  for (uint32_t row : order) {
-    if (row >= num_rows || (*seen)[row] == stamp) return false;
-    (*seen)[row] = stamp;
-  }
-  return true;
-}
-
 // Column f's low run when the presort marks it, lists one entry per
-// matrix row (Compute() checked that they are a permutation of the rows)
-// and its values agree at the run's edges; else 0, and the column takes
-// the general path, which checks everything. A result of num_rows marks a
-// constant column.
+// matrix row and its values agree at the run's edges; else 0, and the
+// column takes the general path, which checks everything. A result of
+// num_rows marks a constant column. Nothing here checks that a marked
+// order holds each row once: Compute() builds it as a permutation, and a
+// caller that edits it must clear low_run (regression_tree.h).
 size_t UsableLowRun(const PresortedFeatures& presorted, size_t f,
                     size_t num_rows) {
   if (presorted.low_run.size() != presorted.order.size()) return 0;
@@ -201,7 +190,6 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
   presorted.order.assign(x.cols(), base);
   presorted.values.resize(x.cols());
   presorted.low_run.assign(x.cols(), 0);
-  std::vector<uint32_t> seen(x.rows(), 0);
   for (size_t f = 0; f < x.cols(); ++f) {
     std::sort(presorted.order[f].begin(), presorted.order[f].end(),
               [&x, f](uint32_t a, uint32_t b) {
@@ -212,13 +200,7 @@ PresortedFeatures PresortedFeatures::Compute(const Matrix& x) {
     for (size_t i = 0; i < x.rows(); ++i) {
       vals[i] = x.Row(presorted.order[f][i])[f];
     }
-    // The split search trusts a marked column to hold every row once, so
-    // it never counts the rows of its long run.
-    size_t run = LowRunLength(vals);
-    if (run > 0 && IsPermutation(presorted.order[f], x.rows(),
-                                 static_cast<uint32_t>(f + 1), &seen)) {
-      presorted.low_run[f] = run;
-    }
+    presorted.low_run[f] = LowRunLength(vals);
   }
   return presorted;
 }
@@ -406,8 +388,6 @@ Status RegressionTree::FitPresorted(const Matrix& x,
                                    : tree_compress::PartitionSegment;
   auto* sum_runs =
       vector ? tree_compress::SumRunsAvx512 : tree_compress::SumRuns;
-  auto* bound_gains =
-      vector ? tree_compress::BoundGainsAvx512 : tree_compress::BoundGains;
   uint32_t num_rows = static_cast<uint32_t>(x.rows());
   const int32_t* node_of = ws->node_of.data();
   const double* gh = ws->gh.data();
@@ -529,8 +509,9 @@ Status RegressionTree::FitPresorted(const Matrix& x,
         lane_nodes.size[lane] = static_cast<double>(size);
         proven[lane] = ws->best[slot].gain;
       }
-      bound_gains(ws->short_sums.data(), num_bounded, lane_nodes,
-                  gain_options, proven, ws->gain_upper.data());
+      tree_compress::BoundGains(ws->short_sums.data(), num_bounded,
+                                lane_nodes, gain_options, proven,
+                                ws->gain_upper.data());
       // A column stays out of a lane's reduction when its upper bound is at
       // most 0 (a candidate needs gain > 0) or below the proven gain there;
       // it streams its low run when any lane keeps it.

@@ -39,12 +39,14 @@ struct PresortedFeatures {
   /// low_run[f] > 0 marks a column that takes at most two values over its
   /// whole order: values[f][0, low_run[f]) hold its smallest value a and
   /// the rest its other value b > a, if any. low_run[f] == order[f].size()
-  /// marks a constant column. Compute() sets it only after checking that
-  /// order[f] lists every row of the matrix exactly once, and fills 0 for
-  /// every other column. The split search then sums one run per node
-  /// instead of partitioning the column, or skips a constant column
-  /// outright (DESIGN.md §8). A hand-built presort leaves it empty, and a
-  /// caller that edits `order` or `values` afterwards must clear it.
+  /// marks a constant column. Compute() sets it for every such column and
+  /// fills 0 for every other one. The split search then sums one run per
+  /// node instead of partitioning the column, or skips a constant column
+  /// outright (DESIGN.md §8). It trusts a marked order of one entry per
+  /// matrix row to list each row exactly once without checking: Compute()
+  /// builds it that way. A hand-built presort leaves low_run empty, and a
+  /// caller that edits `order` or `values` afterwards must clear it, or a
+  /// same-size edit may go unnoticed and change the tree.
   std::vector<size_t> low_run;
 
   static PresortedFeatures Compute(const Matrix& x);
@@ -156,8 +158,8 @@ class RegressionTree {
   /// outside the sample.
   ///
   /// A column marked in `low_run` whose order has one entry per row of
-  /// `x` is trusted to list each row once (Compute() checked it) and is
-  /// never compacted. A constant one costs nothing. A two-valued one sums
+  /// `x` is trusted, unchecked, to list each row once (Compute() builds
+  /// it so; see PresortedFeatures::low_run) and is never compacted. A constant one costs nothing. A two-valued one sums
   /// its shorter run per level; when that is its high run, the column's
   /// gain is bounded from the node totals within a certified rounding
   /// slack, and its low run is streamed only where the bound cannot rule

@@ -446,138 +446,6 @@ FAIRCLEAN_AVX512_TARGET void SumRunsVector(const Run* runs, size_t num_runs,
   }
 }
 
-// BuildLaneMasks, 16 rows per step.
-FAIRCLEAN_AVX512_TARGET size_t LaneMasksVector(const int32_t* node_of,
-                                               uint32_t num_rows,
-                                               LanePass* pass) {
-  const __m512i base = _mm512_set1_epi32(pass->first);
-  const __m512i width = _mm512_set1_epi32(static_cast<int32_t>(pass->width));
-  const __m512i three = _mm512_set1_epi32(3);
-  uint16_t* masks = pass->masks.data();
-  size_t row = 0;
-  for (; row + 16 <= size_t{num_rows} + 1; row += 16) {
-    __m512i lane = _mm512_sub_epi32(_mm512_loadu_si512(node_of + row), base);
-    __mmask16 in_pass = _mm512_cmplt_epu32_mask(lane, width);
-    __m512i bits = _mm512_maskz_sllv_epi32(in_pass, three,
-                                           _mm512_add_epi32(lane, lane));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(masks + row),
-                        _mm512_maskz_cvtepi32_epi16(0xFFFF, bits));
-  }
-  return row;
-}
-
-// SquareBounds on 8 lanes.
-FAIRCLEAN_AVX512_TARGET void SquareBoundsVector(__m512d lo, __m512d hi,
-                                                __m512d* sq_lo,
-                                                __m512d* sq_hi) {
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d a = _mm512_mul_pd(lo, lo);
-  __m512d b = _mm512_mul_pd(hi, hi);
-  __mmask8 nonnegative = _mm512_cmp_pd_mask(lo, zero, _CMP_GE_OQ);
-  __mmask8 nonpositive = _mm512_cmp_pd_mask(hi, zero, _CMP_LE_OQ);
-  *sq_lo =
-      _mm512_mask_mov_pd(_mm512_maskz_mov_pd(nonpositive, b), nonnegative, a);
-  *sq_hi = _mm512_mask_mov_pd(
-      _mm512_mask_mov_pd(_mm512_maskz_max_pd(0xFF, a, b), nonpositive, a), nonnegative, b);
-}
-
-// The gain bound of 8 lanes per operation: BoundLane's steps, in the same
-// order, with its branches turned into lane masks.
-FAIRCLEAN_AVX512_TARGET void BoundGainsVector(
-    const LaneSums* sums, size_t num_sums, const LaneNodes& nodes,
-    const GainOptions& options, double* proven, double* upper) {
-  // fpclass categories QNaN, +inf, -inf and SNaN: the lanes that are not
-  // finite.
-  constexpr int kNotFinite = 0x99;
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d inf =
-      _mm512_set1_pd(std::numeric_limits<double>::infinity());
-  const __m512d minus_inf = _mm512_set1_pd(-std::numeric_limits<double>::infinity());
-  const __m512d half = _mm512_set1_pd(0.5);
-  const __m512d lambda = _mm512_set1_pd(options.lambda);
-  const __m512d gamma = _mm512_set1_pd(options.gamma);
-  const __m512d mcw = _mm512_set1_pd(options.min_child_weight);
-  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
-  const __m512i low_word = _mm512_set1_epi64(0xFFFFFFFF);
-  const __m512d g_total = _mm512_loadu_pd(nodes.g_total);
-  const __m512d h_total = _mm512_loadu_pd(nodes.h_total);
-  const __m512d g_slack = _mm512_loadu_pd(nodes.g_slack);
-  const __m512d h_slack = _mm512_loadu_pd(nodes.h_slack);
-  const __m512d parent = _mm512_loadu_pd(nodes.parent_score);
-  const __m512d size = _mm512_loadu_pd(nodes.size);
-  const __mmask8 totals_finite = static_cast<__mmask8>(
-      ~(_mm512_fpclass_pd_mask(g_total, kNotFinite) |
-        _mm512_fpclass_pd_mask(h_total, kNotFinite)));
-  __m512d best = _mm512_loadu_pd(proven);
-  for (size_t r = 0; r < num_sums; ++r) {
-    __m512d pairs_lo = _mm512_loadu_pd(sums[r].gh);
-    __m512d pairs_hi = _mm512_loadu_pd(sums[r].gh + 8);
-    __m512d g_high = _mm512_permutex2var_pd(pairs_lo, even, pairs_hi);
-    __m512d h_high = _mm512_permutex2var_pd(pairs_lo, odd, pairs_hi);
-    __m512d high = _mm512_cvtepu64_pd(_mm512_and_si512(
-        _mm512_loadu_si512(sums[r].count), low_word));
-    __mmask8 split = _mm512_cmp_pd_mask(high, zero, _CMP_GT_OQ) &
-                     _mm512_cmp_pd_mask(high, size, _CMP_LT_OQ);
-    __m512d g_low = _mm512_sub_pd(g_total, g_high);
-    __m512d h_low = _mm512_sub_pd(h_total, h_high);
-    __m512d g_lo = _mm512_sub_pd(g_low, g_slack);
-    __m512d g_hi = _mm512_add_pd(g_low, g_slack);
-    __m512d h_lo = _mm512_sub_pd(h_low, h_slack);
-    __m512d h_hi = _mm512_add_pd(h_low, h_slack);
-    __mmask8 finite = totals_finite &
-                      static_cast<__mmask8>(~(
-                          _mm512_fpclass_pd_mask(g_lo, kNotFinite) |
-                          _mm512_fpclass_pd_mask(g_hi, kNotFinite) |
-                          _mm512_fpclass_pd_mask(h_lo, kNotFinite) |
-                          _mm512_fpclass_pd_mask(h_hi, kNotFinite)));
-    __m512d hr_lo = _mm512_sub_pd(h_total, h_hi);
-    __m512d hr_hi = _mm512_sub_pd(h_total, h_lo);
-    __mmask8 may_pass = _mm512_cmp_pd_mask(h_hi, mcw, _CMP_GE_OQ) &
-                        _mm512_cmp_pd_mask(hr_hi, mcw, _CMP_GE_OQ);
-    __mmask8 must_pass = _mm512_cmp_pd_mask(h_lo, mcw, _CMP_GE_OQ) &
-                         _mm512_cmp_pd_mask(hr_lo, mcw, _CMP_GE_OQ);
-    __m512d dl_lo = _mm512_add_pd(h_lo, lambda);
-    __m512d dl_hi = _mm512_add_pd(h_hi, lambda);
-    __m512d dr_lo = _mm512_add_pd(hr_lo, lambda);
-    __m512d dr_hi = _mm512_add_pd(hr_hi, lambda);
-    __mmask8 positive = _mm512_cmp_pd_mask(dl_lo, zero, _CMP_GT_OQ) &
-                        _mm512_cmp_pd_mask(dr_lo, zero, _CMP_GT_OQ);
-    __m512d sl_lo, sl_hi, sr_lo, sr_hi;
-    SquareBoundsVector(g_lo, g_hi, &sl_lo, &sl_hi);
-    SquareBoundsVector(_mm512_sub_pd(g_total, g_hi), _mm512_sub_pd(g_total, g_lo),
-                  &sr_lo, &sr_hi);
-    // GainOfHalves: 0.5 * (left + right - parent) - gamma.
-    __m512d lo = _mm512_sub_pd(
-        _mm512_mul_pd(half, _mm512_sub_pd(
-                                _mm512_add_pd(_mm512_div_pd(sl_lo, dl_hi),
-                                              _mm512_div_pd(sr_lo, dr_hi)),
-                                parent)),
-        gamma);
-    __m512d hi = _mm512_sub_pd(
-        _mm512_mul_pd(half, _mm512_sub_pd(
-                                _mm512_add_pd(_mm512_div_pd(sl_hi, dl_lo),
-                                              _mm512_div_pd(sr_hi, dr_lo)),
-                                parent)),
-        gamma);
-    __mmask8 bounded = split & finite & may_pass & must_pass & positive &
-                       static_cast<__mmask8>(
-                           ~(_mm512_fpclass_pd_mask(lo, kNotFinite) |
-                             _mm512_fpclass_pd_mask(hi, kNotFinite)));
-    __mmask8 no_candidate =
-        static_cast<__mmask8>(~split | (finite & ~may_pass));
-    lo = _mm512_mask_mov_pd(_mm512_mask_mov_pd(minus_inf, bounded, lo),
-                            no_candidate, zero);
-    hi = _mm512_mask_mov_pd(_mm512_mask_mov_pd(inf, bounded, hi),
-                            no_candidate, zero);
-    // max_pd keeps its second operand unless the first is greater, as
-    // BoundGains does.
-    best = _mm512_maskz_max_pd(0xFF, best, lo);
-    _mm512_storeu_pd(upper + r * kMaxLanes, hi);
-  }
-  _mm512_storeu_pd(proven, best);
-}
-
 #undef FAIRCLEAN_AVX512_TARGET
 
 #endif  // FAIRCLEAN_X86_COMPRESS_KERNELS
@@ -651,11 +519,7 @@ void BuildLaneMasks(const int32_t* node_of, uint32_t num_rows,
   uint32_t base = static_cast<uint32_t>(pass->first);
   pass->masks.resize(size_t{num_rows} + 1);
   uint16_t* masks = pass->masks.data();
-  size_t row = 0;
-#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
-  if (CpuHasAvx512()) row = LaneMasksVector(node_of, num_rows, pass);
-#endif
-  for (; row <= num_rows; ++row) {
+  for (size_t row = 0; row <= num_rows; ++row) {
     uint32_t lane = static_cast<uint32_t>(node_of[row]) - base;
     masks[row] =
         static_cast<uint16_t>(lane < pass->width ? 3u << (2 * lane) : 0u);
@@ -704,20 +568,9 @@ void BoundGains(const LaneSums* sums, size_t num_sums, const LaneNodes& nodes,
       BoundLane(sums[r].g(lane), sums[r].h(lane),
                 static_cast<double>(sums[r].rows(lane)), lane, nodes, options,
                 &lower, &upper[r * kMaxLanes + lane]);
-      // Keeps `lower` unless proven[lane] is greater, like _mm512_max_pd.
-      proven[lane] = proven[lane] > lower ? proven[lane] : lower;
+      proven[lane] = std::max(proven[lane], lower);
     }
   }
-}
-
-void BoundGainsAvx512(const LaneSums* sums, size_t num_sums,
-                      const LaneNodes& nodes, const GainOptions& options,
-                      double* proven, double* upper) {
-#ifdef FAIRCLEAN_X86_COMPRESS_KERNELS
-  BoundGainsVector(sums, num_sums, nodes, options, proven, upper);
-#else
-  BoundGains(sums, num_sums, nodes, options, proven, upper);
-#endif
 }
 
 }  // namespace tree_compress

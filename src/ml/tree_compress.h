@@ -135,13 +135,9 @@ inline double GainOfHalves(double left_half, double right_half,
 /// high rows) or whose hessian ranges all fail min_child_weight gets the
 /// bounds [0, 0]: it has no candidate. A lane whose inputs or bounds are
 /// not finite, whose hessian range straddles min_child_weight or whose
-/// denominator range is not positive gets [-inf, +inf]. The two forms
-/// return the same bits.
+/// denominator range is not positive gets [-inf, +inf].
 void BoundGains(const LaneSums* sums, size_t num_sums, const LaneNodes& nodes,
                 const GainOptions& options, double* proven, double* upper);
-void BoundGainsAvx512(const LaneSums* sums, size_t num_sums,
-                      const LaneNodes& nodes, const GainOptions& options,
-                      double* proven, double* upper);
 
 /// Lane kernel: for each of the `num_runs` runs, streams its row ids once
 /// and adds each row's gradient gh[2 * row] and hessian gh[2 * row + 1]

@@ -690,6 +690,16 @@ TEST(SplitSearchOracleTest, EditedPresortFallsBackToGeneralPath) {
   EXPECT_EQ(tree.FitPresorted(p.x, p.grad, p.hess, all, short_order, options)
                 .code(),
             StatusCode::kInvalidArgument);
+  // A same-size edit (a sample row's id swapped for one outside the
+  // sample) is trusted on a marked column; clearing low_run, as the
+  // contract asks of an editor, sends it to the general path, which
+  // rejects it.
+  PresortedFeatures swapped = presorted;
+  swapped.order[0][0] = static_cast<uint32_t>(n + 5);
+  swapped.low_run.clear();
+  EXPECT_EQ(tree.FitPresorted(p.x, p.grad, p.hess, all, swapped, options)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Deep trees over a few distinct values drive most segments down to a

@@ -22,7 +22,6 @@ namespace fairclean {
 namespace {
 
 using tree_compress::BoundGains;
-using tree_compress::BoundGainsAvx512;
 using tree_compress::FilterFeature;
 using tree_compress::FilterFeatureAvx512;
 using tree_compress::GainOptions;
@@ -674,32 +673,6 @@ TEST(TreeCompressTest, ScalarGainBoundsHoldEveryGainInRange) {
   // Both outcomes are exercised.
   EXPECT_GT(certified, 100u);
   EXPECT_GT(no_candidate, 100u);
-}
-
-TEST(TreeCompressTest, VectorGainBoundsMatchScalar) {
-  if (!tree_compress::CpuHasAvx512()) GTEST_SKIP() << kNoAvx512;
-  Rng rng(12);
-  for (int trial = 0; trial < 200; ++trial) {
-    size_t num_sums = static_cast<size_t>(trial % 6);
-    BoundCase c = MakeBoundCase(num_sums, &rng);
-    double start[kMaxLanes];
-    for (double& value : start) value = rng.Normal(0.0, 1.0);
-    double expected_proven[kMaxLanes];
-    double actual_proven[kMaxLanes];
-    std::copy(start, start + kMaxLanes, expected_proven);
-    std::copy(start, start + kMaxLanes, actual_proven);
-    std::vector<double> expected_upper(num_sums * kMaxLanes, -1.0);
-    std::vector<double> actual_upper(num_sums * kMaxLanes, -2.0);
-    BoundGains(c.sums.data(), num_sums, c.nodes, c.options, expected_proven,
-               expected_upper.data());
-    BoundGainsAvx512(c.sums.data(), num_sums, c.nodes, c.options,
-                     actual_proven, actual_upper.data());
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    EXPECT_TRUE(SameBytes(expected_proven, actual_proven,
-                          sizeof expected_proven));
-    EXPECT_TRUE(SameBytes(expected_upper.data(), actual_upper.data(),
-                          expected_upper.size() * sizeof(double)));
-  }
 }
 
 // ---------------------------------------------------------------------------
