@@ -13,6 +13,9 @@ std::string GetEnvString(const char* name, const std::string& default_value) {
   return std::string(raw);
 }
 
+namespace {
+
+// `name` (the knob) labels the InvalidArgument.
 Result<int64_t> ParseCount(const char* name, const char* text) {
   char* end = nullptr;
   errno = 0;
@@ -28,12 +31,6 @@ Result<int64_t> ParseCount(const char* name, const char* text) {
                                    "\"");
   }
   return static_cast<int64_t>(parsed);
-}
-
-Result<int64_t> GetEnvCount(const char* name, int64_t default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
-  return ParseCount(name, raw);
 }
 
 Result<double> ParseSeconds(const char* name, const char* text) {
@@ -54,6 +51,14 @@ Result<double> ParseSeconds(const char* name, const char* text) {
                                    "\"");
   }
   return parsed;
+}
+
+}  // namespace
+
+Result<int64_t> GetEnvCount(const char* name, int64_t default_value) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return default_value;
+  return ParseCount(name, raw);
 }
 
 Result<double> GetEnvBudgetSeconds(const char* name, double default_value) {

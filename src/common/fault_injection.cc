@@ -33,9 +33,7 @@ FaultInjector& FaultInjector::Global() {
 
 const std::vector<std::string>& FaultInjector::KnownSites() {
   static const std::vector<std::string>* sites = new std::vector<std::string>{
-      "cache_read",    "cache_write",   "csv_parse",   "interrupt",
-      "numeric",       "request_parse", "socket_read", "socket_write",
-      "worker_stall"};
+      "cache_read", "cache_write", "csv_parse", "interrupt", "numeric"};
   return *sites;
 }
 

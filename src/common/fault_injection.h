@@ -14,12 +14,9 @@ namespace fairclean {
 
 /// Deterministic, seeded fault-injection harness.
 ///
-/// Production code declares named injection *sites* — the driver's storage
-/// and compute boundaries ("cache_write", "cache_read", "csv_parse",
-/// "numeric", "interrupt") and the serving layer's request lifecycle
-/// ("socket_read", "socket_write", "request_parse", "worker_stall"); each
-/// site is a no-op unless a fault was armed for it, so the instrumentation
-/// is free on the happy path.
+/// Production code declares named injection *sites* at the driver's storage
+/// and compute boundaries (KnownSites); each site is a no-op unless a fault
+/// was armed for it, so the instrumentation is free on the happy path.
 /// Faults are armed from a spec string (usually the FAIRCLEAN_FAULTS
 /// environment variable):
 ///

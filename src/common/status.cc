@@ -25,8 +25,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

@@ -20,7 +20,6 @@ enum class StatusCode {
   kNotImplemented = 6,
   kInternal = 7,
   kDeadlineExceeded = 8,
-  kUnavailable = 9,
 };
 
 /// Returns a human-readable name for a status code, e.g. "InvalidArgument".
@@ -62,12 +61,6 @@ class Status {
   /// cleanly at a resumable boundary rather than being killed mid-write.
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  /// The service is overloaded (admission queue full) and explicitly shed
-  /// this request rather than queueing it unboundedly. Transient by
-  /// definition: retrying after a backoff is expected to succeed.
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

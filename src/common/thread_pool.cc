@@ -85,7 +85,7 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 bool ThreadPool::OnWorkerThread() { return t_on_worker_thread; }
 
 size_t ThreadPool::DefaultThreadCount() {
-  // run_suite and advisor_server reject a malformed value first (through
+  // run_suite rejects a malformed value first (through
   // TrySuiteOptionsFromEnv); the check guards every other caller.
   Result<int64_t> configured = GetEnvCount("FAIRCLEAN_THREADS", 0);
   FC_CHECK_MSG(configured.ok(), configured.status().ToString().c_str());

@@ -350,12 +350,8 @@ double StudyDriver::ElapsedSeconds() const {
 }
 
 bool StudyDriver::BudgetExhausted() const {
-  if (options_.time_budget_s > 0.0 &&
-      ElapsedSeconds() > options_.time_budget_s) {
-    return true;
-  }
-  return options_.deadline.has_value() &&
-         std::chrono::steady_clock::now() > *options_.deadline;
+  return options_.time_budget_s > 0.0 &&
+         ElapsedSeconds() > options_.time_budget_s;
 }
 
 std::optional<CleaningExperimentResult> StudyDriver::ComputeSlot(
@@ -536,17 +532,11 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     }
     if (BudgetExhausted()) {
       metrics_.GetGauge("driver.budget_exhausted")->Set(1.0);
-      const bool budget_tripped = options_.time_budget_s > 0.0 &&
-                                  ElapsedSeconds() > options_.time_budget_s;
-      std::string limit =
-          budget_tripped
-              ? StrFormat("time budget of %.1fs exhausted after %.1fs",
-                          options_.time_budget_s, ElapsedSeconds())
-              : "request deadline exceeded";
       return Status::DeadlineExceeded(StrFormat(
-          "%s; %zu/%zu repeats of %s/%s/%s are persisted — re-run to resume",
-          limit.c_str(), slot, num_repeats, spec.name.c_str(),
-          error_type.c_str(), model.c_str()));
+          "time budget of %.1fs exhausted after %.1fs; %zu/%zu repeats of "
+          "%s/%s/%s are persisted — re-run to resume",
+          options_.time_budget_s, ElapsedSeconds(), slot, num_repeats,
+          spec.name.c_str(), error_type.c_str(), model.c_str()));
     }
     // Simulated hard interruption between repeats (tests kill-and-resume):
     // every earlier repeat is already persisted.

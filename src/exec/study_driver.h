@@ -32,13 +32,6 @@ struct StudyDriverOptions {
   /// at the next repeat boundary instead of being killed mid-write;
   /// re-running reuses the slices written so far.
   double time_budget_s = 0.0;
-  /// Absolute per-request deadline (steady clock). Where time_budget_s is
-  /// process-scoped (measured from driver construction), the deadline is
-  /// stamped by a caller that existed before this driver — the serving
-  /// layer marks it at request admission, so queue wait counts against it.
-  /// Both limits are enforced; whichever trips first returns
-  /// DeadlineExceeded at the next repeat boundary.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Invoked after each successful slice write (never on failure). Tests
   /// use it as a deterministic mid-cell crash point.
   std::function<void()> checkpoint_hook;
@@ -91,10 +84,10 @@ struct RunDiagnostics {
 ///  - honors a soft time budget, exiting cleanly with resumable state.
 ///
 /// Repeats run sequentially on the calling thread; callers that want
-/// parallelism run several drivers (the suite scheduler and the advisor
-/// server fan out across cells). One driver instance is meant to span a
-/// whole cell production so the time budget and diagnostics cover the
-/// full scope. RunOrLoad must be called from one thread at a time.
+/// parallelism run several drivers (the suite scheduler fans out across
+/// cells). One driver instance is meant to span a whole cell production so
+/// the time budget and diagnostics cover the full scope. RunOrLoad must be
+/// called from one thread at a time.
 class StudyDriver {
  public:
   explicit StudyDriver(StudyDriverOptions options);

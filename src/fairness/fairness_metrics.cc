@@ -68,20 +68,6 @@ const char* FairnessMetricName(FairnessMetric metric) {
   return "?";
 }
 
-Result<FairnessMetric> FairnessMetricByName(const std::string& name) {
-  for (FairnessMetric metric :
-       {FairnessMetric::kPredictiveParity, FairnessMetric::kEqualOpportunity,
-        FairnessMetric::kDemographicParity,
-        FairnessMetric::kFalsePositiveRateParity,
-        FairnessMetric::kAccuracyParity}) {
-    if (name == FairnessMetricShortName(metric) ||
-        name == FairnessMetricName(metric)) {
-      return metric;
-    }
-  }
-  return Status::NotFound("unknown fairness metric: " + name);
-}
-
 namespace {
 
 double FalsePositiveRate(const ConfusionMatrix& cm) {

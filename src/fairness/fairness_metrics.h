@@ -45,8 +45,6 @@ enum class FairnessMetric {
 const char* FairnessMetricShortName(FairnessMetric metric);
 /// Long name ("predictive_parity", ...).
 const char* FairnessMetricName(FairnessMetric metric);
-/// Parses either the short or the long name.
-Result<FairnessMetric> FairnessMetricByName(const std::string& name);
 
 /// Signed disparity (privileged-group value minus disadvantaged-group
 /// value) of `metric` on the group confusion matrices. Zero disparity means

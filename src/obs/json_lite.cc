@@ -296,11 +296,5 @@ std::string JsonValue::StringOr(std::string_view key,
                                                 : fallback;
 }
 
-bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
-  const JsonValue* value = Find(key);
-  return value != nullptr && value->type == Type::kBool ? value->bool_value
-                                                        : fallback;
-}
-
 }  // namespace obs
 }  // namespace fairclean

@@ -49,7 +49,6 @@ class JsonValue {
   /// Convenience accessors with fallbacks for absent/mistyped members.
   double NumberOr(std::string_view key, double fallback) const;
   std::string StringOr(std::string_view key, const std::string& fallback) const;
-  bool BoolOr(std::string_view key, bool fallback) const;
 };
 
 }  // namespace obs

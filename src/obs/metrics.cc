@@ -307,19 +307,6 @@ std::string MetricsRegistry::ToJsonl() const {
   return out.str();
 }
 
-std::string MetricsRegistry::ToJsonArray() const {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const MetricSnapshot& snapshot : Snapshot()) {
-    if (!first) out << ",";
-    AppendMetricJson(out, snapshot);
-    first = false;
-  }
-  out << "]";
-  return out.str();
-}
-
 bool MetricsRegistry::WriteJsonlFile(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {

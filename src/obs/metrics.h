@@ -141,8 +141,8 @@ class MetricsRegistry {
   void DisableExport();
   std::string export_path() const;
 
-  /// Writes the export file immediately (atomically, via temp file +
-  /// rename) on the SIGTERM / server shutdown path.
+  /// Writes the export file now (atomically, via temp file + rename); the
+  /// process-exit hook EnableExport registers calls it.
   /// Returns false when no export path is configured or the write fails.
   bool FlushExport();
 
@@ -152,10 +152,6 @@ class MetricsRegistry {
   /// One JSON object per line, e.g.
   ///   {"metric":"driver.retries","type":"counter","value":2}
   std::string ToJsonl() const;
-
-  /// The same objects as ToJsonl, as one JSON array (the server's
-  /// `metrics` op payload).
-  std::string ToJsonArray() const;
 
   /// Writes ToJsonl() to `path`. Returns false on IO failure.
   bool WriteJsonlFile(const std::string& path) const;

@@ -125,11 +125,6 @@ class TraceSpan {
 /// start-up) call this to guarantee the very first spans are captured.
 inline void InitTraceFromEnv() { Tracer::Global(); }
 
-/// Instant event helper with the same disabled-path guarantee as TraceSpan.
-inline void TraceInstant(const char* category, const char* name) {
-  if (TraceEnabled()) Tracer::Global().RecordInstant(category, name);
-}
-
 }  // namespace obs
 }  // namespace fairclean
 

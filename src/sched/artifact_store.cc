@@ -9,19 +9,17 @@ ArtifactStore::ArtifactStore(obs::MetricsRegistry* metrics)
 
 namespace {
 
-// Failures worth retrying: the producer stopped at a request deadline
-// (checkpointed, resumable) or was shed under overload. Everything else is
-// deterministic given the key and stays memoized.
+// Failures worth retrying: the producer stopped at the time budget with its
+// finished repeats persisted, so a later request resumes from the slices.
+// Everything else is deterministic given the key and stays memoized.
 bool IsTransient(const Status& status) {
-  return status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kUnavailable;
+  return status.code() == StatusCode::kDeadlineExceeded;
 }
 
 }  // namespace
 
 Result<std::shared_ptr<const void>> ArtifactStore::GetOrCreate(
-    const std::string& key, const Producer& producer,
-    const Deadline& deadline) {
+    const std::string& key, const Producer& producer) {
   std::shared_ptr<Entry> entry;
   bool owner = false;
   {
@@ -61,15 +59,7 @@ Result<std::shared_ptr<const void>> ArtifactStore::GetOrCreate(
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (deadline.has_value()) {
-    if (!ready_cv_.wait_until(lock, *deadline,
-                              [&entry] { return entry->ready; })) {
-      return Status::DeadlineExceeded(
-          "deadline expired waiting for in-flight production of " + key);
-    }
-  } else {
-    ready_cv_.wait(lock, [&entry] { return entry->ready; });
-  }
+  ready_cv_.wait(lock, [&entry] { return entry->ready; });
   reused_->Increment();
   if (!entry->status.ok()) return entry->status;
   return entry->value;

@@ -1,13 +1,11 @@
 #ifndef FAIRCLEAN_SCHED_ARTIFACT_STORE_H_
 #define FAIRCLEAN_SCHED_ARTIFACT_STORE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,40 +37,28 @@ class ArtifactStore {
   explicit ArtifactStore(obs::MetricsRegistry* metrics);
 
   using Producer = std::function<Result<std::shared_ptr<const void>>()>;
-  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
   /// Returns the artifact for `key`, running `producer` if and only if this
   /// is the first request. A deterministically failed production is
   /// memoized too: every consumer of the key sees the same status instead
-  /// of retrying a deterministic failure. *Transient* failures
-  /// (DeadlineExceeded, Unavailable) are NOT memoized — the entry is
-  /// dropped so a later request re-runs the producer; the serving layer
-  /// relies on this to resume a deadline-expired cell from its slices
-  /// instead of being poisoned by the first expiry forever.
-  ///
-  /// `deadline` bounds how long a non-owning caller waits for another
-  /// caller's in-flight production of the same key; on expiry it returns
-  /// DeadlineExceeded without disturbing the production. The owning caller
-  /// (the one running `producer`) is never interrupted here — per-request
-  /// deadlines inside the producer are the producer's own concern.
+  /// of retrying a deterministic failure. A DeadlineExceeded failure (a
+  /// cell stopped by the time budget, its finished repeats persisted as
+  /// slices) is NOT memoized — the entry is dropped so a later request
+  /// re-runs the producer and resumes from the slices.
   Result<std::shared_ptr<const void>> GetOrCreate(const std::string& key,
-                                                  const Producer& producer,
-                                                  const Deadline& deadline = {});
+                                                  const Producer& producer);
 
   /// Typed convenience wrapper: `produce` returns Result<T>.
   template <typename T, typename Fn>
   Result<std::shared_ptr<const T>> GetOrCreateAs(const std::string& key,
-                                                 Fn&& produce,
-                                                 const Deadline& deadline = {}) {
+                                                 Fn&& produce) {
     Result<std::shared_ptr<const void>> erased = GetOrCreate(
-        key,
-        [&]() -> Result<std::shared_ptr<const void>> {
+        key, [&]() -> Result<std::shared_ptr<const void>> {
           Result<T> value = produce();
           if (!value.ok()) return value.status();
           return std::shared_ptr<const void>(
               std::make_shared<const T>(std::move(*value)));
-        },
-        deadline);
+        });
     if (!erased.ok()) return erased.status();
     // Keys carry a type namespace prefix ("dataset:", "cell:", ...), so a
     // key is only ever requested at one T.

@@ -357,7 +357,7 @@ int SuiteScheduler::ReportFailure(const Status& status) const {
 
 Result<std::shared_ptr<const DatasetHandle>> DatasetArtifact(
     ArtifactStore* artifacts, const std::string& name, uint64_t study_seed,
-    obs::Counter* generated, const ArtifactStore::Deadline& deadline) {
+    obs::Counter* generated) {
   // DatasetHandle owns a mutex, so it is built in place rather than moved
   // through GetOrCreateAs.
   Result<std::shared_ptr<const void>> erased = artifacts->GetOrCreate(
@@ -367,29 +367,9 @@ Result<std::shared_ptr<const DatasetHandle>> DatasetArtifact(
         return std::shared_ptr<const void>(
             std::make_shared<const DatasetHandle>(std::move(spec), study_seed,
                                                   generated));
-      },
-      deadline);
+      });
   if (!erased.ok()) return erased.status();
   return std::static_pointer_cast<const DatasetHandle>(*erased);
-}
-
-Result<CellArtifact> ProduceCellArtifact(
-    const DatasetHandle& dataset, const CellKey& cell,
-    const exec::StudyDriverOptions& options,
-    exec::RunDiagnostics* diagnostics) {
-  exec::StudyDriver driver(options);
-  CellArtifact artifact;
-  Result<CleaningExperimentResult> result = driver.RunOrLoad(
-      dataset.spec(), [&] { return dataset.Rows(options.deadline); },
-      cell.error_type, cell.model, &artifact.sha256);
-  *diagnostics = driver.diagnostics();
-  if (!result.ok()) return result.status();
-  artifact.result = std::move(*result);
-  if (!options.cache_dir.empty()) {
-    artifact.cache_file = exec::StudyDriver::CacheKey(
-        options, cell.dataset, cell.error_type, cell.model);
-  }
-  return artifact;
 }
 
 Result<std::shared_ptr<const DatasetHandle>> SuiteScheduler::Dataset(
@@ -410,28 +390,37 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   FC_ASSIGN_OR_RETURN(exec::StudyDriverOptions driver_options,
                       CellDriverOptions());
   driver_options.checkpoint_hook = cell_checkpoint_hook_;
-  exec::RunDiagnostics diagnostics;
-  Result<CellArtifact> artifact =
-      ProduceCellArtifact(*dataset, cell, driver_options, &diagnostics);
+  // The dataset's rows are requested only if a repeat slot must be
+  // computed, and the artifact's sha256 hashes the record bytes the driver
+  // verified or wrote, so a cache hit reads its record once.
+  exec::StudyDriver driver(driver_options);
+  CellArtifact artifact;
+  Result<CleaningExperimentResult> result = driver.RunOrLoad(
+      dataset->spec(), [&dataset] { return dataset->Rows(); },
+      cell.error_type, cell.model, &artifact.sha256);
+  const exec::RunDiagnostics diagnostics = driver.diagnostics();
   Accumulate(diagnostics);
-  if (!artifact.ok()) {
-    if (artifact.status().code() == StatusCode::kDeadlineExceeded &&
+  if (!options_.cache_dir.empty()) {
+    artifact.cache_file = exec::StudyDriver::CacheKey(
+        driver_options, cell.dataset, cell.error_type, cell.model);
+  }
+  if (!result.ok()) {
+    if (result.status().code() == StatusCode::kDeadlineExceeded &&
         !options_.cache_dir.empty()) {
       // Sticky attempt marker: the cell hit the budget with resumable
       // state. A later attempt that completes the cell overwrites it, so
       // final-success reports stay byte-identical to fresh runs.
       store_
-          .Write(ClassKeyFor(exec::StudyDriver::CacheKey(
-                     driver_options, cell.dataset, cell.error_type,
-                     cell.model)),
+          .Write(ClassKeyFor(artifact.cache_file),
                  std::string(CellClassName(CellClass::kBudgetExceeded)) + "\n")
           .ok();
     }
-    return artifact.status();
+    return result.status();
   }
-  artifact->cell_class = ClassifyProducedCell(
+  artifact.result = std::move(*result);
+  artifact.cell_class = ClassifyProducedCell(
       cell, diagnostics, options_.cache_dir.empty() ? nullptr : &store_,
-      artifact->cache_file);
+      artifact.cache_file);
   return artifact;
 }
 

@@ -66,8 +66,8 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv();
 
 /// TrySuiteOptionsFromEnv for the grid benchmark's traced replay
 /// (gridbench/grid_trace.cc), which has no error channel: a malformed knob
-/// aborts the process with the parse error. run_suite and advisor_server
-/// call TrySuiteOptionsFromEnv and exit 2 instead.
+/// aborts the process with the parse error. run_suite calls
+/// TrySuiteOptionsFromEnv and exits 2 instead.
 SuiteOptions SuiteOptionsFromEnv();
 
 /// One produced experiment-cell artifact: the driver result plus the byte
@@ -99,19 +99,7 @@ using ScopeResults = std::map<std::string, std::shared_ptr<const CellArtifact>>;
 /// `generated` ("sched.datasets_generated").
 Result<std::shared_ptr<const DatasetHandle>> DatasetArtifact(
     ArtifactStore* artifacts, const std::string& name, uint64_t study_seed,
-    obs::Counter* generated, const ArtifactStore::Deadline& deadline = {});
-
-/// Produces one cell through a fresh StudyDriver, shared by the suite
-/// scheduler and the advisor service. The dataset's rows are requested
-/// (bounded by options.deadline) only if a repeat slot must be computed,
-/// and the artifact's sha256 hashes the record bytes the driver verified or
-/// wrote, so a cache hit reads its record once. `diagnostics` receives the
-/// driver's counters whether or not the run succeeded. The cell class is
-/// left at kPass for the caller to set.
-Result<CellArtifact> ProduceCellArtifact(
-    const DatasetHandle& dataset, const CellKey& cell,
-    const exec::StudyDriverOptions& options,
-    exec::RunDiagnostics* diagnostics);
+    obs::Counter* generated);
 
 /// Aggregates a scope's results into the paper's 3x3 impact table for one
 /// (grouping, fairness metric): every (pair-or-dataset, method, model)

@@ -243,8 +243,7 @@ DatasetHandle::DatasetHandle(DatasetSpec spec, uint64_t study_seed,
                              obs::Counter* generated)
     : spec_(std::move(spec)), study_seed_(study_seed), generated_(generated) {}
 
-Result<const GeneratedDataset*> DatasetHandle::Rows(
-    const Deadline& deadline) const {
+Result<const GeneratedDataset*> DatasetHandle::Rows() const {
   std::unique_lock<std::mutex> lock(mutex_);
   if (!started_) {
     started_ = true;
@@ -262,11 +261,6 @@ Result<const GeneratedDataset*> DatasetHandle::Rows(
     }
     ready_ = true;
     ready_cv_.notify_all();
-  } else if (deadline.has_value()) {
-    if (!ready_cv_.wait_until(lock, *deadline, [this] { return ready_; })) {
-      return Status::DeadlineExceeded(
-          "deadline expired waiting for the rows of dataset " + spec_.name);
-    }
   } else {
     ready_cv_.wait(lock, [this] { return ready_; });
   }

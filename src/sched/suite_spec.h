@@ -1,10 +1,8 @@
 #ifndef FAIRCLEAN_SCHED_SUITE_SPEC_H_
 #define FAIRCLEAN_SCHED_SUITE_SPEC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -148,13 +146,10 @@ Result<GeneratedDataset> MakeSuiteDataset(const std::string& name,
 /// memoized: it is deterministic given (name, seed), like every artifact
 /// failure.
 ///
-/// Thread-safe. Concurrent Rows calls share the one generation; a caller
-/// whose deadline passes while another generates gets DeadlineExceeded
-/// without disturbing it (the ArtifactStore waiter contract).
+/// Thread-safe. Concurrent Rows calls share the one generation: a caller
+/// that arrives while another generates blocks until the rows are ready.
 class DatasetHandle {
  public:
-  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
-
   /// `generated` (may be null) counts the generations that actually run.
   DatasetHandle(DatasetSpec spec, uint64_t study_seed,
                 obs::Counter* generated);
@@ -162,7 +157,7 @@ class DatasetHandle {
   const DatasetSpec& spec() const { return spec_; }
 
   /// The generated rows, valid for the handle's lifetime.
-  Result<const GeneratedDataset*> Rows(const Deadline& deadline = {}) const;
+  Result<const GeneratedDataset*> Rows() const;
 
  private:
   const DatasetSpec spec_;

@@ -14,8 +14,8 @@ constexpr double kEpsilon = 1e-14;
 constexpr double kTiny = 1e-300;
 
 // log|Gamma(a)| via the reentrant lgamma_r: std::lgamma also writes the
-// process-global `signgam`, a data race when server workers run paired
-// t-tests concurrently.
+// process-global `signgam`, a data race when two threads run t-tests
+// concurrently.
 double LogGamma(double a) {
   int sign = 0;
   return ::lgamma_r(a, &sign);

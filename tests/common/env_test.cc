@@ -22,8 +22,8 @@ TEST(EnvTest, ReadsString) {
 }
 
 // The strict parsers (GetEnvCount / GetEnvBudgetSeconds) back every
-// numeric knob: a silent fallback would run a whole suite or server at an
-// unintended scale, so they error instead of defaulting.
+// numeric knob: a silent fallback would run a whole suite at an unintended
+// scale, so they error instead of defaulting.
 
 TEST(EnvTest, CountParsesAndDefaults) {
   unsetenv("FAIRCLEAN_TEST_KNOB");

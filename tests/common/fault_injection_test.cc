@@ -1,6 +1,5 @@
 #include "common/fault_injection.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -127,17 +126,18 @@ TEST_F(FaultInjectionTest, RejectsUnknownSites) {
   EXPECT_FALSE(FaultInjector::Global().enabled());
 }
 
-TEST_F(FaultInjectionTest, KnownSitesCoverServingLifecycle) {
-  const std::vector<std::string>& sites = FaultInjector::KnownSites();
-  for (const char* site : {"socket_read", "socket_write", "request_parse",
-                           "worker_stall", "cache_read", "cache_write"}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
-        << site;
-    ASSERT_TRUE(FaultInjector::Global()
-                    .Configure(std::string(site) + ":1", 1)
-                    .ok());
-    EXPECT_TRUE(FaultInjector::Global().ShouldFire(site));
+TEST_F(FaultInjectionTest, KnownSitesAreTheSuiteSites) {
+  EXPECT_EQ(FaultInjector::KnownSites(),
+            (std::vector<std::string>{"cache_read", "cache_write",
+                                      "csv_parse", "interrupt", "numeric"}));
+  for (const std::string& site : FaultInjector::KnownSites()) {
+    ASSERT_TRUE(FaultInjector::Global().Configure(site + ":1", 1).ok());
+    EXPECT_TRUE(FaultInjector::Global().ShouldFire(site)) << site;
   }
+  // A site no production code probes is rejected.
+  Status status = FaultInjector::Global().Configure("socket_read:1", 1);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown fault site"), std::string::npos);
 }
 
 TEST_F(FaultInjectionTest, EmptySpecDisarms) {

@@ -33,14 +33,6 @@ TEST(StatusTest, AllCodesHaveDistinctNames) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInternal), "Internal");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kDeadlineExceeded),
                "DeadlineExceeded");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kUnavailable), "Unavailable");
-}
-
-TEST(StatusTest, UnavailableIsItsOwnCode) {
-  Status status = Status::Unavailable("queue full");
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(status.ToString(), "Unavailable: queue full");
 }
 
 TEST(ResultTest, HoldsValue) {

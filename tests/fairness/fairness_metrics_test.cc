@@ -143,23 +143,5 @@ TEST(FairnessGapTest, SwapSymmetry) {
   }
 }
 
-TEST(FairnessMetricNamesTest, RoundTrip) {
-  for (FairnessMetric metric :
-       {FairnessMetric::kPredictiveParity, FairnessMetric::kEqualOpportunity,
-        FairnessMetric::kDemographicParity,
-        FairnessMetric::kFalsePositiveRateParity,
-        FairnessMetric::kAccuracyParity}) {
-    Result<FairnessMetric> by_short =
-        FairnessMetricByName(FairnessMetricShortName(metric));
-    ASSERT_TRUE(by_short.ok());
-    EXPECT_EQ(*by_short, metric);
-    Result<FairnessMetric> by_long =
-        FairnessMetricByName(FairnessMetricName(metric));
-    ASSERT_TRUE(by_long.ok());
-    EXPECT_EQ(*by_long, metric);
-  }
-  EXPECT_FALSE(FairnessMetricByName("nonsense").ok());
-}
-
 }  // namespace
 }  // namespace fairclean

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/disparity.h"
-#include "core/fair_selector.h"
 #include "core/runner.h"
 #include "datasets/generator.h"
 #include "ml/encoder.h"
@@ -102,18 +101,6 @@ TEST(PipelineTest, DisparityAnalysisFeedsSignificanceTest) {
           .ValueOrDie();
   // All five strategies ran on both sensitive attributes.
   EXPECT_EQ(rows.size(), 10u);
-}
-
-TEST(PipelineTest, FairSelectorProducesRecommendationFromRealRun) {
-  Rng rng(7);
-  GeneratedDataset dataset = MakeDataset("german", 1000, &rng).ValueOrDie();
-  Result<CleaningExperimentResult> experiment = RunCleaningExperiment(
-      dataset, "missing_values", LogRegFamily(), TinyStudy());
-  ASSERT_TRUE(experiment.ok());
-  Result<std::vector<CleaningRecommendation>> ranked = SelectFairCleaning(
-      *experiment, "sex", FairnessMetric::kPredictiveParity, 0.05);
-  ASSERT_TRUE(ranked.ok());
-  EXPECT_EQ(ranked->size(), 6u);
 }
 
 TEST(PipelineTest, ResultRecordsRoundTripThroughJson) {

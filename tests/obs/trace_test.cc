@@ -108,7 +108,7 @@ TEST_F(TraceTest, NestedSpansAreContainedInParent) {
 
 TEST_F(TraceTest, InstantEventCarriesScope) {
   EnableTo("instant");
-  TraceInstant("fault", "fault:cache_write");
+  Tracer::Global().RecordInstant("fault", "fault:cache_write");
   JsonValue root = LoadTrace(path_);
   const JsonValue* event = FindEvent(root, "fault:cache_write");
   ASSERT_NE(event, nullptr);

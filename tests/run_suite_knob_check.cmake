@@ -45,6 +45,9 @@ run_case("fault seed 9x" 2 "FAIRCLEAN_FAULT_SEED" "FAIRCLEAN_FAULT_SEED=9x"
          --list)
 run_case("fault spec oops" 2 "FAIRCLEAN_FAULTS: " "FAIRCLEAN_FAULTS=numeric:oops"
          --list)
+# A site no production code probes arms nothing, so it is a usage error.
+run_case("fault site socket_read" 2 "FAIRCLEAN_FAULTS"
+         "FAIRCLEAN_FAULTS=socket_read:1" --list)
 # A bad seed names the seed knob only, not the fault spec's.
 set(forbidden "FAIRCLEAN_FAULTS")
 run_case("fault seed -3" 2 "FAIRCLEAN_FAULT_SEED" "FAIRCLEAN_FAULT_SEED=-3"
