@@ -13,6 +13,7 @@
 #include "common/strings.h"
 #include "core/cleaning.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fairclean {
@@ -60,24 +61,39 @@ double ThreadCpuSeconds() {
          static_cast<double>(CLOCKS_PER_SEC);
 }
 
-// Measures one stage: the wall time lands in the driver's per-stage
-// histogram and, when tracing, in an "exec" span.
+// Adds one stage's seconds to its entry of `stages` (a RunDiagnostics
+// map) and observes them on the global histogram `prefix` + `stage`.
+void RecordStage(std::map<std::string, double>* stages, const char* prefix,
+                 const char* stage, double seconds) {
+  (*stages)[stage] += seconds;
+  obs::MetricsRegistry::Global()
+      .GetHistogram(prefix + std::string(stage),
+                    obs::MetricsRegistry::DefaultLatencyBounds())
+      ->Observe(seconds);
+}
+
+// Measures one stage: the wall time lands in the driver's diagnostics and
+// the global "driver.stage_wall_s.<stage>" histogram and, when tracing, in
+// an "exec" span.
 class StageScope {
  public:
-  StageScope(obs::Histogram* histogram, const char* stage)
+  StageScope(RunDiagnostics* diagnostics, const char* stage)
       : span_("exec",
               [&] { return std::string("stage ") + stage; }),
-        histogram_(histogram),
+        diagnostics_(diagnostics),
+        stage_(stage),
         start_(std::chrono::steady_clock::now()) {}
   ~StageScope() {
-    histogram_->Observe(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start_)
-                            .count());
+    RecordStage(&diagnostics_->stage_seconds, "driver.stage_wall_s.", stage_,
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count());
   }
 
  private:
   obs::TraceSpan span_;
-  obs::Histogram* histogram_;
+  RunDiagnostics* diagnostics_;
+  const char* stage_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -251,66 +267,15 @@ std::string RunDiagnostics::Format() const {
 StudyDriver::StudyDriver(StudyDriverOptions options)
     : options_(std::move(options)),
       store_(options_.cache_dir),
-      metrics_(&obs::MetricsRegistry::Global()),
       start_(std::chrono::steady_clock::now()) {
   // Touch the tracer so FAIRCLEAN_TRACE takes effect before the first
   // span of the run (instrumentation points are no-ops until then).
   obs::InitTraceFromEnv();
 }
 
-obs::Counter* StudyDriver::Count(const char* name) {
-  return metrics_.GetCounter(name);
-}
-
-obs::Histogram* StudyDriver::StageWall(const char* stage) {
-  return metrics_.GetHistogram(
-      std::string("driver.stage_wall_s.") + stage,
-      obs::MetricsRegistry::DefaultLatencyBounds());
-}
-
-obs::Histogram* StudyDriver::StageCpu(const char* stage) {
-  return metrics_.GetHistogram(
-      std::string("driver.stage_cpu_s.") + stage,
-      obs::MetricsRegistry::DefaultLatencyBounds());
-}
-
-RunDiagnostics StudyDriver::diagnostics() const {
-  RunDiagnostics out;
-  constexpr char kWallPrefix[] = "driver.stage_wall_s.";
-  constexpr char kCpuPrefix[] = "driver.stage_cpu_s.";
-  for (const obs::MetricSnapshot& metric : metrics_.Snapshot()) {
-    switch (metric.kind) {
-      case obs::MetricSnapshot::Kind::kCounter: {
-        size_t value = static_cast<size_t>(metric.value);
-        if (metric.name == "driver.experiments") out.experiments = value;
-        else if (metric.name == "driver.cache_hits") out.cache_hits = value;
-        else if (metric.name == "driver.slices_reused")
-          out.slices_reused = value;
-        else if (metric.name == "driver.repeats_run") out.repeats_run = value;
-        else if (metric.name == "driver.retries") out.retries = value;
-        else if (metric.name == "driver.skips") out.skips = value;
-        else if (metric.name == "driver.corrupt_quarantined")
-          out.corrupt_quarantined = value;
-        else if (metric.name == "driver.checkpoints") out.checkpoints = value;
-        break;
-      }
-      case obs::MetricSnapshot::Kind::kGauge:
-        if (metric.name == "driver.budget_exhausted") {
-          out.budget_exhausted = metric.value != 0.0;
-        }
-        break;
-      case obs::MetricSnapshot::Kind::kHistogram:
-        if (metric.name.rfind(kWallPrefix, 0) == 0) {
-          out.stage_seconds[metric.name.substr(sizeof(kWallPrefix) - 1)] =
-              metric.sum;
-        } else if (metric.name.rfind(kCpuPrefix, 0) == 0) {
-          out.stage_cpu_seconds[metric.name.substr(sizeof(kCpuPrefix) - 1)] =
-              metric.sum;
-        }
-        break;
-    }
-  }
-  return out;
+void StudyDriver::Count(size_t* counter, const char* name) {
+  ++*counter;
+  obs::MetricsRegistry::Global().GetCounter(name)->Increment();
 }
 
 std::string StudyDriver::CacheKey(const StudyDriverOptions& options,
@@ -364,7 +329,7 @@ std::optional<CleaningExperimentResult> StudyDriver::ComputeSlot(
   std::optional<CleaningExperimentResult> out;
   const double cpu_start = ThreadCpuSeconds();
   for (size_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) Count("driver.retries")->Increment();
+    if (attempt > 0) Count(&diagnostics_.retries, "driver.retries");
     // First retry replays the same seed (a transient fault resolves
     // without changing any score); later retries reseed.
     uint64_t salt = attempt <= 1 ? 0 : attempt - 1;
@@ -392,7 +357,8 @@ std::optional<CleaningExperimentResult> StudyDriver::ComputeSlot(
                 family.name.c_str(), slot, attempt,
                 last_failure->ToString().c_str());
   }
-  StageCpu("compute")->Observe(ThreadCpuSeconds() - cpu_start);
+  RecordStage(&diagnostics_.stage_cpu_seconds, "driver.stage_cpu_s.",
+              "compute", ThreadCpuSeconds() - cpu_start);
   return out;
 }
 
@@ -401,7 +367,7 @@ std::optional<ResultStore> StudyDriver::LoadSlice(
     const std::string& error_type, const std::string& model, size_t slot) {
   Result<bool> found = store_.Contains(key);
   if (!found.ok() || !*found) return std::nullopt;
-  StageScope stage(StageWall("cache_load"), "cache_load");
+  StageScope stage(&diagnostics_, "cache_load");
   // Slice reads carry the "cache_read" fault probe, like figure records.
   Result<std::string> bytes = [&]() -> Result<std::string> {
     FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("cache_read"));
@@ -415,10 +381,10 @@ std::optional<ResultStore> StudyDriver::LoadSlice(
   Result<ResultStore> records = DecodeSlice(*bytes, spec, error_type,
                                             model, slot);
   if (records.ok()) {
-    Count("driver.slices_reused")->Increment();
+    Count(&diagnostics_.slices_reused, "driver.slices_reused");
     return std::move(*records);
   }
-  Count("driver.corrupt_quarantined")->Increment();
+  Count(&diagnostics_.corrupt_quarantined, "driver.corrupt_quarantined");
   Result<std::string> moved = store_.Quarantine(key);
   FC_LOG_WARN("driver", "corrupt slice %s (%s) -> %s",
               store_.Describe(key).c_str(),
@@ -429,7 +395,7 @@ std::optional<ResultStore> StudyDriver::LoadSlice(
 
 void StudyDriver::WriteSlice(const std::string& key,
                              const ResultStore& records) {
-  StageScope stage(StageWall("checkpoint"), "checkpoint");
+  StageScope stage(&diagnostics_, "checkpoint");
   Status written = store_.Write(key, AppendChecksumFooter(records.ToJson()));
   if (!written.ok()) {
     // Non-fatal: worst case a later resume redoes this repeat.
@@ -437,7 +403,7 @@ void StudyDriver::WriteSlice(const std::string& key,
                 written.ToString().c_str());
     return;
   }
-  Count("driver.checkpoints")->Increment();
+  Count(&diagnostics_.checkpoints, "driver.checkpoints");
   if (options_.checkpoint_hook) options_.checkpoint_hook();
 }
 
@@ -449,7 +415,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     return StrFormat("RunOrLoad %s/%s/%s", spec.name.c_str(),
                      error_type.c_str(), model.c_str());
   });
-  Count("driver.experiments")->Increment();
+  Count(&diagnostics_.experiments, "driver.experiments");
   FC_ASSIGN_OR_RETURN(TunedModelFamily family, ModelFamilyByName(model));
 
   const bool persist = !options_.cache_dir.empty();
@@ -465,7 +431,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     }
     // A completed experiment in the result cache.
     if (found.ok() && *found) {
-      StageScope stage(StageWall("cache_load"), "cache_load");
+      StageScope stage(&diagnostics_, "cache_load");
       Result<std::string> bytes = store_.Read(cache_key);
       Result<ResultStore> store =
           bytes.ok() ? ResultStore::LoadFromString(*bytes,
@@ -477,7 +443,8 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
         // under us) just recompute in place.
         if (store.status().code() != StatusCode::kIoError &&
             store.status().code() != StatusCode::kNotFound) {
-          Count("driver.corrupt_quarantined")->Increment();
+          Count(&diagnostics_.corrupt_quarantined,
+                "driver.corrupt_quarantined");
           Result<std::string> moved = store_.Quarantine(cache_key);
           FC_LOG_WARN("driver", "corrupt cache %s (%s) -> %s",
                       store_.Describe(cache_key).c_str(),
@@ -497,7 +464,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
           // metrics learned to report empty groups as NaN: their stored
           // confusion matrices now reconstruct to non-finite gaps, and such
           // scores must be recomputed, not served.
-          Count("driver.cache_hits")->Increment();
+          Count(&diagnostics_.cache_hits, "driver.cache_hits");
           FC_LOG_INFO("driver", "cache hit %s/%s/%s", spec.name.c_str(),
                       error_type.c_str(), model.c_str());
           if (record_sha256 != nullptr) *record_sha256 = Sha256Hex(*bytes);
@@ -531,7 +498,9 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
       }
     }
     if (BudgetExhausted()) {
-      metrics_.GetGauge("driver.budget_exhausted")->Set(1.0);
+      diagnostics_.budget_exhausted = true;
+      obs::MetricsRegistry::Global().GetGauge("driver.budget_exhausted")->Set(
+          1.0);
       return Status::DeadlineExceeded(StrFormat(
           "time budget of %.1fs exhausted after %.1fs; %zu/%zu repeats of "
           "%s/%s/%s are persisted — re-run to resume",
@@ -546,19 +515,19 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     }
     std::optional<CleaningExperimentResult> slice;
     {
-      StageScope stage(StageWall("compute"), "compute");
+      StageScope stage(&diagnostics_, "compute");
       slice = ComputeSlot(*dataset, error_type, family, slot, &last_failure);
     }
     if (!slice.has_value()) {
       // Skipped slots persist nothing; a resume recomputes them.
-      Count("driver.skips")->Increment();
+      Count(&diagnostics_.skips, "driver.skips");
       records.Put(SkippedKey(slot), 1.0);
       FC_LOG_WARN("driver", "skip %s/%s/%s r%zu: %s", spec.name.c_str(),
                   error_type.c_str(), model.c_str(), slot,
                   last_failure.ToString().c_str());
       continue;
     }
-    Count("driver.repeats_run")->Increment();
+    Count(&diagnostics_.repeats_run, "driver.repeats_run");
     records.MergeFrom(slice->records);
     if (persist) WriteSlice(slice_key, slice->records);
   }
@@ -578,7 +547,7 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
   }
 
   if (persist) {
-    StageScope stage(StageWall("finalize"), "finalize");
+    StageScope stage(&diagnostics_, "finalize");
     Status saved = store_.Write(cache_key, bytes);
     if (!saved.ok()) {
       FC_LOG_WARN("driver", "cache write failed: %s",

@@ -10,7 +10,6 @@
 
 #include "core/runner.h"
 #include "datasets/generator.h"
-#include "obs/metrics.h"
 #include "store/blob_store.h"
 
 namespace fairclean {
@@ -41,11 +40,10 @@ struct StudyDriverOptions {
 /// cache reuse, slice reuse, retries, skips, quarantined files, and wall
 /// time per stage. Printed by run_suite.
 ///
-/// Since the observability rework this is a point-in-time snapshot
-/// assembled from the driver's metrics registry (see
-/// StudyDriver::diagnostics()); the counters live as named instruments
-/// ("driver.retries", "driver.stage_wall_s.compute", ...) that also feed
-/// the process-wide FAIRCLEAN_METRICS export.
+/// The driver fills its own copy as events happen, and records each event
+/// on the same-named instrument of MetricsRegistry::Global() too
+/// ("driver.retries", "driver.stage_wall_s.compute", ...), so the
+/// FAIRCLEAN_METRICS export sums every driver's counts.
 struct RunDiagnostics {
   size_t experiments = 0;        ///< RunOrLoad calls served.
   size_t cache_hits = 0;         ///< served entirely from the result cache
@@ -120,10 +118,8 @@ class StudyDriver {
                      error_type, model);
   }
 
-  /// Snapshot of the driver's metric instruments in the legacy
-  /// RunDiagnostics shape. Counters are shared with the global metrics
-  /// registry, so a FAIRCLEAN_METRICS export sees the same numbers.
-  RunDiagnostics diagnostics() const;
+  /// What this driver has done so far.
+  const RunDiagnostics& diagnostics() const { return diagnostics_; }
 
   /// Store key (cache-file basename) of one configuration's cell record.
   static std::string CacheKey(const StudyDriverOptions& options,
@@ -171,18 +167,13 @@ class StudyDriver {
   /// checkpoint hook. A failed write only costs a recompute on resume.
   void WriteSlice(const std::string& key, const ResultStore& records);
 
-  /// Named instrument shorthand on the driver's local registry.
-  obs::Counter* Count(const char* name);
-  obs::Histogram* StageWall(const char* stage);
-  obs::Histogram* StageCpu(const char* stage);
+  /// Bumps one diagnostics counter and the global counter `name`.
+  void Count(size_t* counter, const char* name);
 
   StudyDriverOptions options_;
   /// Cell and slice records under options_.cache_dir.
   store::FlatFileStore store_;
-  /// Scoped registry: every value recorded here forwards to the same-named
-  /// instrument in MetricsRegistry::Global(), so one driver's diagnostics
-  /// stay separable while the process-wide export aggregates all of them.
-  obs::MetricsRegistry metrics_;
+  RunDiagnostics diagnostics_;
   std::chrono::steady_clock::time_point start_;
 };
 

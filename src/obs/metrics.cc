@@ -76,8 +76,7 @@ Histogram::Histogram(std::vector<double> bounds)
 void Histogram::Observe(double value) {
   if (!std::isfinite(value)) {
     // A NaN would poison min/max/sum (and land lower_bound in an arbitrary
-    // bucket); account for it instead of recording it. The drop counts
-    // once — the scoped histogram returns before forwarding to its parent.
+    // bucket); account for it instead of recording it.
     internal::DroppedSamplesCounter()->Increment();
     return;
   }
@@ -88,7 +87,6 @@ void Histogram::Observe(double value) {
   AtomicAddDouble(&sum_, value);
   AtomicMinDouble(&min_, value);
   AtomicMaxDouble(&max_, value);
-  if (parent_ != nullptr) parent_->Observe(value);
 }
 
 double Histogram::min() const {
@@ -133,8 +131,6 @@ double Histogram::Percentile(double p) const {
                                max(), p);
 }
 
-MetricsRegistry::MetricsRegistry(MetricsRegistry* parent) : parent_(parent) {}
-
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked for the same reason as Tracer: instruments must outlive any
   // late-exiting thread.
@@ -151,20 +147,14 @@ MetricsRegistry& MetricsRegistry::Global() {
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Counter>& slot = counters_[name];
-  if (slot == nullptr) {
-    slot.reset(new Counter());
-    if (parent_ != nullptr) slot->parent_ = parent_->GetCounter(name);
-  }
+  if (slot == nullptr) slot = std::make_unique<Counter>();
   return slot.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Gauge>& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot.reset(new Gauge());
-    if (parent_ != nullptr) slot->parent_ = parent_->GetGauge(name);
-  }
+  if (slot == nullptr) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
@@ -172,12 +162,7 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::vector<double>& bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot.reset(new Histogram(bounds));
-    if (parent_ != nullptr) {
-      slot->parent_ = parent_->GetHistogram(name, bounds);
-    }
-  }
+  if (slot == nullptr) slot.reset(new Histogram(bounds));
   return slot.get();
 }
 

@@ -29,37 +29,28 @@ inline bool MetricsExportEnabled() {
   return internal::g_metrics_export_enabled.load(std::memory_order_relaxed);
 }
 
-/// Monotonic counter. Increment is one relaxed fetch_add (plus one more on
-/// the parent sink when this counter lives in a scoped registry).
+/// Monotonic counter. Increment is one relaxed fetch_add.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->Increment(delta);
   }
 
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<uint64_t> value_{0};
-  Counter* parent_ = nullptr;
 };
 
 /// Last-written-value gauge.
 class Gauge {
  public:
-  void Set(double value) {
-    value_.store(value, std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->Set(value);
-  }
+  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
 
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<double> value_{0.0};
-  Gauge* parent_ = nullptr;
 };
 
 /// Histogram over fixed bucket bounds. An observation lands in the first
@@ -93,11 +84,9 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;
   std::atomic<double> max_;
-  Histogram* parent_ = nullptr;
 };
 
-/// Point-in-time copy of one instrument, for export and for assembling
-/// RunDiagnostics-style reports.
+/// Point-in-time copy of one instrument, for export and summaries.
 struct MetricSnapshot {
   enum class Kind { kCounter, kGauge, kHistogram };
   Kind kind = Kind::kCounter;
@@ -118,15 +107,12 @@ struct MetricSnapshot {
 /// stable addresses for the registry's lifetime, so hot paths cache the
 /// pointer and never re-lock.
 ///
-/// Registries form a two-level hierarchy: a scoped registry (one per
-/// StudyDriver) forwards every recorded value to the same-named instrument
-/// in its parent — normally MetricsRegistry::Global(), the process-wide
-/// sink that FAIRCLEAN_METRICS=<path> exports as JSONL at exit. Like the
-/// tracer, metrics only observe: no randomness, no control-flow changes.
+/// Instrumented code records on MetricsRegistry::Global(), the
+/// process-wide registry that FAIRCLEAN_METRICS=<path> exports as JSONL at
+/// exit. Like the tracer, metrics only observe: no randomness, no
+/// control-flow changes.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(MetricsRegistry* parent = nullptr);
-
   /// Process-wide sink (reads FAIRCLEAN_METRICS on first use).
   static MetricsRegistry& Global();
 
@@ -164,7 +150,6 @@ class MetricsRegistry {
   static const std::vector<double>& DefaultLatencyBounds();
 
  private:
-  MetricsRegistry* parent_;
   mutable std::mutex mutex_;  // guards the maps and export path
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -6,7 +6,6 @@
 #include "common/safe_io.h"
 #include "common/strings.h"
 #include "obs/json_lite.h"
-#include "sched/suite_spec.h"
 
 namespace fairclean {
 namespace sched {
@@ -94,8 +93,12 @@ Result<DisparityRow> ParseRow(const obs::JsonValue& item) {
 
 std::string FigureRecordKey(const std::string& dataset, bool intersectional,
                             uint64_t study_seed) {
-  return StrFormat("figure:v%d:", kFigureRecordVersion) +
-         DisparityArtifactKey(dataset, intersectional, study_seed);
+  // Seed offsets 17/19 are the historical Fig. 1 / Fig. 2 rng streams.
+  return StrFormat("figure:v%d:disparity:%s:%s:s%llu", kFigureRecordVersion,
+                   dataset.c_str(),
+                   intersectional ? "intersectional" : "single",
+                   static_cast<unsigned long long>(
+                       study_seed + (intersectional ? 19 : 17)));
 }
 
 std::string EncodeFigureRecord(const std::string& dataset,

@@ -17,9 +17,11 @@ namespace sched {
 constexpr int kFigureRecordVersion = 1;
 
 /// Store key of one figure panel (DESIGN.md Section 11):
-/// "figure:v<version>:" + DisparityArtifactKey, e.g.
-/// "figure:v1:disparity:adult:single:s59". No cell-record name (a ".json"
-/// cache file, a "slice:" or "class:" record) can take this form.
+/// "figure:v<version>:disparity:<dataset>:<single|intersectional>:s<seed>",
+/// where <seed> is the panel's rng stream (study seed + 17 for Fig. 1, + 19
+/// for Fig. 2), e.g. "figure:v1:disparity:adult:single:s59". No cell-record
+/// name (a ".json" cache file, a "slice:" or "class:" record) can take this
+/// form.
 std::string FigureRecordKey(const std::string& dataset, bool intersectional,
                             uint64_t study_seed);
 

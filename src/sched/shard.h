@@ -9,9 +9,9 @@
 namespace fairclean {
 namespace sched {
 
-/// Artifact-store key of a cell's persisted classification (written next to the
-/// cell's cache record, read back on cache hits so fresh, warm and resumed
-/// runs report identical classes).
+/// Record-store key of a cell's persisted classification (written next to
+/// the cell's cache record, read back on cache hits so fresh, warm and
+/// resumed runs report identical classes).
 std::string ClassKeyFor(const std::string& cache_key);
 
 /// Mass-run classification of one produced cell, precedence highest first:

@@ -20,13 +20,32 @@
 namespace fairclean {
 namespace sched {
 
+namespace {
+
+// Scale knobs below these values cannot run at all: a study needs rows,
+// k-fold tuning needs two folds and the paired t-tests two repeats.
+Result<int64_t> GetEnvScale(const char* knob, int64_t fallback,
+                            int64_t minimum) {
+  FC_ASSIGN_OR_RETURN(int64_t value, GetEnvCount(knob, fallback));
+  if (value < minimum) {
+    return Status::InvalidArgument(
+        StrFormat("%s must be at least %lld, got %lld", knob,
+                  static_cast<long long>(minimum),
+                  static_cast<long long>(value)));
+  }
+  return value;
+}
+
+}  // namespace
+
 Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   SuiteOptions options;
-  FC_ASSIGN_OR_RETURN(int64_t sample, GetEnvCount("FAIRCLEAN_SAMPLE", 3500));
+  FC_ASSIGN_OR_RETURN(int64_t sample,
+                      GetEnvScale("FAIRCLEAN_SAMPLE", 3500, 1));
   options.study.sample_size = static_cast<size_t>(sample);
-  FC_ASSIGN_OR_RETURN(int64_t repeats, GetEnvCount("FAIRCLEAN_REPEATS", 16));
+  FC_ASSIGN_OR_RETURN(int64_t repeats, GetEnvScale("FAIRCLEAN_REPEATS", 16, 2));
   options.study.num_repeats = static_cast<size_t>(repeats);
-  FC_ASSIGN_OR_RETURN(int64_t folds, GetEnvCount("FAIRCLEAN_FOLDS", 3));
+  FC_ASSIGN_OR_RETURN(int64_t folds, GetEnvScale("FAIRCLEAN_FOLDS", 3, 2));
   options.study.cv_folds = static_cast<size_t>(folds);
   // A larger holdout than the library default stabilizes the group-wise
   // precision/recall estimates that the fairness metrics compare.
@@ -270,13 +289,12 @@ SuiteScheduler::SuiteScheduler(SuiteOptions options)
     : options_(std::move(options)),
       width_(options_.threads != 0 ? options_.threads
                                    : ThreadPool::DefaultThreadCount()),
-      metrics_(&obs::MetricsRegistry::Global()),
-      artifacts_(&metrics_),
-      figure_records_loaded_(
-          metrics_.GetCounter("sched.figure_records_loaded")),
-      figure_records_written_(
-          metrics_.GetCounter("sched.figure_records_written")),
-      datasets_generated_(metrics_.GetCounter("sched.datasets_generated")),
+      figure_records_loaded_(obs::MetricsRegistry::Global().GetCounter(
+          "sched.figure_records_loaded")),
+      figure_records_written_(obs::MetricsRegistry::Global().GetCounter(
+          "sched.figure_records_written")),
+      datasets_generated_(obs::MetricsRegistry::Global().GetCounter(
+          "sched.datasets_generated")),
       start_(std::chrono::steady_clock::now()),
       store_(options_.cache_dir) {
   if (width_ > 1) pool_ = std::make_unique<ThreadPool>(width_);
@@ -355,50 +373,25 @@ int SuiteScheduler::ReportFailure(const Status& status) const {
   return 1;
 }
 
-Result<std::shared_ptr<const DatasetHandle>> DatasetArtifact(
-    ArtifactStore* artifacts, const std::string& name, uint64_t study_seed,
-    obs::Counter* generated) {
-  // DatasetHandle owns a mutex, so it is built in place rather than moved
-  // through GetOrCreateAs.
-  Result<std::shared_ptr<const void>> erased = artifacts->GetOrCreate(
-      DatasetArtifactKey(name, study_seed),
-      [&]() -> Result<std::shared_ptr<const void>> {
-        FC_ASSIGN_OR_RETURN(DatasetSpec spec, DatasetSpecByName(name));
-        return std::shared_ptr<const void>(
-            std::make_shared<const DatasetHandle>(std::move(spec), study_seed,
-                                                  generated));
-      });
-  if (!erased.ok()) return erased.status();
-  return std::static_pointer_cast<const DatasetHandle>(*erased);
-}
-
-Result<std::shared_ptr<const DatasetHandle>> SuiteScheduler::Dataset(
-    const std::string& name) {
-  return DatasetArtifact(&artifacts_, name, options_.study.seed,
-                         datasets_generated_);
-}
-
-Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
+Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell,
+                                                 const DatasetHandle& dataset) {
   const size_t wave = current_wave_;
   obs::TraceSpan span("sched", [&cell, wave] {
     return wave == kNoWave
                ? "cell " + cell.Id()
                : StrFormat("cell w%zu %s", wave, cell.Id().c_str());
   });
-  FC_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetHandle> dataset,
-                      Dataset(cell.dataset));
   FC_ASSIGN_OR_RETURN(exec::StudyDriverOptions driver_options,
                       CellDriverOptions());
   driver_options.checkpoint_hook = cell_checkpoint_hook_;
-  // The dataset's rows are requested only if a repeat slot must be
-  // computed, and the artifact's sha256 hashes the record bytes the driver
-  // verified or wrote, so a cache hit reads its record once.
+  // The artifact's sha256 hashes the record bytes the driver verified or
+  // wrote, so a cache hit reads its record once.
   exec::StudyDriver driver(driver_options);
   CellArtifact artifact;
   Result<CleaningExperimentResult> result = driver.RunOrLoad(
-      dataset->spec(), [&dataset] { return dataset->Rows(); },
+      dataset.spec(), [&dataset] { return dataset.Rows(); },
       cell.error_type, cell.model, &artifact.sha256);
-  const exec::RunDiagnostics diagnostics = driver.diagnostics();
+  const exec::RunDiagnostics& diagnostics = driver.diagnostics();
   Accumulate(diagnostics);
   if (!options_.cache_dir.empty()) {
     artifact.cache_file = exec::StudyDriver::CacheKey(
@@ -465,64 +458,49 @@ CellClass SuiteScheduler::ClassifyProducedCell(
   return cls;
 }
 
-Result<std::shared_ptr<const CellArtifact>> SuiteScheduler::Cell(
-    const CellKey& cell) {
-  return artifacts_.GetOrCreateAs<CellArtifact>(
-      CellArtifactKey(cell, options_.study),
-      [&]() -> Result<CellArtifact> { return ProduceCell(cell); });
+Result<std::vector<DisparityRow>> SuiteScheduler::FigurePanel(
+    const DatasetHandle& dataset, bool intersectional) {
+  if (options_.cache_dir.empty()) {
+    return ComputeDisparity(dataset, intersectional);
+  }
+  const std::string& name = dataset.spec().name;
+  const std::string key =
+      FigureRecordKey(name, intersectional, options_.study.seed);
+  std::optional<std::vector<DisparityRow>> loaded =
+      LoadFigureRecord(key, name, intersectional);
+  if (loaded.has_value()) return std::move(*loaded);
+  FC_ASSIGN_OR_RETURN(std::vector<DisparityRow> rows,
+                      ComputeDisparity(dataset, intersectional));
+  // Best-effort like the class records: a failed write only means the next
+  // run recomputes this panel.
+  Status written =
+      Store().Write(key, EncodeFigureRecord(name, intersectional, rows));
+  if (written.ok()) {
+    figure_records_written_->Increment();
+  } else {
+    FC_LOG_WARN("sched", "figure record write failed for %s: %s",
+                key.c_str(), written.ToString().c_str());
+  }
+  return rows;
 }
 
-Result<std::shared_ptr<const DisparityArtifact>> SuiteScheduler::Disparity(
-    const std::string& dataset, bool intersectional) {
-  return artifacts_.GetOrCreateAs<DisparityArtifact>(
-      DisparityArtifactKey(dataset, intersectional, options_.study.seed),
-      [&]() -> Result<DisparityArtifact> {
-        if (options_.cache_dir.empty()) {
-          return ComputeDisparity(dataset, intersectional);
-        }
-        const std::string key =
-            FigureRecordKey(dataset, intersectional, options_.study.seed);
-        std::optional<DisparityArtifact> loaded =
-            LoadFigureRecord(key, dataset, intersectional);
-        if (loaded.has_value()) return std::move(*loaded);
-        FC_ASSIGN_OR_RETURN(DisparityArtifact artifact,
-                            ComputeDisparity(dataset, intersectional));
-        // Best-effort like the class records: a failed write only means
-        // the next run recomputes this panel.
-        Status written = Store().Write(
-            key, EncodeFigureRecord(dataset, intersectional, artifact.rows));
-        if (written.ok()) {
-          figure_records_written_->Increment();
-        } else {
-          FC_LOG_WARN("sched", "figure record write failed for %s: %s",
-                      key.c_str(), written.ToString().c_str());
-        }
-        return artifact;
-      });
-}
-
-Result<DisparityArtifact> SuiteScheduler::ComputeDisparity(
-    const std::string& dataset, bool intersectional) {
+Result<std::vector<DisparityRow>> SuiteScheduler::ComputeDisparity(
+    const DatasetHandle& dataset, bool intersectional) {
   obs::TraceSpan span("sched", [&] {
-    return StrFormat("disparity %s/%s", dataset.c_str(),
+    return StrFormat("disparity %s/%s", dataset.spec().name.c_str(),
                      intersectional ? "intersectional" : "single");
   });
-  FC_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetHandle> handle,
-                      Dataset(dataset));
-  FC_ASSIGN_OR_RETURN(const GeneratedDataset* generated, handle->Rows());
+  FC_ASSIGN_OR_RETURN(const GeneratedDataset* generated, dataset.Rows());
   DisparityOptions disparity_options;
   // The per-figure rng streams (Fig. 1: seed+17, Fig. 2: seed+19), fresh
   // per dataset, so a panel's bytes do not depend on which other panels
   // ran.
   Rng rng(options_.study.seed + (intersectional ? 19 : 17));
-  DisparityArtifact artifact;
-  FC_ASSIGN_OR_RETURN(artifact.rows,
-                      AnalyzeDisparities(*generated, intersectional,
-                                         disparity_options, &rng));
-  return artifact;
+  return AnalyzeDisparities(*generated, intersectional, disparity_options,
+                            &rng);
 }
 
-std::optional<DisparityArtifact> SuiteScheduler::LoadFigureRecord(
+std::optional<std::vector<DisparityRow>> SuiteScheduler::LoadFigureRecord(
     const std::string& key, const std::string& dataset, bool intersectional) {
   const store::FlatFileStore& blob = Store();
   Result<bool> found = blob.Contains(key);
@@ -537,7 +515,7 @@ std::optional<DisparityArtifact> SuiteScheduler::LoadFigureRecord(
   }();
   if (rows.ok()) {
     figure_records_loaded_->Increment();
-    return DisparityArtifact{std::move(*rows)};
+    return std::move(*rows);
   }
   if (rows.status().code() == StatusCode::kIoError ||
       rows.status().code() == StatusCode::kNotFound) {
@@ -643,28 +621,37 @@ ScopeResults SuiteScheduler::ScopeFromDeps(
 Status SuiteScheduler::RunNode(const SuiteSpec& spec,
                                const ExperimentGraph& graph, size_t id) {
   const GraphNode& node = graph.nodes()[id];
+  // A cell or figure node's deps[0] is its dataset node, which ran in an
+  // earlier wave.
+  auto dataset_dep = [&] {
+    return std::static_pointer_cast<const DatasetHandle>(
+        node_values_[node.deps[0]]);
+  };
   switch (node.kind) {
     case NodeKind::kDataset: {
-      FC_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetHandle> dataset,
-                          Dataset(node.dataset));
-      node_values_[id] = dataset;
+      // Only the static spec (NotFound for an unknown name): the rows are
+      // generated on the handle's first Rows call and counted on
+      // "sched.datasets_generated".
+      FC_ASSIGN_OR_RETURN(DatasetSpec spec, DatasetSpecByName(node.dataset));
+      node_values_[id] = std::make_shared<const DatasetHandle>(
+          std::move(spec), options_.study.seed, datasets_generated_);
       return Status::OK();
     }
     case NodeKind::kCell: {
-      FC_ASSIGN_OR_RETURN(std::shared_ptr<const CellArtifact> artifact,
-                          Cell(node.cell));
-      node_values_[id] = artifact;
+      FC_ASSIGN_OR_RETURN(CellArtifact artifact,
+                          ProduceCell(node.cell, *dataset_dep()));
+      node_values_[id] = std::make_shared<const CellArtifact>(
+          std::move(artifact));
       return Status::OK();
     }
     case NodeKind::kFigure: {
+      std::shared_ptr<const DatasetHandle> dataset = dataset_dep();
       auto value = std::make_shared<FigureValue>();
-      FC_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetHandle> dataset,
-                          Dataset(node.dataset));
       if (node.intersectional && !dataset->spec().intersectional) {
         value->skipped = true;
       } else {
         FC_ASSIGN_OR_RETURN(value->rows,
-                            Disparity(node.dataset, node.intersectional));
+                            FigurePanel(*dataset, node.intersectional));
       }
       node_values_[id] = value;
       return Status::OK();
@@ -821,7 +808,7 @@ void SuiteScheduler::RenderFigureSummary(const SuiteUnit& unit,
     auto value =
         std::static_pointer_cast<const FigureValue>(node_values_[node.id]);
     if (value == nullptr || value->skipped) continue;
-    for (const DisparityRow& row : value->rows->rows) {
+    for (const DisparityRow& row : value->rows) {
       ++total_rows;
       if (row.significant) {
         ++significant_rows;
@@ -876,7 +863,7 @@ Status SuiteScheduler::RenderUnitBody(const SuiteSpec& spec,
                       node.dataset.c_str());
           continue;
         }
-        std::printf("%s", FormatDisparityTable(value->rows->rows).c_str());
+        std::printf("%s", FormatDisparityTable(value->rows).c_str());
         std::printf("\n");
       }
       RenderFigureSummary(unit, graph, unit_index);
@@ -997,6 +984,42 @@ std::string JsonDouble(double value) { return StrFormat("%.17g", value); }
 
 }  // namespace
 
+SuiteScheduler::ArtifactCounts SuiteScheduler::CountArtifacts(
+    const ExperimentGraph& graph) const {
+  // Counted from the graph alone, never from work done, so cold and warm
+  // runs report the same numbers. `produced` is the distinct artifacts: one
+  // per dataset node, cell node and non-skipped figure panel. `reused` is
+  // the references to them: every cell and figure node reads its dataset's
+  // handle, and every panel's analysis reads it once more. Row generations
+  // that actually ran are counted apart ("sched.datasets_generated") and
+  // never reach the report.
+  ArtifactCounts counts;
+  for (const GraphNode& node : graph.nodes()) {
+    switch (node.kind) {
+      case NodeKind::kDataset:
+        ++counts.produced;
+        break;
+      case NodeKind::kCell:
+        ++counts.produced;
+        ++counts.reused;
+        break;
+      case NodeKind::kFigure: {
+        ++counts.reused;
+        auto value = std::static_pointer_cast<const FigureValue>(
+            node_values_[node.id]);
+        if (value != nullptr && !value->skipped) {
+          ++counts.produced;
+          ++counts.reused;
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return counts;
+}
+
 std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
                                             const ExperimentGraph& graph,
                                             const SuiteFilter& filter) const {
@@ -1024,48 +1047,10 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
       options_.study.num_repeats, options_.study.cv_folds,
       static_cast<unsigned long long>(options_.study.seed),
       JsonDouble(options_.study.alpha).c_str(), options_.max_retries);
-  // Artifact-sharing summary, derived structurally from the graph rather
-  // than read from the store's runtime counters: each node implies a fixed
-  // number of store requests under the execution contract (a dataset node
-  // produces its dataset handle; a cell produces its record and re-reads
-  // the handle; a figure node re-reads the handle and, unless skipped,
-  // produces its disparity analysis whose producer re-reads the handle
-  // once more on a figure-record miss). A dataset artifact is only the
-  // spec plus lazily generated rows, so these requests are cheap and a
-  // warm run generates no rows at all; row generations are counted apart
-  // ("sched.datasets_generated") and never reach the report. On a fresh
-  // run the totals equal ArtifactStore::produced() / reused() — the golden
-  // test pins that — but counting the graph keeps the report bytes
-  // invariant between fresh and warm runs, where figure-record hits skip
-  // the producer's request.
-  uint64_t artifacts_produced = 0;
-  uint64_t artifacts_reused = 0;
-  for (const GraphNode& node : graph.nodes()) {
-    switch (node.kind) {
-      case NodeKind::kDataset:
-        ++artifacts_produced;
-        break;
-      case NodeKind::kCell:
-        ++artifacts_produced;
-        ++artifacts_reused;
-        break;
-      case NodeKind::kFigure: {
-        ++artifacts_reused;
-        auto value = std::static_pointer_cast<const FigureValue>(
-            node_values_[node.id]);
-        if (value != nullptr && !value->skipped) {
-          ++artifacts_produced;
-          ++artifacts_reused;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
+  // Artifact-sharing summary, derived from the graph (CountArtifacts).
   out += StrFormat(",\"artifacts\":{\"produced\":%llu,\"reused\":%llu}",
-                   static_cast<unsigned long long>(artifacts_produced),
-                   static_cast<unsigned long long>(artifacts_reused));
+                   static_cast<unsigned long long>(artifact_counts_.produced),
+                   static_cast<unsigned long long>(artifact_counts_.reused));
 
   // Mass-run classifier (DESIGN.md Section 16): per-class cell totals.
   // Classes are persisted class: records read back on cache hits, so the
@@ -1112,7 +1097,7 @@ std::string SuiteScheduler::BuildReportJson(const SuiteSpec& spec,
     first = false;
     if (!value->skipped) {
       bool first_row = true;
-      for (const DisparityRow& row : value->rows->rows) {
+      for (const DisparityRow& row : value->rows) {
         out += StrFormat(
             "%s{\"detector\":%s,\"group\":%s,\"privileged_flagged\":%zu,"
             "\"privileged_total\":%zu,\"disadvantaged_flagged\":%zu,"
@@ -1226,6 +1211,7 @@ Status SuiteScheduler::RunSuite(const SuiteSpec& spec,
     FC_RETURN_IF_ERROR(RenderUnitBody(spec, graph, unit_index));
     std::printf("\n");
   }
+  artifact_counts_ = CountArtifacts(graph);
   report_json_ = BuildReportJson(spec, graph, filter);
   if (!options_.report_path.empty()) {
     FC_RETURN_IF_ERROR(WriteFileAtomic(options_.report_path, report_json_));

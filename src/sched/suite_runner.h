@@ -18,7 +18,6 @@
 #include "datasets/generator.h"
 #include "exec/study_driver.h"
 #include "obs/metrics.h"
-#include "sched/artifact_store.h"
 #include "sched/experiment_graph.h"
 #include "sched/shard.h"
 #include "sched/suite_spec.h"
@@ -61,7 +60,8 @@ struct SuiteOptions {
 /// Reads the environment exactly once, at the call. Count and budget knobs
 /// parse strictly (GetEnvCount / GetEnvBudgetSeconds): trailing garbage,
 /// NaN/inf, or a negative value is an InvalidArgument instead of a silent
-/// fallback to the default.
+/// fallback to the default. So is a scale no study can run at: sample 0,
+/// fewer than 2 folds or fewer than 2 repeats.
 Result<SuiteOptions> TrySuiteOptionsFromEnv();
 
 /// TrySuiteOptionsFromEnv for the grid benchmark's traced replay
@@ -70,7 +70,7 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv();
 /// TrySuiteOptionsFromEnv and exits 2 instead.
 SuiteOptions SuiteOptionsFromEnv();
 
-/// One produced experiment-cell artifact: the driver result plus the byte
+/// The value of one experiment-cell node: the driver result plus the byte
 /// identity of its persisted cache record (sha256 of the exact file bytes,
 /// or of the bytes SaveToFile would write when caching is disabled).
 struct CellArtifact {
@@ -85,21 +85,9 @@ struct CellArtifact {
   CellClass cell_class = CellClass::kPass;
 };
 
-/// One per-dataset disparity analysis (Fig. 1 / Fig. 2 panel).
-struct DisparityArtifact {
-  std::vector<DisparityRow> rows;
-};
-
-/// Scope results keyed "<dataset>/<model>", shared with the artifact store.
+/// Scope results keyed "<dataset>/<model>", shared with the graph's cell
+/// node values.
 using ScopeResults = std::map<std::string, std::shared_ptr<const CellArtifact>>;
-
-/// The dataset artifact `name` from `artifacts`: one store request whose
-/// producer only resolves the static spec (NotFound for an unknown name).
-/// Rows are generated on the handle's first Rows call and counted on
-/// `generated` ("sched.datasets_generated").
-Result<std::shared_ptr<const DatasetHandle>> DatasetArtifact(
-    ArtifactStore* artifacts, const std::string& name, uint64_t study_seed,
-    obs::Counter* generated);
 
 /// Aggregates a scope's results into the paper's 3x3 impact table for one
 /// (grouping, fairness metric): every (pair-or-dataset, method, model)
@@ -154,12 +142,12 @@ void PrintTableWithReference(const ImpactTable& measured,
 /// kNN; log-reg and unknown models are cheap.
 int CellCostRank(const CellKey& cell);
 
-/// Runs the paper grid as one DAG: dataset and experiment-cell nodes are
-/// deduplicated across units and produced exactly once through a
-/// content-addressed ArtifactStore, ready nodes fan out across a
-/// suite-level ThreadPool (each cell runs a sequential StudyDriver, so
-/// parallelism is across experiments), and aggregation nodes fold cell
-/// artifacts into the paper's tables and figures.
+/// Runs the paper grid as one DAG: dataset, experiment-cell and figure
+/// nodes are deduplicated across units, so each runs exactly once and its
+/// value is shared by every node that depends on it. Ready nodes fan out
+/// across a suite-level ThreadPool (each cell runs a sequential
+/// StudyDriver, so parallelism is across experiments), and aggregation
+/// nodes fold cell values into the paper's tables and figures.
 ///
 /// Identity contract (DESIGN.md Section 9): each cell's cache record is
 /// byte-identical to what a standalone StudyDriver produces, at any
@@ -175,7 +163,6 @@ class SuiteScheduler {
   const SuiteOptions& options() const { return options_; }
   /// Resolved suite fan-out width.
   size_t width() const { return width_; }
-  ArtifactStore& artifacts() { return artifacts_; }
 
   /// Runs every unit the filter selects, prints each unit's heading and
   /// body, and assembles the merged JSON report (written to
@@ -190,17 +177,6 @@ class SuiteScheduler {
     cell_checkpoint_hook_ = std::move(hook);
   }
 
-  /// Shared dataset / cell / disparity artifacts (produced on first use).
-  /// A dataset artifact is a lazy handle: its rows are generated only when
-  /// a cell slot or figure panel must be computed. With a cache dir, a
-  /// disparity panel is read from its figure record (FigureRecordKey) and
-  /// only computed, then persisted, on a miss.
-  Result<std::shared_ptr<const DatasetHandle>> Dataset(
-      const std::string& name);
-  Result<std::shared_ptr<const CellArtifact>> Cell(const CellKey& cell);
-  Result<std::shared_ptr<const DisparityArtifact>> Disparity(
-      const std::string& dataset, bool intersectional);
-
   /// Sum of every cell driver's diagnostics.
   exec::RunDiagnostics AggregateDiagnostics() const;
 
@@ -214,9 +190,16 @@ class SuiteScheduler {
   int ReportFailure(const Status& status) const;
 
   /// The merged report of the last successful RunSuite (deterministic
-  /// bytes: no wall times, no thread counts, artifact counts derived
-  /// structurally from the graph rather than from runtime counters).
+  /// bytes: no wall times, no thread counts, artifact counts taken from
+  /// the graph rather than from work done).
   const std::string& report_json() const { return report_json_; }
+
+  /// The report's "artifacts" block of the last successful RunSuite.
+  struct ArtifactCounts {
+    uint64_t produced = 0;
+    uint64_t reused = 0;
+  };
+  const ArtifactCounts& artifact_counts() const { return artifact_counts_; }
 
   double ElapsedSeconds() const;
 
@@ -229,7 +212,7 @@ class SuiteScheduler {
  private:
   struct FigureValue {
     bool skipped = false;  ///< dataset has no intersectional definition
-    std::shared_ptr<const DisparityArtifact> rows;
+    std::vector<DisparityRow> rows;
   };
   struct TableValue {
     bool skipped = false;  ///< filter narrowed the unit: cannot aggregate
@@ -256,24 +239,32 @@ class SuiteScheduler {
   /// suite budget is already exhausted.
   Result<exec::StudyDriverOptions> CellDriverOptions() const;
 
-  /// The artifact store under cache_dir, creating the directory first.
+  /// The record store under cache_dir, creating the directory first.
   /// Never called at construction, so `run_suite --list` leaves no cache
   /// dir behind.
   const store::FlatFileStore& Store() const;
 
-  Result<CellArtifact> ProduceCell(const CellKey& cell);
+  /// Runs (or loads) one cell on its dataset node's handle: its rows are
+  /// generated only if a repeat slot must be computed.
+  Result<CellArtifact> ProduceCell(const CellKey& cell,
+                                   const DatasetHandle& dataset);
 
+  /// One figure panel's rows. With a cache dir the panel is read from its
+  /// figure record (FigureRecordKey) and only computed, then persisted, on
+  /// a miss.
+  Result<std::vector<DisparityRow>> FigurePanel(const DatasetHandle& dataset,
+                                                bool intersectional);
   /// Runs AnalyzeDisparities for one figure panel on its historical rng
   /// stream.
-  Result<DisparityArtifact> ComputeDisparity(const std::string& dataset,
-                                             bool intersectional);
+  Result<std::vector<DisparityRow>> ComputeDisparity(
+      const DatasetHandle& dataset, bool intersectional);
   /// The panel's persisted record, or nullopt on a miss. A damaged record
   /// is quarantined; a failed read (the "cache_read" probe included) is a
   /// miss that leaves the record in place. Either way the caller
   /// recomputes and rewrites it.
-  std::optional<DisparityArtifact> LoadFigureRecord(const std::string& key,
-                                                    const std::string& dataset,
-                                                    bool intersectional);
+  std::optional<std::vector<DisparityRow>> LoadFigureRecord(
+      const std::string& key, const std::string& dataset,
+      bool intersectional);
 
   void Accumulate(const exec::RunDiagnostics& diagnostics);
 
@@ -311,16 +302,17 @@ class SuiteScheduler {
   void RenderFigureSummary(const SuiteUnit& unit, const ExperimentGraph& graph,
                            size_t unit_index) const;
 
+  /// The artifact-sharing summary of `graph`, counted from its nodes.
+  ArtifactCounts CountArtifacts(const ExperimentGraph& graph) const;
+  /// Reads artifact_counts_, so RunSuite sets that first.
   std::string BuildReportJson(const SuiteSpec& spec,
                               const ExperimentGraph& graph,
                               const SuiteFilter& filter) const;
 
   SuiteOptions options_;
   size_t width_ = 1;
-  /// Scoped registry: suite counters forward to MetricsRegistry::Global()
-  /// while staying separable for perf reporting.
-  obs::MetricsRegistry metrics_;
-  ArtifactStore artifacts_;
+  /// Global instruments, fetched at construction so that a run that never
+  /// bumps them still exports and prints them at 0.
   /// Figure panels served from / written to the on-disk store.
   obs::Counter* figure_records_loaded_;
   obs::Counter* figure_records_written_;
@@ -343,10 +335,12 @@ class SuiteScheduler {
   std::function<void()> cell_checkpoint_hook_;
 
   /// Node results of the last ExecuteGraph, indexed by node id. Holds
-  /// CellArtifact / DatasetHandle / FigureValue / TableValue /
-  /// ModelTableValue / DeepDiveValue per the node kind.
+  /// DatasetHandle / CellArtifact / FigureValue / TableValue /
+  /// ModelTableValue / DeepDiveValue per the node kind. A cell or figure
+  /// node reads its dataset's handle from the slot of its deps[0].
   std::vector<std::shared_ptr<const void>> node_values_;
   std::string report_json_;
+  ArtifactCounts artifact_counts_;
 };
 
 }  // namespace sched

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "common/hash.h"
-#include "common/strings.h"
 #include "ml/tuning.h"
 #include "obs/trace.h"
 
@@ -266,27 +265,6 @@ Result<const GeneratedDataset*> DatasetHandle::Rows() const {
   }
   if (!status_.ok()) return status_;
   return &rows_;
-}
-
-std::string DatasetArtifactKey(const std::string& name, uint64_t study_seed) {
-  return StrFormat("dataset:%s:s%llu", name.c_str(),
-                   static_cast<unsigned long long>(study_seed));
-}
-
-std::string CellArtifactKey(const CellKey& cell, const StudyOptions& study) {
-  return StrFormat("cell:%s:%s:%s:s%llu:n%zu:r%zu:f%zu", cell.dataset.c_str(),
-                   cell.error_type.c_str(), cell.model.c_str(),
-                   static_cast<unsigned long long>(study.seed),
-                   study.sample_size, study.num_repeats, study.cv_folds);
-}
-
-std::string DisparityArtifactKey(const std::string& dataset,
-                                 bool intersectional, uint64_t study_seed) {
-  // Seed offsets 17/19 are the historical Fig. 1 / Fig. 2 rng streams.
-  return StrFormat("disparity:%s:%s:s%llu", dataset.c_str(),
-                   intersectional ? "intersectional" : "single",
-                   static_cast<unsigned long long>(
-                       study_seed + (intersectional ? 19 : 17)));
 }
 
 }  // namespace sched

@@ -138,13 +138,14 @@ struct SuiteFilter {
 Result<GeneratedDataset> MakeSuiteDataset(const std::string& name,
                                           uint64_t study_seed);
 
-/// The suite's dataset artifact: the static spec at once, the generated
-/// rows on demand. Keys, logs, cache hits and figure-record loads need only
-/// the spec. The rows are generated (MakeSuiteDataset) by the first Rows
-/// call, which is the first repeat slot or figure panel that must actually
-/// be computed, and shared by every later call. A failed generation is
-/// memoized: it is deterministic given (name, seed), like every artifact
-/// failure.
+/// The value of a suite dataset node: the static spec at once, the
+/// generated rows on demand. The cell and figure nodes that depend on the
+/// dataset node share its one handle. Keys, logs, cache hits and
+/// figure-record loads need only the spec. The rows are generated
+/// (MakeSuiteDataset) by the first Rows call, which is the first repeat
+/// slot or figure panel that must actually be computed, and shared by
+/// every later call. A failed generation is memoized: it is deterministic
+/// given (name, seed).
 ///
 /// Thread-safe. Concurrent Rows calls share the one generation: a caller
 /// that arrives while another generates blocks until the rows are ready.
@@ -170,21 +171,6 @@ class DatasetHandle {
   mutable Status status_ = Status::OK();
   mutable GeneratedDataset rows_;
 };
-
-/// Content-address key of a generated dataset artifact. Generation is
-/// deterministic given (name, study seed), so the key pins the bytes.
-std::string DatasetArtifactKey(const std::string& name, uint64_t study_seed);
-
-/// Content-address key of an experiment-cell artifact; mirrors the study
-/// driver's cache-file naming so one (cell, scale) maps to one record.
-std::string CellArtifactKey(const CellKey& cell, const StudyOptions& study);
-
-/// Content-address key of a per-dataset disparity analysis (detector
-/// outputs + G^2 rows). The figure-specific rng seed is part of the key:
-/// Fig. 1 and Fig. 2 deliberately draw from distinct streams, so their
-/// detector outputs are distinct artifacts by construction.
-std::string DisparityArtifactKey(const std::string& dataset,
-                                 bool intersectional, uint64_t study_seed);
 
 }  // namespace sched
 }  // namespace fairclean

@@ -164,6 +164,61 @@ TEST_F(ObservabilityTest, MetricsExportIsValidJsonlWithDriverCounters) {
   }
 }
 
+// A driver writes each event twice: into its own RunDiagnostics and onto
+// the same-named global instrument. One driver's counts must equal the
+// deltas of the global counters over its run.
+TEST_F(ObservabilityTest, DiagnosticsEqualGlobalMetricDeltas) {
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  const char* const kCounters[] = {
+      "driver.experiments",  "driver.cache_hits",
+      "driver.slices_reused", "driver.repeats_run",
+      "driver.retries",       "driver.skips",
+      "driver.corrupt_quarantined", "driver.checkpoints"};
+  std::map<std::string, uint64_t> before;
+  for (const char* name : kCounters) {
+    before[name] = global.GetCounter(name)->value();
+  }
+  obs::Histogram* compute = global.GetHistogram(
+      "driver.stage_wall_s.compute",
+      obs::MetricsRegistry::DefaultLatencyBounds());
+  const double compute_before = compute->sum();
+
+  const std::string cache_dir = testing::TempDir() + "/obs_deltas_cache";
+  std::filesystem::remove_all(cache_dir);
+  StudyDriverOptions options;
+  options.study = SmallStudy();
+  options.cache_dir = cache_dir;
+  StudyDriver driver(options);
+  // A computed cell, then the same cell as a cache hit.
+  ASSERT_TRUE(driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  ASSERT_TRUE(driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  std::filesystem::remove_all(cache_dir);
+
+  const RunDiagnostics& diagnostics = driver.diagnostics();
+  const std::map<std::string, size_t> counts = {
+      {"driver.experiments", diagnostics.experiments},
+      {"driver.cache_hits", diagnostics.cache_hits},
+      {"driver.slices_reused", diagnostics.slices_reused},
+      {"driver.repeats_run", diagnostics.repeats_run},
+      {"driver.retries", diagnostics.retries},
+      {"driver.skips", diagnostics.skips},
+      {"driver.corrupt_quarantined", diagnostics.corrupt_quarantined},
+      {"driver.checkpoints", diagnostics.checkpoints}};
+  for (const char* name : kCounters) {
+    EXPECT_EQ(global.GetCounter(name)->value() - before[name],
+              counts.at(name))
+        << name;
+  }
+  EXPECT_EQ(diagnostics.experiments, 2u);
+  EXPECT_EQ(diagnostics.cache_hits, 1u);
+  EXPECT_EQ(diagnostics.repeats_run, SmallStudy().num_repeats);
+
+  ASSERT_TRUE(diagnostics.stage_seconds.count("compute"));
+  EXPECT_GT(diagnostics.stage_seconds.at("compute"), 0.0);
+  EXPECT_NEAR(compute->sum() - compute_before,
+              diagnostics.stage_seconds.at("compute"), 1e-9);
+}
+
 }  // namespace
 }  // namespace exec
 }  // namespace fairclean

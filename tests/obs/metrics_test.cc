@@ -14,24 +14,6 @@ namespace fairclean {
 namespace obs {
 namespace {
 
-TEST(CounterTest, IncrementsForwardToParent) {
-  MetricsRegistry parent;
-  MetricsRegistry scoped(&parent);
-  scoped.GetCounter("c")->Increment();
-  scoped.GetCounter("c")->Increment(4);
-  EXPECT_EQ(scoped.GetCounter("c")->value(), 5u);
-  EXPECT_EQ(parent.GetCounter("c")->value(), 5u);
-}
-
-TEST(GaugeTest, LastWriteWinsAndForwards) {
-  MetricsRegistry parent;
-  MetricsRegistry scoped(&parent);
-  scoped.GetGauge("g")->Set(2.5);
-  scoped.GetGauge("g")->Set(-1.0);
-  EXPECT_DOUBLE_EQ(scoped.GetGauge("g")->value(), -1.0);
-  EXPECT_DOUBLE_EQ(parent.GetGauge("g")->value(), -1.0);
-}
-
 TEST(HistogramTest, ObservationsLandInTheRightBuckets) {
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("h", {1.0, 10.0, 100.0});
@@ -139,11 +121,10 @@ TEST(MetricsRegistryTest, ToJsonlIsValidJsonPerLine) {
 TEST(MetricsRegistryTest, ConcurrentIncrementsFromPoolWorkersLoseNothing) {
   constexpr size_t kTasks = 32;
   constexpr size_t kIncrementsPerTask = 1000;
-  MetricsRegistry parent;
-  MetricsRegistry scoped(&parent);
-  Counter* counter = scoped.GetCounter("concurrent.counter");
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("concurrent.counter");
   Histogram* histogram =
-      scoped.GetHistogram("concurrent.histogram", {0.25, 0.75});
+      registry.GetHistogram("concurrent.histogram", {0.25, 0.75});
   {
     ThreadPool pool(4);
     std::vector<std::future<void>> futures;
@@ -158,8 +139,6 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsFromPoolWorkersLoseNothing) {
     for (auto& future : futures) future.get();
   }
   EXPECT_EQ(counter->value(), kTasks * kIncrementsPerTask);
-  EXPECT_EQ(parent.GetCounter("concurrent.counter")->value(),
-            kTasks * kIncrementsPerTask);
   EXPECT_EQ(histogram->count(), kTasks * kIncrementsPerTask);
   std::vector<uint64_t> buckets = histogram->bucket_counts();
   ASSERT_EQ(buckets.size(), 3u);

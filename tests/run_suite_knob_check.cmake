@@ -41,6 +41,12 @@ endfunction()
 run_case("well-formed knobs" 0 "" "" --list)
 run_case("sample 15k" 2 "FAIRCLEAN_SAMPLE" "FAIRCLEAN_SAMPLE=15k" --list)
 run_case("threads four" 2 "FAIRCLEAN_THREADS" "FAIRCLEAN_THREADS=four" --list)
+# Well-formed scales no study can run at: no rows, one fold, one repeat.
+run_case("sample 0" 2 "FAIRCLEAN_SAMPLE" "FAIRCLEAN_SAMPLE=0" --list)
+run_case("folds 0" 2 "FAIRCLEAN_FOLDS" "FAIRCLEAN_FOLDS=0" --list)
+run_case("folds 1" 2 "FAIRCLEAN_FOLDS" "FAIRCLEAN_FOLDS=1" --list)
+run_case("repeats 0" 2 "FAIRCLEAN_REPEATS" "FAIRCLEAN_REPEATS=0" --list)
+run_case("repeats 1" 2 "FAIRCLEAN_REPEATS" "FAIRCLEAN_REPEATS=1" --list)
 run_case("fault seed 9x" 2 "FAIRCLEAN_FAULT_SEED" "FAIRCLEAN_FAULT_SEED=9x"
          --list)
 run_case("fault spec oops" 2 "FAIRCLEAN_FAULTS: " "FAIRCLEAN_FAULTS=numeric:oops"

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,13 +68,17 @@ TEST(ExperimentGraph, CellNodesDependOnExactlyTheirDataset) {
   EXPECT_EQ(cells, graph.CountKind(NodeKind::kCell));
 }
 
-// Content addressing at the graph level: one node per dataset and per cell
-// key, no matter how many units consume them. The model unit spans all
-// three scopes and must add zero new cell nodes.
+// Content addressing at the graph level: one node per dataset, per cell
+// key and per figure panel (dataset, single/intersectional), no matter how
+// many units consume them. The model unit spans all three scopes and must
+// add zero new cell nodes. The graph is the suite's only memo, so a
+// duplicate node would run twice (a duplicate figure node would compute
+// and write its panel twice).
 TEST(ExperimentGraph, SharedDatasetAndCellNodesAreDeduplicated) {
   ExperimentGraph graph = BuildWithFilter("");
   std::set<std::string> datasets;
   std::set<std::string> cells;
+  std::set<std::pair<std::string, bool>> figures;
   for (const GraphNode& node : graph.nodes()) {
     if (node.kind == NodeKind::kDataset) {
       EXPECT_TRUE(datasets.insert(node.dataset).second)
@@ -81,8 +86,17 @@ TEST(ExperimentGraph, SharedDatasetAndCellNodesAreDeduplicated) {
     } else if (node.kind == NodeKind::kCell) {
       EXPECT_TRUE(cells.insert(node.cell.Id()).second)
           << "duplicate cell node " << node.cell.Id();
+    } else if (node.kind == NodeKind::kFigure) {
+      EXPECT_TRUE(figures.emplace(node.dataset, node.intersectional).second)
+          << "duplicate figure node " << node.label;
+      // The scheduler reads the panel's dataset handle from deps[0].
+      ASSERT_EQ(node.deps.size(), 1u) << node.label;
+      EXPECT_EQ(graph.nodes()[node.deps[0]].kind, NodeKind::kDataset);
+      EXPECT_EQ(graph.nodes()[node.deps[0]].dataset, node.dataset);
     }
   }
+  // Fig. 1 and Fig. 2 each have one panel per dataset.
+  EXPECT_EQ(figures.size(), 2 * datasets.size());
 
   SuiteSpec spec = PaperSuite();
   std::set<std::string> expected_cells;

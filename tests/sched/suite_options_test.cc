@@ -114,6 +114,36 @@ TEST(SuiteOptionsTest, ThreadsKnobParsesStrictly) {
       [](const SuiteOptions& o) -> uint64_t { return o.threads; }, 0);
 }
 
+// A well-formed scale that no study can run at is rejected up front,
+// naming the knob, instead of aborting or failing after the work.
+TEST(StudyOptionsTest, UnrunnableScalesAreRejected) {
+  const struct {
+    const char* knob;
+    const char* value;
+  } cases[] = {{"FAIRCLEAN_SAMPLE", "0"},  {"FAIRCLEAN_FOLDS", "0"},
+               {"FAIRCLEAN_FOLDS", "1"},   {"FAIRCLEAN_REPEATS", "0"},
+               {"FAIRCLEAN_REPEATS", "1"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.knob) + "=" + c.value);
+    ASSERT_EQ(setenv(c.knob, c.value, 1), 0);
+    Result<SuiteOptions> rejected = TrySuiteOptionsFromEnv();
+    ASSERT_EQ(unsetenv(c.knob), 0);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().ToString().find(c.knob), std::string::npos)
+        << rejected.status().ToString();
+  }
+  // The smallest runnable scale still parses.
+  ASSERT_EQ(setenv("FAIRCLEAN_SAMPLE", "1", 1), 0);
+  ASSERT_EQ(setenv("FAIRCLEAN_FOLDS", "2", 1), 0);
+  ASSERT_EQ(setenv("FAIRCLEAN_REPEATS", "2", 1), 0);
+  Result<SuiteOptions> smallest = TrySuiteOptionsFromEnv();
+  ASSERT_EQ(unsetenv("FAIRCLEAN_SAMPLE"), 0);
+  ASSERT_EQ(unsetenv("FAIRCLEAN_FOLDS"), 0);
+  ASSERT_EQ(unsetenv("FAIRCLEAN_REPEATS"), 0);
+  ASSERT_TRUE(smallest.ok()) << smallest.status().ToString();
+}
+
 // A mistyped seed must fail loudly: a lenient parse would run, report and
 // cache the whole suite under the default seed 42.
 TEST(StudyOptionsTest, SeedKnobParsesStrictly) {

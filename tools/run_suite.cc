@@ -101,10 +101,11 @@ int Run(int argc, char** argv) {
   Status status = scheduler.RunSuite(spec, filter);
   if (!status.ok()) return scheduler.ReportFailure(status);
   scheduler.PrintRunSummary();
-  std::printf("suite report: %s (artifacts produced=%llu reused=%llu)\n",
-              options.report_path.c_str(),
-              static_cast<unsigned long long>(scheduler.artifacts().produced()),
-              static_cast<unsigned long long>(scheduler.artifacts().reused()));
+  std::printf(
+      "suite report: %s (artifacts produced=%llu reused=%llu)\n",
+      options.report_path.c_str(),
+      static_cast<unsigned long long>(scheduler.artifact_counts().produced),
+      static_cast<unsigned long long>(scheduler.artifact_counts().reused));
   return 0;
 }
 
