@@ -33,7 +33,7 @@ FaultInjector& FaultInjector::Global() {
 
 const std::vector<std::string>& FaultInjector::KnownSites() {
   static const std::vector<std::string>* sites = new std::vector<std::string>{
-      "cache_read", "cache_write", "csv_parse", "interrupt", "numeric"};
+      "cache_read", "cache_write", "interrupt", "numeric"};
   return *sites;
 }
 

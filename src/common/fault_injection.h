@@ -22,12 +22,12 @@ namespace fairclean {
 ///
 ///   site:probability[:max_fires][,site:probability[:max_fires]...]
 ///
-/// e.g. "cache_write:0.5,csv_parse:1:1" — cache writes fail with
-/// probability 0.5, and exactly the first CSV parse fails. Every site draws
-/// from its own Rng seeded with `seed ^ fnv1a(site)`, so firing decisions
-/// are reproducible and independent of how sites interleave. max_fires
-/// bounds how often a site triggers (default: unlimited), which lets tests
-/// model transient faults that succeed on retry.
+/// e.g. "cache_write:0.5,numeric:1:1" — cache writes fail with
+/// probability 0.5, and exactly the first probed score turns NaN. Every
+/// site draws from its own Rng seeded with `seed ^ fnv1a(site)`, so firing
+/// decisions are reproducible and independent of how sites interleave.
+/// max_fires bounds how often a site triggers (default: unlimited), which
+/// lets tests model transient faults that succeed on retry.
 ///
 /// The injector is process-global and thread-safe: the study driver fans
 /// repeat slices out across a thread pool and every slice may probe its

@@ -62,6 +62,12 @@ inline uint32_t LoadLe32(const unsigned char* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+// The checksum footer line of `body`, newline included.
+std::string FooterLine(const std::string& body) {
+  return StrFormat("%s%08x len=%zu\n", kChecksumFooterPrefix, Crc32(body),
+                   body.size());
+}
+
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
 }
@@ -141,16 +147,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
 }
 
 std::string AppendChecksumFooter(const std::string& body) {
-  return body + StrFormat("%s%08x len=%zu\n", kChecksumFooterPrefix,
-                          Crc32(body), body.size());
-}
-
-bool HasChecksumFooter(const std::string& content) {
-  const std::string_view prefix = kChecksumFooterPrefix;
-  std::string line_start = "\n";
-  line_start += prefix;
-  return content.compare(0, prefix.size(), prefix) == 0 ||
-         content.find(line_start) != std::string::npos;
+  return body + FooterLine(body);
 }
 
 Result<std::string> VerifyChecksumFooter(const std::string& content) {
@@ -165,38 +162,16 @@ Result<std::string> VerifyChecksumFooter(const std::string& content) {
     return Status::InvalidArgument("checksum footer is not the final line");
   }
   std::string body = content.substr(0, footer);
-  const char* fields = content.c_str() + footer + sizeof(kChecksumFooterPrefix) - 1;
-  unsigned int stored_crc = 0;
-  size_t stored_len = 0;
-  if (std::sscanf(fields, "%8x len=%zu", &stored_crc, &stored_len) != 2) {
-    return Status::InvalidArgument("malformed checksum footer");
-  }
-  if (stored_len != body.size()) {
+  // The footer has one spelling, the line AppendChecksumFooter writes for
+  // this body. A lenient parse would also take upper-case hex digits or
+  // extra spaces, and so miss some single-byte changes to a record.
+  std::string expected = FooterLine(body);
+  if (content.compare(footer, std::string::npos, expected) != 0) {
+    expected.pop_back();
     return Status::InvalidArgument(
-        StrFormat("checksum footer length mismatch: footer says %zu, "
-                  "body has %zu bytes",
-                  stored_len, body.size()));
-  }
-  uint32_t actual = Crc32(body);
-  if (actual != stored_crc) {
-    return Status::InvalidArgument(
-        StrFormat("checksum mismatch: footer %08x, body %08x", stored_crc,
-                  actual));
-  }
-  return body;
-}
-
-Status WriteChecksummedFile(const std::string& path,
-                            const std::string& body) {
-  return WriteFileAtomic(path, AppendChecksumFooter(body));
-}
-
-Result<std::string> ReadChecksummedFile(const std::string& path) {
-  FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("cache_read"));
-  FC_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  Result<std::string> body = VerifyChecksumFooter(content);
-  if (!body.ok()) {
-    return Status::InvalidArgument(path + ": " + body.status().message());
+        "checksum footer \"" +
+        content.substr(footer, content.size() - 1 - footer) +
+        "\" does not match the body (expected \"" + expected + "\")");
   }
   return body;
 }

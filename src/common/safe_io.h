@@ -35,20 +35,6 @@ std::string AppendChecksumFooter(const std::string& body);
 /// partial write).
 Result<std::string> VerifyChecksumFooter(const std::string& content);
 
-/// True if any line of `content` starts with the footer prefix (without
-/// verifying). Such content claims a checksum, so a reader must verify it
-/// instead of parsing it as legacy footer-less content: a footer followed
-/// by stray bytes is damage, not a legacy file.
-bool HasChecksumFooter(const std::string& content);
-
-/// Writes `body` + checksum footer atomically to `path`.
-Status WriteChecksummedFile(const std::string& path, const std::string& body);
-
-/// Reads `path` and verifies its checksum footer, returning the body.
-/// IoError when unreadable, InvalidArgument when the footer is missing or
-/// wrong. Subject to the "cache_read" fault-injection site.
-Result<std::string> ReadChecksummedFile(const std::string& path);
-
 /// Moves a damaged file aside to `<path>.corrupt` — or, when that name is
 /// already taken, `<path>.corrupt.1`, `<path>.corrupt.2`, ... — so the
 /// caller can recompute without destroying the evidence. Every quarantine

@@ -5,15 +5,6 @@
 
 namespace fairclean {
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -7,9 +7,6 @@
 
 namespace fairclean {
 
-/// Joins `parts` with `sep` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Splits `text` on every occurrence of `sep`; keeps empty fields.
 std::vector<std::string> Split(std::string_view text, char sep);
 

@@ -78,10 +78,6 @@ Result<std::vector<CleaningMethod>> CleaningMethodsFor(
   return Status::NotFound("unknown error type: " + error_type);
 }
 
-std::vector<std::string> AllErrorTypes() {
-  return {"missing_values", "outliers", "mislabels"};
-}
-
 Result<PreparedData> PrepareBase(const DataFrame& train_raw,
                                  const DataFrame& test_raw,
                                  const DatasetSpec& spec,

@@ -40,9 +40,6 @@ struct CleaningMethod {
 Result<std::vector<CleaningMethod>> CleaningMethodsFor(
     const std::string& error_type);
 
-/// All error types in the paper's order.
-std::vector<std::string> AllErrorTypes();
-
 /// A train/test pair flowing through the Fig. 3 protocol.
 struct PreparedData {
   DataFrame train;

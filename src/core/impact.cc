@@ -71,13 +71,6 @@ int64_t ImpactTable::Total() const {
   return total;
 }
 
-double ImpactTable::CellPercent(Impact fairness, Impact accuracy) const {
-  int64_t total = Total();
-  if (total == 0) return 0.0;
-  return 100.0 * static_cast<double>(cell(fairness, accuracy)) /
-         static_cast<double>(total);
-}
-
 ImpactTable& ImpactTable::operator+=(const ImpactTable& other) {
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 3; ++c) {

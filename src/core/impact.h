@@ -37,9 +37,6 @@ class ImpactTable {
   int64_t ColumnTotal(Impact accuracy) const;
   int64_t Total() const;
 
-  /// Percentage of the grand total in a cell (0 when empty).
-  double CellPercent(Impact fairness, Impact accuracy) const;
-
   /// Renders the table in the paper's layout (percentages with counts,
   /// row/column totals), titled e.g. "Impact of auto-cleaning missing
   /// values for single-attribute groups, PP".

@@ -169,29 +169,13 @@ Result<ResultStore> ResultStore::FromJson(const std::string& json) {
   return store;
 }
 
-Status ResultStore::SaveToFile(const std::string& path) const {
-  // Atomic write + checksum footer: a crash mid-save leaves the previous
-  // file intact, and a torn/bit-rotted file is detectable on load instead
-  // of being silently reused.
-  return WriteChecksummedFile(path, ToJson());
-}
-
-Result<ResultStore> ResultStore::LoadFromFile(const std::string& path) {
-  FC_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return LoadFromString(content, path);
-}
-
 Result<ResultStore> ResultStore::LoadFromString(const std::string& content,
                                                 const std::string& origin) {
-  if (HasChecksumFooter(content)) {
-    Result<std::string> body = VerifyChecksumFooter(content);
-    if (!body.ok()) {
-      return Status::InvalidArgument(origin + ": " + body.status().message());
-    }
-    return FromJson(*body);
+  Result<std::string> body = VerifyChecksumFooter(content);
+  if (!body.ok()) {
+    return Status::InvalidArgument(origin + ": " + body.status().message());
   }
-  // Legacy content without a footer (pre-checksum cache): parse as-is.
-  return FromJson(content);
+  return FromJson(*body);
 }
 
 void ResultStore::MergeFrom(const ResultStore& other) {

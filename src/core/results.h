@@ -42,20 +42,12 @@ class ResultStore {
   /// follow the closing brace.
   static Result<ResultStore> FromJson(const std::string& json);
 
-  /// Persists to / restores from a file — the stop-and-resume facility the
-  /// paper's framework provides so completed experiments are not repeated.
-  /// Saves are crash-safe (temp file + fsync + rename) and carry a CRC-32
-  /// footer; LoadFromFile verifies the footer when present (truncated or
-  /// bit-flipped files fail with InvalidArgument rather than being reused)
-  /// and still accepts legacy footer-less files.
-  Status SaveToFile(const std::string& path) const;
-  static Result<ResultStore> LoadFromFile(const std::string& path);
-
-  /// LoadFromFile's parsing half on bytes already in memory (the blob
-  /// store backends hand the driver raw bytes): verifies the footer when
-  /// any line carries one (so bytes after a footer are damage, not a
-  /// legacy file), accepts legacy footer-less content. `origin` prefixes
-  /// error messages the way LoadFromFile uses the path.
+  /// Verifies the checksum footer of a stored record (Section 6 of
+  /// DESIGN.md) and parses its body. Every record must carry a footer that
+  /// vouches for the whole content: a missing footer (a record cut off
+  /// before it), a footer that is not the final line, or a checksum or
+  /// length mismatch is InvalidArgument, as is a body FromJson rejects.
+  /// `origin` (the record's store location) prefixes footer errors.
   static Result<ResultStore> LoadFromString(const std::string& content,
                                             const std::string& origin);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
@@ -25,6 +27,16 @@ uint64_t Fnv1a(const std::string& text) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+// "<dataset>/<error type>/<version>/<model>/r<repeat>": the prefix of
+// every record key of one evaluated data version ("dirty" or a cleaning
+// method's name) in one repeat.
+std::string RecordPrefix(const CleaningExperimentResult& cell,
+                         const std::string& version, size_t repeat) {
+  return StrFormat("%s/%s/%s/%s/r%zu", cell.dataset.c_str(),
+                   cell.error_type.c_str(), version.c_str(),
+                   cell.model.c_str(), repeat);
 }
 
 constexpr FairnessMetric kAllMetrics[] = {
@@ -87,20 +99,6 @@ Result<EvalOutcome> TrainAndEvaluate(const PreparedData& data,
     outcome.groups.emplace(group.key, confusion);
   }
   return outcome;
-}
-
-void AppendScores(const EvalOutcome& outcome,
-                  const std::vector<GroupDefinition>& groups,
-                  ScoreSeries* series) {
-  series->accuracy.push_back(outcome.accuracy);
-  series->f1.push_back(outcome.f1);
-  for (const GroupDefinition& group : groups) {
-    const GroupConfusion& confusion = outcome.groups.at(group.key);
-    for (FairnessMetric metric : kAllMetrics) {
-      series->unfairness[UnfairnessKey(group.key, metric)].push_back(
-          FairnessGap(metric, confusion));
-    }
-  }
 }
 
 void RecordOutcome(const std::string& prefix, const EvalOutcome& outcome,
@@ -226,11 +224,8 @@ Result<CleaningExperimentResult> RunCleaningRepeatSlice(
   // degenerate repeat (retry/skip) before it poisons the t-tests.
   dirty_outcome.accuracy =
       FaultInjector::Global().CorruptScore("numeric", dirty_outcome.accuracy);
-  AppendScores(dirty_outcome, result.groups, &result.dirty);
-  RecordOutcome(
-      StrFormat("%s/%s/dirty/%s/r%zu", dataset.spec.name.c_str(),
-                error_type.c_str(), family.name.c_str(), repeat),
-      dirty_outcome, result.groups, &result.records);
+  RecordOutcome(RecordPrefix(result, "dirty", repeat), dirty_outcome,
+                result.groups, &result.records);
 
   for (const CleaningMethod& method : methods) {
     Rng method_rng = rng.Fork(Fnv1a(method.Name()));
@@ -242,15 +237,64 @@ Result<CleaningExperimentResult> RunCleaningRepeatSlice(
         EvalOutcome repaired_outcome,
         TrainAndEvaluate(repaired, dataset.spec, result.groups, family,
                          options.cv_folds, &eval_rng));
-    AppendScores(repaired_outcome, result.groups,
-                 &result.repaired[method.Name()]);
-    RecordOutcome(
-        StrFormat("%s/%s/%s/%s/r%zu", dataset.spec.name.c_str(),
-                  error_type.c_str(), method.Name().c_str(),
-                  family.name.c_str(), repeat),
-        repaired_outcome, result.groups, &result.records);
+    RecordOutcome(RecordPrefix(result, method.Name(), repeat),
+                  repaired_outcome, result.groups, &result.records);
   }
+  // The score series are read back from the records just written, the way
+  // a cache hit or a resumed slice reads them: counts round-trip exactly
+  // through doubles, so both paths score every repeat bit for bit alike.
+  FC_RETURN_IF_ERROR(
+      AppendStoredRepeat(result.records, methods, repeat, &result));
   return result;
+}
+
+Status AppendStoredRepeat(const ResultStore& records,
+                          const std::vector<CleaningMethod>& methods,
+                          size_t repeat, CleaningExperimentResult* result) {
+  // Every lookup is MetricKey({prefix, ...}): "<prefix>__test_acc" or
+  // "<prefix>__<group>_<side>__<cell>". One buffer is rebuilt per lookup
+  // instead of allocating a key string for each of a cell's ~900 reads.
+  std::string key;
+  size_t prefix_size = 0;
+  auto get = [&](std::initializer_list<std::string_view> parts) {
+    key.resize(prefix_size);
+    for (std::string_view part : parts) key.append(part);
+    return records.Get(key);
+  };
+  for (size_t v = 0; v <= methods.size(); ++v) {
+    const std::string version = v == 0 ? "dirty" : methods[v - 1].Name();
+    ScoreSeries* series =
+        v == 0 ? &result->dirty : &result->repaired[version];
+    key = RecordPrefix(*result, version, repeat) + "__";
+    prefix_size = key.size();
+    FC_ASSIGN_OR_RETURN(double accuracy, get({"test_acc"}));
+    FC_ASSIGN_OR_RETURN(double f1, get({"test_f1"}));
+    series->accuracy.push_back(accuracy);
+    series->f1.push_back(f1);
+    for (const GroupDefinition& group : result->groups) {
+      GroupConfusion confusion;
+      const struct {
+        const char* suffix;
+        ConfusionMatrix* cm;
+      } sides[2] = {{"_priv__", &confusion.privileged},
+                    {"_dis__", &confusion.disadvantaged}};
+      for (const auto& side : sides) {
+        FC_ASSIGN_OR_RETURN(double tn, get({group.key, side.suffix, "tn"}));
+        FC_ASSIGN_OR_RETURN(double fp, get({group.key, side.suffix, "fp"}));
+        FC_ASSIGN_OR_RETURN(double fn, get({group.key, side.suffix, "fn"}));
+        FC_ASSIGN_OR_RETURN(double tp, get({group.key, side.suffix, "tp"}));
+        side.cm->tn = static_cast<int64_t>(tn);
+        side.cm->fp = static_cast<int64_t>(fp);
+        side.cm->fn = static_cast<int64_t>(fn);
+        side.cm->tp = static_cast<int64_t>(tp);
+      }
+      for (FairnessMetric metric : kAllMetrics) {
+        series->unfairness[UnfairnessKey(group.key, metric)].push_back(
+            FairnessGap(metric, confusion));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 namespace {

@@ -117,6 +117,17 @@ Result<CleaningExperimentResult> RunCleaningRepeatSlice(
     size_t repeat, uint64_t seed_salt = 0,
     const std::vector<GroupDefinition>* groups = nullptr);
 
+/// Appends slot `repeat`'s scores, read from the flat records
+/// RunCleaningRepeatSlice writes, onto `result`, whose dataset, error type,
+/// model and groups name the keys to read: accuracy and F1 as stored, and
+/// every fairness gap computed from the stored group confusion counts.
+/// This is the only reader of the record-key layout; the slice, the cache
+/// hit and a resumed repeat all score through it. NotFound when an
+/// expected key is absent (a stale or partial record).
+Status AppendStoredRepeat(const ResultStore& records,
+                          const std::vector<CleaningMethod>& methods,
+                          size_t repeat, CleaningExperimentResult* result);
+
 /// Appends a one-repeat slice onto `target` (series push_back + record
 /// merge). The first slice initializes the target's metadata; later slices
 /// must agree on dataset/error type/model and method set.

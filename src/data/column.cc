@@ -1,8 +1,6 @@
 #include "data/column.h"
 
 #include <cmath>
-#include <cstdio>
-#include <unordered_map>
 
 namespace fairclean {
 
@@ -30,31 +28,6 @@ Column Column::Categorical(std::string name, std::vector<int32_t> codes,
   col.codes_ = std::move(codes);
   col.dictionary_ = std::move(dictionary);
   return col;
-}
-
-Column Column::FromStrings(std::string name,
-                           const std::vector<std::string>& values,
-                           const std::string& missing_token) {
-  std::vector<int32_t> codes;
-  codes.reserve(values.size());
-  std::vector<std::string> dictionary;
-  std::unordered_map<std::string, int32_t> index;
-  for (const std::string& value : values) {
-    if (value == missing_token) {
-      codes.push_back(kMissingCode);
-      continue;
-    }
-    auto it = index.find(value);
-    if (it == index.end()) {
-      int32_t code = static_cast<int32_t>(dictionary.size());
-      dictionary.push_back(value);
-      index.emplace(value, code);
-      codes.push_back(code);
-    } else {
-      codes.push_back(it->second);
-    }
-  }
-  return Categorical(std::move(name), std::move(codes), std::move(dictionary));
 }
 
 bool Column::IsMissing(size_t row) const {
@@ -98,30 +71,6 @@ int32_t Column::GetOrAddCategory(const std::string& category) {
   if (existing != kMissingCode) return existing;
   dictionary_.push_back(category);
   return static_cast<int32_t>(dictionary_.size() - 1);
-}
-
-void Column::SetMissing(size_t row) {
-  if (is_numeric()) {
-    values_[row] = std::nan("");
-  } else {
-    codes_[row] = kMissingCode;
-  }
-}
-
-std::string Column::CellToString(size_t row) const {
-  if (IsMissing(row)) return "";
-  if (is_categorical()) return CategoryName(codes_[row]);
-  double v = values_[row];
-  // Integral values print without a fractional part for readable CSVs.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 Column Column::Take(const std::vector<size_t>& indices) const {

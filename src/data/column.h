@@ -35,13 +35,6 @@ class Column {
   static Column Categorical(std::string name, std::vector<int32_t> codes,
                             std::vector<std::string> dictionary);
 
-  /// Creates a categorical column from raw string values; `missing_token`
-  /// values become missing cells. The dictionary is built in order of first
-  /// appearance.
-  static Column FromStrings(std::string name,
-                            const std::vector<std::string>& values,
-                            const std::string& missing_token = "");
-
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
   ColumnType type() const { return type_; }
@@ -92,13 +85,6 @@ class Column {
   /// Used by dummy imputation to introduce an explicit missing-indicator
   /// category.
   int32_t GetOrAddCategory(const std::string& category);
-
-  /// Marks the cell at `row` missing.
-  void SetMissing(size_t row);
-
-  /// Renders the cell as a string ("" for missing). Numeric cells use
-  /// shortest round-trip formatting.
-  std::string CellToString(size_t row) const;
 
   /// A new column containing rows at `indices` (with repetition allowed).
   Column Take(const std::vector<size_t>& indices) const;

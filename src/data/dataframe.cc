@@ -1,7 +1,5 @@
 #include "data/dataframe.h"
 
-#include <cstddef>
-
 #include "common/check.h"
 #include "common/strings.h"
 
@@ -21,44 +19,8 @@ Status DataFrame::AddColumn(Column column) {
   return Status::OK();
 }
 
-Status DataFrame::ReplaceColumn(Column column) {
-  auto it = index_.find(column.name());
-  if (it == index_.end()) {
-    return Status::NotFound("no such column: " + column.name());
-  }
-  if (column.size() != num_rows()) {
-    return Status::InvalidArgument(StrFormat(
-        "column '%s' has %zu rows, frame has %zu", column.name().c_str(),
-        column.size(), num_rows()));
-  }
-  columns_[it->second] = std::move(column);
-  return Status::OK();
-}
-
-Status DataFrame::DropColumn(const std::string& name) {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    return Status::NotFound("no such column: " + name);
-  }
-  size_t pos = it->second;
-  columns_.erase(columns_.begin() + static_cast<ptrdiff_t>(pos));
-  index_.erase(it);
-  for (auto& entry : index_) {
-    if (entry.second > pos) --entry.second;
-  }
-  return Status::OK();
-}
-
 bool DataFrame::HasColumn(const std::string& name) const {
   return index_.count(name) > 0;
-}
-
-Result<size_t> DataFrame::ColumnIndex(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    return Status::NotFound("no such column: " + name);
-  }
-  return it->second;
 }
 
 const Column& DataFrame::column(const std::string& name) const {

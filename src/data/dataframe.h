@@ -24,21 +24,11 @@ class DataFrame {
   /// length disagrees with existing columns.
   Status AddColumn(Column column);
 
-  /// Replaces the column with the same name. Fails if absent or length
-  /// mismatch.
-  Status ReplaceColumn(Column column);
-
-  /// Removes the named column. Fails if absent.
-  Status DropColumn(const std::string& name);
-
   size_t num_rows() const {
     return columns_.empty() ? 0 : columns_[0].size();
   }
   size_t num_columns() const { return columns_.size(); }
   bool HasColumn(const std::string& name) const;
-
-  /// Position of the named column.
-  Result<size_t> ColumnIndex(const std::string& name) const;
 
   const Column& column(size_t index) const { return columns_[index]; }
   Column& mutable_column(size_t index) { return columns_[index]; }

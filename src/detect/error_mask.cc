@@ -1,12 +1,6 @@
 #include "detect/error_mask.h"
 
-#include <algorithm>
-
 namespace fairclean {
-
-namespace {
-const std::vector<bool> kEmptyFlags;
-}  // namespace
 
 void ErrorMask::FlagCell(const std::string& column, size_t row) {
   FC_CHECK_LT(row, num_rows_);
@@ -35,24 +29,6 @@ bool ErrorMask::RowFlagged(size_t row) const {
     if (flags[row]) return true;
   }
   return false;
-}
-
-std::vector<std::string> ErrorMask::FlaggedColumns() const {
-  std::vector<std::string> out;
-  for (const auto& [column, flags] : cell_flags_) {
-    if (std::find(flags.begin(), flags.end(), true) != flags.end()) {
-      out.push_back(column);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-const std::vector<bool>& ErrorMask::ColumnFlags(
-    const std::string& column) const {
-  auto it = cell_flags_.find(column);
-  if (it == cell_flags_.end()) return kEmptyFlags;
-  return it->second;
 }
 
 size_t ErrorMask::FlaggedRowCount() const {

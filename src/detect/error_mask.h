@@ -32,11 +32,6 @@ class ErrorMask {
   /// True if the row was flagged directly or via any of its cells.
   bool RowFlagged(size_t row) const;
 
-  /// Columns with at least one flagged cell.
-  std::vector<std::string> FlaggedColumns() const;
-  /// Per-column flags; empty vector if the column has none.
-  const std::vector<bool>& ColumnFlags(const std::string& column) const;
-
   /// Number of rows with any flag.
   size_t FlaggedRowCount() const;
   /// Number of flagged cells across all columns.

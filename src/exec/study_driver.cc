@@ -21,14 +21,6 @@ namespace exec {
 
 namespace {
 
-constexpr FairnessMetric kAllMetrics[] = {
-    FairnessMetric::kPredictiveParity,
-    FairnessMetric::kEqualOpportunity,
-    FairnessMetric::kDemographicParity,
-    FairnessMetric::kFalsePositiveRateParity,
-    FairnessMetric::kAccuracyParity,
-};
-
 // Paired t-tests need at least two completed repeats per configuration.
 constexpr size_t kMinCompletedRepeats = 2;
 
@@ -134,60 +126,6 @@ CleaningExperimentResult EmptyCell(const DatasetSpec& spec,
   result.model = model;
   result.groups = GroupDefinitionsFor(spec);
   return result;
-}
-
-// Appends slot `repeat`'s scores, rebuilt from the flat records, onto
-// `result`. Returns an error if any expected key is absent (stale/partial
-// store -> recompute).
-Status AppendStoredRepeat(const ResultStore& records,
-                          const std::vector<CleaningMethod>& methods,
-                          size_t repeat, CleaningExperimentResult* result) {
-  // Every lookup is MetricKey({prefix, ...}): "<prefix>__test_acc" or
-  // "<prefix>__<group>_<side>__<cell>". One buffer is rebuilt per lookup
-  // instead of allocating a key string for each of a cell's ~900 reads.
-  std::string key;
-  size_t prefix_size = 0;
-  auto get = [&](std::initializer_list<std::string_view> parts) {
-    key.resize(prefix_size);
-    for (std::string_view part : parts) key.append(part);
-    return records.Get(key);
-  };
-  for (size_t v = 0; v <= methods.size(); ++v) {
-    const std::string version = v == 0 ? "dirty" : methods[v - 1].Name();
-    ScoreSeries* series =
-        v == 0 ? &result->dirty : &result->repaired[version];
-    key = StrFormat("%s/%s/%s/%s/r%zu__", result->dataset.c_str(),
-                    result->error_type.c_str(), version.c_str(),
-                    result->model.c_str(), repeat);
-    prefix_size = key.size();
-    FC_ASSIGN_OR_RETURN(double accuracy, get({"test_acc"}));
-    FC_ASSIGN_OR_RETURN(double f1, get({"test_f1"}));
-    series->accuracy.push_back(accuracy);
-    series->f1.push_back(f1);
-    for (const GroupDefinition& group : result->groups) {
-      GroupConfusion confusion;
-      const struct {
-        const char* suffix;
-        ConfusionMatrix* cm;
-      } sides[2] = {{"_priv__", &confusion.privileged},
-                    {"_dis__", &confusion.disadvantaged}};
-      for (const auto& side : sides) {
-        FC_ASSIGN_OR_RETURN(double tn, get({group.key, side.suffix, "tn"}));
-        FC_ASSIGN_OR_RETURN(double fp, get({group.key, side.suffix, "fp"}));
-        FC_ASSIGN_OR_RETURN(double fn, get({group.key, side.suffix, "fn"}));
-        FC_ASSIGN_OR_RETURN(double tp, get({group.key, side.suffix, "tp"}));
-        side.cm->tn = static_cast<int64_t>(tn);
-        side.cm->fp = static_cast<int64_t>(fp);
-        side.cm->fn = static_cast<int64_t>(fn);
-        side.cm->tp = static_cast<int64_t>(tp);
-      }
-      for (FairnessMetric metric : kAllMetrics) {
-        series->unfairness[UnfairnessKey(group.key, metric)].push_back(
-            FairnessGap(metric, confusion));
-      }
-    }
-  }
-  return Status::OK();
 }
 
 // A cell record reassembled into per-repeat score series.
@@ -298,14 +236,6 @@ std::string StudyDriver::SliceKey(const StudyDriverOptions& options,
                    model.c_str(),
                    static_cast<unsigned long long>(options.study.seed),
                    options.study.sample_size, options.study.cv_folds, slot);
-}
-
-std::string StudyDriver::CachePath(const StudyDriverOptions& options,
-                                   const std::string& dataset,
-                                   const std::string& error_type,
-                                   const std::string& model) {
-  return options.cache_dir + "/" +
-         CacheKey(options, dataset, error_type, model);
 }
 
 double StudyDriver::ElapsedSeconds() const {

@@ -134,13 +134,6 @@ class StudyDriver {
                               const std::string& error_type,
                               const std::string& model, size_t slot);
 
-  /// Cache file for one configuration under the flat backend (same layout
-  /// the benches always used, so pre-existing caches keep working).
-  static std::string CachePath(const StudyDriverOptions& options,
-                               const std::string& dataset,
-                               const std::string& error_type,
-                               const std::string& model);
-
   /// Seconds since driver construction.
   double ElapsedSeconds() const;
 

@@ -71,8 +71,9 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv();
 SuiteOptions SuiteOptionsFromEnv();
 
 /// The value of one experiment-cell node: the driver result plus the byte
-/// identity of its persisted cache record (sha256 of the exact file bytes,
-/// or of the bytes SaveToFile would write when caching is disabled).
+/// identity of its persisted cache record (sha256 of the exact record
+/// bytes, footer included, or of the bytes the driver would write when
+/// caching is disabled).
 struct CellArtifact {
   CleaningExperimentResult result;
   /// Cache file basename ("" when caching is disabled). Basename, not

@@ -76,12 +76,6 @@ Result<double> Median(const std::vector<double>& values) {
   return Percentile(values, 50.0);
 }
 
-Result<double> Iqr(const std::vector<double>& values) {
-  FC_ASSIGN_OR_RETURN(double p75, Percentile(values, 75.0));
-  FC_ASSIGN_OR_RETURN(double p25, Percentile(values, 25.0));
-  return p75 - p25;
-}
-
 Result<double> NumericMode(const std::vector<double>& values) {
   std::map<double, size_t> counts;
   for (double v : values) {

@@ -28,9 +28,6 @@ Result<double> Percentile(const std::vector<double>& values, double p);
 /// Median = 50th percentile.
 Result<double> Median(const std::vector<double>& values);
 
-/// Interquartile range p75 - p25.
-Result<double> Iqr(const std::vector<double>& values);
-
 /// Most frequent finite value; ties broken towards the smaller value.
 Result<double> NumericMode(const std::vector<double>& values);
 

@@ -17,7 +17,7 @@ namespace store {
 ///
 /// Write probes the "cache_write" fault site (through WriteFileAtomic).
 /// Read is unprobed — callers that need a "cache_read" probe (the driver's
-/// slice load) arm it themselves.
+/// slice load, the scheduler's figure-panel load) arm it themselves.
 class FlatFileStore {
  public:
   explicit FlatFileStore(std::string dir);

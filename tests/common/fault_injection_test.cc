@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/csv.h"
-
 namespace fairclean {
 namespace {
 
@@ -129,15 +127,19 @@ TEST_F(FaultInjectionTest, RejectsUnknownSites) {
 TEST_F(FaultInjectionTest, KnownSitesAreTheSuiteSites) {
   EXPECT_EQ(FaultInjector::KnownSites(),
             (std::vector<std::string>{"cache_read", "cache_write",
-                                      "csv_parse", "interrupt", "numeric"}));
+                                      "interrupt", "numeric"}));
   for (const std::string& site : FaultInjector::KnownSites()) {
     ASSERT_TRUE(FaultInjector::Global().Configure(site + ":1", 1).ok());
     EXPECT_TRUE(FaultInjector::Global().ShouldFire(site)) << site;
   }
-  // A site no production code probes is rejected.
-  Status status = FaultInjector::Global().Configure("socket_read:1", 1);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("unknown fault site"), std::string::npos);
+  // A site no production code probes is rejected, including the retired
+  // CSV reader's.
+  for (const char* spec : {"socket_read:1", "csv_parse:1"}) {
+    Status status = FaultInjector::Global().Configure(spec, 1);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(status.message().find("unknown fault site"), std::string::npos)
+        << spec;
+  }
 }
 
 TEST_F(FaultInjectionTest, EmptySpecDisarms) {
@@ -147,20 +149,20 @@ TEST_F(FaultInjectionTest, EmptySpecDisarms) {
 }
 
 TEST_F(FaultInjectionTest, ConfigureFromEnvReadsKnobs) {
-  setenv("FAIRCLEAN_FAULTS", "csv_parse:1", 1);
+  setenv("FAIRCLEAN_FAULTS", "interrupt:1", 1);
   setenv("FAIRCLEAN_FAULT_SEED", "9", 1);
   EXPECT_TRUE(FaultInjector::Global().ConfigureFromEnv().ok());
-  EXPECT_TRUE(FaultInjector::Global().ShouldFire("csv_parse"));
+  EXPECT_TRUE(FaultInjector::Global().ShouldFire("interrupt"));
 
   // Each error names exactly the knob at fault.
-  setenv("FAIRCLEAN_FAULTS", "csv_parse:nope", 1);
+  setenv("FAIRCLEAN_FAULTS", "interrupt:nope", 1);
   Status bad_spec = FaultInjector::Global().ConfigureFromEnv();
   EXPECT_EQ(bad_spec.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(bad_spec.message().rfind("FAIRCLEAN_FAULTS: ", 0), 0u)
       << bad_spec.ToString();
 
   // A typo'd seed is rejected, not replaced by the default 42.
-  setenv("FAIRCLEAN_FAULTS", "csv_parse:1", 1);
+  setenv("FAIRCLEAN_FAULTS", "interrupt:1", 1);
   setenv("FAIRCLEAN_FAULT_SEED", "9x", 1);
   Status bad_seed = FaultInjector::Global().ConfigureFromEnv();
   EXPECT_EQ(bad_seed.code(), StatusCode::kInvalidArgument);
@@ -171,15 +173,6 @@ TEST_F(FaultInjectionTest, ConfigureFromEnvReadsKnobs) {
       << bad_seed.ToString();
   unsetenv("FAIRCLEAN_FAULTS");
   unsetenv("FAIRCLEAN_FAULT_SEED");
-}
-
-TEST_F(FaultInjectionTest, CsvParseSiteFailsTheParser) {
-  ASSERT_TRUE(FaultInjector::Global().Configure("csv_parse:1:1", 1).ok());
-  Result<DataFrame> frame = ReadCsvFromString("a,b\n1,2\n");
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kIoError);
-  // The fault was transient (max_fires=1): the retry parses fine.
-  EXPECT_TRUE(ReadCsvFromString("a,b\n1,2\n").ok());
 }
 
 }  // namespace

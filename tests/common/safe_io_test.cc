@@ -84,7 +84,6 @@ TEST(AtomicWriteTest, MissingFileIsIoError) {
 TEST(ChecksumFooterTest, AppendThenVerifyReturnsBody) {
   std::string body = "{\"x\": 1, \"y\": 2}\n";
   std::string framed = AppendChecksumFooter(body);
-  EXPECT_TRUE(HasChecksumFooter(framed));
   Result<std::string> verified = VerifyChecksumFooter(framed);
   ASSERT_TRUE(verified.ok());
   EXPECT_EQ(*verified, body);
@@ -120,28 +119,6 @@ TEST(ChecksumFooterTest, RejectsBytesAfterTheFooter) {
     ASSERT_FALSE(verified.ok()) << "tail \"" << tail << "\"";
     EXPECT_EQ(verified.status().code(), StatusCode::kInvalidArgument);
   }
-}
-
-TEST(ChecksumFooterTest, AnyFooterLineClaimsAChecksum) {
-  std::string framed = AppendChecksumFooter("{\"x\": 1}\n");
-  // A footer that is no longer the last line still marks checksummed
-  // content, so readers verify it (and fail) instead of treating it as a
-  // legacy footer-less file.
-  EXPECT_TRUE(HasChecksumFooter(framed + "\n"));
-  EXPECT_TRUE(HasChecksumFooter(framed + "trailing"));
-  EXPECT_TRUE(
-      HasChecksumFooter(std::string(kChecksumFooterPrefix) + "0 len=0"));
-  EXPECT_FALSE(HasChecksumFooter("{\"x\": 1}\n"));
-  EXPECT_FALSE(HasChecksumFooter("{\"x #fc-crc32 \": 1}\n"));
-}
-
-TEST(ChecksummedFileTest, RoundTrip) {
-  std::string path = TempPath("checked.json");
-  ASSERT_TRUE(WriteChecksummedFile(path, "{\"k\": 7}\n").ok());
-  Result<std::string> body = ReadChecksummedFile(path);
-  ASSERT_TRUE(body.ok());
-  EXPECT_EQ(*body, "{\"k\": 7}\n");
-  std::filesystem::remove(path);
 }
 
 TEST(QuarantineTest, MovesFileAside) {
@@ -199,17 +176,6 @@ TEST(SafeIoFaultTest, CacheWriteSiteFails) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-}
-
-TEST(SafeIoFaultTest, CacheReadSiteFails) {
-  std::string path = TempPath("read_faulted.txt");
-  ASSERT_TRUE(WriteChecksummedFile(path, "body").ok());
-  ASSERT_TRUE(FaultInjector::Global().Configure("cache_read:1", 1).ok());
-  Result<std::string> body = ReadChecksummedFile(path);
-  FaultInjector::Global().Reset();
-  ASSERT_FALSE(body.ok());
-  EXPECT_EQ(body.status().code(), StatusCode::kIoError);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

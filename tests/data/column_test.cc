@@ -24,7 +24,7 @@ TEST(ColumnTest, NumericMissingIsNaN) {
 
 TEST(ColumnTest, SetMissingNumeric) {
   Column col = Column::Numeric("x", {1.0, 2.0});
-  col.SetMissing(0);
+  col.SetValue(0, std::nan(""));
   EXPECT_TRUE(col.IsMissing(0));
   EXPECT_FALSE(col.IsMissing(1));
 }
@@ -43,22 +43,6 @@ TEST(ColumnTest, CategoricalMissing) {
   EXPECT_TRUE(col.IsMissing(1));
   EXPECT_EQ(col.MissingCount(), 1u);
   EXPECT_EQ(col.CategoryName(Column::kMissingCode), "<missing>");
-}
-
-TEST(ColumnTest, FromStringsBuildsDictionaryInOrder) {
-  Column col = Column::FromStrings("c", {"x", "y", "x", "", "z"});
-  EXPECT_EQ(col.dictionary().size(), 3u);
-  EXPECT_EQ(col.Code(0), 0);
-  EXPECT_EQ(col.Code(1), 1);
-  EXPECT_EQ(col.Code(2), 0);
-  EXPECT_TRUE(col.IsMissing(3));
-  EXPECT_EQ(col.Code(4), 2);
-}
-
-TEST(ColumnTest, FromStringsCustomMissingToken) {
-  Column col = Column::FromStrings("c", {"?", "a"}, "?");
-  EXPECT_TRUE(col.IsMissing(0));
-  EXPECT_FALSE(col.IsMissing(1));
 }
 
 TEST(ColumnTest, GetOrAddCategoryAppends) {
@@ -97,16 +81,6 @@ TEST(ColumnTest, TakeAllowsRepetition) {
   Column col = Column::Numeric("x", {5.0});
   Column taken = col.Take({0, 0, 0});
   EXPECT_EQ(taken.size(), 3u);
-}
-
-TEST(ColumnTest, CellToString) {
-  Column num = Column::Numeric("x", {2.0, 2.5, std::nan("")});
-  EXPECT_EQ(num.CellToString(0), "2");
-  EXPECT_EQ(num.CellToString(1), "2.5");
-  EXPECT_EQ(num.CellToString(2), "");
-  Column cat = Column::Categorical("c", {1, Column::kMissingCode}, {"a", "b"});
-  EXPECT_EQ(cat.CellToString(0), "b");
-  EXPECT_EQ(cat.CellToString(1), "");
 }
 
 }  // namespace

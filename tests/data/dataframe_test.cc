@@ -40,36 +40,14 @@ TEST(DataFrameTest, AddLengthMismatchFails) {
 TEST(DataFrameTest, ColumnAccessByName) {
   DataFrame frame = MakeTestFrame();
   EXPECT_DOUBLE_EQ(frame.column("x").Value(0), 1.0);
-  Result<size_t> index = frame.ColumnIndex("c");
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(*index, 1u);
-  EXPECT_FALSE(frame.ColumnIndex("nope").ok());
+  EXPECT_EQ(frame.column("c").Code(1), 1);
+  EXPECT_EQ(&frame.column("c"), &frame.column(1));
 }
 
 TEST(DataFrameTest, MutableColumnWritesThrough) {
   DataFrame frame = MakeTestFrame();
   frame.mutable_column("x").SetValue(0, 9.0);
   EXPECT_DOUBLE_EQ(frame.column("x").Value(0), 9.0);
-}
-
-TEST(DataFrameTest, ReplaceColumn) {
-  DataFrame frame = MakeTestFrame();
-  ASSERT_TRUE(
-      frame.ReplaceColumn(Column::Numeric("x", {7.0, 8.0, 9.0})).ok());
-  EXPECT_DOUBLE_EQ(frame.column("x").Value(2), 9.0);
-  EXPECT_FALSE(
-      frame.ReplaceColumn(Column::Numeric("nope", {1.0, 2.0, 3.0})).ok());
-  EXPECT_FALSE(frame.ReplaceColumn(Column::Numeric("x", {1.0})).ok());
-}
-
-TEST(DataFrameTest, DropColumnReindexes) {
-  DataFrame frame = MakeTestFrame();
-  ASSERT_TRUE(frame.DropColumn("x").ok());
-  EXPECT_EQ(frame.num_columns(), 1u);
-  Result<size_t> index = frame.ColumnIndex("c");
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(*index, 0u);
-  EXPECT_FALSE(frame.DropColumn("x").ok());
 }
 
 TEST(DataFrameTest, ColumnNamesInOrder) {

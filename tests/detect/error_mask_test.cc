@@ -39,25 +39,6 @@ TEST(ErrorMaskTest, RowFlagsIndependentOfCells) {
   EXPECT_EQ(mask.FlaggedCellCount(), 0u);
 }
 
-TEST(ErrorMaskTest, FlaggedColumnsSorted) {
-  ErrorMask mask(2);
-  mask.FlagCell("zebra", 0);
-  mask.FlagCell("alpha", 1);
-  std::vector<std::string> columns = mask.FlaggedColumns();
-  ASSERT_EQ(columns.size(), 2u);
-  EXPECT_EQ(columns[0], "alpha");
-  EXPECT_EQ(columns[1], "zebra");
-}
-
-TEST(ErrorMaskTest, ColumnFlagsAccessor) {
-  ErrorMask mask(3);
-  mask.FlagCell("a", 1);
-  const std::vector<bool>& flags = mask.ColumnFlags("a");
-  ASSERT_EQ(flags.size(), 3u);
-  EXPECT_TRUE(flags[1]);
-  EXPECT_TRUE(mask.ColumnFlags("missing_column").empty());
-}
-
 TEST(ErrorMaskTest, DoubleFlaggingIsIdempotent) {
   ErrorMask mask(2);
   mask.FlagCell("a", 0);

@@ -102,8 +102,9 @@ class StudyDriverTest : public testing::Test {
   }
 
   std::string CacheFile() const {
-    return StudyDriver::CachePath(Options(), "german", "missing_values",
-                                  "log-reg");
+    return cache_dir_ + "/" +
+           StudyDriver::CacheKey(Options(), "german", "missing_values",
+                                 "log-reg");
   }
 
   std::string SliceFile(size_t slot) const {
@@ -209,10 +210,10 @@ TEST_F(StudyDriverTest, EscalatingRepeatsReusesSlicesOfTheSmallerRun) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(cold_driver.diagnostics().repeats_run, 4u);
   ExpectSameScores(*escalated, *fresh);
-  EXPECT_EQ(FileBytes(StudyDriver::CachePath(
-                four, "german", "missing_values", "log-reg")),
-            FileBytes(StudyDriver::CachePath(
-                cold, "german", "missing_values", "log-reg")));
+  const std::string key =
+      StudyDriver::CacheKey(four, "german", "missing_values", "log-reg");
+  EXPECT_EQ(FileBytes(four.cache_dir + "/" + key),
+            FileBytes(cold.cache_dir + "/" + key));
 }
 
 TEST_F(StudyDriverTest, DamagedSliceIsQuarantinedAndOnlyItsSlotRecomputes) {
@@ -290,6 +291,58 @@ TEST_F(StudyDriverTest, CellRecordWithTrailingByteIsQuarantinedNotServed) {
   EXPECT_EQ(driver.diagnostics().slices_reused, 3u);
   ExpectSameScores(*result, Baseline());
   EXPECT_EQ(FileBytes(CacheFile() + ".corrupt"), damaged);
+  EXPECT_EQ(FileBytes(CacheFile()), full_cache);
+}
+
+TEST_F(StudyDriverTest, CellRecordWithoutFooterIsQuarantinedNotServed) {
+  {
+    StudyDriver driver(Options());
+    ASSERT_TRUE(
+        driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  }
+  std::string full_cache = FileBytes(CacheFile());
+  // The record cut off exactly before its footer line: the body parses as
+  // a complete store, but nothing vouches for it.
+  std::string body = *VerifyChecksumFooter(full_cache);
+  ASSERT_TRUE(WriteFileAtomic(CacheFile(), body).ok());
+
+  StudyDriver driver(Options());
+  Result<CleaningExperimentResult> result =
+      driver.RunOrLoad(German(), "missing_values", "log-reg");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(driver.diagnostics().cache_hits, 0u);
+  EXPECT_EQ(driver.diagnostics().corrupt_quarantined, 1u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 3u);
+  EXPECT_EQ(driver.diagnostics().repeats_run, 0u);
+  ExpectSameScores(*result, Baseline());
+  EXPECT_EQ(FileBytes(CacheFile() + ".corrupt"), body);
+  EXPECT_EQ(FileBytes(CacheFile()), full_cache);
+}
+
+TEST_F(StudyDriverTest, FailedSliceReadRecomputesAndQuarantinesNothing) {
+  {
+    StudyDriver driver(Options());
+    ASSERT_TRUE(
+        driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
+  }
+  std::string full_cache = FileBytes(CacheFile());
+  std::string slice1 = FileBytes(SliceFile(1));
+  std::filesystem::remove(CacheFile());
+
+  // Every slice read fails at the "cache_read" probe: a read error is a
+  // miss, not damage, so each slot recomputes and its record stays put.
+  ASSERT_TRUE(FaultInjector::Global().Configure("cache_read:1", 1).ok());
+  StudyDriver driver(Options());
+  Result<CleaningExperimentResult> result =
+      driver.RunOrLoad(German(), "missing_values", "log-reg");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(FaultInjector::Global().fires("cache_read"), 3u);
+  EXPECT_EQ(driver.diagnostics().slices_reused, 0u);
+  EXPECT_EQ(driver.diagnostics().repeats_run, 3u);
+  EXPECT_EQ(driver.diagnostics().corrupt_quarantined, 0u);
+  ExpectSameScores(*result, Baseline());
+  EXPECT_FALSE(std::filesystem::exists(SliceFile(1) + ".corrupt"));
+  EXPECT_EQ(FileBytes(SliceFile(1)), slice1);
   EXPECT_EQ(FileBytes(CacheFile()), full_cache);
 }
 
@@ -469,8 +522,9 @@ TEST_F(StudyDriverTest, InterruptLeavesReusableSlices) {
   ASSERT_TRUE(
       clean_driver.RunOrLoad(German(), "missing_values", "log-reg").ok());
   EXPECT_EQ(FileBytes(CacheFile()),
-            FileBytes(StudyDriver::CachePath(
-                clean, "german", "missing_values", "log-reg")));
+            FileBytes(clean.cache_dir + "/" +
+                      StudyDriver::CacheKey(clean, "german", "missing_values",
+                                            "log-reg")));
   for (size_t slot = 0; slot < 3; ++slot) {
     EXPECT_EQ(FileBytes(SliceFile(slot)),
               FileBytes(
@@ -490,7 +544,9 @@ TEST_F(StudyDriverTest, DegenerateCachedGapsAreRecomputedNotServed) {
   // Rewrite the cache the way a pre-NaN-semantics run could have left it:
   // a privileged group with no negative labels (fp + tn == 0), whose FPR
   // gap now reconstructs to NaN.
-  ResultStore store = ResultStore::LoadFromFile(CacheFile()).ValueOrDie();
+  ResultStore store =
+      ResultStore::LoadFromString(FileBytes(CacheFile()), CacheFile())
+          .ValueOrDie();
   size_t zeroed = 0;
   for (const std::string& key : store.KeysWithPrefix("german")) {
     if (key.find("_priv__") == std::string::npos) continue;
@@ -501,7 +557,8 @@ TEST_F(StudyDriverTest, DegenerateCachedGapsAreRecomputedNotServed) {
     }
   }
   ASSERT_GT(zeroed, 0u);
-  ASSERT_TRUE(store.SaveToFile(CacheFile()).ok());
+  ASSERT_TRUE(
+      WriteFileAtomic(CacheFile(), AppendChecksumFooter(store.ToJson())).ok());
   // Slices from that era carry the same zeroed counts: rewrite each
   // slot's keys (with a valid footer) so none of them is reusable either.
   for (size_t slot = 0; slot < 3; ++slot) {
@@ -528,12 +585,11 @@ TEST_F(StudyDriverTest, DegenerateCachedGapsAreRecomputedNotServed) {
   ExpectSameScores(*result, Baseline());
 }
 
-TEST_F(StudyDriverTest, CachePathEncodesStudyShape) {
+TEST_F(StudyDriverTest, CacheKeyEncodesStudyShape) {
   StudyDriverOptions options = Options();
-  options.cache_dir = "cache";
   EXPECT_EQ(
-      StudyDriver::CachePath(options, "german", "missing_values", "log-reg"),
-      "cache/german_missing_values_log-reg_s99_n300_r3_f3.json");
+      StudyDriver::CacheKey(options, "german", "missing_values", "log-reg"),
+      "german_missing_values_log-reg_s99_n300_r3_f3.json");
   // Slice keys leave out the repeat count.
   EXPECT_EQ(StudyDriver::SliceKey(options, "german", "missing_values",
                                   "log-reg", 7),

@@ -100,7 +100,7 @@ TEST(FeatureEncoderTest, TransformValidatesSchema) {
   FeatureEncoder encoder;
   ASSERT_TRUE(encoder.Fit(frame, {"num"}).ok());
   DataFrame other;
-  ASSERT_TRUE(other.AddColumn(Column::FromStrings("num", {"x"})).ok());
+  ASSERT_TRUE(other.AddColumn(Column::Categorical("num", {0}, {"x"})).ok());
   EXPECT_FALSE(encoder.Transform(other).ok());  // type changed
 }
 

@@ -258,12 +258,12 @@ TEST(SuiteGolden, CellRecordsMatchStandaloneDriverSha256) {
     ASSERT_TRUE(
         driver.RunOrLoad(*dataset, cell.error_type, cell.model).ok());
 
-    std::string path = exec::StudyDriver::CachePath(
+    std::string basename = exec::StudyDriver::CacheKey(
         driver_options, cell.dataset, cell.error_type, cell.model);
-    Result<std::string> bytes = ReadFileToString(path);
+    Result<std::string> bytes =
+        ReadFileToString(standalone_dir + "/" + basename);
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
-    std::string basename = std::filesystem::path(path).filename().string();
     ASSERT_TRUE(baseline.files.count(basename)) << basename;
     EXPECT_EQ(*bytes, baseline.files.at(basename)) << cell.Id();
 

@@ -64,15 +64,6 @@ TEST(DescriptiveTest, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(*Median({1.0, 2.0, 3.0, 4.0}), 2.5);
 }
 
-TEST(DescriptiveTest, IqrMatchesDefinition) {
-  std::vector<double> values;
-  for (int i = 1; i <= 100; ++i) values.push_back(i);
-  Result<double> iqr = Iqr(values);
-  ASSERT_TRUE(iqr.ok());
-  EXPECT_NEAR(*iqr, *Percentile(values, 75.0) - *Percentile(values, 25.0),
-              1e-12);
-}
-
 TEST(DescriptiveTest, NumericModeMostFrequent) {
   EXPECT_DOUBLE_EQ(*NumericMode({1.0, 2.0, 2.0, 3.0, kNaN}), 2.0);
 }
